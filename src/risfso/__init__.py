@@ -20,7 +20,6 @@ from .metrics import (
     ModulationScheme,
     asymptotic_ber,
     average_ber,
-    diversity_and_coding_gain,
     ergodic_capacity,
     outage_probability,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "cascade_from_constants",
     "cascade_params",
     "cdf",
-    "diversity_and_coding_gain",
     "ergodic_capacity",
     "estimate_metric",
     "meijer_g",

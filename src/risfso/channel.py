@@ -11,8 +11,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .special import erf
-
 __all__ = [
     "CascadeParams",
     "DetectionMode",
@@ -119,7 +117,9 @@ class CascadeParams:
 
     ``delta1``/``delta2`` are the 2a- and 6a-entry parameter lists of
     the CDF-level G-function; ``mean_snr`` is the product of the two
-    per-hop mean SNRs with path loss already folded in.
+    per-hop mean SNRs with path loss already folded in.  M and M0 are
+    kept as ``log_m``/``log_m0``: M0 leaves the double range for large
+    turbulence shapes.
     """
 
     zeta2: float
@@ -127,23 +127,12 @@ class CascadeParams:
     beta: float
     a: int
     mean_snr: float
-    big_m: float
+    log_m: float
     big_q: float
-    m0: float
+    log_m0: float
     q0: float
     delta1: tuple[float, ...]
     delta2: tuple[float, ...]
-
-    @property
-    def chi(self) -> float:
-        return 1.0 if self.a == 1 else math.e / (2.0 * math.pi)
-
-    def with_mean_snr(self, mean_snr: float) -> "CascadeParams":
-        if not mean_snr > 0.0:
-            raise ValueError(f"mean_snr must be positive, got {mean_snr!r}")
-        return CascadeParams(self.zeta2, self.alpha, self.beta, self.a, mean_snr,
-                             self.big_m, self.big_q, self.m0, self.q0,
-                             self.delta1, self.delta2)
 
 
 def rytov_variance(scenario: LinkScenario) -> float:
@@ -185,7 +174,7 @@ def alpha_beta(scenario: LinkScenario) -> TurbulenceState:
 def pointing_state(scenario: LinkScenario) -> PointingState:
     """v = r sqrt(pi) / (sqrt(2) w_z) and A0 = erf(v)^2; zeta passes through."""
     v = scenario.receiver_radius * math.sqrt(math.pi) / (math.sqrt(2.0) * scenario.beam_waist)
-    a0 = erf(v) ** 2
+    a0 = math.erf(v) ** 2
     return PointingState(v=v, a0=a0, zeta=scenario.zeta)
 
 
@@ -199,7 +188,8 @@ def cascade_params(turb: TurbulenceState, point: PointingState,
                    mean_snr_g: float) -> CascadeParams:
     """Assemble the closed-form constants for the two-hop cascade.
 
-    The Gauss-multiplication constants are
+    With M = zeta^2 / (a Gamma(alpha) Gamma(beta)), the
+    Gauss-multiplication constants are
 
         M0 = M^2 a^(2(alpha+beta-1)) / (2 pi)^(2(a-1)),
         Q0 = Q^(2a) / a^(4a),
@@ -213,11 +203,10 @@ def cascade_params(turb: TurbulenceState, point: PointingState,
     zeta2 = point.zeta ** 2
     alpha, beta = turb.alpha, turb.beta
 
-    log_gamma_ab = math.lgamma(alpha) + math.lgamma(beta)
-    big_m = zeta2 / a * math.exp(-log_gamma_ab)
+    log_m = math.log(zeta2 / a) - math.lgamma(alpha) - math.lgamma(beta)
     big_q = zeta2 * alpha * beta / (1.0 + zeta2)
-    m0 = big_m ** 2 * a ** (2.0 * (alpha + beta - 1.0)) \
-        / (2.0 * math.pi) ** (2 * (a - 1))
+    log_m0 = (2.0 * log_m + 2.0 * (alpha + beta - 1.0) * math.log(a)
+              - 2.0 * (a - 1) * math.log(2.0 * math.pi))
     q0 = big_q ** (2 * a) / a ** (4 * a)
 
     delta1 = tuple((zeta2 + 1.0 + k) / a for k in range(a)) * 2
@@ -227,7 +216,7 @@ def cascade_params(turb: TurbulenceState, point: PointingState,
 
     return CascadeParams(zeta2=zeta2, alpha=alpha, beta=beta, a=a,
                          mean_snr=mean_snr_h * mean_snr_g,
-                         big_m=big_m, big_q=big_q, m0=m0, q0=q0,
+                         log_m=log_m, big_q=big_q, log_m0=log_m0, q0=q0,
                          delta1=delta1, delta2=delta2)
 
 

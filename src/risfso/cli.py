@@ -12,6 +12,7 @@ schema error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,6 @@ import sys
 from . import presets
 from .channel import (
     DetectionMode,
-    LinkScenario,
     alpha_beta,
     cascade_from_constants,
     path_loss,
@@ -32,10 +32,18 @@ from .metrics import (
     ergodic_capacity,
     outage_probability,
 )
-from .simulator import McChannel, McConfig, estimate_metric
+from .simulator import McConfig
 from .special import MeijerGError
 from .statistics import RisElement, SnrDistribution, cdf, mgf, pdf
-from .sweeps import ConfigError, emit, parse_config, run_sweep
+from .sweeps import (
+    ConfigError,
+    emit,
+    link_scenario,
+    mc_estimate,
+    parse_config,
+    run_sweep,
+    table2_constants,
+)
 
 __all__ = ["main"]
 
@@ -61,11 +69,7 @@ def _add_channel_args(p: argparse.ArgumentParser) -> None:
 
 def _distribution(args: argparse.Namespace) -> SnrDistribution:
     if args.preset:
-        try:
-            _, color, level = args.preset.split("-")
-            alpha, beta = presets.TABLE2[(color, level)]
-        except (ValueError, KeyError):
-            raise ConfigError(f"unknown preset {args.preset!r}") from None
+        alpha, beta = table2_constants(args.preset, "--preset")
     elif args.alpha is not None and args.beta is not None:
         alpha, beta = args.alpha, args.beta
     else:
@@ -98,12 +102,13 @@ def _build_parser() -> _Parser:
                        "from physical link geometry")
     p.add_argument("--wavelength-nm", type=float)
     p.add_argument("--color", choices=sorted(presets.WAVELENGTH_NM))
-    p.add_argument("--distance-m", type=float, default=1000.0)
-    p.add_argument("--aperture-diameter-mm", type=float, default=1.0)
+    # unset geometry takes the defaults of sweeps.link_scenario
+    p.add_argument("--distance-m", type=float)
+    p.add_argument("--aperture-diameter-mm", type=float)
     p.add_argument("--cn2", type=float, required=True)
-    p.add_argument("--receiver-radius-m", type=float, default=0.1)
-    p.add_argument("--beam-waist-m", type=float, default=1.0)
-    p.add_argument("--attenuation-per-km", type=float, default=0.0)
+    p.add_argument("--receiver-radius-m", type=float)
+    p.add_argument("--beam-waist-m", type=float)
+    p.add_argument("--attenuation-per-km", type=float)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--detection", default="hd")
     p.add_argument("--format", default="json", choices=["json", "csv"])
@@ -161,23 +166,12 @@ def _build_parser() -> _Parser:
 def _run(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "params":
-        if args.wavelength_nm is not None:
-            wl = args.wavelength_nm * 1e-9
-        elif args.color:
-            wl = presets.WAVELENGTH_NM[args.color] * 1e-9
-        else:
+        if args.wavelength_nm is None and args.color is None:
             raise ConfigError("give --wavelength-nm or --color")
-        try:
-            scenario = LinkScenario(
-                wavelength=wl, distance=args.distance_m,
-                aperture_diameter=args.aperture_diameter_mm * 1e-3,
-                cn2=args.cn2, receiver_radius=args.receiver_radius_m,
-                beam_waist=args.beam_waist_m,
-                attenuation=args.attenuation_per_km * 1e-3,
-                zeta=args.zeta,
-                detection=DetectionMode.from_name(args.detection))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        fields = {k: v for k, v in vars(args).items() if v is not None}
+        scenario = link_scenario(fields, args.zeta,
+                                 DetectionMode.from_name(args.detection),
+                                 "params")
         turb = alpha_beta(scenario)
         point = pointing_state(scenario)
         _print_result({
@@ -222,30 +216,11 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "mc":
-        dist = _distribution(args)
-        chan = McChannel(zeta2=args.zeta ** 2,
-                         alpha=dist.params.alpha, beta=dist.params.beta,
-                         a=dist.params.a,
-                         mean_snr_h=math.sqrt(dist.params.mean_snr),
-                         mean_snr_g=math.sqrt(dist.params.mean_snr),
-                         mu=args.mu)
-        kw: dict = {}
-        if args.metric == "outage":
-            if args.gamma_th_db is None:
-                raise ConfigError("mc outage needs --gamma-th-db")
-            kw["gamma_th"] = 10.0 ** (args.gamma_th_db / 10.0)
-        elif args.metric == "ber":
-            if not args.scheme:
-                raise ConfigError("mc ber needs --scheme")
-            sch = ModulationScheme.from_name(args.scheme)
-            kw.update(p=sch.p, q=sch.q)
-        elif args.metric == "mgf":
-            if args.s is None or not args.s > 0:
-                raise ConfigError("mc mgf needs --s > 0")
-            kw["s"] = args.s
         cfg = McConfig(sample_count=args.samples, seed=args.seed,
                        batch_size=args.batch_size)
-        est = estimate_metric(args.metric, chan, cfg, **kw)
+        est = mc_estimate(args.metric, _distribution(args), cfg,
+                          gamma_th_db=args.gamma_th_db, scheme=args.scheme,
+                          s=args.s)
         _print_result({"mean": est.mean, "std_error": est.std_error,
                        "sample_count": est.sample_count,
                        "seed": args.seed}, args)
@@ -258,9 +233,9 @@ def _run(args: argparse.Namespace) -> int:
             default_out = f"{args.preset}.{args.format or 'csv'}"
         else:
             spec = parse_config(args.config)
-            spec = type(spec)(**{**spec.__dict__,
-                                 "seed": args.seed,
-                                 "gbar_interpretation": args.gbar_interpretation})
+            spec = dataclasses.replace(
+                spec, seed=args.seed,
+                gbar_interpretation=args.gbar_interpretation)
             default_out = spec.output_path or "sweep.csv"
         fmt = args.format or spec.output_format
         out = args.out or default_out

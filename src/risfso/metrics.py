@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, polygamma, zeta
 
+from .channel import DetectionMode
 from .special import MeijerGSpec, meijer_g
 from .statistics import SnrDistribution, cdf, pdf
 
@@ -25,7 +26,6 @@ __all__ = [
     "average_ber",
     "average_ber_by_quadrature",
     "asymptotic_ber",
-    "diversity_and_coding_gain",
     "ergodic_capacity",
     "ergodic_capacity_by_quadrature",
     "outage_probability",
@@ -86,9 +86,9 @@ def ergodic_capacity(dist: SnrDistribution) -> float:
     p = dist.params
     upper = (0.0, 1.0) + p.delta1
     lower = p.delta2 + (0.0, 0.0)
-    z = p.q0 / (p.chi * dist.mean_snr)
+    z = p.q0 / (DetectionMode(p.a).chi * dist.mean_snr)
     spec = MeijerGSpec(6 * p.a + 2, 1, upper, lower, z)
-    lp = dist._log_m0 - math.log(math.log(2.0))
+    lp = p.log_m0 - math.log(math.log(2.0))
     return meijer_g(spec, log_prefactor=lp).value
 
 
@@ -96,7 +96,7 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution,
                                    rel_tol: float = 1e-9) -> float:
     """Capacity as the direct integral of log(1 + chi x) over the density."""
     p = dist.params
-    chi = p.chi
+    chi = DetectionMode(p.a).chi
     gbar = dist.mean_snr
     c = min(p.delta2)
 
@@ -119,7 +119,7 @@ def average_ber(dist: SnrDistribution, scheme: ModulationScheme) -> float:
     lower = p.delta2 + (0.0,)
     z = p.q0 / (sq * dist.mean_snr)
     spec = MeijerGSpec(6 * p.a, 2, upper, lower, z)
-    lp = dist._log_m0 - math.log(2.0) - math.lgamma(sp)
+    lp = p.log_m0 - math.log(2.0) - math.lgamma(sp)
     return meijer_g(spec, log_prefactor=lp).value
 
 
@@ -249,8 +249,16 @@ def _residue_terms(d: float, lower: tuple[float, ...],
     return terms
 
 
-def _asymptote_report(dist: SnrDistribution,
-                      scheme: ModulationScheme) -> AsymptoteReport:
+def asymptotic_ber(dist: SnrDistribution,
+                   scheme: ModulationScheme) -> AsymptoteReport:
+    """Leading high-SNR expansion of the average BER.
+
+    Sums the exact residue at each decay exponent; the coincident pairs
+    of the cascade give double poles, so the dominant term is
+    mean_snr^(-G_d) (c_1 ln(mean_snr) + c_0).  ``report.ber_estimate``
+    holds the asymptote at the distribution's own mean SNR;
+    ``report.evaluate`` re-evaluates the sum elsewhere.
+    """
     p = dist.params
     sp, sq = scheme.p, scheme.q
     vals = sorted(p.delta2)
@@ -281,7 +289,7 @@ def _asymptote_report(dist: SnrDistribution,
             log_weights.append(lw)
             signs.append(sg)
 
-    log_pref = dist._log_m0 - math.log(2.0) - math.lgamma(sp)
+    log_pref = p.log_m0 - math.log(2.0) - math.lgamma(sp)
     # leading term in ln(mean_snr): ln w = ln(mean_snr) + shift
     shift = math.log(sq / p.q0)
     lin = [sg * math.exp(log_pref + lw - diversity * shift) for lw, sg in leading]
@@ -311,31 +319,6 @@ def _asymptote_report(dist: SnrDistribution,
     object.__setattr__(report, "ber_estimate", est)
     object.__setattr__(report, "coding_gain", gc)
     return report
-
-
-def asymptotic_ber(dist: SnrDistribution,
-                   scheme: ModulationScheme) -> AsymptoteReport:
-    """Leading high-SNR expansion of the average BER.
-
-    Sums the exact residue at each decay exponent; the coincident pairs
-    of the cascade give double poles, so the dominant term is
-    mean_snr^(-G_d) (c_1 ln(mean_snr) + c_0).  ``report.ber_estimate``
-    holds the asymptote at the distribution's own mean SNR;
-    ``report.evaluate`` re-evaluates the sum elsewhere.
-    """
-    return _asymptote_report(dist, scheme)
-
-
-def diversity_and_coding_gain(dist: SnrDistribution,
-                              scheme: ModulationScheme) -> AsymptoteReport:
-    """Diversity order (smallest decay exponent of the CDF parameter
-    list) and the effective coding gain at the distribution's mean SNR.
-
-    The double pole at that exponent gives a BER of
-    mean_snr^(-G_d) (c_1 ln(mean_snr) + c_0), so the coding gain is the
-    pointwise value that reproduces ``ber_estimate``, not a constant.
-    """
-    return _asymptote_report(dist, scheme)
 
 
 def solve_mean_snr_db(metric_at_mean_snr, target: float,

@@ -1,6 +1,5 @@
-"""Numeric kernels: gamma family, Bessel K, erf, Meijer-G."""
-from .besselk import BesselDomainError, bessel_k
-from .gammafn import GammaPoleError, erf, gamma_complex, gammaln_sign, loggamma_complex
+"""Numeric kernels: complex log-gamma, quadrature, Meijer-G."""
+from .gammafn import loggamma_complex
 from .meijerg import (
     ContourError,
     EvalResult,
@@ -14,19 +13,13 @@ from .meijerg import (
 from .quadrature import QuadratureResult, gauss_kronrod
 
 __all__ = [
-    "BesselDomainError",
     "ContourError",
     "EvalResult",
-    "GammaPoleError",
     "MeijerGError",
     "MeijerGSpec",
     "PoleCollisionError",
     "QuadratureResult",
     "SeriesDivergenceError",
-    "bessel_k",
-    "erf",
-    "gamma_complex",
-    "gammaln_sign",
     "gauss_kronrod",
     "loggamma_complex",
     "meijer_g",

@@ -1,192 +1,11 @@
-"""Gamma-family special functions and the error function.
+"""Complex log-gamma for the Mellin-Barnes integrands.
 
-Self-contained double-precision kernels used throughout the package:
-complex log-gamma via the Lanczos approximation (with reflection for
-Re z < 1/2), real gamma with sign tracking for negative arguments, and
-erf via power series plus a continued fraction for the tail.
+The contour kernels only need exp(loggamma_complex(z)) == Gamma(z), so
+scipy's principal-branch ``loggamma`` serves as is; the name stays so
+that callers and instrumentation can find the kernel in one place.
 """
 from __future__ import annotations
 
-import math
+from scipy.special import loggamma as loggamma_complex
 
-import numpy as np
-
-__all__ = [
-    "GammaPoleError",
-    "erf",
-    "gamma_complex",
-    "gammaln_sign",
-    "loggamma_complex",
-    "sinpi",
-]
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a nonpositive integer."""
-
-
-# Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficients).
-# Relative accuracy ~1e-14 for Re z >= 1/2.
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = np.array([
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
-_LN_2PI = math.log(2.0 * math.pi)
-_LN_PI = math.log(math.pi)
-
-
-def sinpi(x: np.ndarray | float) -> np.ndarray | float:
-    """sin(pi x) for real x with exact reduction to the nearest integer.
-
-    Near-integer arguments keep full relative accuracy, which the
-    reflection formula needs when a gamma argument sits a perturbation
-    away from a pole.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = np.round(x)
-    r = x - n  # exact for |x| below 2^52
-    return np.where(n % 2 == 0, 1.0, -1.0) * np.sin(np.pi * r)
-
-
-def _log_sin_pi(z: np.ndarray) -> np.ndarray:
-    """log(sin(pi z)) up to multiples of 2*pi*i; exp() of it is exact.
-
-    The real part is reduced to the nearest integer first (as in
-    ``sinpi``) and large |Im z| goes through the dominant exponential,
-    so the result neither loses the near-pole offset nor overflows.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(z.shape, dtype=np.complex128)
-    flip = z.imag < 0.0
-    zz = np.where(flip, z.conj(), z)
-    n = np.round(zz.real)
-    zr = zz - n  # sin(pi z) = (-1)^n sin(pi (z - n))
-    parity = np.where(n % 2 == 0, 0.0, 1j * math.pi)
-
-    small = zz.imag < 8.0
-    out[small] = np.log(np.sin(np.pi * zr[small])) + parity[small]
-
-    zb = zr[~small]
-    # sin(pi z) = exp(-i pi z) (exp(2 i pi z) - 1) / (2 i), |exp(2 i pi z)| < 1
-    out[~small] = (-1j * np.pi * zb
-                   + np.log(np.expm1(2j * np.pi * zb))
-                   - math.log(2.0) - 0.5j * np.pi) + parity[~small]
-    out[flip] = out[flip].conj()
-    return out
-
-
-def loggamma_complex(z: np.ndarray | complex) -> np.ndarray | complex:
-    """Log-gamma for complex argument, vectorized.
-
-    The branch is not the principal one in the reflected half-plane;
-    only exp(loggamma_complex(z)) == Gamma(z) is guaranteed, which is
-    all the contour integrands need.
-    """
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = np.empty(z.shape, dtype=np.complex128)
-
-    refl = z.real < 0.5
-    zr = np.where(refl, 1.0 - z, z)
-
-    t = zr + (_LANCZOS_G - 0.5)
-    s = np.full(zr.shape, _LANCZOS_C[0], dtype=np.complex128)
-    for k in range(1, len(_LANCZOS_C)):
-        s = s + _LANCZOS_C[k] / (zr + (k - 1.0))
-    core = 0.5 * _LN_2PI + (zr - 0.5) * np.log(t) - t + np.log(s)
-
-    out[~refl] = core[~refl]
-    if refl.any():
-        out[refl] = _LN_PI - _log_sin_pi(z[refl]) - core[refl]
-    return out[0] if scalar else out
-
-
-def gamma_complex(z: complex) -> complex:
-    """Gamma function for complex z; raises at nonpositive-integer poles."""
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real <= 0.0 and zc.real == round(zc.real):
-        raise GammaPoleError(f"gamma pole at z = {zc.real:g}")
-    return complex(np.exp(loggamma_complex(zc)))
-
-
-def gammaln_sign(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """(log|Gamma(x)|, sign(Gamma(x))) for real x, vectorized.
-
-    Nonpositive-integer entries raise; negative non-integers go through
-    the reflection formula.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    pole = (x <= 0.0) & (x == np.round(x))
-    if pole.any():
-        raise GammaPoleError(f"gamma pole at x = {x[pole][0]:g}")
-
-    logabs = np.empty(x.shape)
-    sign = np.ones(x.shape)
-    pos = x > 0.0
-    if pos.any():
-        logabs[pos] = np.real(loggamma_complex(x[pos]))
-    neg = ~pos
-    if neg.any():
-        xn = x[neg]
-        sinpix = sinpi(xn)
-        logabs[neg] = _LN_PI - np.log(np.abs(sinpix)) - np.real(loggamma_complex(1.0 - xn))
-        sign[neg] = np.sign(sinpix)
-    return logabs, sign
-
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-def _erfc_cf(x: float) -> float:
-    # Lentz evaluation of the continued fraction
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + (2/2)/(x + ...)))
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for k in range(1, 300):
-        a = 0.5 * k
-        d = 1.0 / (x + a * d)
-        c = x + a / c
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) / f
-
-
-def erf(x: float) -> float:
-    """Error function; absolute error below 1e-14 on the real line."""
-    x = float(x)
-    if math.isnan(x):
-        return x
-    ax = abs(x)
-    if ax < 2.0:
-        # power series, no cancellation trouble below |x| = 2
-        term = x
-        total = x
-        k = 0
-        while True:
-            k += 1
-            term *= -x * x / k
-            contrib = term / (2 * k + 1)
-            total += contrib
-            if abs(contrib) < 1e-18 * abs(total) + 1e-300:
-                break
-        return _TWO_OVER_SQRT_PI * total
-    val = 1.0 - _erfc_cf(ax)
-    return val if x > 0 else -val
+__all__ = ["loggamma_complex"]

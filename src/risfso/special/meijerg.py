@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln, gammasgn
 
-from .gammafn import loggamma_complex, sinpi
+from .gammafn import loggamma_complex
 from .quadrature import gauss_kronrod
 
 __all__ = [
@@ -269,35 +270,9 @@ def _contour_value(spec: MeijerGSpec, log_prefactor: float,
     return total / math.pi, err / math.pi
 
 
-def _identity_shortcut(spec: MeijerGSpec, log_prefactor: float) -> EvalResult | None:
-    shape = (spec.m, spec.n, spec.p, spec.q)
-    z = spec.argument
-    scale = math.exp(log_prefactor)
-    if shape == (1, 0, 0, 1):
-        b = spec.b_params[0]
-        val = scale * math.exp(b * math.log(z) - z)
-        return EvalResult(val, 4e-16 * abs(val), "identity_shortcut")
-    if shape == (2, 0, 0, 2):
-        from .besselk import bessel_k
-        b1, b2 = spec.b_params
-        val = scale * 2.0 * z ** (0.5 * (b1 + b2)) * bessel_k(b1 - b2, 2.0 * math.sqrt(z))
-        return EvalResult(val, 1e-12 * abs(val), "identity_shortcut")
-    return None
-
-
 def meijer_g(spec: MeijerGSpec, *, log_prefactor: float = 0.0,
-             rel_tol: float = 1e-10, method: str = "contour") -> EvalResult:
-    """Evaluate exp(log_prefactor) * G(spec) by contour integration.
-
-    ``method="auto"`` dispatches the two shapes with elementary closed
-    forms to them directly and falls back to the contour otherwise.
-    """
-    if method not in ("contour", "auto"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        short = _identity_shortcut(spec, log_prefactor)
-        if short is not None:
-            return short
+             rel_tol: float = 1e-10) -> EvalResult:
+    """Evaluate exp(log_prefactor) * G(spec) by contour integration."""
     work, note = _separate_families(spec)
     value, err = _contour_value(work, log_prefactor, rel_tol)
     if note:
@@ -362,17 +337,7 @@ def _lg_sign_tolerant(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     x = np.asarray(x, dtype=np.float64)
     pole = (x <= 0.0) & (x == np.round(x))
     safe = np.where(pole, 0.5, x)
-    logabs = np.empty(x.shape)
-    sign = np.ones(x.shape)
-    pos = safe > 0.0
-    logabs[pos] = np.real(loggamma_complex(safe[pos]))
-    neg = ~pos
-    if neg.any():
-        xn = safe[neg]
-        s = sinpi(xn)
-        logabs[neg] = math.log(math.pi) - np.log(np.abs(s)) - np.real(loggamma_complex(1.0 - xn))
-        sign[neg] = np.sign(s)
-    return logabs, sign, pole
+    return gammaln(safe), gammasgn(safe), pole
 
 
 def _wynn_epsilon(partial: np.ndarray) -> tuple[float, float]:
@@ -409,8 +374,7 @@ def _family_series(spec: MeijerGSpec, j: int, lnz: float, terms: int,
     k = np.arange(terms, dtype=np.float64)
 
     logmag = (bj + k) * lnz + log_prefactor
-    lg_fact = np.real(loggamma_complex(k + 1.0))
-    logmag -= lg_fact
+    logmag -= gammaln(k + 1.0)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     dead = np.zeros(terms, dtype=bool)
 

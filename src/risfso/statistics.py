@@ -38,14 +38,14 @@ _RATIO_GUARD = 1e12
 
 @dataclass(frozen=True)
 class RisElement:
-    """Reflecting element: amplitude coefficient and induced phase.
+    """Reflecting element: amplitude coefficient.
 
-    The phase is assumed perfectly compensated end to end, so only the
-    amplitude enters the statistics (as a mean-SNR rescaling by mu^2).
+    The induced phase is assumed perfectly compensated end to end, so
+    only the amplitude enters the statistics (as a mean-SNR rescaling
+    by mu^2).
     """
 
     mu: float = 1.0
-    theta: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu <= 1.0:
@@ -62,18 +62,6 @@ class SnrDistribution:
     @property
     def mean_snr(self) -> float:
         return self.params.mean_snr * self.ris.mu ** 2
-
-    @cached_property
-    def _log_m(self) -> float:
-        p = self.params
-        return math.log(p.zeta2 / p.a) - math.lgamma(p.alpha) - math.lgamma(p.beta)
-
-    @cached_property
-    def _log_m0(self) -> float:
-        p = self.params
-        return (2.0 * self._log_m
-                + 2.0 * (p.alpha + p.beta - 1.0) * math.log(p.a)
-                - 2.0 * (p.a - 1) * math.log(2.0 * math.pi))
 
     @cached_property
     def _pdf_params(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -112,7 +100,7 @@ def _pdf_unguarded(dist: SnrDistribution, gamma: float) -> float:
     ratio = gamma / dist.mean_snr
     if ratio < 1e-18 or ratio > 1e18:
         return 0.0
-    lp = math.log(dist.params.a) + 2.0 * dist._log_m - math.log(gamma)
+    lp = math.log(dist.params.a) + 2.0 * dist.params.log_m - math.log(gamma)
     return meijer_g(dist.pdf_spec(gamma), log_prefactor=lp).value
 
 
@@ -127,7 +115,11 @@ def pdf(dist: SnrDistribution, gamma: float) -> float:
 
 
 def cdf(dist: SnrDistribution, gamma: float) -> float:
-    """P(SNR <= gamma) for gamma >= 0."""
+    """P(SNR <= gamma) for gamma >= 0, clamped to [0, 1].
+
+    Near saturation the contour value carries rounding of a few ulps
+    and can land just above one.
+    """
     if gamma < 0.0:
         raise ValueError(f"cdf needs gamma >= 0, got {gamma!r}")
     if gamma == 0.0:
@@ -137,7 +129,8 @@ def cdf(dist: SnrDistribution, gamma: float) -> float:
         return 0.0
     if ratio > _RATIO_GUARD:
         return 1.0
-    return meijer_g(dist.cdf_spec(gamma), log_prefactor=dist._log_m0).value
+    value = meijer_g(dist.cdf_spec(gamma), log_prefactor=dist.params.log_m0).value
+    return min(max(value, 0.0), 1.0)
 
 
 def mgf(dist: SnrDistribution, s: float) -> float:
@@ -149,7 +142,7 @@ def mgf(dist: SnrDistribution, s: float) -> float:
         return 1.0
     if x > _RATIO_GUARD:
         return 0.0
-    return meijer_g(dist.mgf_spec(s), log_prefactor=dist._log_m0).value
+    return meijer_g(dist.mgf_spec(s), log_prefactor=dist.params.log_m0).value
 
 
 def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
@@ -163,7 +156,7 @@ def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
         return 0.0
     z = p.big_q * ratio ** (1.0 / p.a)
     spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta), z)
-    return meijer_g(spec, log_prefactor=dist._log_m - math.log(gamma_i)).value
+    return meijer_g(spec, log_prefactor=dist.params.log_m - math.log(gamma_i)).value
 
 
 def _product_span(dist: SnrDistribution) -> float:
@@ -227,7 +220,7 @@ def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float,
     span = 42.0 / (a * min(dist.params.delta2)) + 6.0
     val, _ = quad(integrand, -span, span, points=[0.0],
                   limit=200, epsabs=0.0, epsrel=rel_tol)
-    lp = math.log(a) + 2.0 * dist._log_m - math.log(gamma)
+    lp = math.log(a) + 2.0 * dist.params.log_m - math.log(gamma)
     return math.exp(lp) * val
 
 

@@ -22,7 +22,7 @@ from .metrics import (
     ergodic_capacity,
     outage_probability,
 )
-from .simulator import McChannel, McConfig, estimate_metric
+from .simulator import McChannel, McConfig, McEstimate, estimate_metric
 from .special import MeijerGError
 from .statistics import RisElement, SnrDistribution, mgf
 
@@ -33,9 +33,12 @@ __all__ = [
     "ScenarioSpec",
     "SweepSpec",
     "emit",
+    "link_scenario",
     "load_curves",
+    "mc_estimate",
     "parse_config",
     "run_sweep",
+    "table2_constants",
 ]
 
 VARIABLES = ("mean_snr_db", "gamma_th_db", "zeta")
@@ -125,9 +128,77 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
             warnings.warn(f"unknown key {path}.{key}", UserWarning)
 
 
-def _parse_scenario(obj: dict, path: str) -> ScenarioSpec:
+_LINK_DEFAULTS = {"distance_m": 1000.0, "aperture_diameter_mm": 1.0,
+                  "receiver_radius_m": 0.1, "beam_waist_m": 1.0,
+                  "attenuation_per_km": 0.0, "color": "red"}
+
+
+def table2_constants(name: str, path: str) -> tuple[float, float]:
+    """(alpha, beta) behind a ``table2-<color>-<level>`` preset name."""
     from .presets import TABLE2  # local import to avoid a cycle
 
+    prefix, _, key = name.partition("-")
+    color, _, level = key.partition("-")
+    if prefix != "table2" or (color, level) not in TABLE2:
+        raise ConfigError(
+            f"{path}: unknown preset {name!r}; expected "
+            "table2-<red|blue|green>-<strong|moderate|weak>")
+    return TABLE2[(color, level)]
+
+
+def link_scenario(fields: dict, zeta: float, detection: DetectionMode,
+                  path: str) -> LinkScenario:
+    """Physical link from user units (nm, m, mm, 1/km).
+
+    ``fields`` uses the JSON scenario keys; ``wavelength_nm`` wins over
+    ``color``, and every key but ``cn2`` has a default.
+    """
+    from .presets import WAVELENGTH_NM  # local import to avoid a cycle
+
+    f = {**_LINK_DEFAULTS, **fields}
+    if "wavelength_nm" in f:
+        wavelength_nm = float(f["wavelength_nm"])
+    else:
+        color = str(f["color"])
+        _require(color in WAVELENGTH_NM, f"{path}.color",
+                 f"must be one of {sorted(WAVELENGTH_NM)}")
+        wavelength_nm = WAVELENGTH_NM[color]
+    return LinkScenario(
+        wavelength=wavelength_nm * 1e-9,
+        distance=float(f["distance_m"]),
+        aperture_diameter=float(f["aperture_diameter_mm"]) * 1e-3,
+        cn2=float(f["cn2"]),
+        receiver_radius=float(f["receiver_radius_m"]),
+        beam_waist=float(f["beam_waist_m"]),
+        attenuation=float(f["attenuation_per_km"]) * 1e-3,
+        zeta=zeta,
+        detection=detection,
+    )
+
+
+def mc_estimate(metric: str, dist: SnrDistribution, config: McConfig, *,
+                gamma_th_db: float | None = None, scheme: str | None = None,
+                s: float | None = None) -> McEstimate:
+    """Monte Carlo estimate of one metric on the sampled twin of ``dist``."""
+    p = dist.params
+    hop = math.sqrt(p.mean_snr)
+    chan = McChannel(zeta2=p.zeta2, alpha=p.alpha, beta=p.beta, a=p.a,
+                     mean_snr_h=hop, mean_snr_g=hop, mu=dist.ris.mu)
+    kw: dict = {}
+    if metric == "outage":
+        _require(gamma_th_db is not None, "mc outage", "needs gamma_th_db")
+        kw["gamma_th"] = 10.0 ** (gamma_th_db / 10.0)
+    elif metric == "ber":
+        _require(bool(scheme), "mc ber", "needs a scheme")
+        sch = ModulationScheme.from_name(scheme)
+        kw.update(p=sch.p, q=sch.q)
+    elif metric == "mgf":
+        _require(s is not None and s > 0, "mc mgf", "needs s > 0")
+        kw["s"] = s
+    return estimate_metric(metric, chan, config, **kw)
+
+
+def _parse_scenario(obj: dict, path: str) -> ScenarioSpec:
     _require(isinstance(obj, dict), path, "must be an object")
     allowed = {"label", "preset", "alpha", "beta", "zeta", "detection",
                "mean_snr_db", "mu", "wavelength_nm", "color", "distance_m",
@@ -144,15 +215,7 @@ def _parse_scenario(obj: dict, path: str) -> ScenarioSpec:
     _require(0.0 < mu <= 1.0, f"{path}.mu", "must lie in (0, 1]")
 
     if "preset" in obj:
-        name = str(obj["preset"])
-        try:
-            _, color, level = name.split("-")
-            ab = TABLE2[(color, level)]
-        except (ValueError, KeyError):
-            raise ConfigError(
-                f"{path}.preset: unknown preset {name!r}; expected "
-                "table2-<red|blue|green>-<strong|moderate|weak>") from None
-        alpha, beta = ab
+        alpha, beta = table2_constants(str(obj["preset"]), f"{path}.preset")
     elif "alpha" in obj or "beta" in obj:
         _require("alpha" in obj and "beta" in obj, path,
                  "alpha and beta must be given together")
@@ -161,26 +224,7 @@ def _parse_scenario(obj: dict, path: str) -> ScenarioSpec:
         _require(alpha > 0, f"{path}.alpha", "must be > 0")
         _require(beta > 0, f"{path}.beta", "must be > 0")
     elif "cn2" in obj:
-        from .presets import WAVELENGTH_NM
-        if "wavelength_nm" in obj:
-            wl = float(obj["wavelength_nm"]) * 1e-9
-        else:
-            color = str(obj.get("color", "red"))
-            _require(color in WAVELENGTH_NM, f"{path}.color",
-                     f"must be one of {sorted(WAVELENGTH_NM)}")
-            wl = WAVELENGTH_NM[color] * 1e-9
-        scenario = LinkScenario(
-            wavelength=wl,
-            distance=float(obj.get("distance_m", 1000.0)),
-            aperture_diameter=float(obj.get("aperture_diameter_mm", 1.0)) * 1e-3,
-            cn2=float(obj["cn2"]),
-            receiver_radius=float(obj.get("receiver_radius_m", 0.1)),
-            beam_waist=float(obj.get("beam_waist_m", 1.0)),
-            attenuation=float(obj.get("attenuation_per_km", 0.0)) * 1e-3,
-            zeta=zeta,
-            detection=detection,
-        )
-        turb = alpha_beta(scenario)
+        turb = alpha_beta(link_scenario(obj, zeta, detection, path))
         alpha, beta = turb.alpha, turb.beta
     else:
         raise ConfigError(
@@ -284,23 +328,12 @@ def _distribution(sc: ScenarioSpec, mean_snr: float, zeta: float | None = None
     return SnrDistribution(params, RisElement(mu=sc.mu))
 
 
-def _eval_point(metric: MetricSpec, sc: ScenarioSpec, dist: SnrDistribution,
+def _eval_point(metric: MetricSpec, dist: SnrDistribution,
                 gamma_th_db: float | None, seed: int) -> float:
     if metric.mc:
-        chan = McChannel(zeta2=dist.params.zeta2, alpha=sc.alpha, beta=sc.beta,
-                         a=sc.detection.a,
-                         mean_snr_h=math.sqrt(dist.params.mean_snr),
-                         mean_snr_g=math.sqrt(dist.params.mean_snr), mu=sc.mu)
         cfg = McConfig(sample_count=metric.samples, seed=seed)
-        kw: dict = {}
-        if metric.name == "outage":
-            kw["gamma_th"] = 10.0 ** (gamma_th_db / 10.0)
-        elif metric.name == "ber":
-            sch = ModulationScheme.from_name(metric.scheme)
-            kw.update(p=sch.p, q=sch.q)
-        elif metric.name == "mgf":
-            kw["s"] = metric.s
-        return estimate_metric(metric.name, chan, cfg, **kw).mean
+        return mc_estimate(metric.name, dist, cfg, gamma_th_db=gamma_th_db,
+                           scheme=metric.scheme, s=metric.s).mean
     if metric.name == "outage":
         return outage_probability(dist, 10.0 ** (gamma_th_db / 10.0))
     if metric.name == "capacity":
@@ -336,8 +369,8 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
                         zeta = x
                 try:
                     dist = _distribution(sc, mean_snr, zeta)
-                    ys.append(float(_eval_point(metric, sc, dist,
-                                                gamma_th_db, spec.seed)))
+                    ys.append(float(_eval_point(metric, dist, gamma_th_db,
+                                                spec.seed)))
                 except MeijerGError as exc:
                     ys.append(math.nan)
                     failures.append(f"x={x:g}: {exc}")

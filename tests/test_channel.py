@@ -168,7 +168,8 @@ def _parts(zeta: float, alpha: float, beta: float, mode: DetectionMode,
 def test_cascade_heterodyne_collapses():
     p = _parts(6.1, 10.9537, 2.9833, DetectionMode.HD)
     assert p.a == 1
-    assert p.m0 == pytest.approx(p.big_m ** 2, rel=1e-14)
+    assert math.exp(p.log_m0) == pytest.approx(math.exp(p.log_m) ** 2,
+                                               rel=1e-14)
     assert p.q0 == pytest.approx(p.big_q ** 2, rel=1e-14)
     z2 = 6.1 ** 2
     assert p.delta1 == (z2 + 1.0, z2 + 1.0)
@@ -180,7 +181,7 @@ def test_cascade_q_formula():
     z2 = 6.1 ** 2
     assert p.big_q == pytest.approx(z2 * 10.9537 * 2.9833 / (1.0 + z2),
                                     rel=1e-14)
-    assert p.big_m == pytest.approx(
+    assert math.exp(p.log_m) == pytest.approx(
         z2 / (math.gamma(10.9537) * math.gamma(2.9833)), rel=1e-12)
 
 
@@ -193,8 +194,9 @@ def test_cascade_imdd_lists_are_half_shifted():
     assert p.delta1 == ((z2 + 1) / 2, (z2 + 2) / 2) * 2
     assert p.delta2 == half + half
     # the multiplication constants validated against direct quadrature
-    assert p.m0 == pytest.approx(
-        p.big_m ** 2 * 2 ** (2 * (4.2 + 2.5 - 1)) / (2 * math.pi) ** 2, rel=1e-13)
+    assert math.exp(p.log_m0) == pytest.approx(
+        math.exp(p.log_m) ** 2 * 2 ** (2 * (4.2 + 2.5 - 1)) / (2 * math.pi) ** 2,
+        rel=1e-13)
     assert p.q0 == pytest.approx(p.big_q ** 4 / 256.0, rel=1e-13)
 
 
@@ -202,7 +204,7 @@ def test_cascade_mean_snr_product_and_scale_free():
     p1 = _parts(2.0, 4.2, 2.5, DetectionMode.HD, gh=4.0, gg=25.0)
     assert p1.mean_snr == pytest.approx(100.0, rel=1e-14)
     p2 = _parts(2.0, 4.2, 2.5, DetectionMode.HD, gh=40.0, gg=250.0)
-    for name in ("big_m", "big_q", "m0", "q0", "delta1", "delta2", "zeta2"):
+    for name in ("log_m", "big_q", "log_m0", "q0", "delta1", "delta2", "zeta2"):
         assert getattr(p1, name) == getattr(p2, name)
     assert p2.mean_snr == pytest.approx(1e4, rel=1e-14)
 

@@ -1,9 +1,11 @@
-"""Gamma / Bessel / erf kernels and the Meijer-G evaluator.
+"""Log-gamma kernel, quadrature helper and the Meijer-G evaluator.
 
-Frozen reference values were computed with an arbitrary-precision
-library (mpmath, 30+ significant digits) before the implementation was
-written; runtime grid checks use scipy and the C library as independent
-references.
+The log-gamma kernel is scipy's; its tests compare exp(loggamma), all
+that the contour integrands use, against frozen values.  Frozen
+reference values were computed with an arbitrary-precision library
+(mpmath, 30+ significant digits) before the implementation was
+written; runtime identity checks use scipy's Bessel K as an
+independent reference.
 """
 from __future__ import annotations
 
@@ -16,16 +18,10 @@ from numpy.testing import assert_allclose
 from scipy.special import kv as scipy_kv
 
 from risfso.special import (
-    BesselDomainError,
     ContourError,
-    GammaPoleError,
     MeijerGSpec,
     PoleCollisionError,
     SeriesDivergenceError,
-    bessel_k,
-    erf,
-    gamma_complex,
-    gammaln_sign,
     gauss_kronrod,
     loggamma_complex,
     meijer_g,
@@ -36,17 +32,14 @@ from risfso.special import (
 # gamma family
 
 
-def test_gamma_trivial_points():
-    assert gamma_complex(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_complex(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
 def test_gamma_frozen_reference():
+    # Gamma is exp(loggamma), as the contour integrands use it
     # mpmath: gamma(3.7)
-    assert gamma_complex(3.7) == pytest.approx(4.17065178379660317, rel=1e-13)
+    assert math.exp(loggamma_complex(3.7)) \
+        == pytest.approx(4.17065178379660317, rel=1e-13)
     # mpmath: gamma(2.5 + 3j)
     want = complex(-0.218118971081122897, 0.0720347634071750336)
-    got = gamma_complex(2.5 + 3j)
+    got = cmath.exp(complex(loggamma_complex(2.5 + 3j)))
     assert abs(got - want) / abs(want) < 1e-12
 
 
@@ -67,81 +60,6 @@ def test_gamma_recurrence_on_grid():
     g1 = np.array([complex(loggamma_complex(v + 1.0)) for v in z])
     g0 = np.array([complex(loggamma_complex(v)) for v in z])
     assert_allclose(np.exp(g1 - g0).real, z, rtol=1e-12)
-
-
-def test_gamma_pole_raises():
-    for z in (0.0, -1.0, -7.0):
-        with pytest.raises(GammaPoleError):
-            gamma_complex(z)
-    with pytest.raises(GammaPoleError):
-        gammaln_sign(np.array([1.5, -2.0]))
-
-
-def test_gammaln_sign_negative_axis():
-    logabs, sign = gammaln_sign(np.array([-0.5, -1.5, -2.5, 3.0]))
-    vals = sign * np.exp(logabs)
-    # Gamma(-0.5) = -2 sqrt(pi), Gamma(-1.5) = 4 sqrt(pi)/3
-    assert_allclose(vals[0], -2.0 * math.sqrt(math.pi), rtol=1e-12)
-    assert_allclose(vals[1], 4.0 * math.sqrt(math.pi) / 3.0, rtol=1e-12)
-    assert_allclose(vals[3], 2.0, rtol=1e-13)
-
-
-def test_erf_trivial_and_limits():
-    assert erf(0.0) == 0.0
-    assert erf(6.0) == pytest.approx(1.0, abs=1e-14)
-    assert erf(40.0) == 1.0
-    assert erf(-40.0) == -1.0
-
-
-def test_erf_frozen_reference():
-    # mpmath values
-    assert erf(1.0) == pytest.approx(0.842700792949714869, abs=1e-15)
-    assert erf(0.5) == pytest.approx(0.520499877813046538, abs=1e-15)
-    assert erf(2.5) == pytest.approx(0.999593047982555041, abs=1e-15)
-    assert erf(5.0) == pytest.approx(0.99999999999846254021, abs=1e-15)
-
-
-def test_erf_against_libm_grid():
-    for x in np.linspace(-5.5, 5.5, 223):
-        assert abs(erf(float(x)) - math.erf(float(x))) < 1e-14
-
-
-# ---------------------------------------------------------------------------
-# Bessel K
-
-
-def test_bessel_half_order_closed_form():
-    want = math.sqrt(math.pi / 2.0) * math.exp(-1.0)
-    assert bessel_k(0.5, 1.0) == pytest.approx(want, rel=1e-12)
-
-
-def test_bessel_frozen_references():
-    # mpmath values across the supported domain
-    assert bessel_k(2.0, 3.0) == pytest.approx(0.0615104584717420377, rel=1e-11)
-    assert bessel_k(2.3, 0.5) == pytest.approx(13.5096538813036443, rel=1e-11)
-    assert bessel_k(35.5, 80.0) == pytest.approx(5.63194323390867214e-33, rel=1e-10)
-    assert bessel_k(50.0, 0.01) == pytest.approx(3.42432072314835145e+177, rel=1e-10)
-
-
-def test_bessel_order_symmetry():
-    for nu, x in [(0.7, 2.0), (3.2, 11.0), (12.0, 0.3)]:
-        assert bessel_k(-nu, x) == bessel_k(nu, x)
-
-
-def test_bessel_against_scipy_grid():
-    for nu in (0.0, 0.5, 1.0, 2.3, 7.0, 21.5, 50.0):
-        for x in (0.02, 0.5, 1.0, 5.0, 30.0, 100.0):
-            ref = float(scipy_kv(nu, x))
-            if not math.isfinite(ref) or ref == 0.0:
-                continue
-            assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-10)
-
-
-def test_bessel_domain_error():
-    with pytest.raises(BesselDomainError):
-        bessel_k(1.0, 0.0)
-    with pytest.raises(BesselDomainError):
-        bessel_k(1.0, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +102,7 @@ def test_meijer_bessel_identity_against_own_bessel():
     for nu in (0.0, 0.5, 1.0, 2.3):
         for x in (0.5, 1.0, 5.0):
             spec = MeijerGSpec(2, 0, (), (nu / 2.0, -nu / 2.0), x * x / 4.0)
-            want = 2.0 * bessel_k(nu, x)
+            want = 2.0 * float(scipy_kv(nu, x))
             assert meijer_g(spec).value == pytest.approx(want, rel=1e-8)
 
 
@@ -203,16 +121,6 @@ def test_meijer_log_prefactor_scaling():
     base = meijer_g(EXP_SPEC).value
     scaled = meijer_g(EXP_SPEC, log_prefactor=math.log(40.0)).value
     assert scaled == pytest.approx(40.0 * base, rel=1e-12)
-
-
-def test_meijer_auto_shortcuts():
-    res = meijer_g(EXP_SPEC, method="auto")
-    assert res.method == "identity_shortcut"
-    assert res.value == pytest.approx(math.exp(-1.0), rel=1e-13)
-    res = meijer_g(BESSEL_SPEC, method="auto")
-    assert res.method == "identity_shortcut"
-    res = meijer_g(LOG_SPEC, method="auto")
-    assert res.method == "contour"
 
 
 def test_reflection_identity():
@@ -237,7 +145,7 @@ def test_reflection_identity():
 def test_residue_matches_contour_on_identities():
     for spec, want in [(EXP_SPEC, math.exp(-1.0)),
                        (LOG_SPEC, math.log(2.0)),
-                       (BESSEL_SPEC, 2.0 * bessel_k(0.5, 2.0))]:
+                       (BESSEL_SPEC, 2.0 * float(scipy_kv(0.5, 2.0)))]:
         series = meijer_g_residue_series(spec)
         assert series.method == "residue_series"
         assert series.value == pytest.approx(want, rel=1e-8)
@@ -340,4 +248,4 @@ def test_eval_result_invariants():
         for res in (meijer_g(spec), meijer_g_residue_series(spec)):
             assert math.isfinite(res.value)
             assert res.abs_error_estimate >= 0.0
-            assert res.method in ("contour", "residue_series", "identity_shortcut")
+            assert res.method in ("contour", "residue_series")

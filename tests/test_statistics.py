@@ -209,6 +209,31 @@ def test_cdf_matches_integrated_pdf_on_grid(a):
         assert abs(got - want) <= 1e-5, (a, ratio, got, want)
 
 
+# (alpha, beta, zeta, a, product mean SNR dB, threshold dB): saturated
+# points whose contour value rounds a few ulps above one
+NEAR_SATURATION = [
+    (13.2818, 5.7795, 3.825063883069555, 1, 0.5742488089316976,
+     19.544604757860448),
+    (13.2818, 5.7795, 3.3693000765259757, 1, 0.9172680687474098,
+     19.92500427719469),
+    (13.2818, 5.7795, 3.438356575829839, 1, 0.47044447025508285,
+     19.573703571519598),
+]
+
+
+def test_cdf_and_outage_clamped_near_saturation():
+    from risfso.metrics import outage_probability
+    for alpha, beta, zeta, a, mean_db, th_db in NEAR_SATURATION:
+        dist = make_dist(alpha, beta, zeta, a, mean_db)
+        gamma = 10.0 ** (th_db / 10.0)
+        for value in (cdf(dist, gamma), outage_probability(dist, gamma)):
+            assert 1.0 - 1e-12 <= value <= 1.0, (zeta, mean_db, value)
+    # the largest ratio that still reaches the evaluator
+    dist = make_dist(4.9477, 1.2310, 6.1, 2, 30.0)
+    value = cdf(dist, dist.mean_snr * 1e12)
+    assert 1.0 - 1e-12 <= value <= 1.0
+
+
 def test_cdf_monotone_in_unit_interval():
     for a in (1, 2):
         dist = make_dist(4.9477, 1.2310, 1.1, a, 15.0)
