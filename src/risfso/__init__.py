@@ -24,7 +24,7 @@ from .metrics import (
     outage_probability,
 )
 from .simulator import McChannel, McConfig, McEstimate, estimate_metric
-from .special import EvalResult, MeijerGSpec, meijer_g, meijer_g_residue_series
+from .special import EvalResult, MeijerGSpec, meijer_g
 from .statistics import RisElement, SnrDistribution, cdf, mgf, pdf
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "ergodic_capacity",
     "estimate_metric",
     "meijer_g",
-    "meijer_g_residue_series",
     "mgf",
     "outage_probability",
     "path_loss",

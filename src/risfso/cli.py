@@ -155,11 +155,11 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=presets.PRESET_NAMES)
     group.add_argument("--config", help="JSON sweep description")
-    p.add_argument("--seed", type=int, default=0)
+    # unset: a preset takes seed 0 and "product", a config keeps its own
+    p.add_argument("--seed", type=int)
     p.add_argument("--format", default=None, choices=["csv", "json"])
     p.add_argument("--out")
-    p.add_argument("--gbar-interpretation", default="product",
-                   choices=["product", "per-hop"])
+    p.add_argument("--gbar-interpretation", choices=["product", "per-hop"])
     return parser
 
 
@@ -227,15 +227,14 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "sweep":
+        given = {k: v for k, v in (("seed", args.seed),
+                                   ("gbar_interpretation", args.gbar_interpretation))
+                 if v is not None}
         if args.preset:
-            spec = presets.figure_preset(args.preset,
-                                         args.gbar_interpretation, args.seed)
+            spec = presets.figure_preset(args.preset, **given)
             default_out = f"{args.preset}.{args.format or 'csv'}"
         else:
-            spec = parse_config(args.config)
-            spec = dataclasses.replace(
-                spec, seed=args.seed,
-                gbar_interpretation=args.gbar_interpretation)
+            spec = dataclasses.replace(parse_config(args.config), **given)
             default_out = spec.output_path or "sweep.csv"
         fmt = args.format or spec.output_format
         out = args.out or default_out

@@ -30,17 +30,15 @@ TABLE2 = {
     ("green", "weak"): (2.3664, 1.9221),
 }
 
-# color -> (alpha, beta) as labeled by the three-color comparison figure
-FIG9_COLORS = {
-    "red": (10.9537, 2.9833),
-    "green": (12.5331, 4.6787),
-    "blue": (13.2818, 5.7795),
-}
+# color -> (alpha, beta) as labeled by the three-color comparison figure:
+# the strong row of the table, its blue and green columns swapped
+FIG9_COLORS = {fig: TABLE2[(column, "strong")]
+               for fig, column in (("red", "red"), ("green", "blue"),
+                                   ("blue", "green"))}
 
 # the three turbulence levels the single-color sweeps cycle through
-_LEVELS = [("strong", (10.9537, 2.9833)),
-           ("moderate", (4.9477, 1.2310)),
-           ("weak", (2.9428, 2.5605))]
+_LEVELS = [(level, TABLE2[("red", level)])
+           for level in ("strong", "moderate", "weak")]
 _ZETAS = (1.1, 6.1)
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
@@ -73,6 +71,7 @@ def figure_preset(name: str, gbar_interpretation: str = "product",
     all_schemes = tuple(MetricSpec(name="ber", scheme=s)
                         for s in ("CBFSK", "NBFSK", "CBPSK", "DBPSK"))
     common = dict(gbar_interpretation=gbar_interpretation, seed=seed)
+    alpha, beta = TABLE2[("red", "strong")]  # the single-row BER figures
 
     if name == "fig2":
         # outage versus threshold at fixed 9 dB per-hop mean SNR (18 dB product)
@@ -104,15 +103,15 @@ def figure_preset(name: str, gbar_interpretation: str = "product",
         return SweepSpec(variable="mean_snr_db", start=0.0, stop=60.0, step=1.0,
                          metrics=all_schemes,
                          scenarios=tuple(
-                             ScenarioSpec(label=f"strong-z{z:g}", alpha=10.9537,
-                                          beta=2.9833, zeta=z, detection=hd)
+                             ScenarioSpec(label=f"strong-z{z:g}", alpha=alpha,
+                                          beta=beta, zeta=z, detection=hd)
                              for z in _ZETAS), **common)
     if name == "fig8":
         return SweepSpec(variable="mean_snr_db", start=0.0, stop=80.0, step=1.0,
                          metrics=all_schemes,
                          scenarios=tuple(
-                             ScenarioSpec(label=f"strong-z{z:g}", alpha=10.9537,
-                                          beta=2.9833, zeta=z, detection=imdd)
+                             ScenarioSpec(label=f"strong-z{z:g}", alpha=alpha,
+                                          beta=beta, zeta=z, detection=imdd)
                              for z in _ZETAS), **common)
     if name == "fig9a":
         # color comparison; heterodyne at zeta = 1.1 reproduces the quoted

@@ -6,9 +6,7 @@ from .meijerg import (
     MeijerGError,
     MeijerGSpec,
     PoleCollisionError,
-    SeriesDivergenceError,
     meijer_g,
-    meijer_g_residue_series,
 )
 from .quadrature import QuadratureResult, gauss_kronrod
 
@@ -19,9 +17,7 @@ __all__ = [
     "MeijerGSpec",
     "PoleCollisionError",
     "QuadratureResult",
-    "SeriesDivergenceError",
     "gauss_kronrod",
     "loggamma_complex",
     "meijer_g",
-    "meijer_g_residue_series",
 ]

@@ -1,19 +1,18 @@
 """Meijer-G evaluation on positive real arguments.
 
-Two independent methods are provided:
+``meijer_g`` integrates the defining Mellin-Barnes integral along a
+vertical line placed inside the strip separating the two pole families.
+The abscissa is chosen by minimizing the integrand magnitude on the real
+axis, which keeps cancellation mild both deep in the small-argument tail
+and near saturation.
 
-* ``meijer_g`` integrates the defining Mellin-Barnes integral along a
-  vertical line placed inside the strip separating the two pole
-  families.  The abscissa is chosen by minimizing the integrand
-  magnitude on the real axis, which keeps cancellation mild both deep
-  in the small-argument tail and near saturation.
-* ``meijer_g_residue_series`` sums residues over the right pole family
-  (the generalized hypergeometric expansion around zero), with slowly
-  convergent boundary cases accelerated by Wynn's epsilon algorithm.
-
-Coincident parameters, which the closed forms of this package produce
-routinely, are separated by a tiny symmetric perturbation before any
-residue computation; the contour method needs no such treatment.
+Coincident lower parameters, which the closed forms of this package
+produce routinely, need no treatment: the line never meets a pole.  When
+a leading upper parameter sits a positive integer above a leading lower
+one, the two families interleave and no straight line separates them.
+``_separate_families`` reopens a unit-deep overlap by a symmetric 1e-6
+perturbation, and a second evaluation at half that offset bounds the
+bias; a deeper overlap raises ``PoleCollisionError``.
 
 All gamma factors are accumulated in log space, so instances whose
 G-value spans hundreds of orders of magnitude stay representable; an
@@ -26,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .gammafn import loggamma_complex
 from .quadrature import gauss_kronrod
@@ -37,9 +35,7 @@ __all__ = [
     "MeijerGError",
     "MeijerGSpec",
     "PoleCollisionError",
-    "SeriesDivergenceError",
     "meijer_g",
-    "meijer_g_residue_series",
 ]
 
 _COLLISION_TOL = 1e-9
@@ -56,10 +52,6 @@ class ContourError(MeijerGError):
 
 class PoleCollisionError(MeijerGError):
     """Numerator gamma poles collide even after perturbation."""
-
-
-class SeriesDivergenceError(MeijerGError):
-    """Residue series requested outside its convergence region."""
 
 
 @dataclass(frozen=True)
@@ -117,10 +109,6 @@ class EvalResult:
     abs_error_estimate: float
     method: str
     perturbation_note: str = field(default="", compare=False)
-
-
-# ---------------------------------------------------------------------------
-# contour method
 
 
 def _forbidden_pairs(spec: MeijerGSpec) -> list[tuple[int, int, int]]:
@@ -224,6 +212,23 @@ def _pick_sigma(spec: MeijerGSpec, lnz: float, lo: float, hi: float,
     return 0.5 * (g_lo + g_hi)
 
 
+def _tail_bound(env_lo: float, env_hi: float, width: float,
+                rate: float) -> float:
+    """Bound on the integral past t_hi from the envelope |w| at the ends
+    of the last segment.
+
+    The stopping test samples the oscillating real part at t_hi alone,
+    which can sit near a zero.  Past t_hi the envelope falls at least as
+    fast as the slower of its secant rate over the segment and the
+    asymptotic rate pi * decay_index; an envelope that did not fall over
+    the segment is given the asymptotic rate.
+    """
+    if env_hi == 0.0:
+        return 0.0
+    secant = math.log(env_lo / env_hi) / width if env_lo > 0.0 else 0.0
+    return env_hi / (min(rate, secant) if secant > 0.0 else rate)
+
+
 def _contour_value(spec: MeijerGSpec, log_prefactor: float,
                    rel_tol: float) -> tuple[float, float]:
     delta = spec.decay_index
@@ -236,10 +241,12 @@ def _contour_value(spec: MeijerGSpec, log_prefactor: float,
     tables = _chi_tables(spec)
     sigma = _pick_sigma(spec, lnz, lo, hi, tables)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def weight(t: np.ndarray) -> np.ndarray:
         s = sigma + 1j * t
-        w = np.exp(_log_chi(spec, s, tables) + s * lnz + log_prefactor)
-        return w.real
+        return np.exp(_log_chi(spec, s, tables) + s * lnz + log_prefactor)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return weight(t).real
 
     rate = delta * math.pi
     t_hi = max(8.0, 12.0 / rate)
@@ -247,6 +254,7 @@ def _contour_value(spec: MeijerGSpec, log_prefactor: float,
     err = 0.0
     amplitude = 0.0
     t_lo = 0.0
+    env_lo = 0.0  # |weight(t_lo)| once t_lo > 0
     inner_rel = max(1e-13, 0.03 * rel_tol)
     for _ in range(48):
         res = gauss_kronrod(integrand, t_lo, t_hi,
@@ -255,13 +263,17 @@ def _contour_value(spec: MeijerGSpec, log_prefactor: float,
         total += res.value
         err += res.error
         amplitude += res.abs_integral
-        tail = abs(float(integrand(np.array([t_hi]))[0])) / rate
+        w_hi = complex(weight(np.array([t_hi]))[0])
+        tail = abs(w_hi.real) / rate
         budget = rel_tol * max(abs(total), 1e-300)
         if tail < 0.05 * budget and (t_lo > 0.0 or tail == 0.0 or abs(res.value) < budget):
-            err += tail
+            if t_lo == 0.0:
+                env_lo = abs(complex(weight(np.array([0.0]))[0]))
+            err += _tail_bound(env_lo, abs(w_hi), t_hi - t_lo, rate)
             break
         t_lo = t_hi
         t_hi *= 1.7
+        env_lo = abs(w_hi)
     else:
         raise ContourError(f"contour tail still {tail:.2e} at t = {t_hi:.1f}")
 
@@ -288,210 +300,3 @@ def meijer_g(spec: MeijerGSpec, *, log_prefactor: float = 0.0,
     if not math.isfinite(value):
         raise MeijerGError(f"contour evaluation returned {value!r}")
     return EvalResult(value, err, "contour", note)
-
-
-# ---------------------------------------------------------------------------
-# residue series
-
-
-def _spread_clusters(values: list[float],
-                     eps: float = _PERTURB_EPS) -> tuple[list[float], str]:
-    """Perturb entries whose pairwise difference is within 1e-9 of an
-    integer so that every residue pole stays simple."""
-    idx = list(range(len(values)))
-    parent = idx[:]
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in idx:
-        for j in idx[i + 1:]:
-            d = values[i] - values[j]
-            if abs(d - round(d)) < _COLLISION_TOL:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in idx:
-        groups.setdefault(find(i), []).append(i)
-
-    out = list(values)
-    touched = []
-    for members in groups.values():
-        c = len(members)
-        if c < 2:
-            continue
-        for rank, i in enumerate(members):
-            out[i] = values[i] + eps * (2 * rank - (c - 1))
-        touched.append(members)
-    note = ""
-    if touched:
-        note = "spread coincident lower parameters by %g at index groups %s" % (
-            eps, touched)
-    return out, note
-
-
-def _lg_sign_tolerant(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """gammaln with sign where poles are flagged instead of raising."""
-    x = np.asarray(x, dtype=np.float64)
-    pole = (x <= 0.0) & (x == np.round(x))
-    safe = np.where(pole, 0.5, x)
-    return gammaln(safe), gammasgn(safe), pole
-
-
-def _wynn_epsilon(partial: np.ndarray) -> tuple[float, float]:
-    """Accelerate a slowly convergent sequence of partial sums."""
-    cur = list(partial.astype(np.float64))
-    prev = [0.0] * (len(cur) + 1)
-    best = cur[-1]
-    best_step = math.inf
-    for _ in range(len(partial) - 1):
-        nxt = []
-        for i in range(len(cur) - 1):
-            diff = cur[i + 1] - cur[i]
-            if diff == 0.0:
-                return cur[i + 1], 0.0
-            nxt.append(prev[i + 1] + 1.0 / diff)
-        prev, cur = cur, nxt
-        if len(cur) >= 2 and len(partial) % 2 == len(cur) % 2:
-            step = abs(cur[-1] - best)
-            if step < best_step:
-                best, best_step = cur[-1], step
-    # even columns of the table estimate the limit
-    return best, 10.0 * (best_step if math.isfinite(best_step) else abs(best))
-
-
-def _family_series(spec: MeijerGSpec, j: int, lnz: float, terms: int,
-                   log_prefactor: float) -> tuple[float, float, float]:
-    """Sum the residue family rooted at lower parameter j.
-
-    Returns (value, error_estimate, peak_term_magnitude).
-    """
-    m, n, p, q = spec.m, spec.n, spec.p, spec.q
-    a, b = spec.a_params, spec.b_params
-    bj = b[j]
-    k = np.arange(terms, dtype=np.float64)
-
-    logmag = (bj + k) * lnz + log_prefactor
-    logmag -= gammaln(k + 1.0)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    dead = np.zeros(terms, dtype=bool)
-
-    for i in range(m):
-        if i == j:
-            continue
-        lg, sg, pole = _lg_sign_tolerant(b[i] - bj - k)
-        if pole.any():
-            raise PoleCollisionError(
-                f"numerator pole in residue family {j} (lower parameters "
-                f"{b[i]:g} and {bj:g} differ by an integer)")
-        logmag += lg
-        sign *= sg
-    for i in range(n):
-        lg, sg, pole = _lg_sign_tolerant(1.0 - a[i] + bj + k)
-        if pole.any():
-            raise PoleCollisionError(
-                f"numerator pole in residue family {j} against upper parameter {a[i]:g}")
-        logmag += lg
-        sign *= sg
-    for i in range(m, q):
-        lg, sg, pole = _lg_sign_tolerant(1.0 - b[i] + bj + k)
-        logmag -= lg
-        sign *= sg
-        dead |= pole
-    for i in range(n, p):
-        lg, sg, pole = _lg_sign_tolerant(a[i] - bj - k)
-        logmag -= lg
-        sign *= sg
-        dead |= pole
-
-    term = np.where(dead, 0.0, sign * np.exp(logmag))
-    peak = float(np.max(np.abs(term))) if terms else 0.0
-
-    # Kahan summation with convergence detection
-    total = 0.0
-    comp = 0.0
-    partial = np.empty(terms)
-    stop = terms
-    quiet = 0
-    for i in range(terms):
-        y = term[i] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        partial[i] = total
-        if i >= 10:
-            if abs(term[i]) <= 1e-14 * abs(total) + 1e-300:
-                quiet += 1
-                if quiet >= 3:
-                    stop = i + 1
-                    break
-            else:
-                quiet = 0
-
-    cancel = 3e-16 * peak
-    if stop < terms:
-        return partial[stop - 1], abs(term[stop - 1]) + cancel, peak
-
-    # tail did not die out: diverging, or boundary-slow (|ratio| -> 1)
-    live = np.abs(term[max(0, terms - 6):])
-    live = live[live > 0.0]
-    ratios = live[1:] / live[:-1] if len(live) > 1 else np.array([np.inf])
-    r = float(np.median(ratios))
-    if r > 1.0 + 1e-9:
-        raise SeriesDivergenceError(
-            f"residue terms grow (ratio {r:.3f}) at z = {spec.argument:g}; "
-            "argument lies outside the series convergence region")
-    if r > 0.8:
-        val, acc_err = _wynn_epsilon(partial[terms - min(terms, 40):])
-        acc_err = max(acc_err, 1e-13 * abs(val))
-        return val, acc_err + cancel, peak
-    est = abs(term[-1]) / max(1e-16, 1.0 - r)
-    return partial[-1], est + cancel, peak
-
-
-def _residue_value(spec: MeijerGSpec, terms: int,
-                   log_prefactor: float) -> tuple[float, float]:
-    if spec.m == 0:
-        raise SeriesDivergenceError("no residue family on the right (m = 0)")
-    if spec.p == spec.q and spec.argument > 1.0 + 1e-12:
-        raise SeriesDivergenceError(
-            f"series for p = q converges only for arguments <= 1, got {spec.argument:g}")
-    if spec.p > spec.q:
-        raise SeriesDivergenceError("series expansion needs p <= q")
-    lnz = math.log(spec.argument)
-    total = 0.0
-    err = 0.0
-    for j in range(spec.m):
-        v, e, _ = _family_series(spec, j, lnz, terms, log_prefactor)
-        total += v
-        err += e
-    return total, err
-
-
-def meijer_g_residue_series(spec: MeijerGSpec, terms: int = 220, *,
-                            log_prefactor: float = 0.0) -> EvalResult:
-    """Evaluate exp(log_prefactor) * G(spec) by summing right-family residues."""
-    if terms < 8:
-        raise ValueError("terms must be at least 8")
-    spread, note = _spread_clusters(list(spec.b_params[:spec.m]))
-    b = tuple(spread) + spec.b_params[spec.m:]
-    work = MeijerGSpec(spec.m, spec.n, spec.a_params, b, spec.argument)
-    work, sep_note = _separate_families(work)
-    note = "; ".join(x for x in (note, sep_note) if x)
-
-    value, err = _residue_value(work, terms, log_prefactor)
-    if note:
-        # probe at double the spread; the difference bounds both the
-        # O(eps^2) bias and the near-pole rounding amplification
-        spread2, _ = _spread_clusters(list(spec.b_params[:spec.m]),
-                                      eps=2.0 * _PERTURB_EPS)
-        probe = MeijerGSpec(spec.m, spec.n, work.a_params,
-                            tuple(spread2) + spec.b_params[spec.m:],
-                            spec.argument)
-        v2, _ = _residue_value(probe, terms, log_prefactor)
-        err += abs(value - v2)
-    if not math.isfinite(value):
-        raise MeijerGError(f"residue series returned {value!r}")
-    return EvalResult(value, err, "residue_series", note)

@@ -31,8 +31,10 @@ __all__ = [
     "subchannel_pdf",
 ]
 
-# beyond these ratios the distribution is numerically degenerate and the
-# evaluator is not invoked
+# the densities return 0 beyond these ratios: past 1e12 under IM/DD the
+# contour returns cancellation noise of either sign, and at ratio 1e-30 a
+# call takes 100-190 ms instead of about 2, which the quadrature twins
+# would pay per node
 _RATIO_GUARD = 1e12
 
 
@@ -117,32 +119,27 @@ def pdf(dist: SnrDistribution, gamma: float) -> float:
 def cdf(dist: SnrDistribution, gamma: float) -> float:
     """P(SNR <= gamma) for gamma >= 0, clamped to [0, 1].
 
-    Near saturation the contour value carries rounding of a few ulps
+    Near saturation the contour value carries rounding of order 1e-13
     and can land just above one.
     """
     if gamma < 0.0:
         raise ValueError(f"cdf needs gamma >= 0, got {gamma!r}")
     if gamma == 0.0:
         return 0.0
-    ratio = gamma / dist.mean_snr
-    if ratio < 1.0 / _RATIO_GUARD:
-        return 0.0
-    if ratio > _RATIO_GUARD:
-        return 1.0
     value = meijer_g(dist.cdf_spec(gamma), log_prefactor=dist.params.log_m0).value
     return min(max(value, 0.0), 1.0)
 
 
 def mgf(dist: SnrDistribution, s: float) -> float:
-    """Laplace transform E[exp(-s SNR)] for s > 0."""
+    """Laplace transform E[exp(-s SNR)] for s > 0, clamped to [0, 1].
+
+    As s goes to zero the contour value carries rounding of order 1e-12
+    and can land just above one.
+    """
     if not s > 0.0:
         raise ValueError(f"mgf needs s > 0, got {s!r}")
-    x = dist.mean_snr * s
-    if x < 1.0 / _RATIO_GUARD:
-        return 1.0
-    if x > _RATIO_GUARD:
-        return 0.0
-    return meijer_g(dist.mgf_spec(s), log_prefactor=dist.params.log_m0).value
+    value = meijer_g(dist.mgf_spec(s), log_prefactor=dist.params.log_m0).value
+    return min(max(value, 0.0), 1.0)
 
 
 def subchannel_pdf(dist: SnrDistribution, gamma_i: float,

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import json
 import math
+from functools import cache
+from pathlib import Path
 
 from risfso.channel import DetectionMode, cascade_from_constants
 from risfso.statistics import RisElement, SnrDistribution
@@ -19,6 +22,18 @@ FIG_COLORS = {
     "green": (12.5331, 4.6787),
     "blue": (13.2818, 5.7795),
 }
+
+# frozen 40-digit Meijer-G values, written by make_meijer_references.py
+REFERENCES = Path(__file__).with_name("meijer_references.json")
+# cdf and mgf ratios (gamma / mean SNR and mean SNR * s) far outside the
+# bulk, each on every family row at BAND_MEAN_DB
+BAND_RATIOS = (1e-30, 0.99e-12, 1e13, 1e20)
+BAND_MEAN_DB = 30.0
+
+
+@cache
+def meijer_references() -> tuple[dict, ...]:
+    return tuple(json.loads(REFERENCES.read_text(encoding="utf-8"))["entries"])
 
 
 def make_dist(alpha: float, beta: float, zeta: float, a: int,

@@ -368,3 +368,27 @@ def test_cli_sweep_deterministic_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.stat().st_size > 100
+
+
+def test_cli_sweep_config_keeps_fields_no_flag_sets(tmp_path, capsys):
+    # unset --seed and --gbar-interpretation leave the config's own values;
+    # a flag that is given replaces them
+    cfg = {"scenarios": MINIMAL["scenarios"],
+           "sweep": {"variable": "mean_snr_db", "start": 10.0, "stop": 10.0,
+                     "step": 1.0, "gbar_interpretation": "per-hop", "seed": 7,
+                     "metrics": [{"name": "capacity"},
+                                 {"name": "capacity", "mc": True,
+                                  "samples": 2000}]}}
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "out.json")
+    for flags, capacity, interp, seed in (
+            ([], 5.6616, "per-hop", 7),
+            (["--gbar-interpretation", "product", "--seed", "3"],
+             2.7214, "product", 3)):
+        assert cli.main(["sweep", "--config", cfg_path, "--format", "json",
+                         "--out", out, *flags]) == 0
+        closed, mc = load_curves(out)
+        assert closed.y[0] == pytest.approx(capacity, abs=1e-4)
+        assert closed.meta["gbar_interpretation"] == interp
+        assert mc.meta["seed"] == seed
+    capsys.readouterr()

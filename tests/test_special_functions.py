@@ -3,9 +3,10 @@
 The log-gamma kernel is scipy's; its tests compare exp(loggamma), all
 that the contour integrands use, against frozen values.  Frozen
 reference values were computed with an arbitrary-precision library
-(mpmath, 30+ significant digits) before the implementation was
-written; runtime identity checks use scipy's Bessel K as an
-independent reference.
+(mpmath, 30+ significant digits); the Meijer-G ones, 40 digits each, sit
+in ``meijer_references.json`` with the script that regenerates them.
+Runtime identity checks use scipy's Bessel K as an independent
+reference.
 """
 from __future__ import annotations
 
@@ -17,15 +18,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import kv as scipy_kv
 
+from conftest import meijer_references
 from risfso.special import (
     ContourError,
     MeijerGSpec,
     PoleCollisionError,
-    SeriesDivergenceError,
     gauss_kronrod,
     loggamma_complex,
     meijer_g,
-    meijer_g_residue_series,
 )
 
 # ---------------------------------------------------------------------------
@@ -139,73 +139,36 @@ def test_reflection_identity():
 
 
 # ---------------------------------------------------------------------------
-# residue series
+# Meijer-G: frozen 40-digit references (tests/make_meijer_references.py)
 
 
-def test_residue_matches_contour_on_identities():
-    for spec, want in [(EXP_SPEC, math.exp(-1.0)),
-                       (LOG_SPEC, math.log(2.0)),
-                       (BESSEL_SPEC, 2.0 * float(scipy_kv(0.5, 2.0)))]:
-        series = meijer_g_residue_series(spec)
-        assert series.method == "residue_series"
-        assert series.value == pytest.approx(want, rel=1e-8)
+@pytest.mark.parametrize("entry", meijer_references(), ids=lambda e: e["label"])
+def test_meijer_matches_frozen_reference(entry):
+    spec = MeijerGSpec(entry["m"], entry["n"], tuple(entry["a_params"]),
+                       tuple(entry["b_params"]), entry["argument"])
+    want = float(entry["value"])
+    res = meijer_g(spec)
+    err = abs(res.value - want)
+    assert err <= 1e-10 * abs(want), (res.value, want)
+    assert err <= res.abs_error_estimate, (err, res.abs_error_estimate)
 
 
-def test_residue_single_pole_family_reproduces_exponential_series():
-    # one lower parameter: the residue sum is exactly the z^b e^-z series
-    for z in (0.5, 2.0):
-        res = meijer_g_residue_series(MeijerGSpec(1, 0, (), (0.75,), z))
-        assert res.value == pytest.approx(z ** 0.75 * math.exp(-z), rel=1e-12)
-
-
-def test_residue_matches_contour_on_cascade_pdf_instance():
-    # coincident lower parameters exercise the symmetric-spread path
-    spec = MeijerGSpec(6, 0, (38.21, 38.21),
-                       (37.21, 12.5331, 4.6787) * 2, 0.3)
-    series = meijer_g_residue_series(spec, terms=260)
-    contour = meijer_g(spec)
-    assert series.perturbation_note != ""
-    assert series.value == pytest.approx(contour.value, rel=1e-8)
-
-
-def test_method_agreement_bound():
-    # |contour - series| within 10x the combined error estimates
-    instances = [
-        EXP_SPEC,
-        BESSEL_SPEC,
-        MeijerGSpec(3, 0, (5.0,), (4.0, 4.2, 2.5), 0.7),
-        MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, 0.8),
-    ]
-    for spec in instances:
-        c = meijer_g(spec)
-        r = meijer_g_residue_series(spec, terms=260)
-        bound = 10.0 * (c.abs_error_estimate + r.abs_error_estimate)
-        assert abs(c.value - r.value) <= max(bound, 1e-13 * abs(c.value))
-
-
-def test_residue_divergence_outside_region():
-    with pytest.raises(SeriesDivergenceError):
-        meijer_g_residue_series(MeijerGSpec(1, 2, (1.0, 1.0), (1.0, 0.0), 1.5))
-
-
-def test_method_agreement_across_scenario_family():
-    # every PDF/CDF instance of the scenario family: the two methods
-    # agree within ten times their combined error estimates (the series
-    # reports honest, sometimes large, bounds where its twin-parameter
-    # cancellation dominates)
-    from conftest import TABLE2_LEVELS, make_dist
-    for _, alpha, beta in TABLE2_LEVELS:
-        for zeta in (1.1, 6.1):
-            for a in (1, 2):
-                dist = make_dist(alpha, beta, zeta, a, 20.0)
-                for ratio, kind in ((0.03, "pdf"), (0.05, "cdf")):
-                    spec = dist.pdf_spec(ratio * dist.mean_snr) if kind == "pdf" \
-                        else dist.cdf_spec(ratio * dist.mean_snr)
-                    c = meijer_g(spec)
-                    r = meijer_g_residue_series(spec, terms=300)
-                    bound = 10.0 * (c.abs_error_estimate + r.abs_error_estimate)
-                    assert abs(c.value - r.value) \
-                        <= max(bound, 1e-8 * abs(c.value)), (kind, alpha, zeta, a)
+def test_frozen_references_cover_every_closed_form_shape():
+    # (m, n, p, q) per family row: pdf G^{6,0}, cdf G^{6a,1}, mgf and BER
+    # G^{6a,2}, capacity G^{6a+2,1} and the per-hop density G^{3,0}
+    rows: dict[tuple, set] = {}
+    for entry in meijer_references():
+        case = entry.get("case")
+        if case is not None:
+            shape = (entry["m"], entry["n"], len(entry["a_params"]),
+                     len(entry["b_params"]))
+            rows.setdefault((case["level"], case["zeta"], case["a"]),
+                            set()).add(shape)
+    assert len(rows) == 12
+    for (_, _, a), shapes in rows.items():
+        assert shapes == {(6, 0, 2, 6), (6 * a, 1, 1 + 2 * a, 6 * a + 1),
+                          (6 * a, 2, 2 + 2 * a, 6 * a + 1),
+                          (6 * a + 2, 1, 2 + 2 * a, 6 * a + 2), (3, 0, 1, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +208,7 @@ def test_deep_interleaving_raises_pole_collision():
 
 def test_eval_result_invariants():
     for spec in (EXP_SPEC, LOG_SPEC, BESSEL_SPEC):
-        for res in (meijer_g(spec), meijer_g_residue_series(spec)):
-            assert math.isfinite(res.value)
-            assert res.abs_error_estimate >= 0.0
-            assert res.method in ("contour", "residue_series")
+        res = meijer_g(spec)
+        assert math.isfinite(res.value)
+        assert res.abs_error_estimate >= 0.0
+        assert res.method == "contour"
