@@ -10,7 +10,6 @@ from .channel import (
     TurbulenceState,
     alpha_beta,
     cascade_from_constants,
-    cascade_params,
     path_loss,
     pointing_state,
     rytov_variance,
@@ -48,7 +47,6 @@ __all__ = [
     "asymptotic_ber",
     "average_ber",
     "cascade_from_constants",
-    "cascade_params",
     "cdf",
     "ergodic_capacity",
     "estimate_metric",

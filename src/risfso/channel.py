@@ -19,7 +19,6 @@ __all__ = [
     "TurbulenceState",
     "alpha_beta",
     "cascade_from_constants",
-    "cascade_params",
     "path_loss",
     "pointing_state",
     "rytov_variance",
@@ -183,10 +182,11 @@ def path_loss(scenario: LinkScenario) -> float:
     return math.exp(-scenario.attenuation * scenario.distance)
 
 
-def cascade_params(turb: TurbulenceState, point: PointingState,
-                   mode: DetectionMode, mean_snr_h: float,
-                   mean_snr_g: float) -> CascadeParams:
-    """Assemble the closed-form constants for the two-hop cascade.
+def cascade_from_constants(alpha: float, beta: float, zeta: float,
+                           mode: DetectionMode, mean_snr_h: float,
+                           mean_snr_g: float) -> CascadeParams:
+    """Closed-form constants of the two-hop cascade from the turbulence
+    shapes (alpha, beta) and the pointing ratio zeta.
 
     With M = zeta^2 / (a Gamma(alpha) Gamma(beta)), the
     Gauss-multiplication constants are
@@ -197,11 +197,14 @@ def cascade_params(turb: TurbulenceState, point: PointingState,
     both validated against direct quadrature of the CDF integral for
     a = 2 (the a = 1 case collapses to M0 = M^2, Q0 = Q^2).
     """
+    if not (alpha > 0.0 and beta > 0.0):
+        raise ValueError("alpha and beta must be positive")
+    if not zeta > 0.0:
+        raise ValueError(f"zeta must be positive, got {zeta!r}")
     if not (mean_snr_h > 0.0 and mean_snr_g > 0.0):
         raise ValueError("per-hop mean SNRs must be positive")
     a = mode.a
-    zeta2 = point.zeta ** 2
-    alpha, beta = turb.alpha, turb.beta
+    zeta2 = zeta ** 2
 
     log_m = math.log(zeta2 / a) - math.lgamma(alpha) - math.lgamma(beta)
     big_q = zeta2 * alpha * beta / (1.0 + zeta2)
@@ -218,15 +221,3 @@ def cascade_params(turb: TurbulenceState, point: PointingState,
                          mean_snr=mean_snr_h * mean_snr_g,
                          log_m=log_m, big_q=big_q, log_m0=log_m0, q0=q0,
                          delta1=delta1, delta2=delta2)
-
-
-def cascade_from_constants(alpha: float, beta: float, zeta: float,
-                           mode: DetectionMode, mean_snr_h: float,
-                           mean_snr_g: float) -> CascadeParams:
-    """Cascade constants from (alpha, beta, zeta) given directly,
-    bypassing the geometry-based derivation."""
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError("alpha and beta must be positive")
-    turb = TurbulenceState(rytov=math.nan, d=math.nan, alpha=alpha, beta=beta)
-    point = PointingState(v=math.nan, a0=0.5, zeta=zeta)
-    return cascade_params(turb, point, mode, mean_snr_h, mean_snr_g)

@@ -14,17 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from . import presets
-from .channel import (
-    DetectionMode,
-    alpha_beta,
-    cascade_from_constants,
-    path_loss,
-    pointing_state,
-)
+from .channel import DetectionMode, alpha_beta, path_loss, pointing_state
 from .metrics import (
     ModulationScheme,
     asymptotic_ber,
@@ -34,15 +27,17 @@ from .metrics import (
 )
 from .simulator import McConfig
 from .special import MeijerGError
-from .statistics import RisElement, SnrDistribution, cdf, mgf, pdf
+from .statistics import SnrDistribution, cdf, mgf, pdf
 from .sweeps import (
     ConfigError,
+    distribution,
     emit,
     link_scenario,
     mc_estimate,
+    metric_spec,
     parse_config,
     run_sweep,
-    table2_constants,
+    scenario_spec,
 )
 
 __all__ = ["main"]
@@ -53,32 +48,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# channel flags share their dest names with the JSON scenario keys
+_CHANNEL_KEYS = ("preset", "alpha", "beta", "zeta", "detection",
+                 "mean_snr_db", "mu")
+_MC_METRIC_KEYS = ("gamma_th_db", "scheme", "s")
+
+
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="table2-<color>-<level> constants")
     p.add_argument("--alpha", type=float, help="large-scale shape")
     p.add_argument("--beta", type=float, help="small-scale shape")
     p.add_argument("--zeta", type=float, required=True,
                    help="beam radius over pointing jitter")
-    p.add_argument("--detection", default="hd", help="hd or imdd")
+    # unset --detection and --mu take the defaults of sweeps.scenario_spec
+    p.add_argument("--detection", help="hd (default) or imdd")
     p.add_argument("--mean-snr-db", type=float, required=True,
                    help="end-to-end (product) mean SNR in dB")
-    p.add_argument("--mu", type=float, default=1.0,
-                   help="reflection amplitude coefficient")
+    p.add_argument("--mu", type=float,
+                   help="reflection amplitude coefficient (default 1)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
 
+def _given(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+
 def _distribution(args: argparse.Namespace) -> SnrDistribution:
-    if args.preset:
-        alpha, beta = table2_constants(args.preset, "--preset")
-    elif args.alpha is not None and args.beta is not None:
-        alpha, beta = args.alpha, args.beta
-    else:
-        raise ConfigError("give --preset or both --alpha and --beta")
-    mode = DetectionMode.from_name(args.detection)
-    gbar = 10.0 ** (args.mean_snr_db / 10.0)
-    params = cascade_from_constants(alpha, beta, args.zeta, mode,
-                                    math.sqrt(gbar), math.sqrt(gbar))
-    return SnrDistribution(params, RisElement(mu=args.mu))
+    sc = scenario_spec(_given(args, _CHANNEL_KEYS), "channel")
+    return distribution(sc, 10.0 ** (sc.mean_snr_db / 10.0))
 
 
 def _print_result(payload: dict, args: argparse.Namespace) -> None:
@@ -190,8 +187,6 @@ def _run(args: argparse.Namespace) -> int:
         elif cmd == "cdf":
             value = cdf(dist, 10.0 ** (args.gamma_db / 10.0))
         elif cmd == "mgf":
-            if not args.s > 0:
-                raise ConfigError("--s must be > 0")
             value = mgf(dist, args.s)
         elif cmd == "outage":
             gth = 10.0 ** (args.gamma_th_db / 10.0) \
@@ -216,11 +211,12 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "mc":
+        dist = _distribution(args)
+        metric = metric_spec({"name": args.metric,
+                              **_given(args, _MC_METRIC_KEYS)}, "metric", None)
         cfg = McConfig(sample_count=args.samples, seed=args.seed,
                        batch_size=args.batch_size)
-        est = mc_estimate(args.metric, _distribution(args), cfg,
-                          gamma_th_db=args.gamma_th_db, scheme=args.scheme,
-                          s=args.s)
+        est = mc_estimate(metric, dist, cfg, metric.gamma_th_db)
         _print_result({"mean": est.mean, "std_error": est.std_error,
                        "sample_count": est.sample_count,
                        "seed": args.seed}, args)

@@ -32,6 +32,9 @@ __all__ = [
     "solve_mean_snr_db",
 ]
 
+# relative tolerance of the quadrature twins
+_TWIN_REL_TOL = 1e-9
+
 
 class ModulationScheme(enum.Enum):
     """Binary schemes and their conditional-BER kernel exponents (p, q)."""
@@ -92,8 +95,7 @@ def ergodic_capacity(dist: SnrDistribution) -> float:
     return meijer_g(spec, log_prefactor=lp).value
 
 
-def ergodic_capacity_by_quadrature(dist: SnrDistribution,
-                                   rel_tol: float = 1e-9) -> float:
+def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
     """Capacity as the direct integral of log(1 + chi x) over the density."""
     p = dist.params
     chi = DetectionMode(p.a).chi
@@ -107,7 +109,7 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution,
     lo = -(80.0 / c + 20.0)
     hi = 20.0 * p.a
     val, _ = quad(integrand, lo, hi, points=[0.0], limit=400,
-                  epsabs=1e-290, epsrel=rel_tol)
+                  epsabs=1e-290, epsrel=_TWIN_REL_TOL)
     return val / math.log(2.0)
 
 
@@ -123,8 +125,8 @@ def average_ber(dist: SnrDistribution, scheme: ModulationScheme) -> float:
     return meijer_g(spec, log_prefactor=lp).value
 
 
-def average_ber_by_quadrature(dist: SnrDistribution, scheme: ModulationScheme,
-                              rel_tol: float = 1e-9) -> float:
+def average_ber_by_quadrature(dist: SnrDistribution,
+                              scheme: ModulationScheme) -> float:
     """BER as the Laplace-kernel integral over the closed-form CDF.
 
     Substituting x = v^(1/p) absorbs the x^(p-1) weight, leaving
@@ -140,7 +142,7 @@ def average_ber_by_quadrature(dist: SnrDistribution, scheme: ModulationScheme,
 
     v_hi = (45.0 / sq) ** sp
     val, _ = quad(integrand, 0.0, v_hi, points=[(1.0 / sq) ** sp],
-                  limit=400, epsabs=1e-290, epsrel=rel_tol)
+                  limit=400, epsabs=1e-290, epsrel=_TWIN_REL_TOL)
     return sq ** sp / (2.0 * math.gamma(sp) * sp) * val
 
 

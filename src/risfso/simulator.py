@@ -15,7 +15,6 @@ regularized incomplete gamma.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +107,8 @@ def sample_pointing(zeta: float, a0: float, rng: np.random.Generator,
 def _hop_snr(chan: McChannel, mean_snr: float, rng: np.random.Generator,
              size: int) -> np.ndarray:
     # I/E[I] = (Ip/E[Ip]) * Ia with E[Ip] = a0 zeta^2/(1+zeta^2); a0 cancels
-    ip_rel = rng.random(size) ** (1.0 / chan.zeta2) * (1.0 + chan.zeta2) / chan.zeta2
+    ip_rel = (sample_pointing(math.sqrt(chan.zeta2), 1.0, rng, size)
+              * (1.0 + chan.zeta2) / chan.zeta2)
     ia = sample_gg(chan.alpha, chan.beta, rng, size)
     return mean_snr * (ip_rel * ia) ** chan.a
 
@@ -138,8 +138,7 @@ def _kernel(metric: str, snr: np.ndarray, chan: McChannel,
 def estimate_metric(metric: str, chan: McChannel, config: McConfig, *,
                     gamma_th: float | None = None,
                     p: float | None = None, q: float | None = None,
-                    s: float | None = None,
-                    target_std_error: float | None = None) -> McEstimate:
+                    s: float | None = None) -> McEstimate:
     """Streaming Monte Carlo estimate of one metric.
 
     Batches draw from independent generators keyed by (seed, batch
@@ -177,8 +176,4 @@ def estimate_metric(metric: str, chan: McChannel, config: McConfig, *,
         batch_index += 1
 
     std_error = math.sqrt(m2 / (n_total - 1) / n_total) if n_total > 1 else 0.0
-    if target_std_error is not None and std_error > target_std_error:
-        warnings.warn(
-            f"standard error {std_error:.3e} exceeds requested "
-            f"{target_std_error:.3e}; increase sample_count", RuntimeWarning)
     return McEstimate(mean=mean, std_error=std_error, sample_count=n_total)

@@ -217,11 +217,10 @@ def _tail_bound(env_lo: float, env_hi: float, width: float,
     """Bound on the integral past t_hi from the envelope |w| at the ends
     of the last segment.
 
-    The stopping test samples the oscillating real part at t_hi alone,
-    which can sit near a zero.  Past t_hi the envelope falls at least as
-    fast as the slower of its secant rate over the segment and the
-    asymptotic rate pi * decay_index; an envelope that did not fall over
-    the segment is given the asymptotic rate.
+    Past t_hi the envelope falls at least as fast as the slower of its
+    secant rate over the segment and the asymptotic rate pi *
+    decay_index; an envelope that did not fall over the segment is given
+    the asymptotic rate.
     """
     if env_hi == 0.0:
         return 0.0
@@ -263,8 +262,10 @@ def _contour_value(spec: MeijerGSpec, log_prefactor: float,
         total += res.value
         err += res.error
         amplitude += res.abs_integral
+        # the envelope, not the oscillating real part, which can sit
+        # near a zero at t_hi
         w_hi = complex(weight(np.array([t_hi]))[0])
-        tail = abs(w_hi.real) / rate
+        tail = abs(w_hi) / rate
         budget = rel_tol * max(abs(total), 1e-300)
         if tail < 0.05 * budget and (t_lo > 0.0 or tail == 0.0 or abs(res.value) < budget):
             if t_lo == 0.0:

@@ -35,6 +35,8 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# refinement stops at this many panels even short of the tolerance
+_MAX_PANELS = 2048
 
 
 class QuadratureResult(NamedTuple):
@@ -58,14 +60,13 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
 def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray],
                   a: float, b: float,
                   rel_tol: float = 1e-11,
-                  abs_tol: float = 0.0,
-                  max_panels: int = 2048) -> QuadratureResult:
+                  abs_tol: float = 0.0) -> QuadratureResult:
     """Integrate f over [a, b], bisecting the worst panels each round."""
     lo = np.array([a], dtype=np.float64)
     hi = np.array([b], dtype=np.float64)
     val, err, absv = _eval_panels(f, lo, hi)
 
-    while len(lo) < max_panels:
+    while len(lo) < _MAX_PANELS:
         total = val.sum()
         tol = max(abs_tol, rel_tol * abs(total))
         if err.sum() <= tol:

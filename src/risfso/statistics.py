@@ -37,6 +37,10 @@ __all__ = [
 # would pay per node
 _RATIO_GUARD = 1e12
 
+# relative tolerances of the quadrature twins
+_PDF_TWIN_REL_TOL = 1e-7
+_TWIN_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class RisElement:
@@ -163,8 +167,7 @@ def _product_span(dist: SnrDistribution) -> float:
     return min(30.0 * dist.params.a + 20.0, 42.0 / c + 6.0)
 
 
-def pdf_by_product_integral(dist: SnrDistribution, gamma: float,
-                            rel_tol: float = 1e-7) -> float:
+def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
     """Density via the product-law integral over the two hop densities.
 
     Independent of the cascade closed form: only the per-hop density is
@@ -182,12 +185,11 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float,
 
     span = _product_span(dist)
     val, _ = quad(integrand, -span, span, points=[0.0],
-                  limit=200, epsabs=0.0, epsrel=rel_tol)
+                  limit=200, epsabs=0.0, epsrel=_PDF_TWIN_REL_TOL)
     return val
 
 
-def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float,
-                                rel_tol: float = 1e-7) -> float:
+def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float) -> float:
     """Density via the power-substituted form of the product integral.
 
     The second factor carries the reflected parameter lists, so this
@@ -216,13 +218,12 @@ def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float,
     # unsplit min(zeta^2, alpha, beta) = a * min(delta2)
     span = 42.0 / (a * min(dist.params.delta2)) + 6.0
     val, _ = quad(integrand, -span, span, points=[0.0],
-                  limit=200, epsabs=0.0, epsrel=rel_tol)
+                  limit=200, epsabs=0.0, epsrel=_PDF_TWIN_REL_TOL)
     lp = math.log(a) + 2.0 * dist.params.log_m - math.log(gamma)
     return math.exp(lp) * val
 
 
-def cdf_by_quadrature(dist: SnrDistribution, gamma: float,
-                      rel_tol: float = 1e-8) -> float:
+def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
     """CDF as the direct integral of the closed-form density.
 
     On the log axis the integrand decays like exp(c u) toward the
@@ -240,12 +241,11 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float,
         return _pdf_unguarded(dist, x) * x
 
     val, _ = quad(integrand, -(48.0 / c + 5.0), 0.0, limit=200,
-                  epsabs=0.0, epsrel=rel_tol)
+                  epsabs=0.0, epsrel=_TWIN_REL_TOL)
     return val
 
 
-def mgf_by_quadrature(dist: SnrDistribution, s: float,
-                      rel_tol: float = 1e-8) -> float:
+def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
     """MGF as s times the Laplace transform of the closed-form CDF."""
     if not s > 0.0:
         raise ValueError(f"needs s > 0, got {s!r}")
@@ -254,5 +254,5 @@ def mgf_by_quadrature(dist: SnrDistribution, s: float,
         return math.exp(-v) * cdf(dist, v / s)
 
     val, _ = quad(integrand, 0.0, 50.0, points=[0.1, 1.0, 5.0, 20.0],
-                  limit=200, epsabs=0.0, epsrel=rel_tol)
+                  limit=200, epsabs=0.0, epsrel=_TWIN_REL_TOL)
     return val

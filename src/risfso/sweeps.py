@@ -32,17 +32,22 @@ __all__ = [
     "MetricSpec",
     "ScenarioSpec",
     "SweepSpec",
+    "distribution",
     "emit",
     "link_scenario",
     "load_curves",
     "mc_estimate",
+    "metric_spec",
     "parse_config",
     "run_sweep",
+    "scenario_spec",
     "table2_constants",
 ]
 
 VARIABLES = ("mean_snr_db", "gamma_th_db", "zeta")
 INTERPRETATIONS = ("product", "per-hop")
+# far above the largest bundled preset (81 points per curve)
+MAX_GRID_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -176,29 +181,29 @@ def link_scenario(fields: dict, zeta: float, detection: DetectionMode,
     )
 
 
-def mc_estimate(metric: str, dist: SnrDistribution, config: McConfig, *,
-                gamma_th_db: float | None = None, scheme: str | None = None,
-                s: float | None = None) -> McEstimate:
-    """Monte Carlo estimate of one metric on the sampled twin of ``dist``."""
+def mc_estimate(metric: MetricSpec, dist: SnrDistribution, config: McConfig,
+                gamma_th_db: float | None) -> McEstimate:
+    """Monte Carlo estimate of a ``metric_spec``-validated metric on the
+    sampled twin of ``dist``; ``gamma_th_db`` is the outage threshold at
+    this point."""
     p = dist.params
     hop = math.sqrt(p.mean_snr)
     chan = McChannel(zeta2=p.zeta2, alpha=p.alpha, beta=p.beta, a=p.a,
                      mean_snr_h=hop, mean_snr_g=hop, mu=dist.ris.mu)
     kw: dict = {}
-    if metric == "outage":
-        _require(gamma_th_db is not None, "mc outage", "needs gamma_th_db")
+    if metric.name == "outage":
         kw["gamma_th"] = 10.0 ** (gamma_th_db / 10.0)
-    elif metric == "ber":
-        _require(bool(scheme), "mc ber", "needs a scheme")
-        sch = ModulationScheme.from_name(scheme)
+    elif metric.name == "ber":
+        sch = ModulationScheme.from_name(metric.scheme)
         kw.update(p=sch.p, q=sch.q)
-    elif metric == "mgf":
-        _require(s is not None and s > 0, "mc mgf", "needs s > 0")
-        kw["s"] = s
-    return estimate_metric(metric, chan, config, **kw)
+    elif metric.name == "mgf":
+        kw["s"] = metric.s
+    return estimate_metric(metric.name, chan, config, **kw)
 
 
-def _parse_scenario(obj: dict, path: str) -> ScenarioSpec:
+def scenario_spec(obj: dict, path: str) -> ScenarioSpec:
+    """Validate one channel description (JSON scenario keys) into a
+    ``ScenarioSpec``; errors name the field under ``path``."""
     _require(isinstance(obj, dict), path, "must be an object")
     allowed = {"label", "preset", "alpha", "beta", "zeta", "detection",
                "mean_snr_db", "mu", "wavelength_nm", "color", "distance_m",
@@ -235,7 +240,10 @@ def _parse_scenario(obj: dict, path: str) -> ScenarioSpec:
                         detection=detection, mean_snr_db=mean_snr_db, mu=mu)
 
 
-def _parse_metric(obj: dict, path: str, variable: str) -> MetricSpec:
+def metric_spec(obj: dict, path: str, variable: str | None) -> MetricSpec:
+    """Validate one metric description (JSON metric keys) into a
+    ``MetricSpec``.  ``variable`` is the swept variable, or None for a
+    single point; a threshold sweep supplies the outage threshold."""
     _require(isinstance(obj, dict), path, "must be an object")
     allowed = {"name", "gamma_th_db", "scheme", "s", "mc", "samples"}
     _check_keys(obj, allowed, path)
@@ -275,7 +283,7 @@ def parse_config(path: str) -> SweepSpec:
     raw_scenarios = obj["scenarios"]
     _require(isinstance(raw_scenarios, list) and raw_scenarios,
              "scenarios", "must be a nonempty list")
-    scenarios = tuple(_parse_scenario(sc, f"scenarios[{i}]")
+    scenarios = tuple(scenario_spec(sc, f"scenarios[{i}]")
                       for i, sc in enumerate(raw_scenarios))
 
     sw = obj["sweep"]
@@ -287,15 +295,18 @@ def parse_config(path: str) -> SweepSpec:
              f"must be one of {VARIABLES}")
     for key in ("start", "stop", "step"):
         _require(key in sw, f"sweep.{key}", "is required")
+        _require(math.isfinite(float(sw[key])), f"sweep.{key}", "must be finite")
     start, stop, step = float(sw["start"]), float(sw["stop"]), float(sw["step"])
     _require(step > 0, "sweep.step", "must be > 0")
     _require(stop >= start, "sweep.stop", "must be >= start")
+    _require((stop - start) / step < MAX_GRID_POINTS, "sweep.step",
+             f"gives more than {MAX_GRID_POINTS} grid points")
     interp = str(sw.get("gbar_interpretation", "product"))
     _require(interp in INTERPRETATIONS, "sweep.gbar_interpretation",
              f"must be one of {INTERPRETATIONS}")
     raw_metrics = sw.get("metrics", [])
     _require(isinstance(raw_metrics, list), "sweep.metrics", "must be a list")
-    metrics = tuple(_parse_metric(mt, f"sweep.metrics[{i}]", variable)
+    metrics = tuple(metric_spec(mt, f"sweep.metrics[{i}]", variable)
                     for i, mt in enumerate(raw_metrics))
     if variable != "mean_snr_db":
         for i, sc in enumerate(scenarios):
@@ -319,8 +330,10 @@ def _mean_snr_linear(x_db: float, interpretation: str) -> float:
     return 10.0 ** (factor * x_db / 10.0)
 
 
-def _distribution(sc: ScenarioSpec, mean_snr: float, zeta: float | None = None
-                  ) -> SnrDistribution:
+def distribution(sc: ScenarioSpec, mean_snr: float, zeta: float | None = None
+                 ) -> SnrDistribution:
+    """Distribution of ``sc`` at the linear product mean SNR ``mean_snr``,
+    with ``zeta`` in place of the scenario's own when given."""
     params = cascade_from_constants(sc.alpha, sc.beta,
                                     zeta if zeta is not None else sc.zeta,
                                     sc.detection, math.sqrt(mean_snr),
@@ -332,8 +345,7 @@ def _eval_point(metric: MetricSpec, dist: SnrDistribution,
                 gamma_th_db: float | None, seed: int) -> float:
     if metric.mc:
         cfg = McConfig(sample_count=metric.samples, seed=seed)
-        return mc_estimate(metric.name, dist, cfg, gamma_th_db=gamma_th_db,
-                           scheme=metric.scheme, s=metric.s).mean
+        return mc_estimate(metric, dist, cfg, gamma_th_db).mean
     if metric.name == "outage":
         return outage_probability(dist, 10.0 ** (gamma_th_db / 10.0))
     if metric.name == "capacity":
@@ -368,7 +380,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
                     else:
                         zeta = x
                 try:
-                    dist = _distribution(sc, mean_snr, zeta)
+                    dist = distribution(sc, mean_snr, zeta)
                     ys.append(float(_eval_point(metric, dist, gamma_th_db,
                                                 spec.seed)))
                 except MeijerGError as exc:

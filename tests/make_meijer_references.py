@@ -13,7 +13,7 @@ adds the cdf and the mgf of every row at ratios far outside the bulk
 (``BAND_RATIOS``), and a few instances off the family.  Each instance is
 evaluated with ``mpmath.meijerg`` at 40 significant digits and written
 to ``tests/meijer_references.json`` with its own orders, parameters and
-argument, so that a later change to ``cascade_params`` cannot move a
+argument, so that a later change to ``cascade_from_constants`` cannot move a
 reference with it.  Instances taken from a public function also keep
 the function, its inputs and the ``log_prefactor`` it passed.
 """

@@ -13,10 +13,8 @@ from risfso.channel import (
     DetectionMode,
     LinkScenario,
     PointingState,
-    TurbulenceState,
     alpha_beta,
     cascade_from_constants,
-    cascade_params,
     path_loss,
     pointing_state,
     rytov_variance,
@@ -160,9 +158,7 @@ def test_path_loss():
 
 def _parts(zeta: float, alpha: float, beta: float, mode: DetectionMode,
            gh: float = 10.0, gg: float = 10.0) -> CascadeParams:
-    turb = TurbulenceState(rytov=1.0, d=0.0, alpha=alpha, beta=beta)
-    point = PointingState(v=1.0, a0=0.85, zeta=zeta)
-    return cascade_params(turb, point, mode, gh, gg)
+    return cascade_from_constants(alpha, beta, zeta, mode, gh, gg)
 
 
 def test_cascade_heterodyne_collapses():
@@ -207,13 +203,6 @@ def test_cascade_mean_snr_product_and_scale_free():
     for name in ("log_m", "big_q", "log_m0", "q0", "delta1", "delta2", "zeta2"):
         assert getattr(p1, name) == getattr(p2, name)
     assert p2.mean_snr == pytest.approx(1e4, rel=1e-14)
-
-
-def test_cascade_from_constants_matches_full_derivation():
-    p1 = _parts(6.1, 10.9537, 2.9833, DetectionMode.IM_DD, 5.0, 7.0)
-    p2 = cascade_from_constants(10.9537, 2.9833, 6.1, DetectionMode.IM_DD,
-                                5.0, 7.0)
-    assert p1 == p2
 
 
 def test_detection_mode_binding():

@@ -80,6 +80,19 @@ def test_parse_rejects_zero_step(tmp_path):
         parse_config(write_config(tmp_path, cfg))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("stop", math.inf, "sweep.stop: must be finite"),
+    ("start", math.nan, "sweep.start: must be finite"),
+    ("step", 1e-300, "sweep.step: gives more than"),
+])
+def test_parse_rejects_non_finite_and_runaway_grids(tmp_path, key, value,
+                                                    message):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"][key] = value
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_config(tmp_path, cfg))
+
+
 def test_parse_rejects_bad_metric(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["sweep"]["metrics"] = [{"name": "ber"}]
@@ -336,7 +349,30 @@ def test_cli_schema_errors_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert cli.main(["sweep", "--config", str(bad)]) == 1
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"]["stop"] = math.inf
+    assert cli.main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
     capsys.readouterr()
+
+
+ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["capacity", *ONE_POINT, "--zeta", "0"], "channel.zeta: must be > 0"),
+    (["capacity", *ONE_POINT, "--zeta", "2.0", "--mu", "1.5"],
+     "channel.mu: must lie in (0, 1]"),
+    (["capacity", "--alpha", "4.2", "--zeta", "2.0", "--mean-snr-db", "10"],
+     "channel: alpha and beta must be given together"),
+    (["mc", "--metric", "ber", *ONE_POINT, "--zeta", "2.0"],
+     "metric: ber needs a scheme"),
+    (["mc", "--metric", "mgf", "--s", "-1", *ONE_POINT, "--zeta", "2.0"],
+     "metric: mgf needs s > 0"),
+])
+def test_cli_field_errors_name_the_field(capsys, argv, message):
+    # the CLI's channel and MC flags go through the JSON config parser
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_numerical_failures_exit_two(monkeypatch, capsys):

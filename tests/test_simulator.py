@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -185,18 +184,6 @@ def test_std_error_scales_with_sample_count():
     e1 = estimate_metric("capacity", chan, McConfig(250_000, seed=5))
     e4 = estimate_metric("capacity", chan, McConfig(1_000_000, seed=5))
     assert e4.std_error == pytest.approx(e1.std_error / 2.0, rel=0.2)
-
-
-def test_insufficient_samples_warns():
-    chan = McChannel(zeta2=1.21, alpha=4.9477, beta=1.2310, a=1,
-                     mean_snr_h=10.0, mean_snr_g=10.0)
-    with pytest.warns(RuntimeWarning, match="standard error"):
-        estimate_metric("capacity", chan, McConfig(2_000, seed=6),
-                        target_std_error=1e-9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        estimate_metric("capacity", chan, McConfig(2_000, seed=6),
-                        target_std_error=1.0)
 
 
 # ---------------------------------------------------------------------------
