@@ -74,7 +74,11 @@ def _given(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 
 
 def _distribution(args: argparse.Namespace) -> SnrDistribution:
-    sc = scenario_spec(_given(args, _CHANNEL_KEYS), "channel")
+    given = _given(args, _CHANNEL_KEYS)
+    if not {"preset", "alpha", "beta"} & given.keys():
+        # the cn2 geometry that a JSON scenario may give has no flag here
+        raise ConfigError("channel: give --preset, or --alpha and --beta")
+    sc = scenario_spec(given, "channel")
     return distribution(sc, 10.0 ** (sc.mean_snr_db / 10.0))
 
 
@@ -129,7 +133,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--s", type=float, required=True)
         if "--scheme" in extra:
             p.add_argument("--scheme", required=True,
-                           choices=[s.name for s in ModulationScheme])
+                           help="CBFSK, NBFSK, CBPSK or DBPSK (any case)")
         if name == "outage":
             p.add_argument("--gamma-th-db", type=float)
             p.add_argument("--rate", type=float)
@@ -141,7 +145,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", required=True,
                    choices=["outage", "capacity", "ber", "mgf"])
     p.add_argument("--gamma-th-db", type=float)
-    p.add_argument("--scheme", choices=[s.name for s in ModulationScheme])
+    p.add_argument("--scheme", help="BER scheme, as for the ber command")
     p.add_argument("--s", type=float)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)

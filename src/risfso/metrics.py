@@ -29,7 +29,6 @@ __all__ = [
     "ergodic_capacity",
     "ergodic_capacity_by_quadrature",
     "outage_probability",
-    "solve_mean_snr_db",
 ]
 
 # relative tolerance of the quadrature twins
@@ -321,25 +320,3 @@ def asymptotic_ber(dist: SnrDistribution,
     object.__setattr__(report, "ber_estimate", est)
     object.__setattr__(report, "coding_gain", gc)
     return report
-
-
-def solve_mean_snr_db(metric_at_mean_snr, target: float,
-                      lo_db: float, hi_db: float,
-                      tol_db: float = 1e-4) -> float:
-    """Mean SNR in dB where a decreasing metric crosses ``target``.
-
-    ``metric_at_mean_snr`` maps a linear mean SNR to the metric value.
-    """
-    f_lo = metric_at_mean_snr(10.0 ** (lo_db / 10.0))
-    f_hi = metric_at_mean_snr(10.0 ** (hi_db / 10.0))
-    if not (f_lo >= target >= f_hi):
-        raise ValueError(
-            f"target {target:g} not bracketed on [{lo_db:g}, {hi_db:g}] dB "
-            f"(metric spans [{f_hi:g}, {f_lo:g}])")
-    while hi_db - lo_db > tol_db:
-        mid = 0.5 * (lo_db + hi_db)
-        if metric_at_mean_snr(10.0 ** (mid / 10.0)) > target:
-            lo_db = mid
-        else:
-            hi_db = mid
-    return 0.5 * (lo_db + hi_db)

@@ -5,7 +5,6 @@ from .meijerg import (
     EvalResult,
     MeijerGError,
     MeijerGSpec,
-    PoleCollisionError,
     meijer_g,
 )
 from .quadrature import QuadratureResult, gauss_kronrod
@@ -15,7 +14,6 @@ __all__ = [
     "EvalResult",
     "MeijerGError",
     "MeijerGSpec",
-    "PoleCollisionError",
     "QuadratureResult",
     "gauss_kronrod",
     "loggamma_complex",

@@ -7,12 +7,11 @@ axis, which keeps cancellation mild both deep in the small-argument tail
 and near saturation.
 
 Coincident lower parameters, which the closed forms of this package
-produce routinely, need no treatment: the line never meets a pole.  When
-a leading upper parameter sits a positive integer above a leading lower
-one, the two families interleave and no straight line separates them.
-``_separate_families`` reopens a unit-deep overlap by a symmetric 1e-6
-perturbation, and a second evaluation at half that offset bounds the
-bias; a deeper overlap raises ``PoleCollisionError``.
+produce routinely, need no treatment: the line never meets a pole.  The
+closed forms keep every leading upper parameter at or below 1 and every
+leading lower one above 0, so the two families never touch.  A spec
+whose families touch or interleave has no separating strip and raises
+``ContourError``.
 
 All gamma factors are accumulated in log space, so instances whose
 G-value spans hundreds of orders of magnitude stay representable; an
@@ -34,12 +33,10 @@ __all__ = [
     "EvalResult",
     "MeijerGError",
     "MeijerGSpec",
-    "PoleCollisionError",
     "meijer_g",
 ]
 
 _COLLISION_TOL = 1e-9
-_PERTURB_EPS = 1e-6
 
 
 class MeijerGError(Exception):
@@ -48,10 +45,6 @@ class MeijerGError(Exception):
 
 class ContourError(MeijerGError):
     """The vertical-line integral cannot converge; message says why."""
-
-
-class PoleCollisionError(MeijerGError):
-    """Numerator gamma poles collide even after perturbation."""
 
 
 @dataclass(frozen=True)
@@ -92,69 +85,15 @@ class MeijerGSpec:
         """m + n - (p + q)/2; the contour decays like exp(-pi*this*|t|)."""
         return self.m + self.n - 0.5 * (self.p + self.q)
 
-    def reflected(self) -> "MeijerGSpec":
-        """Equivalent spec with inverted argument and swapped families."""
-        return MeijerGSpec(
-            m=self.n,
-            n=self.m,
-            a_params=tuple(1.0 - b for b in self.b_params),
-            b_params=tuple(1.0 - a for a in self.a_params),
-            argument=1.0 / self.argument,
-        )
-
 
 @dataclass(frozen=True)
 class EvalResult:
     value: float
     abs_error_estimate: float
     method: str
+    # always empty, since meijer_g perturbs no parameter; kept because the
+    # benchmark tracer (bench/tracing.py) reads it for meijerg.perturbed_frac
     perturbation_note: str = field(default="", compare=False)
-
-
-def _forbidden_pairs(spec: MeijerGSpec) -> list[tuple[int, int, int]]:
-    """(k, j, integer) triples where a_k - b_j sits on a positive integer.
-
-    Such pairs interleave the two pole families and no straight contour
-    can separate them without perturbation.
-    """
-    out = []
-    for k in range(spec.n):
-        for j in range(spec.m):
-            diff = spec.a_params[k] - spec.b_params[j]
-            r = round(diff)
-            if r >= 1 and abs(diff - r) < _COLLISION_TOL:
-                out.append((k, j, int(r)))
-    return out
-
-
-def _separate_families(spec: MeijerGSpec) -> tuple[MeijerGSpec, str]:
-    pairs = _forbidden_pairs(spec)
-    if not pairs:
-        return spec, ""
-    # pull the families toward each other: only a unit-deep overlap can
-    # be reopened by a tiny perturbation
-    a = list(spec.a_params)
-    b = list(spec.b_params)
-    for k, j, _ in pairs:
-        a[k] -= _PERTURB_EPS
-        b[j] += _PERTURB_EPS
-    fixed = MeijerGSpec(spec.m, spec.n, tuple(a), tuple(b), spec.argument)
-    try:
-        still_forbidden = bool(_forbidden_pairs(fixed))
-        if not still_forbidden:
-            _contour_strip(fixed)
-    except ContourError as exc:
-        raise PoleCollisionError(
-            f"pole families interleave too deeply for the +-{_PERTURB_EPS:g} "
-            f"perturbation at (a,b) index pairs {[(k, j) for k, j, _ in pairs]}: "
-            f"{exc}") from None
-    if still_forbidden:
-        raise PoleCollisionError(
-            f"pole families still interleave after +-{_PERTURB_EPS:g} "
-            f"perturbation: {pairs}")
-    note = "separated pole families by +-%g at (a,b) index pairs %s" % (
-        _PERTURB_EPS, [(k, j) for k, j, _ in pairs])
-    return fixed, note
 
 
 def _chi_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,10 +114,9 @@ def _chi_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array(weight)[:, None])
 
 
-def _log_chi(spec: MeijerGSpec, s: np.ndarray,
-             tables: tuple | None = None) -> np.ndarray:
+def _log_chi(s: np.ndarray, tables: tuple) -> np.ndarray:
     """Log of the gamma-ratio kernel at points s of the complex plane."""
-    offs, slope, weight = tables if tables is not None else _chi_tables(spec)
+    offs, slope, weight = tables
     lg = loggamma_complex(offs + slope * s[None, :])
     return (weight * lg).sum(axis=0)
 
@@ -195,8 +133,7 @@ def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def _pick_sigma(spec: MeijerGSpec, lnz: float, lo: float, hi: float,
-                tables: tuple) -> float:
+def _pick_sigma(lnz: float, lo: float, hi: float, tables: tuple) -> float:
     if math.isinf(lo):
         lo = hi - 40.0
     if math.isinf(hi):
@@ -205,7 +142,7 @@ def _pick_sigma(spec: MeijerGSpec, lnz: float, lo: float, hi: float,
     g_lo, g_hi = lo + pad, hi - pad
     for _ in range(3):  # coarse-to-fine scan, one vectorized call per round
         grid = np.linspace(g_lo, g_hi, 17)
-        obj = np.real(_log_chi(spec, grid.astype(np.complex128), tables)) + grid * lnz
+        obj = np.real(_log_chi(grid.astype(np.complex128), tables)) + grid * lnz
         obj[~np.isfinite(obj)] = np.inf
         i = int(np.argmin(obj))
         g_lo, g_hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
@@ -238,11 +175,11 @@ def _contour_value(spec: MeijerGSpec, log_prefactor: float,
     lnz = math.log(spec.argument)
     lo, hi = _contour_strip(spec)
     tables = _chi_tables(spec)
-    sigma = _pick_sigma(spec, lnz, lo, hi, tables)
+    sigma = _pick_sigma(lnz, lo, hi, tables)
 
     def weight(t: np.ndarray) -> np.ndarray:
         s = sigma + 1j * t
-        return np.exp(_log_chi(spec, s, tables) + s * lnz + log_prefactor)
+        return np.exp(_log_chi(s, tables) + s * lnz + log_prefactor)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return weight(t).real
@@ -286,18 +223,7 @@ def _contour_value(spec: MeijerGSpec, log_prefactor: float,
 def meijer_g(spec: MeijerGSpec, *, log_prefactor: float = 0.0,
              rel_tol: float = 1e-10) -> EvalResult:
     """Evaluate exp(log_prefactor) * G(spec) by contour integration."""
-    work, note = _separate_families(spec)
-    value, err = _contour_value(work, log_prefactor, rel_tol)
-    if note:
-        # one-sided refresh at half the offset bounds the perturbation bias
-        half = MeijerGSpec(
-            work.m, work.n,
-            tuple(0.5 * (x + y) for x, y in zip(work.a_params, spec.a_params)),
-            tuple(0.5 * (x + y) for x, y in zip(work.b_params, spec.b_params)),
-            work.argument)
-        v_half, e_half = _contour_value(half, log_prefactor, rel_tol)
-        err += abs(v_half - value) + e_half
-        value = v_half
+    value, err = _contour_value(spec, log_prefactor, rel_tol)
     if not math.isfinite(value):
         raise MeijerGError(f"contour evaluation returned {value!r}")
-    return EvalResult(value, err, "contour", note)
+    return EvalResult(value, err, "contour")

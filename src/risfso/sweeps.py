@@ -35,7 +35,6 @@ __all__ = [
     "distribution",
     "emit",
     "link_scenario",
-    "load_curves",
     "mc_estimate",
     "metric_spec",
     "parse_config",
@@ -127,6 +126,17 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
+def _field(obj: dict, key: str, path: str, convert=float, default=None):
+    """``convert(obj[key])``, or ``default`` when ``key`` is absent; a
+    value that ``convert`` rejects raises ConfigError naming the field."""
+    if key not in obj:
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from None
+
+
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -161,21 +171,20 @@ def link_scenario(fields: dict, zeta: float, detection: DetectionMode,
     from .presets import WAVELENGTH_NM  # local import to avoid a cycle
 
     f = {**_LINK_DEFAULTS, **fields}
-    if "wavelength_nm" in f:
-        wavelength_nm = float(f["wavelength_nm"])
-    else:
+    wavelength_nm = _field(f, "wavelength_nm", path)
+    if wavelength_nm is None:
         color = str(f["color"])
         _require(color in WAVELENGTH_NM, f"{path}.color",
                  f"must be one of {sorted(WAVELENGTH_NM)}")
         wavelength_nm = WAVELENGTH_NM[color]
     return LinkScenario(
         wavelength=wavelength_nm * 1e-9,
-        distance=float(f["distance_m"]),
-        aperture_diameter=float(f["aperture_diameter_mm"]) * 1e-3,
-        cn2=float(f["cn2"]),
-        receiver_radius=float(f["receiver_radius_m"]),
-        beam_waist=float(f["beam_waist_m"]),
-        attenuation=float(f["attenuation_per_km"]) * 1e-3,
+        distance=_field(f, "distance_m", path),
+        aperture_diameter=_field(f, "aperture_diameter_mm", path) * 1e-3,
+        cn2=_field(f, "cn2", path),
+        receiver_radius=_field(f, "receiver_radius_m", path),
+        beam_waist=_field(f, "beam_waist_m", path),
+        attenuation=_field(f, "attenuation_per_km", path) * 1e-3,
         zeta=zeta,
         detection=detection,
     )
@@ -212,11 +221,13 @@ def scenario_spec(obj: dict, path: str) -> ScenarioSpec:
     _check_keys(obj, allowed, path)
 
     _require("zeta" in obj, path, "zeta is required")
-    zeta = float(obj["zeta"])
+    zeta = _field(obj, "zeta", path)
     _require(zeta > 0, f"{path}.zeta", "must be > 0")
-    detection = DetectionMode.from_name(str(obj.get("detection", "hd")))
-    mean_snr_db = float(obj["mean_snr_db"]) if "mean_snr_db" in obj else None
-    mu = float(obj.get("mu", 1.0))
+    detection = _field(obj, "detection", path,
+                       lambda v: DetectionMode.from_name(str(v)),
+                       DetectionMode.HD)
+    mean_snr_db = _field(obj, "mean_snr_db", path)
+    mu = _field(obj, "mu", path, default=1.0)
     _require(0.0 < mu <= 1.0, f"{path}.mu", "must lie in (0, 1]")
 
     if "preset" in obj:
@@ -224,8 +235,8 @@ def scenario_spec(obj: dict, path: str) -> ScenarioSpec:
     elif "alpha" in obj or "beta" in obj:
         _require("alpha" in obj and "beta" in obj, path,
                  "alpha and beta must be given together")
-        alpha = float(obj["alpha"])
-        beta = float(obj["beta"])
+        alpha = _field(obj, "alpha", path)
+        beta = _field(obj, "beta", path)
         _require(alpha > 0, f"{path}.alpha", "must be > 0")
         _require(beta > 0, f"{path}.beta", "must be > 0")
     elif "cn2" in obj:
@@ -251,17 +262,18 @@ def metric_spec(obj: dict, path: str, variable: str | None) -> MetricSpec:
     name = str(obj["name"])
     _require(name in ("outage", "capacity", "ber", "mgf"), f"{path}.name",
              "must be one of outage, capacity, ber, mgf")
-    gamma_th_db = float(obj["gamma_th_db"]) if "gamma_th_db" in obj else None
+    gamma_th_db = _field(obj, "gamma_th_db", path)
     scheme = str(obj["scheme"]).upper() if "scheme" in obj else None
-    s = float(obj["s"]) if "s" in obj else None
+    s = _field(obj, "s", path)
     mc = bool(obj.get("mc", False))
-    samples = int(obj.get("samples", 200_000))
+    samples = _field(obj, "samples", path, int, 200_000)
     _require(samples >= 1, f"{path}.samples", "must be >= 1")
     if name == "outage" and variable != "gamma_th_db":
         _require(gamma_th_db is not None, path, "outage needs gamma_th_db")
     if name == "ber":
         _require(scheme is not None, path, "ber needs a scheme")
-        ModulationScheme.from_name(scheme)
+        _field(obj, "scheme", path,
+               lambda v: ModulationScheme.from_name(str(v)))
     if name == "mgf":
         _require(s is not None and s > 0, path, "mgf needs s > 0")
     return MetricSpec(name=name, gamma_th_db=gamma_th_db, scheme=scheme,
@@ -295,7 +307,8 @@ def parse_config(path: str) -> SweepSpec:
              f"must be one of {VARIABLES}")
     for key in ("start", "stop", "step"):
         _require(key in sw, f"sweep.{key}", "is required")
-        _require(math.isfinite(float(sw[key])), f"sweep.{key}", "must be finite")
+        _require(math.isfinite(_field(sw, key, "sweep")), f"sweep.{key}",
+                 "must be finite")
     start, stop, step = float(sw["start"]), float(sw["stop"]), float(sw["step"])
     _require(step > 0, "sweep.step", "must be > 0")
     _require(stop >= start, "sweep.stop", "must be >= start")
@@ -315,7 +328,7 @@ def parse_config(path: str) -> SweepSpec:
     return SweepSpec(variable=variable, start=start, stop=stop, step=step,
                      metrics=metrics, scenarios=scenarios,
                      gbar_interpretation=interp,
-                     seed=int(sw.get("seed", 0)),
+                     seed=_field(sw, "seed", "sweep", int, 0),
                      output_path=sw.get("output"),
                      output_format=str(sw.get("format", "csv")))
 
@@ -457,11 +470,3 @@ def emit(curves: list[MetricCurve], fmt: str, path: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"output: cannot write {path!r} ({exc})") from None
-
-
-def load_curves(path: str) -> list[MetricCurve]:
-    """Read back curves from a JSON file written by emit()."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [MetricCurve(x=c["x"], y=c["y"], meta=c["meta"])
-            for c in payload["curves"]]

@@ -7,7 +7,9 @@ from functools import cache
 from pathlib import Path
 
 from risfso.channel import DetectionMode, cascade_from_constants
+from risfso.special import MeijerGSpec
 from risfso.statistics import RisElement, SnrDistribution
+from risfso.sweeps import MetricCurve
 
 # (level, alpha, beta): the three turbulence rows used by the sweeps
 TABLE2_LEVELS = [
@@ -52,3 +54,44 @@ def leading_log_factor(report, mean_snr_db: float) -> float:
     ln_gbar = mean_snr_db / 10.0 * math.log(10.0)
     return sum(c * ln_gbar ** k
                for k, c in enumerate(report.leading_coefficients))
+
+
+def reflected(spec: MeijerGSpec) -> MeijerGSpec:
+    """Equivalent spec with inverted argument and swapped families."""
+    return MeijerGSpec(
+        m=spec.n,
+        n=spec.m,
+        a_params=tuple(1.0 - b for b in spec.b_params),
+        b_params=tuple(1.0 - a for a in spec.a_params),
+        argument=1.0 / spec.argument,
+    )
+
+
+def solve_mean_snr_db(metric_at_mean_snr, target: float,
+                      lo_db: float, hi_db: float,
+                      tol_db: float = 1e-4) -> float:
+    """Mean SNR in dB where a decreasing metric crosses ``target``.
+
+    ``metric_at_mean_snr`` maps a linear mean SNR to the metric value.
+    """
+    f_lo = metric_at_mean_snr(10.0 ** (lo_db / 10.0))
+    f_hi = metric_at_mean_snr(10.0 ** (hi_db / 10.0))
+    if not (f_lo >= target >= f_hi):
+        raise ValueError(
+            f"target {target:g} not bracketed on [{lo_db:g}, {hi_db:g}] dB "
+            f"(metric spans [{f_hi:g}, {f_lo:g}])")
+    while hi_db - lo_db > tol_db:
+        mid = 0.5 * (lo_db + hi_db)
+        if metric_at_mean_snr(10.0 ** (mid / 10.0)) > target:
+            lo_db = mid
+        else:
+            hi_db = mid
+    return 0.5 * (lo_db + hi_db)
+
+
+def load_curves(path: str) -> list[MetricCurve]:
+    """Read back curves from a JSON file written by ``sweeps.emit``."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    return [MetricCurve(x=c["x"], y=c["y"], meta=c["meta"])
+            for c in payload["curves"]]

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from conftest import load_curves
 from risfso import cli
 from risfso.presets import figure_preset
 from risfso.special import MeijerGError
@@ -16,7 +17,6 @@ from risfso.sweeps import (
     ScenarioSpec,
     SweepSpec,
     emit,
-    load_curves,
     parse_config,
     run_sweep,
 )
@@ -352,7 +352,15 @@ def test_cli_schema_errors_exit_one(capsys, tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["sweep"]["stop"] = math.inf
     assert cli.main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    assert cli.main(["ber", *ONE_POINT, "--zeta", "2.0", "--scheme", "foo"]) == 1
     capsys.readouterr()
+    # values the parser cannot convert name their field
+    for key, value in (("detection", "foo"), ("zeta", "abc")):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["scenarios"][0][key] = value
+        assert cli.main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: scenarios[0].{key}: ")
 
 
 ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
@@ -368,11 +376,32 @@ ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
      "metric: ber needs a scheme"),
     (["mc", "--metric", "mgf", "--s", "-1", *ONE_POINT, "--zeta", "2.0"],
      "metric: mgf needs s > 0"),
+    (["capacity", *ONE_POINT, "--zeta", "2.0", "--detection", "foo"],
+     "channel.detection: unknown detection mode 'foo' (use 'hd' or 'imdd')"),
+    (["mc", "--metric", "ber", "--scheme", "foo", *ONE_POINT, "--zeta", "2.0"],
+     "metric.scheme: unknown modulation scheme 'foo'; "
+     "choose from ['CBFSK', 'NBFSK', 'CBPSK', 'DBPSK']"),
+    (["capacity", "--zeta", "2.0", "--mean-snr-db", "10"],
+     "channel: give --preset, or --alpha and --beta"),
 ])
 def test_cli_field_errors_name_the_field(capsys, argv, message):
     # the CLI's channel and MC flags go through the JSON config parser
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", *ONE_POINT, "--zeta", "2.0"],
+    ["asymptote", *ONE_POINT, "--zeta", "2.0"],
+    ["mc", "--metric", "ber", *ONE_POINT, "--zeta", "2.0",
+     "--samples", "2000", "--seed", "3"],
+], ids=["ber", "asymptote", "mc"])
+def test_cli_scheme_is_case_insensitive(capsys, argv):
+    outputs = []
+    for scheme in ("CBFSK", "cbfsk"):
+        assert cli.main([*argv, "--scheme", scheme]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_numerical_failures_exit_two(monkeypatch, capsys):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from conftest import FIG_COLORS, TABLE2_LEVELS, leading_log_factor, make_dist
+from conftest import (
+    FIG_COLORS,
+    TABLE2_LEVELS,
+    leading_log_factor,
+    make_dist,
+    solve_mean_snr_db,
+)
 from risfso.metrics import (
     ModulationScheme,
     asymptotic_ber,
@@ -16,7 +22,6 @@ from risfso.metrics import (
     ergodic_capacity,
     ergodic_capacity_by_quadrature,
     outage_probability,
-    solve_mean_snr_db,
 )
 from risfso.simulator import McChannel, McConfig, estimate_metric, sample_end_to_end_snr
 from risfso.statistics import cdf

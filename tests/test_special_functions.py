@@ -18,11 +18,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import kv as scipy_kv
 
-from conftest import meijer_references
+from conftest import meijer_references, reflected
 from risfso.special import (
     ContourError,
     MeijerGSpec,
-    PoleCollisionError,
     gauss_kronrod,
     loggamma_complex,
     meijer_g,
@@ -134,7 +133,7 @@ def test_reflection_identity():
     ]
     for spec in specs:
         direct = meijer_g(spec)
-        mirrored = meijer_g(spec.reflected())
+        mirrored = meijer_g(reflected(spec))
         assert mirrored.value == pytest.approx(direct.value, rel=1e-8)
 
 
@@ -192,18 +191,12 @@ def test_contour_rejects_nonpositive_decay_index():
         meijer_g(MeijerGSpec(1, 1, (0.3, 0.9), (0.7, 0.1), 0.5))
 
 
-def test_forbidden_pole_pair_is_perturbed():
-    # upper minus lower exactly one: the families touch and the
-    # perturbation reopens a separating strip
-    res = meijer_g(MeijerGSpec(1, 1, (1.0,), (0.0, -3.2), 0.6))
-    assert math.isfinite(res.value)
-    assert "separated pole families" in res.perturbation_note
-
-
-def test_deep_interleaving_raises_pole_collision():
-    # upper minus lower of two or more cannot be fixed by perturbation
-    with pytest.raises(PoleCollisionError):
-        meijer_g(MeijerGSpec(1, 1, (2.0,), (0.0, -3.2), 0.6))
+@pytest.mark.parametrize("upper", [1.0, 2.0], ids=["unit-deep", "two-deep"])
+def test_touching_pole_families_raise_contour_error(upper):
+    # a leading upper parameter a positive integer above a leading lower
+    # one: the families touch and no vertical line separates them
+    with pytest.raises(ContourError, match=r"separating strip .* is empty"):
+        meijer_g(MeijerGSpec(1, 1, (upper,), (0.0, -3.2), 0.6))
 
 
 def test_eval_result_invariants():
