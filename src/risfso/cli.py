@@ -30,6 +30,7 @@ from .special import MeijerGError
 from .statistics import SnrDistribution, cdf, mgf, pdf
 from .sweeps import (
     ConfigError,
+    _field,
     distribution,
     emit,
     link_scenario,
@@ -170,9 +171,9 @@ def _run(args: argparse.Namespace) -> int:
         if args.wavelength_nm is None and args.color is None:
             raise ConfigError("give --wavelength-nm or --color")
         fields = {k: v for k, v in vars(args).items() if v is not None}
-        scenario = link_scenario(fields, args.zeta,
-                                 DetectionMode.from_name(args.detection),
-                                 "params")
+        detection = _field(fields, "detection", "params",
+                           DetectionMode.from_name)
+        scenario = link_scenario(fields, args.zeta, detection, "params")
         turb = alpha_beta(scenario)
         point = pointing_state(scenario)
         _print_result({
@@ -186,6 +187,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if cmd in ("pdf", "cdf", "mgf", "outage", "capacity", "ber", "asymptote"):
         dist = _distribution(args)
+        scheme = _field(vars(args), "scheme", "metric", ModulationScheme.from_name)
         if cmd == "pdf":
             value = pdf(dist, 10.0 ** (args.gamma_db / 10.0))
         elif cmd == "cdf":
@@ -200,10 +202,9 @@ def _run(args: argparse.Namespace) -> int:
         elif cmd == "capacity":
             value = ergodic_capacity(dist)
         elif cmd == "ber":
-            value = average_ber(dist, ModulationScheme.from_name(args.scheme))
+            value = average_ber(dist, scheme)
         else:
-            report = asymptotic_ber(dist,
-                                    ModulationScheme.from_name(args.scheme))
+            report = asymptotic_ber(dist, scheme)
             _print_result({
                 "diversity_order": report.diversity_order,
                 "coding_gain": report.coding_gain,

@@ -17,8 +17,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, polygamma, zeta
 
 from .channel import DetectionMode
-from .special import MeijerGSpec, meijer_g
-from .statistics import SnrDistribution, cdf, pdf
+from .special import MeijerGSpec
+from .statistics import ClosedForm, SnrDistribution, cdf, evaluate, pdf
 
 __all__ = [
     "AsymptoteReport",
@@ -26,6 +26,8 @@ __all__ = [
     "average_ber",
     "average_ber_by_quadrature",
     "asymptotic_ber",
+    "ber_form",
+    "capacity_form",
     "ergodic_capacity",
     "ergodic_capacity_by_quadrature",
     "outage_probability",
@@ -83,15 +85,19 @@ def outage_probability(dist: SnrDistribution, gamma_th: float | None = None, *,
     return cdf(dist, gamma_th)
 
 
-def ergodic_capacity(dist: SnrDistribution) -> float:
-    """Mean achievable rate E[log2(1 + chi * SNR)] in bits/s/Hz."""
+def capacity_form(dist: SnrDistribution) -> ClosedForm:
+    """Closed form of the ergodic capacity."""
     p = dist.params
     upper = (0.0, 1.0) + p.delta1
     lower = p.delta2 + (0.0, 0.0)
     z = p.q0 / (DetectionMode(p.a).chi * dist.mean_snr)
     spec = MeijerGSpec(6 * p.a + 2, 1, upper, lower, z)
-    lp = p.log_m0 - math.log(math.log(2.0))
-    return meijer_g(spec, log_prefactor=lp).value
+    return ClosedForm(spec, p.log_m0 - math.log(math.log(2.0)))
+
+
+def ergodic_capacity(dist: SnrDistribution) -> float:
+    """Mean achievable rate E[log2(1 + chi * SNR)] in bits/s/Hz."""
+    return evaluate(capacity_form(dist))
 
 
 def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
@@ -112,16 +118,20 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
     return val / math.log(2.0)
 
 
-def average_ber(dist: SnrDistribution, scheme: ModulationScheme) -> float:
-    """Average bit error probability of the given binary scheme."""
+def ber_form(dist: SnrDistribution, scheme: ModulationScheme) -> ClosedForm:
+    """Closed form of the average BER of the given binary scheme."""
     p = dist.params
     sp, sq = scheme.p, scheme.q
     upper = (1.0 - sp, 1.0) + p.delta1
     lower = p.delta2 + (0.0,)
     z = p.q0 / (sq * dist.mean_snr)
     spec = MeijerGSpec(6 * p.a, 2, upper, lower, z)
-    lp = p.log_m0 - math.log(2.0) - math.lgamma(sp)
-    return meijer_g(spec, log_prefactor=lp).value
+    return ClosedForm(spec, p.log_m0 - math.log(2.0) - math.lgamma(sp))
+
+
+def average_ber(dist: SnrDistribution, scheme: ModulationScheme) -> float:
+    """Average bit error probability of the given binary scheme."""
+    return evaluate(ber_form(dist, scheme))
 
 
 def average_ber_by_quadrature(dist: SnrDistribution,

@@ -6,6 +6,7 @@ from .meijerg import (
     MeijerGError,
     MeijerGSpec,
     meijer_g,
+    meijer_g_batch,
 )
 from .quadrature import QuadratureResult, gauss_kronrod
 
@@ -18,4 +19,5 @@ __all__ = [
     "gauss_kronrod",
     "loggamma_complex",
     "meijer_g",
+    "meijer_g_batch",
 ]

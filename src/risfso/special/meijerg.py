@@ -1,10 +1,14 @@
 """Meijer-G evaluation on positive real arguments.
 
-``meijer_g`` integrates the defining Mellin-Barnes integral along a
-vertical line placed inside the strip separating the two pole families.
-The abscissa is chosen by minimizing the integrand magnitude on the real
-axis, which keeps cancellation mild both deep in the small-argument tail
-and near saturation.
+``meijer_g_batch`` integrates the defining Mellin-Barnes integral of
+each instance along a vertical line placed inside the strip separating
+the two pole families.  The abscissa is chosen by minimizing the
+integrand magnitude on the real axis, which keeps cancellation mild both
+deep in the small-argument tail and near saturation.  Every instance
+keeps its own line, segments and adaptive panels; the instances of a
+batch only share the log-gamma calls of each refinement round, so a
+value does not depend on the batch it is evaluated in.  ``meijer_g`` is
+a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gammafn import loggamma_complex
-from .quadrature import gauss_kronrod
+from .quadrature import MAX_PANELS, kronrod_nodes, kronrod_sums
 
 __all__ = [
     "ContourError",
@@ -34,9 +38,17 @@ __all__ = [
     "MeijerGError",
     "MeijerGSpec",
     "meijer_g",
+    "meijer_g_batch",
 ]
 
 _COLLISION_TOL = 1e-9
+# the line integral gives up after this many segments, each 1.7x longer
+_MAX_SEGMENTS = 48
+# the 17 abscissae of one round of the scan for sigma, as fractions
+_SCAN = np.arange(17) / 16.0
+# contour nodes per log-gamma call: the first rounds of a long curve hold
+# a few thousand, and chunks keep their temporaries near 0.3 MB
+_CHUNK = 1024
 
 
 class MeijerGError(Exception):
@@ -96,29 +108,90 @@ class EvalResult:
     perturbation_note: str = field(default="", compare=False)
 
 
-def _chi_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-gamma-factor (offset, sign of s, weight) so the kernel is one
-    batched log-gamma call: log chi(s) = sum_k w_k logGamma(c_k + e_k s)."""
+def _table(factors: dict[tuple[float, float], float]) -> np.ndarray:
+    """Rows (offset, sign of s, weight) of the factors with nonzero weight."""
+    kept = [(c, e, w) for (c, e), w in factors.items() if w != 0.0]
+    return np.array(kept, dtype=np.float64).reshape(-1, 3).T
+
+
+def _chi_tables(spec: MeijerGSpec) -> np.ndarray:
+    """Rows (offset c, sign e of s, weight w), one column per gamma factor
+    of the kernel: log chi(s) = sum_k w_k logGamma(c_k + e_k s).
+
+    Factors with equal (offset, sign) merge and their weights add;
+    factors whose weights cancel drop out.  The cascade closed forms list
+    every parameter twice, and under IM/DD the (zeta^2 + 1)/2 factor sits
+    in both the numerator and the denominator.
+    """
     m, n = spec.m, spec.n
     a, b = spec.a_params, spec.b_params
-    offs, slope, weight = [], [], []
-    for j in range(m):
-        offs.append(b[j]); slope.append(-1.0); weight.append(1.0)
-    for j in range(n):
-        offs.append(1.0 - a[j]); slope.append(1.0); weight.append(1.0)
-    for j in range(m, spec.q):
-        offs.append(1.0 - b[j]); slope.append(1.0); weight.append(-1.0)
-    for j in range(n, spec.p):
-        offs.append(a[j]); slope.append(-1.0); weight.append(-1.0)
-    return (np.array(offs)[:, None], np.array(slope)[:, None],
-            np.array(weight)[:, None])
+    factors = ([(b[j], -1.0, 1.0) for j in range(m)]
+               + [(1.0 - a[j], 1.0, 1.0) for j in range(n)]
+               + [(1.0 - b[j], 1.0, -1.0) for j in range(m, spec.q)]
+               + [(a[j], -1.0, -1.0) for j in range(n, spec.p)])
+    merged: dict[tuple[float, float], float] = {}
+    for offset, slope, weight in factors:
+        merged[offset, slope] = merged.get((offset, slope), 0.0) + weight
+    return _table(merged)
 
 
-def _log_chi(s: np.ndarray, tables: tuple) -> np.ndarray:
-    """Log of the gamma-ratio kernel at points s of the complex plane."""
-    offs, slope, weight = tables
-    lg = loggamma_complex(offs + slope * s[None, :])
-    return (weight * lg).sum(axis=0)
+def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of ``_chi_tables`` with unit shifts folded out, as
+    (log-gamma rows, log rows): log chi(s) = sum_k w_k logGamma(c_k + e_k s)
+    + sum_j v_j log(d_j + f_j s).
+
+    logGamma(c + 1 + e s) = logGamma(c + e s) + log(c + e s), so a factor
+    whose offset lies exactly one above another's, with the same sign of
+    s, moves its weight onto that factor and onto a log.  The closed forms
+    pair zeta^2 with zeta^2 + 1 and Gamma(s) with Gamma(1 + s), and log is
+    much cheaper than log-gamma.
+    """
+    gamma = {(c, e): w for c, e, w in zip(*_chi_tables(spec))}
+    logs: dict[tuple[float, float], float] = {}
+    for c, e in sorted(gamma, reverse=True):  # chains fold downwards
+        base = next((k for k in gamma if k[1] == e and k[0] + 1.0 == c), None)
+        if base is not None:
+            w = gamma.pop((c, e))
+            gamma[base] += w
+            logs[base] = logs.get(base, 0.0) + w
+    return _table(gamma), _table(logs)
+
+
+class _Kernels:
+    """The kernels of a batch of instances with equally many log-gamma and
+    log factors, one row each: sigma (set once chosen), ln z, log
+    prefactor, then the offsets, signs and weights of the factors, the
+    log-gamma ones first.  A kernel value is a sum along its instance's
+    row, so it does not depend on the other instances of the batch."""
+
+    def __init__(self, tables: list[tuple[np.ndarray, np.ndarray]],
+                 lnz: list[float], log_prefactor: list[float]) -> None:
+        self.gamma_width = tables[0][0].shape[1]
+        self.width = self.gamma_width + tables[0][1].shape[1]
+        self.rows = np.column_stack([
+            np.zeros(len(tables)), lnz, log_prefactor,
+            [np.concatenate([g, lg], axis=1).ravel() for g, lg in tables]])
+
+    def log_chi(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Log of the gamma-ratio kernel at s[i], for the instance whose
+        row is rows[i]."""
+        k, kg = self.width, self.gamma_width
+        # the arguments c + e s, overwritten in place by the terms
+        terms = rows[:, 3:3 + k] + rows[:, 3 + k:3 + 2 * k] * s[:, None]
+        loggamma_complex(terms[:, :kg], out=terms[:, :kg])
+        np.log(terms[:, kg:], out=terms[:, kg:])
+        terms *= rows[:, 3 + 2 * k:]
+        return np.add.reduce(terms, axis=1)
+
+    def integrand(self, t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """The Mellin-Barnes integrand w(sigma + i t) of instance owner[i]
+        at t[i], in chunks of ``_CHUNK`` nodes."""
+        w = np.empty(t.size, dtype=np.complex128)
+        for i in range(0, t.size, _CHUNK):
+            rows = self.rows[owner[i:i + _CHUNK]]
+            s = rows[:, 0] + 1j * t[i:i + _CHUNK]
+            w[i:i + _CHUNK] = np.exp(self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2])
+        return w
 
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
@@ -133,19 +206,25 @@ def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def _pick_sigma(lnz: float, lo: float, hi: float, tables: tuple) -> float:
-    if math.isinf(lo):
-        lo = hi - 40.0
-    if math.isinf(hi):
-        hi = lo + 40.0
-    pad = min(0.35, 0.02 * (hi - lo))
+def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per instance, the abscissa in (lo, hi) that minimizes the integrand
+    on the real axis, from a coarse-to-fine 17-point scan."""
+    lo = np.where(np.isinf(lo), hi - 40.0, lo)
+    hi = np.where(np.isinf(hi), lo + 40.0, hi)
+    pad = np.minimum(0.35, 0.02 * (hi - lo))
     g_lo, g_hi = lo + pad, hi - pad
-    for _ in range(3):  # coarse-to-fine scan, one vectorized call per round
-        grid = np.linspace(g_lo, g_hi, 17)
-        obj = np.real(_log_chi(grid.astype(np.complex128), tables)) + grid * lnz
-        obj[~np.isfinite(obj)] = np.inf
-        i = int(np.argmin(obj))
-        g_lo, g_hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    index = np.arange(len(lo))
+    rows = kernels.rows[np.repeat(index, _SCAN.size)]
+    for _ in range(3):  # one batched call per round
+        # np.linspace(g_lo, g_hi, 17) per row, bit for bit
+        grid = g_lo[:, None] + _SCAN * (g_hi - g_lo)[:, None]
+        grid[:, -1] = g_hi
+        flat = grid.ravel()
+        obj = (np.real(kernels.log_chi(flat.astype(np.complex128), rows))
+               + flat * rows[:, 1]).reshape(grid.shape)
+        i = np.argmin(np.where(np.isfinite(obj), obj, np.inf), axis=1)
+        g_lo = grid[index, np.maximum(i - 1, 0)]
+        g_hi = grid[index, np.minimum(i + 1, _SCAN.size - 1)]
     return 0.5 * (g_lo + g_hi)
 
 
@@ -165,65 +244,179 @@ def _tail_bound(env_lo: float, env_hi: float, width: float,
     return env_hi / (min(rate, secant) if secant > 0.0 else rate)
 
 
-def _contour_value(spec: MeijerGSpec, log_prefactor: float,
-                   rel_tol: float) -> tuple[float, float]:
-    delta = spec.decay_index
-    if delta <= 0.0:
-        raise ContourError(
-            f"decay index m+n-(p+q)/2 = {delta:g} is not positive; "
-            "the vertical-line integral diverges for this shape")
-    lnz = math.log(spec.argument)
-    lo, hi = _contour_strip(spec)
-    tables = _chi_tables(spec)
-    sigma = _pick_sigma(lnz, lo, hi, tables)
+def _finished(total: float, err: float) -> EvalResult | MeijerGError:
+    value = float(total / math.pi)
+    if not math.isfinite(value):
+        return MeijerGError(f"contour evaluation returned {value!r}")
+    return EvalResult(value, float(err / math.pi), "contour")
 
-    def weight(t: np.ndarray) -> np.ndarray:
-        s = sigma + 1j * t
-        return np.exp(_log_chi(s, tables) + s * lnz + log_prefactor)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return weight(t).real
+def _integrate(kernels: _Kernels, rate: list[float],
+               rel_tol: float) -> list[EvalResult | MeijerGError]:
+    """The line integrals of all instances, in lockstep.
 
-    rate = delta * math.pi
-    t_hi = max(8.0, 12.0 / rate)
-    total = 0.0
-    err = 0.0
-    amplitude = 0.0
-    t_lo = 0.0
-    env_lo = 0.0  # |weight(t_lo)| once t_lo > 0
+    Each instance integrates t over [0, t_hi], then over segments each
+    1.7 times longer, until the envelope bound on the rest falls below
+    its tolerance.  Each segment is refined by adaptive 15/7
+    Gauss-Kronrod bisection.  A round evaluates the new panels of every
+    open segment, and w at the ends of every segment just begun, in one
+    batched integrand call.
+    """
+    count = len(rate)
     inner_rel = max(1e-13, 0.03 * rel_tol)
-    for _ in range(48):
-        res = gauss_kronrod(integrand, t_lo, t_hi,
-                            rel_tol=inner_rel,
-                            abs_tol=0.1 * rel_tol * abs(total))
-        total += res.value
-        err += res.error
-        amplitude += res.abs_integral
-        # the envelope, not the oscillating real part, which can sit
-        # near a zero at t_hi
-        w_hi = complex(weight(np.array([t_hi]))[0])
-        tail = abs(w_hi) / rate
-        budget = rel_tol * max(abs(total), 1e-300)
-        if tail < 0.05 * budget and (t_lo > 0.0 or tail == 0.0 or abs(res.value) < budget):
-            if t_lo == 0.0:
-                env_lo = abs(complex(weight(np.array([0.0]))[0]))
-            err += _tail_bound(env_lo, abs(w_hi), t_hi - t_lo, rate)
-            break
-        t_lo = t_hi
-        t_hi *= 1.7
-        env_lo = abs(w_hi)
-    else:
-        raise ContourError(f"contour tail still {tail:.2e} at t = {t_hi:.1f}")
+    results: list = [None] * count
+    t_lo = [0.0] * count
+    t_hi = [max(8.0, 12.0 / r) for r in rate]
+    total = [0.0] * count
+    err = [0.0] * count
+    amplitude = [0.0] * count
+    env_lo = [0.0] * count  # |w(t_lo)|
+    w_hi = [0j] * count  # w(t_hi)
+    segments = [0] * count
+    seg_abs_tol = np.zeros(count)  # 0.1 rel_tol |total| at the segment's start
 
-    # cancellation floor: the result is a sum of terms of size ~amplitude
-    err += 3e-16 * amplitude
-    return total / math.pi, err / math.pi
+    # open panels, one column each: midpoint, half-width, value, error,
+    # |f| integral.  Each instance's panels stay in an order set by its
+    # own refinement alone, so its sums do not depend on the batch.
+    panels = np.empty((5, 0))
+    owner = no_owner = np.empty(0, dtype=np.intp)
+    mid = half = 0.5 * np.array(t_hi)  # the panels to evaluate
+    new_owner = np.arange(count)
+    end_owner = np.concatenate([new_owner, new_owner])
+    end_t = np.concatenate([t_hi, np.zeros(count)])
+    while new_owner.size:
+        pts = kronrod_nodes(mid, half)
+        w = kernels.integrand(np.concatenate([pts.ravel(), end_t]),
+                              np.concatenate([np.repeat(new_owner, pts.shape[1]),
+                                              end_owner]))
+        if end_owner.size:
+            for i, t_end, w_end in zip(end_owner.tolist(), end_t.tolist(),
+                                       w[pts.size:].tolist()):
+                if t_end == t_lo[i]:
+                    env_lo[i] = abs(w_end)
+                else:
+                    w_hi[i] = w_end
+        sums = kronrod_sums(w[:pts.size].real.reshape(pts.shape), half)
+        panels = np.concatenate([panels, np.array([mid, half, *sums])], axis=1)
+        owner = np.concatenate([owner, new_owner])
+
+        n = np.bincount(owner, minlength=count)
+        seg_val = np.bincount(owner, panels[2], count)
+        seg_err = np.bincount(owner, panels[3], count)
+        tol = np.maximum(seg_abs_tol, inner_rel * np.abs(seg_val))
+        # an error estimate that is not a number ends the segment too
+        done = (n > 0) & ~(seg_err > tol)
+        if n.max() >= MAX_PANELS:
+            done |= n >= MAX_PANELS
+        # split every panel holding more than its share of the error
+        # budget; the worst panel of a segment over its tolerance holds
+        # more than tol / n, so every open segment splits.  Instances
+        # without panels get no share (n = 0).
+        worst = np.zeros(count)
+        np.maximum.at(worst, owner, panels[3])
+        share = np.maximum(0.5 * tol / n, 0.25 * worst)
+        open_panel = ~done[owner]
+        split = (panels[3] >= share[owner]) & open_panel
+
+        next_owner = []
+        if done.any():
+            seg_abs = np.bincount(owner, panels[4], count)
+        for i in np.flatnonzero(done).tolist():
+            total[i] += float(seg_val[i])
+            err[i] += float(seg_err[i])
+            amplitude[i] += float(seg_abs[i])
+            # the envelope, not the oscillating real part, which can sit
+            # near a zero at t_hi
+            env_hi = abs(w_hi[i])
+            tail = env_hi / rate[i]
+            budget = rel_tol * max(abs(total[i]), 1e-300)
+            if not math.isfinite(total[i]):
+                results[i] = _finished(total[i], err[i])
+            elif tail < 0.05 * budget and (t_lo[i] > 0.0 or tail == 0.0
+                                          or abs(seg_val[i]) < budget):
+                bound = _tail_bound(env_lo[i], env_hi, t_hi[i] - t_lo[i], rate[i])
+                # cancellation floor: the result is a sum of terms of size
+                # ~amplitude
+                results[i] = _finished(total[i], err[i] + bound + 3e-16 * amplitude[i])
+            elif segments[i] == _MAX_SEGMENTS - 1:
+                results[i] = ContourError(
+                    f"contour tail still {tail:.2e} at t = {1.7 * t_hi[i]:.1f}")
+            else:
+                segments[i] += 1
+                t_lo[i], t_hi[i] = t_hi[i], 1.7 * t_hi[i]
+                env_lo[i] = env_hi
+                seg_abs_tol[i] = 0.1 * rel_tol * abs(total[i])
+                next_owner.append(i)
+
+        # the halves of the split panels, then the first panel of each
+        # segment begun
+        mid, half = panels[:2, split]
+        half = 0.5 * half
+        halved = owner[split]
+        mid, half, new_owner = [mid - half, mid + half], [half, half], [halved, halved]
+        end_owner, end_t = no_owner, end_t[:0]
+        if next_owner:
+            end_owner = np.array(next_owner)
+            end_t = np.array([t_hi[i] for i in next_owner])
+            start = np.array([t_lo[i] for i in next_owner])
+            mid.append(0.5 * (start + end_t))
+            half.append(0.5 * (end_t - start))
+            new_owner.append(end_owner)
+        mid, half, new_owner = (np.concatenate(x) for x in (mid, half, new_owner))
+        keep = open_panel & ~split
+        panels, owner = panels[:, keep], owner[keep]
+    return results
+
+
+def meijer_g_batch(specs: list[MeijerGSpec], log_prefactors: list[float], *,
+                   rel_tol: float = 1e-10) -> list[EvalResult | MeijerGError]:
+    """Evaluate exp(log_prefactors[i]) * G(specs[i]) for every i together.
+
+    Slot i of the result holds the EvalResult of instance i, or the
+    MeijerGError it failed with; one failure leaves the other instances
+    unaffected.  Each value equals the one ``meijer_g`` returns.
+    Instances with equally many kernel factors (all the points of a sweep
+    curve) share one lockstep pass.
+    """
+    results: list = [None] * len(specs)
+    groups: dict[tuple[int, int], list[tuple]] = {}
+    # the points of a curve mostly share their parameters
+    tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    for i, spec in enumerate(specs):
+        delta = spec.decay_index
+        try:
+            if delta <= 0.0:
+                raise ContourError(
+                    f"decay index m+n-(p+q)/2 = {delta:g} is not positive; "
+                    "the vertical-line integral diverges for this shape")
+            strip = _contour_strip(spec)
+        except ContourError as exc:
+            results[i] = exc
+            continue
+        key = (spec.m, spec.n, spec.a_params, spec.b_params)
+        if key not in tables:
+            tables[key] = _kernel_tables(spec)
+        table = tables[key]
+        groups.setdefault((table[0].shape[1], table[1].shape[1]), []).append(
+            (i, table, strip, delta * math.pi, math.log(spec.argument),
+             float(log_prefactors[i])))
+    for group in groups.values():
+        index, kernel_tables, strips, rates, lnz, log_prefactor = zip(*group)
+        kernels = _Kernels(kernel_tables, lnz, log_prefactor)
+        lo, hi = np.array(strips).T
+        kernels.rows[:, 0] = _pick_sigma(kernels, lo, hi)
+        # a value that is not finite fails its own instance only
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            evaluated = _integrate(kernels, rates, rel_tol)
+        for i, res in zip(index, evaluated):
+            results[i] = res
+    return results
 
 
 def meijer_g(spec: MeijerGSpec, *, log_prefactor: float = 0.0,
              rel_tol: float = 1e-10) -> EvalResult:
     """Evaluate exp(log_prefactor) * G(spec) by contour integration."""
-    value, err = _contour_value(spec, log_prefactor, rel_tol)
-    if not math.isfinite(value):
-        raise MeijerGError(f"contour evaluation returned {value!r}")
-    return EvalResult(value, err, "contour")
+    res = meijer_g_batch([spec], [log_prefactor], rel_tol=rel_tol)[0]
+    if isinstance(res, MeijerGError):
+        raise res
+    return res

@@ -6,24 +6,34 @@ each per-hop SNR follows the unified pointing-error/turbulence law.
 Closed forms for the PDF, CDF and MGF are single Meijer-G evaluations;
 each one is paired with a direct-quadrature implementation of the
 integral it solves, used as an independent validation path.
+
+A ``ClosedForm`` holds one such evaluation before it is made:
+``evaluate`` makes it alone, ``evaluate_batch`` makes many in one
+batched contour pass, with the same values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from scipy.integrate import quad
 
 from .channel import CascadeParams
-from .special import MeijerGSpec, meijer_g
+from .special import MeijerGError, MeijerGSpec, meijer_g, meijer_g_batch
 
 __all__ = [
+    "ClosedForm",
     "RisElement",
     "SnrDistribution",
     "cdf",
     "cdf_by_quadrature",
+    "cdf_form",
+    "evaluate",
+    "evaluate_batch",
     "mgf",
+    "mgf_form",
     "mgf_by_quadrature",
     "pdf",
     "pdf_by_product_integral",
@@ -99,6 +109,52 @@ class SnrDistribution:
                            p.q0 / (self.mean_snr * s))
 
 
+class ClosedForm(NamedTuple):
+    """exp(log_prefactor) * G(spec), clamped to [0, 1] if a probability."""
+
+    spec: MeijerGSpec
+    log_prefactor: float
+    probability: bool = False
+
+    def finish(self, value: float) -> float:
+        """The statistic from its contour value.  Near saturation the
+        contour value of a probability carries rounding of order 1e-13
+        and can land just above one."""
+        return min(max(value, 0.0), 1.0) if self.probability else value
+
+
+def evaluate(form: ClosedForm | float) -> float:
+    """Value of one closed form; a float is a value known exactly."""
+    if isinstance(form, float):
+        return form
+    return form.finish(meijer_g(form.spec, log_prefactor=form.log_prefactor).value)
+
+
+def evaluate_batch(forms: list[ClosedForm]) -> list[float | MeijerGError]:
+    """``evaluate`` of every form in one batched contour pass; a form whose
+    evaluation fails holds its MeijerGError instead."""
+    results = meijer_g_batch([f.spec for f in forms],
+                             [f.log_prefactor for f in forms])
+    return [res if isinstance(res, MeijerGError) else form.finish(res.value)
+            for form, res in zip(forms, results)]
+
+
+def cdf_form(dist: SnrDistribution, gamma: float) -> ClosedForm | float:
+    """Closed form of P(SNR <= gamma), or its exact value 0 at gamma = 0."""
+    if gamma < 0.0:
+        raise ValueError(f"cdf needs gamma >= 0, got {gamma!r}")
+    if gamma == 0.0:
+        return 0.0
+    return ClosedForm(dist.cdf_spec(gamma), dist.params.log_m0, probability=True)
+
+
+def mgf_form(dist: SnrDistribution, s: float) -> ClosedForm:
+    """Closed form of E[exp(-s SNR)]."""
+    if not s > 0.0:
+        raise ValueError(f"mgf needs s > 0, got {s!r}")
+    return ClosedForm(dist.mgf_spec(s), dist.params.log_m0, probability=True)
+
+
 def _pdf_unguarded(dist: SnrDistribution, gamma: float) -> float:
     # quadrature oracles integrate through the guard band: with decay
     # exponents below one the density still carries ~1e-5 of mass past
@@ -121,17 +177,8 @@ def pdf(dist: SnrDistribution, gamma: float) -> float:
 
 
 def cdf(dist: SnrDistribution, gamma: float) -> float:
-    """P(SNR <= gamma) for gamma >= 0, clamped to [0, 1].
-
-    Near saturation the contour value carries rounding of order 1e-13
-    and can land just above one.
-    """
-    if gamma < 0.0:
-        raise ValueError(f"cdf needs gamma >= 0, got {gamma!r}")
-    if gamma == 0.0:
-        return 0.0
-    value = meijer_g(dist.cdf_spec(gamma), log_prefactor=dist.params.log_m0).value
-    return min(max(value, 0.0), 1.0)
+    """P(SNR <= gamma) for gamma >= 0, clamped to [0, 1]."""
+    return evaluate(cdf_form(dist, gamma))
 
 
 def mgf(dist: SnrDistribution, s: float) -> float:
@@ -140,10 +187,7 @@ def mgf(dist: SnrDistribution, s: float) -> float:
     As s goes to zero the contour value carries rounding of order 1e-12
     and can land just above one.
     """
-    if not s > 0.0:
-        raise ValueError(f"mgf needs s > 0, got {s!r}")
-    value = meijer_g(dist.mgf_spec(s), log_prefactor=dist.params.log_m0).value
-    return min(max(value, 0.0), 1.0)
+    return evaluate(mgf_form(dist, s))
 
 
 def subchannel_pdf(dist: SnrDistribution, gamma_i: float,

@@ -2,9 +2,10 @@
 
 A sweep is a grid over one variable (mean SNR in dB, outage threshold
 in dB, or the pointing ratio zeta) evaluated for every scenario-metric
-combination.  Evaluation failures at single grid points are recorded as
-NaN gaps with a diagnostic in the curve metadata rather than aborting
-the sweep.
+combination.  The closed-form points of a curve are evaluated together,
+in one batched contour pass.  Evaluation failures at single grid points
+are recorded as NaN gaps with a diagnostic in the curve metadata rather
+than aborting the sweep.
 """
 from __future__ import annotations
 
@@ -16,15 +17,17 @@ import warnings
 from dataclasses import dataclass
 
 from .channel import DetectionMode, LinkScenario, alpha_beta, cascade_from_constants
-from .metrics import (
-    ModulationScheme,
-    average_ber,
-    ergodic_capacity,
-    outage_probability,
-)
+from .metrics import ModulationScheme, ber_form, capacity_form
 from .simulator import McChannel, McConfig, McEstimate, estimate_metric
 from .special import MeijerGError
-from .statistics import RisElement, SnrDistribution, mgf
+from .statistics import (
+    ClosedForm,
+    RisElement,
+    SnrDistribution,
+    cdf_form,
+    evaluate_batch,
+    mgf_form,
+)
 
 __all__ = [
     "ConfigError",
@@ -355,19 +358,50 @@ def distribution(sc: ScenarioSpec, mean_snr: float, zeta: float | None = None
 
 
 def _eval_point(metric: MetricSpec, dist: SnrDistribution,
-                gamma_th_db: float | None, seed: int) -> float:
+                gamma_th_db: float | None, seed: int) -> ClosedForm | float:
+    """One grid point: its Monte Carlo estimate, or the closed form that
+    ``run_sweep`` evaluates together with the rest of the curve."""
     if metric.mc:
         cfg = McConfig(sample_count=metric.samples, seed=seed)
         return mc_estimate(metric, dist, cfg, gamma_th_db).mean
     if metric.name == "outage":
-        return outage_probability(dist, 10.0 ** (gamma_th_db / 10.0))
+        return cdf_form(dist, 10.0 ** (gamma_th_db / 10.0))
     if metric.name == "capacity":
-        return ergodic_capacity(dist)
+        return capacity_form(dist)
     if metric.name == "ber":
-        return average_ber(dist, ModulationScheme.from_name(metric.scheme))
+        return ber_form(dist, ModulationScheme.from_name(metric.scheme))
     if metric.name == "mgf":
-        return mgf(dist, metric.s)
+        return mgf_form(dist, metric.s)
     raise ConfigError(f"metric.name: unknown metric {metric.name!r}")
+
+
+def _curve(spec: SweepSpec, sc: ScenarioSpec, metric: MetricSpec,
+           grid: list[float]) -> tuple[list[float], list[str]]:
+    """Values of one curve over the grid, and its failures as
+    ``x=<x>: <message>``; a point that failed is NaN."""
+    points: list[ClosedForm | float | MeijerGError] = []
+    for x in grid:
+        zeta = sc.zeta
+        gamma_th_db = metric.gamma_th_db
+        if spec.variable == "mean_snr_db":
+            mean_snr = _mean_snr_linear(x, spec.gbar_interpretation)
+        else:
+            mean_snr = _mean_snr_linear(sc.mean_snr_db, spec.gbar_interpretation)
+            if spec.variable == "gamma_th_db":
+                gamma_th_db = x
+            else:
+                zeta = x
+        try:
+            points.append(_eval_point(metric, distribution(sc, mean_snr, zeta),
+                                      gamma_th_db, spec.seed))
+        except MeijerGError as exc:
+            points.append(exc)
+    values = iter(evaluate_batch([p for p in points if isinstance(p, ClosedForm)]))
+    points = [next(values) if isinstance(p, ClosedForm) else p for p in points]
+    ys = [math.nan if isinstance(p, MeijerGError) else float(p) for p in points]
+    failures = [f"x={x:g}: {p}" for x, p in zip(grid, points)
+                if isinstance(p, MeijerGError)]
+    return ys, failures
 
 
 def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
@@ -378,27 +412,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     curves: list[MetricCurve] = []
     for sc in spec.scenarios:
         for metric in spec.metrics:
-            ys: list[float] = []
-            failures: list[str] = []
-            for x in grid:
-                zeta = sc.zeta
-                gamma_th_db = metric.gamma_th_db
-                if spec.variable == "mean_snr_db":
-                    mean_snr = _mean_snr_linear(x, spec.gbar_interpretation)
-                else:
-                    mean_snr = _mean_snr_linear(sc.mean_snr_db,
-                                                spec.gbar_interpretation)
-                    if spec.variable == "gamma_th_db":
-                        gamma_th_db = x
-                    else:
-                        zeta = x
-                try:
-                    dist = distribution(sc, mean_snr, zeta)
-                    ys.append(float(_eval_point(metric, dist, gamma_th_db,
-                                                spec.seed)))
-                except MeijerGError as exc:
-                    ys.append(math.nan)
-                    failures.append(f"x={x:g}: {exc}")
+            ys, failures = _curve(spec, sc, metric, grid)
             meta = {
                 "curve": f"{sc.label}|{metric.label()}",
                 "label": sc.label,

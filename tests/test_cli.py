@@ -186,14 +186,14 @@ def test_point_failures_recorded_as_gaps(monkeypatch):
     # one bad grid point yields NaN plus a diagnostic, not an abort
     import risfso.sweeps as sweeps_mod
 
-    real = sweeps_mod.outage_probability
+    real = sweeps_mod.cdf_form
 
-    def flaky(dist, gamma_th):
+    def flaky(dist, gamma):
         if abs(dist.mean_snr - 10.0 ** 2.2) < 1e-6:
             raise MeijerGError("synthetic failure at 22 dB")
-        return real(dist, gamma_th)
+        return real(dist, gamma)
 
-    monkeypatch.setattr(sweeps_mod, "outage_probability", flaky)
+    monkeypatch.setattr(sweeps_mod, "cdf_form", flaky)
     spec = SweepSpec(variable="mean_snr_db", start=20.0, stop=24.0, step=2.0,
                      metrics=(MetricSpec(name="outage", gamma_th_db=6.0),),
                      scenarios=(ScenarioSpec("x", 4.2, 2.5, 2.0),))
@@ -201,6 +201,31 @@ def test_point_failures_recorded_as_gaps(monkeypatch):
     assert math.isnan(curve.y[1])
     assert math.isfinite(curve.y[0]) and math.isfinite(curve.y[2])
     assert "synthetic failure" in curve.meta["failures"]
+
+
+def test_failure_inside_the_curve_batch_leaves_the_other_points(monkeypatch):
+    # the closed-form points of a curve are evaluated together; one that
+    # fails in that pass becomes a gap and the others keep their values
+    import risfso.special.meijerg as meijerg_mod
+
+    spec = SweepSpec(variable="mean_snr_db", start=20.0, stop=26.0, step=2.0,
+                     metrics=(MetricSpec(name="outage", gamma_th_db=6.0),),
+                     scenarios=(ScenarioSpec("x", 4.2, 2.5, 2.0),))
+    clean = run_sweep(spec)[0]
+    real, calls = meijerg_mod._contour_strip, []
+
+    def second_fails(mspec):
+        calls.append(mspec)
+        if len(calls) == 2:
+            raise meijerg_mod.ContourError("synthetic failure")
+        return real(mspec)
+
+    monkeypatch.setattr(meijerg_mod, "_contour_strip", second_fails)
+    curve = run_sweep(spec)[0]
+    assert len(calls) == 4
+    assert math.isnan(curve.y[1])
+    assert curve.y[:1] + curve.y[2:] == clean.y[:1] + clean.y[2:]
+    assert curve.meta["failures"] == "x=22: synthetic failure"
 
 
 def test_emit_surfaces_io_error_with_path(tmp_path):
@@ -383,6 +408,15 @@ ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
      "choose from ['CBFSK', 'NBFSK', 'CBPSK', 'DBPSK']"),
     (["capacity", "--zeta", "2.0", "--mean-snr-db", "10"],
      "channel: give --preset, or --alpha and --beta"),
+    (["params", "--color", "red", "--cn2", "1e-14", "--zeta", "2",
+      "--detection", "foo"],
+     "params.detection: unknown detection mode 'foo' (use 'hd' or 'imdd')"),
+    (["ber", "--scheme", "foo", *ONE_POINT, "--zeta", "2.0"],
+     "metric.scheme: unknown modulation scheme 'foo'; "
+     "choose from ['CBFSK', 'NBFSK', 'CBPSK', 'DBPSK']"),
+    (["asymptote", "--scheme", "foo", *ONE_POINT, "--zeta", "2.0"],
+     "metric.scheme: unknown modulation scheme 'foo'; "
+     "choose from ['CBFSK', 'NBFSK', 'CBPSK', 'DBPSK']"),
 ])
 def test_cli_field_errors_name_the_field(capsys, argv, message):
     # the CLI's channel and MC flags go through the JSON config parser

@@ -18,14 +18,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import kv as scipy_kv
 
-from conftest import meijer_references, reflected
+from conftest import make_dist, meijer_references, reflected
 from risfso.special import (
     ContourError,
+    MeijerGError,
     MeijerGSpec,
     gauss_kronrod,
     loggamma_complex,
     meijer_g,
+    meijer_g_batch,
 )
+from risfso.special.meijerg import _chi_tables, _Kernels, _kernel_tables
 
 # ---------------------------------------------------------------------------
 # gamma family
@@ -141,15 +144,96 @@ def test_reflection_identity():
 # Meijer-G: frozen 40-digit references (tests/make_meijer_references.py)
 
 
+def _reference_spec(entry) -> MeijerGSpec:
+    return MeijerGSpec(entry["m"], entry["n"], tuple(entry["a_params"]),
+                       tuple(entry["b_params"]), entry["argument"])
+
+
 @pytest.mark.parametrize("entry", meijer_references(), ids=lambda e: e["label"])
 def test_meijer_matches_frozen_reference(entry):
-    spec = MeijerGSpec(entry["m"], entry["n"], tuple(entry["a_params"]),
-                       tuple(entry["b_params"]), entry["argument"])
+    spec = _reference_spec(entry)
     want = float(entry["value"])
     res = meijer_g(spec)
     err = abs(res.value - want)
     assert err <= 1e-10 * abs(want), (res.value, want)
     assert err <= res.abs_error_estimate, (err, res.abs_error_estimate)
+
+
+def test_batched_references_match_frozen_and_one_at_a_time():
+    # one batch per (m, n, p, q): each value is right, within its own
+    # estimate, and the same as in a batch of one
+    groups: dict[tuple, list] = {}
+    for entry in meijer_references():
+        spec = _reference_spec(entry)
+        groups.setdefault((spec.m, spec.n, spec.p, spec.q), []).append((entry, spec))
+    for group in groups.values():
+        batch = meijer_g_batch([spec for _, spec in group], [0.0] * len(group))
+        for (entry, spec), res in zip(group, batch):
+            want = float(entry["value"])
+            err = abs(res.value - want)
+            assert err <= 1e-10 * abs(want), (entry["label"], res.value, want)
+            assert err <= res.abs_error_estimate, (entry["label"], err)
+            alone = meijer_g(spec).value
+            assert abs(res.value - alone) <= 1e-14 * abs(alone), entry["label"]
+
+
+def test_batch_failures_stay_per_instance():
+    # an empty strip fails at set-up and an overflowing prefactor inside
+    # the contour pass; the other instances keep their values
+    specs = [EXP_SPEC, EXP_SPEC, MeijerGSpec(1, 1, (1.0,), (0.0, -3.2), 0.6),
+             MeijerGSpec(1, 0, (), (0.0,), 2.0)]
+    good, overflow, empty, other = meijer_g_batch(specs, [0.0, 800.0, 0.0, 0.0])
+    assert good == meijer_g(EXP_SPEC)
+    assert other == meijer_g(specs[3])
+    assert isinstance(overflow, MeijerGError)
+    assert "contour evaluation returned" in str(overflow)
+    assert isinstance(empty, ContourError)
+
+
+def _unmerged_log_chi(spec: MeijerGSpec, s: np.ndarray) -> np.ndarray:
+    # one log-gamma per parameter, straight from the Mellin-Barnes kernel
+    a, b, m, n = spec.a_params, spec.b_params, spec.m, spec.n
+    total = np.zeros_like(s)
+    for j in range(spec.q):
+        total += loggamma_complex(b[j] - s) if j < m else -loggamma_complex(1.0 - b[j] + s)
+    for j in range(spec.p):
+        total += loggamma_complex(1.0 - a[j] + s) if j < n else -loggamma_complex(a[j] - s)
+    return total
+
+
+@pytest.mark.parametrize("a, factors, folded", [
+    (1, {"pdf": (8, 4), "cdf": (10, 6), "mgf": (11, 5)},
+     {"pdf": (2, 1), "cdf": (2, 2), "mgf": (3, 1)}),
+    (2, {"pdf": (8, 4), "cdf": (18, 8), "mgf": (19, 7)},
+     {"pdf": (2, 1), "cdf": (4, 2), "mgf": (5, 1)}),
+], ids=["HD", "IM/DD"])
+def test_kernel_tables_merge_equal_and_fold_shifted_factors(a, factors, folded):
+    # the cascade closed forms list every parameter twice, and under IM/DD
+    # the (zeta^2 + 1)/2 factor cancels between numerator and denominator;
+    # then zeta^2 + 1 folds onto zeta^2 and Gamma(1 + s) onto Gamma(s)
+    dist = make_dist(4.9477, 1.2310, 1.1, a, 20.0)
+    specs = {"pdf": dist.pdf_spec(30.0), "cdf": dist.cdf_spec(30.0),
+             "mgf": dist.mgf_spec(0.3)}
+    t = np.linspace(0.0, 60.0, 241)
+    for name, spec in specs.items():
+        offs, slope, weight = _chi_tables(spec)
+        assert (spec.p + spec.q, len(offs)) == factors[name], name
+        tables = _kernel_tables(spec)
+        assert (tables[0].shape[1], tables[1].shape[1]) == folded[name], name
+        hi = min(spec.b_params[:spec.m])
+        sigma = hi - 0.5 if spec.n == 0 else 0.5 * hi
+        s = sigma + 1j * t
+        want = _unmerged_log_chi(spec, s)
+        scale = 1e-13 * np.maximum(1.0, np.abs(want))
+        merged = (weight[:, None] * loggamma_complex(offs[:, None] + slope[:, None] * s)).sum(axis=0)
+        assert np.all(np.abs(merged - want) <= scale), name
+        # the folded kernel sums logs in place of log-gamma differences,
+        # so its imaginary part may differ by a multiple of 2 pi
+        kernels = _Kernels([tables], [0.0], [0.0])
+        got = kernels.log_chi(s, kernels.rows[np.zeros(t.size, dtype=np.intp)])
+        phase = np.angle(np.exp(1j * (got - want).imag))
+        assert np.all(np.abs((got - want).real) <= scale), name
+        assert np.all(np.abs(phase) <= scale), name
 
 
 def test_frozen_references_cover_every_closed_form_shape():
