@@ -13,12 +13,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, polygamma, zeta
 
 from .channel import DetectionMode
-from .special import MeijerGSpec
-from .statistics import ClosedForm, SnrDistribution, cdf, evaluate, pdf
+from .special import MeijerGSpec, gauss_kronrod
+from .statistics import (
+    ClosedForm,
+    SnrDistribution,
+    _cdf_values,
+    _pdf_values,
+    cdf,
+    evaluate,
+)
 
 __all__ = [
     "AsymptoteReport",
@@ -107,14 +113,14 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
     gbar = dist.mean_snr
     c = min(p.delta2)
 
-    def integrand(u: float) -> float:
-        g = gbar * math.exp(u)
-        return math.log1p(chi * g) * pdf(dist, g) * g
+    def integrand(u: np.ndarray) -> np.ndarray:
+        g = gbar * np.exp(u)
+        return np.log1p(chi * g) * _pdf_values(dist, g) * g
 
     lo = -(80.0 / c + 20.0)
     hi = 20.0 * p.a
-    val, _ = quad(integrand, lo, hi, points=[0.0], limit=400,
-                  epsabs=1e-290, epsrel=_TWIN_REL_TOL)
+    val = gauss_kronrod(integrand, lo, hi, _TWIN_REL_TOL, 1e-290,
+                        points=[0.0]).value
     return val / math.log(2.0)
 
 
@@ -143,15 +149,13 @@ def average_ber_by_quadrature(dist: SnrDistribution,
     """
     sp, sq = scheme.p, scheme.q
 
-    def integrand(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
+    def integrand(v: np.ndarray) -> np.ndarray:
         g = v ** (1.0 / sp)
-        return math.exp(-sq * g) * cdf(dist, g)
+        return np.exp(-sq * g) * _cdf_values(dist, g)
 
     v_hi = (45.0 / sq) ** sp
-    val, _ = quad(integrand, 0.0, v_hi, points=[(1.0 / sq) ** sp],
-                  limit=400, epsabs=1e-290, epsrel=_TWIN_REL_TOL)
+    val = gauss_kronrod(integrand, 0.0, v_hi, _TWIN_REL_TOL, 1e-290,
+                        points=[(1.0 / sq) ** sp]).value
     return sq ** sp / (2.0 * math.gamma(sp) * sp) * val
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +50,10 @@ _SCAN = np.arange(17) / 16.0
 # contour nodes per log-gamma call: the first rounds of a long curve hold
 # a few thousand, and chunks keep their temporaries near 0.3 MB
 _CHUNK = 1024
+# panels per piece of a refinement round (15 Kronrod nodes each): a round
+# of a quadrature twin can hold 10^5 nodes, and pieces keep the arrays of
+# its nodes near 0.3 MB; the rounds of a sweep curve are mostly one piece
+_ROUND_PANELS = 4 * _CHUNK // 15
 
 
 class MeijerGError(Exception):
@@ -193,6 +198,29 @@ class _Kernels:
             w[i:i + _CHUNK] = np.exp(self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2])
         return w
 
+    def round_values(self, mid: np.ndarray, half: np.ndarray,
+                     owner: np.ndarray, end_t: np.ndarray,
+                     end_owner: np.ndarray) -> tuple[Sequence[np.ndarray], np.ndarray]:
+        """One refinement round: ``kronrod_sums`` of the real part of the
+        integrand of instance owner[i] on the panel [mid[i] - half[i],
+        mid[i] + half[i]], as rows (value, error, |f| integral), and w at
+        end_t[i] of instance end_owner[i].  A round of more than
+        ``_ROUND_PANELS`` panels goes in pieces of that many, the end
+        points with the first."""
+        if mid.size > _ROUND_PANELS:
+            step = _ROUND_PANELS
+            first, w_end = self.round_values(mid[:step], half[:step], owner[:step],
+                                             end_t, end_owner)
+            pieces = [first] + [
+                self.round_values(mid[j:j + step], half[j:j + step], owner[j:j + step],
+                                  end_t[:0], end_owner[:0])[0]
+                for j in range(step, mid.size, step)]
+            return [np.concatenate(rows) for rows in zip(*pieces)], w_end
+        pts = kronrod_nodes(mid, half)
+        w = self.integrand(np.concatenate([pts.ravel(), end_t]),
+                           np.concatenate([np.repeat(owner, pts.shape[1]), end_owner]))
+        return kronrod_sums(w[:pts.size].real.reshape(pts.shape), half), w[pts.size:]
+
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
     lo = max(spec.a_params[:spec.n]) - 1.0 if spec.n else -math.inf
@@ -259,8 +287,8 @@ def _integrate(kernels: _Kernels, rate: list[float],
     1.7 times longer, until the envelope bound on the rest falls below
     its tolerance.  Each segment is refined by adaptive 15/7
     Gauss-Kronrod bisection.  A round evaluates the new panels of every
-    open segment, and w at the ends of every segment just begun, in one
-    batched integrand call.
+    open segment, and w at the ends of every segment just begun, in
+    batched integrand calls (``_Kernels.round_values``).
     """
     count = len(rate)
     inner_rel = max(1e-13, 0.03 * rel_tol)
@@ -285,18 +313,13 @@ def _integrate(kernels: _Kernels, rate: list[float],
     end_owner = np.concatenate([new_owner, new_owner])
     end_t = np.concatenate([t_hi, np.zeros(count)])
     while new_owner.size:
-        pts = kronrod_nodes(mid, half)
-        w = kernels.integrand(np.concatenate([pts.ravel(), end_t]),
-                              np.concatenate([np.repeat(new_owner, pts.shape[1]),
-                                              end_owner]))
+        sums, w_end = kernels.round_values(mid, half, new_owner, end_t, end_owner)
         if end_owner.size:
-            for i, t_end, w_end in zip(end_owner.tolist(), end_t.tolist(),
-                                       w[pts.size:].tolist()):
+            for i, t_end, w in zip(end_owner.tolist(), end_t.tolist(), w_end.tolist()):
                 if t_end == t_lo[i]:
-                    env_lo[i] = abs(w_end)
+                    env_lo[i] = abs(w)
                 else:
-                    w_hi[i] = w_end
-        sums = kronrod_sums(w[:pts.size].real.reshape(pts.shape), half)
+                    w_hi[i] = w
         panels = np.concatenate([panels, np.array([mid, half, *sums])], axis=1)
         owner = np.concatenate([owner, new_owner])
 

@@ -1,14 +1,19 @@
 """Adaptive Gauss-Kronrod quadrature on a finite interval.
 
-The integrand is called on flat numpy arrays (one call per refinement
-round).  The 15/7 panel rule is also what the batched Meijer-G contour
-integration applies to the panels of many integrals at once.
+The integrand is called on flat numpy arrays, one call per refinement
+round holding the nodes of every new panel.  The quadrature twins of
+the closed forms integrate this way, so each round of a twin is one
+batched Meijer-G evaluation.  The 15/7 panel rule is also what the
+batched Meijer-G contour integration applies to the panels of many
+integrals at once.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+import warnings
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.integrate import IntegrationWarning
 
 __all__ = ["QuadratureResult", "gauss_kronrod"]
 
@@ -75,16 +80,23 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
 def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray],
                   a: float, b: float,
                   rel_tol: float = 1e-11,
-                  abs_tol: float = 0.0) -> QuadratureResult:
-    """Integrate f over [a, b], bisecting the worst panels each round."""
-    lo = np.array([a], dtype=np.float64)
-    hi = np.array([b], dtype=np.float64)
+                  abs_tol: float = 0.0,
+                  points: Sequence[float] = ()) -> QuadratureResult:
+    """Integrate f over [a, b], bisecting the worst panels each round.
+
+    The first panels run between a, the interior breakpoints ``points``
+    (ascending) and b.  Refinement stops when the error estimate meets
+    max(abs_tol, rel_tol |value|), when it is not a number, or at
+    ``MAX_PANELS`` panels; the last two warn with IntegrationWarning.
+    """
+    edges = np.array([a, *points, b], dtype=np.float64)
+    lo, hi = edges[:-1], edges[1:]
     val, err, absv = _eval_panels(f, lo, hi)
 
     while len(lo) < MAX_PANELS:
-        total = val.sum()
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err.sum() <= tol:
+        tol = max(abs_tol, rel_tol * abs(val.sum()))
+        # an error estimate that is not a number ends the refinement too
+        if not err.sum() > tol:
             break
         # split every panel holding more than its share of the error budget
         share = max(tol / (2.0 * len(lo)), err.max() * 0.25)
@@ -102,6 +114,10 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray],
         err = np.concatenate([err[keep], nerr])
         absv = np.concatenate([absv[keep], nabs])
 
+    if not err.sum() <= max(abs_tol, rel_tol * abs(val.sum())):
+        warnings.warn(f"gauss_kronrod stopped at {len(lo)} panels with error "
+                      f"estimate {err.sum():.3g} above its tolerance",
+                      IntegrationWarning, stacklevel=2)
     # deterministic reduction order for bit-stable results
     order = np.argsort(lo, kind="stable")
     return QuadratureResult(float(val[order].sum()),

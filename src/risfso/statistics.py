@@ -9,19 +9,27 @@ integral it solves, used as an independent validation path.
 
 A ``ClosedForm`` holds one such evaluation before it is made:
 ``evaluate`` makes it alone, ``evaluate_batch`` makes many in one
-batched contour pass, with the same values.
+batched contour pass, with the same values.  The quadrature twins
+integrate with ``gauss_kronrod``, whose integrand takes all the nodes
+of a refinement round at once, so each round is one batched pass.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from scipy.integrate import quad
+import numpy as np
 
 from .channel import CascadeParams
-from .special import MeijerGError, MeijerGSpec, meijer_g, meijer_g_batch
+from .special import (
+    MeijerGError,
+    MeijerGSpec,
+    gauss_kronrod,
+    meijer_g,
+    meijer_g_batch,
+)
 
 __all__ = [
     "ClosedForm",
@@ -46,6 +54,10 @@ __all__ = [
 # call takes 100-190 ms instead of about 2, which the quadrature twins
 # would pay per node
 _RATIO_GUARD = 1e12
+# the cdf twin integrates the density through the guard band up to this
+# ratio: with decay exponents below one the density still carries ~1e-5
+# of mass past ratio 1e-12, which the closed-form CDF accounts for
+_TWIN_GUARD = 1e18
 
 # relative tolerances of the quadrature twins
 _PDF_TWIN_REL_TOL = 1e-7
@@ -155,25 +167,61 @@ def mgf_form(dist: SnrDistribution, s: float) -> ClosedForm:
     return ClosedForm(dist.mgf_spec(s), dist.params.log_m0, probability=True)
 
 
-def _pdf_unguarded(dist: SnrDistribution, gamma: float) -> float:
-    # quadrature oracles integrate through the guard band: with decay
-    # exponents below one the density still carries ~1e-5 of mass past
-    # ratio 1e-12, which the closed-form CDF accounts for
-    ratio = gamma / dist.mean_snr
-    if ratio < 1e-18 or ratio > 1e18:
-        return 0.0
-    lp = math.log(dist.params.a) + 2.0 * dist.params.log_m - math.log(gamma)
-    return meijer_g(dist.pdf_spec(gamma), log_prefactor=lp).value
+def _evaluate_all(forms: list[ClosedForm | float]) -> np.ndarray:
+    """``evaluate`` of every form, the closed forms in one batched
+    contour pass; a form that fails raises its MeijerGError."""
+    values = np.array([f if isinstance(f, float) else 0.0 for f in forms])
+    index = [i for i, f in enumerate(forms) if isinstance(f, ClosedForm)]
+    for i, value in zip(index, evaluate_batch([forms[i] for i in index])):
+        if isinstance(value, MeijerGError):
+            raise value
+        values[i] = value
+    return values
+
+
+def _pdf_values(dist: SnrDistribution, gammas: Sequence[float],
+                guard: float = _RATIO_GUARD) -> np.ndarray:
+    """``pdf`` at every gamma > 0, 0 where gamma / mean SNR lies outside
+    [1 / guard, guard]."""
+    p = dist.params
+    forms: list[ClosedForm | float] = []
+    for gamma in np.asarray(gammas, dtype=np.float64).tolist():
+        ratio = gamma / dist.mean_snr
+        if ratio < 1.0 / guard or ratio > guard:
+            forms.append(0.0)
+        else:
+            lp = math.log(p.a) + 2.0 * p.log_m - math.log(gamma)
+            forms.append(ClosedForm(dist.pdf_spec(gamma), lp))
+    return _evaluate_all(forms)
+
+
+def _subchannel_pdf_values(dist: SnrDistribution, gammas: Sequence[float],
+                           mean_snr_i: float) -> np.ndarray:
+    """``subchannel_pdf`` at every gamma_i > 0."""
+    p = dist.params
+    forms: list[ClosedForm | float] = []
+    for gamma_i in np.asarray(gammas, dtype=np.float64).tolist():
+        ratio = gamma_i / mean_snr_i
+        if ratio < 1.0 / _RATIO_GUARD or ratio > _RATIO_GUARD:
+            forms.append(0.0)
+        else:
+            z = p.big_q * ratio ** (1.0 / p.a)
+            spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta), z)
+            forms.append(ClosedForm(spec, p.log_m - math.log(gamma_i)))
+    return _evaluate_all(forms)
+
+
+def _cdf_values(dist: SnrDistribution, gammas: Sequence[float]) -> np.ndarray:
+    """``cdf`` at every gamma >= 0."""
+    return _evaluate_all([cdf_form(dist, gamma) for gamma in
+                          np.asarray(gammas, dtype=np.float64).tolist()])
 
 
 def pdf(dist: SnrDistribution, gamma: float) -> float:
     """Density of the end-to-end SNR at gamma > 0."""
     if not gamma > 0.0:
         raise ValueError(f"pdf needs gamma > 0, got {gamma!r}")
-    ratio = gamma / dist.mean_snr
-    if ratio < 1.0 / _RATIO_GUARD or ratio > _RATIO_GUARD:
-        return 0.0
-    return _pdf_unguarded(dist, gamma)
+    return float(_pdf_values(dist, [gamma])[0])
 
 
 def cdf(dist: SnrDistribution, gamma: float) -> float:
@@ -195,13 +243,7 @@ def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
     """Density of a single hop's SNR with per-hop mean ``mean_snr_i``."""
     if not gamma_i > 0.0:
         raise ValueError(f"subchannel_pdf needs gamma_i > 0, got {gamma_i!r}")
-    p = dist.params
-    ratio = gamma_i / mean_snr_i
-    if ratio < 1.0 / _RATIO_GUARD or ratio > _RATIO_GUARD:
-        return 0.0
-    z = p.big_q * ratio ** (1.0 / p.a)
-    spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta), z)
-    return meijer_g(spec, log_prefactor=dist.params.log_m - math.log(gamma_i)).value
+    return float(_subchannel_pdf_values(dist, [gamma_i], mean_snr_i)[0])
 
 
 def _product_span(dist: SnrDistribution) -> float:
@@ -223,14 +265,15 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
     gbar_i = math.sqrt(dist.mean_snr)
     t_star = math.sqrt(gamma)  # equal sub-channel arguments here
 
-    def integrand(u: float) -> float:
-        t = t_star * math.exp(u)
-        return subchannel_pdf(dist, t, gbar_i) * subchannel_pdf(dist, gamma / t, gbar_i)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        t = t_star * np.exp(u)
+        # both hop densities of every node in one batch
+        f = _subchannel_pdf_values(dist, np.concatenate([t, gamma / t]), gbar_i)
+        return f[:t.size] * f[t.size:]
 
     span = _product_span(dist)
-    val, _ = quad(integrand, -span, span, points=[0.0],
-                  limit=200, epsabs=0.0, epsrel=_PDF_TWIN_REL_TOL)
-    return val
+    return gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
+                         points=[0.0]).value
 
 
 def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float) -> float:
@@ -252,17 +295,18 @@ def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float) -> float:
     c2 = (gbar_i / gamma) ** (1.0 / a) / p.big_q
     x_star = (1.0 / (c1 * c2)) ** 0.5  # equal arguments at the peak
 
-    def integrand(u: float) -> float:
-        x = x_star * math.exp(u)
-        g1 = meijer_g(MeijerGSpec(3, 0, upper1, lower1, c1 * x)).value
-        g2 = meijer_g(MeijerGSpec(0, 3, upper2, lower2, c2 * x)).value
-        return g1 * g2
+    def integrand(u: np.ndarray) -> np.ndarray:
+        x = (x_star * np.exp(u)).tolist()
+        first = [ClosedForm(MeijerGSpec(3, 0, upper1, lower1, c1 * v), 0.0) for v in x]
+        second = [ClosedForm(MeijerGSpec(0, 3, upper2, lower2, c2 * v), 0.0) for v in x]
+        g = _evaluate_all(first + second)
+        return g[:len(x)] * g[len(x):]
 
     # in the substituted variable the small-side decay exponent is the
     # unsplit min(zeta^2, alpha, beta) = a * min(delta2)
     span = 42.0 / (a * min(dist.params.delta2)) + 6.0
-    val, _ = quad(integrand, -span, span, points=[0.0],
-                  limit=200, epsabs=0.0, epsrel=_PDF_TWIN_REL_TOL)
+    val = gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
+                        points=[0.0]).value
     lp = math.log(a) + 2.0 * dist.params.log_m - math.log(gamma)
     return math.exp(lp) * val
 
@@ -280,13 +324,12 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
         return 0.0
     c = min(dist.params.delta2)
 
-    def integrand(u: float) -> float:
-        x = gamma * math.exp(u)
-        return _pdf_unguarded(dist, x) * x
+    def integrand(u: np.ndarray) -> np.ndarray:
+        x = gamma * np.exp(u)
+        return _pdf_values(dist, x, _TWIN_GUARD) * x
 
-    val, _ = quad(integrand, -(48.0 / c + 5.0), 0.0, limit=200,
-                  epsabs=0.0, epsrel=_TWIN_REL_TOL)
-    return val
+    return gauss_kronrod(integrand, -(48.0 / c + 5.0), 0.0,
+                         _TWIN_REL_TOL, 0.0).value
 
 
 def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
@@ -294,9 +337,8 @@ def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
     if not s > 0.0:
         raise ValueError(f"needs s > 0, got {s!r}")
 
-    def integrand(v: float) -> float:
-        return math.exp(-v) * cdf(dist, v / s)
+    def integrand(v: np.ndarray) -> np.ndarray:
+        return np.exp(-v) * _cdf_values(dist, v / s)
 
-    val, _ = quad(integrand, 0.0, 50.0, points=[0.1, 1.0, 5.0, 20.0],
-                  limit=200, epsabs=0.0, epsrel=_TWIN_REL_TOL)
-    return val
+    return gauss_kronrod(integrand, 0.0, 50.0, _TWIN_REL_TOL, 0.0,
+                         points=[0.1, 1.0, 5.0, 20.0]).value

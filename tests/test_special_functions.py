@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import signal
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import IntegrationWarning
 from scipy.special import kv as scipy_kv
 
 from conftest import make_dist, meijer_references, reflected
@@ -74,6 +76,53 @@ def test_gauss_kronrod_polynomial_and_oscillatory():
     assert err < 1e-12
     val, err, _ = gauss_kronrod(np.cos, 0.0, 40.0)
     assert val == pytest.approx(math.sin(40.0), abs=1e-11)
+
+
+def test_gauss_kronrod_without_breakpoints_keeps_its_values():
+    # (value, error, abs_integral) as float.hex, frozen before breakpoints
+    # were added: a call without them is unchanged to the last bit
+    for f, a, b, want in [
+        (lambda x: np.exp(-x) * np.sin(5.0 * x), 0.0, 10.0,
+         ("0x1.89d47042dd0d2p-3", "0x1.5f7cbe1880000p-41", "0x1.43a4e10cbc5d4p-1")),
+        (np.cos, 0.0, 40.0,
+         ("0x1.7d7f78e027ef0p-1", "0x1.6c75a00000000p-41", "0x1.940fad8ceb4eap+4")),
+        (lambda x: np.abs(x - 0.3), 0.0, 1.0,
+         ("0x1.28f5c28f5b792p-2", "0x1.91fc701514eeap-41", "0x1.28f5c28f5b792p-2")),
+    ]:
+        assert tuple(v.hex() for v in gauss_kronrod(f, a, b)) == want
+        assert tuple(v.hex() for v in gauss_kronrod(f, a, b, points=())) == want
+
+
+def test_gauss_kronrod_breakpoint_at_a_kink():
+    rounds = []
+
+    def kinked(x):
+        rounds.append(x.size)
+        return np.abs(x - 0.3)
+
+    val, err, _ = gauss_kronrod(kinked, 0.0, 1.0, points=[0.3])
+    # linear on both panels: exact in the first round
+    assert val == pytest.approx(0.29, rel=1e-14)
+    assert err < 1e-14
+    assert rounds == [30]
+
+
+def test_gauss_kronrod_stops_on_nan_integrand():
+    # no panel of a NaN integrand passes a split test, so refinement has
+    # to end on the NaN error estimate itself
+    def timeout(signum, frame):
+        raise TimeoutError("gauss_kronrod kept refining a NaN integrand")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.warns(IntegrationWarning):
+            val, err, _ = gauss_kronrod(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not math.isfinite(val)
+    assert not math.isfinite(err)
 
 
 # ---------------------------------------------------------------------------

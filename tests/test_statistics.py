@@ -9,13 +9,22 @@ the intensity-to-SNR mapping gamma = gbar (I/E[I])^a.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import kv as scipy_kv
 
-from conftest import BAND_MEAN_DB, BAND_RATIOS, make_dist, meijer_references
+from conftest import (
+    BAND_MEAN_DB,
+    BAND_RATIOS,
+    TABLE2_LEVELS,
+    make_dist,
+    meijer_references,
+)
+from risfso import metrics, statistics
+from risfso.special import quadrature
 from risfso.simulator import McChannel, sample_end_to_end_snr
 from risfso.statistics import (
     RisElement,
@@ -371,3 +380,80 @@ def test_ris_element_validation():
         RisElement(mu=0.0)
     with pytest.raises(ValueError):
         RisElement(mu=1.2)
+
+
+# ---------------------------------------------------------------------------
+# batched node values of the quadrature twins
+
+
+def test_array_helpers_match_scalar_calls_bit_for_bit():
+    # one decade apart across both guard bands, on the 12 family rows
+    ratios = 10.0 ** np.arange(-20.0, 21.0)
+    for _, alpha, beta in TABLE2_LEVELS:
+        for zeta in (1.1, 6.1):
+            for a in (1, 2):
+                dist = make_dist(alpha, beta, zeta, a, BAND_MEAN_DB)
+                gammas = ratios * dist.mean_snr
+                gbar_i = math.sqrt(dist.mean_snr)
+                for helper, scalar in (
+                        (statistics._pdf_values(dist, gammas),
+                         [pdf(dist, g) for g in gammas.tolist()]),
+                        (statistics._subchannel_pdf_values(dist, ratios * gbar_i, gbar_i),
+                         [subchannel_pdf(dist, g, gbar_i) for g in (ratios * gbar_i).tolist()]),
+                        (statistics._cdf_values(dist, gammas),
+                         [cdf(dist, g) for g in gammas.tolist()])):
+                    assert [v.hex() for v in helper.tolist()] \
+                        == [v.hex() for v in scalar], (alpha, zeta, a)
+                # the densities are exactly 0 outside the guard band
+                outside = (ratios < 1e-12) | (ratios > 1e12)
+                assert np.all(statistics._pdf_values(dist, gammas)[outside] == 0.0)
+
+
+# (distribution row, call) of each of the six quadrature twins
+TWIN_CASES = {
+    "pdf_by_product_integral": (
+        (*BLUE, 6.1, 1, 20.0), lambda d: pdf_by_product_integral(d, 3.0 * d.mean_snr)),
+    "pdf_by_substituted_integral": (
+        (*RED, 6.1, 2, 20.0), lambda d: pdf_by_substituted_integral(d, d.mean_snr)),
+    "cdf_by_quadrature": (
+        (*RED, 6.1, 1, 20.0), lambda d: cdf_by_quadrature(d, 0.01 * d.mean_snr)),
+    "mgf_by_quadrature": ((*BLUE, 6.1, 1, 20.0), lambda d: mgf_by_quadrature(d, 0.1)),
+    "ergodic_capacity_by_quadrature": (
+        (*RED, 1.1, 2, 20.0), metrics.ergodic_capacity_by_quadrature),
+    "average_ber_by_quadrature": (
+        (*RED, 6.1, 1, 20.0),
+        lambda d: metrics.average_ber_by_quadrature(d, metrics.ModulationScheme.CBFSK)),
+}
+
+
+@pytest.mark.parametrize("twin", list(TWIN_CASES))
+def test_twins_make_one_batched_pass_per_round(monkeypatch, twin):
+    row, call = TWIN_CASES[twin]
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def gauss_kronrod(f, *args, **kwargs):
+        return quadrature.gauss_kronrod(counting("rounds", f), *args, **kwargs)
+
+    monkeypatch.setattr(statistics, "meijer_g",
+                        counting("meijer_g", statistics.meijer_g))
+    monkeypatch.setattr(statistics, "meijer_g_batch",
+                        counting("meijer_g_batch", statistics.meijer_g_batch))
+    monkeypatch.setattr(statistics, "gauss_kronrod", gauss_kronrod)
+    monkeypatch.setattr(metrics, "gauss_kronrod", gauss_kronrod)
+    call(make_dist(*row))
+    assert counts["rounds"] > 0
+    assert counts["meijer_g"] == 0
+    assert 0 < counts["meijer_g_batch"] <= counts["rounds"]
+
+
+def test_twin_short_of_its_tolerance_warns(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    dist = make_dist(*RED, 6.1, 1, 20.0)
+    with pytest.warns(IntegrationWarning, match="1 panels"):
+        cdf_by_quadrature(dist, 0.01 * dist.mean_snr)
