@@ -20,10 +20,10 @@ from .special import MeijerGSpec, gauss_kronrod
 from .statistics import (
     ClosedForm,
     SnrDistribution,
-    _cdf_values,
-    _pdf_values,
+    _values,
     cdf,
-    evaluate,
+    cdf_form,
+    pdf_form,
 )
 
 __all__ = [
@@ -103,7 +103,7 @@ def capacity_form(dist: SnrDistribution) -> ClosedForm:
 
 def ergodic_capacity(dist: SnrDistribution) -> float:
     """Mean achievable rate E[log2(1 + chi * SNR)] in bits/s/Hz."""
-    return evaluate(capacity_form(dist))
+    return _values([capacity_form(dist)])[0]
 
 
 def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
@@ -115,7 +115,8 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
 
     def integrand(u: np.ndarray) -> np.ndarray:
         g = gbar * np.exp(u)
-        return np.log1p(chi * g) * _pdf_values(dist, g) * g
+        f = np.array(_values([pdf_form(dist, x) for x in g.tolist()]))
+        return np.log1p(chi * g) * f * g
 
     lo = -(80.0 / c + 20.0)
     hi = 20.0 * p.a
@@ -137,7 +138,7 @@ def ber_form(dist: SnrDistribution, scheme: ModulationScheme) -> ClosedForm:
 
 def average_ber(dist: SnrDistribution, scheme: ModulationScheme) -> float:
     """Average bit error probability of the given binary scheme."""
-    return evaluate(ber_form(dist, scheme))
+    return _values([ber_form(dist, scheme)])[0]
 
 
 def average_ber_by_quadrature(dist: SnrDistribution,
@@ -151,7 +152,8 @@ def average_ber_by_quadrature(dist: SnrDistribution,
 
     def integrand(v: np.ndarray) -> np.ndarray:
         g = v ** (1.0 / sp)
-        return np.exp(-sq * g) * _cdf_values(dist, g)
+        return np.exp(-sq * g) * np.array(_values([cdf_form(dist, x)
+                                                   for x in g.tolist()]))
 
     v_hi = (45.0 / sq) ** sp
     val = gauss_kronrod(integrand, 0.0, v_hi, _TWIN_REL_TOL, 1e-290,
@@ -204,11 +206,35 @@ class AsymptoteReport:
     def evaluate(self, mean_snr: float) -> float:
         """Asymptotic BER at another mean SNR."""
         lnw = math.log(self.kernel_scale * mean_snr / self.argument_scale)
-        total = 0.0
-        for lw, sg, ex, k in zip(self.log_weights, self.weight_signs,
-                                 self.exponents, self.log_powers):
-            total += sg * math.exp(self.log_prefactor + lw - ex * lnw) * lnw ** k
+        return _exp_sum([self.log_prefactor + lw - ex * lnw
+                         for lw, ex in zip(self.log_weights, self.exponents)],
+                        [sg * lnw ** k
+                         for sg, k in zip(self.weight_signs, self.log_powers)])
+
+
+# the largest log whose exp a sum takes unscaled, which leaves the
+# polynomial weights e^109 of headroom
+_EXP_CEILING = 600.0
+
+
+def _signed_exp(sign: float, log_abs: float) -> float:
+    """sign * exp(log_abs) for a sign of -1, 0 or 1; a value past the
+    double range is +-inf."""
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        return sign * math.inf if sign else 0.0
+
+
+def _exp_sum(logs: list[float], weights: list[float]) -> float:
+    """sum_i weights[i] * exp(logs[i]); +-inf past the double range.  Past
+    ``_EXP_CEILING`` every term is scaled by the largest exp(logs[i])
+    before the sum, so that terms never meet as inf - inf."""
+    scale = max(0.0, max(logs) - _EXP_CEILING)
+    total = sum(w * math.exp(lg - scale) for lg, w in zip(logs, weights))
+    if total == 0.0 or scale == 0.0:
         return total
+    return _signed_exp(math.copysign(1.0, total), scale + math.log(abs(total)))
 
 
 _COINCIDENT = 1e-9  # exponents closer than this share one pole
@@ -307,17 +333,17 @@ def asymptotic_ber(dist: SnrDistribution,
     log_pref = p.log_m0 - math.log(2.0) - math.lgamma(sp)
     # leading term in ln(mean_snr): ln w = ln(mean_snr) + shift
     shift = math.log(sq / p.q0)
-    lin = [sg * math.exp(log_pref + lw - diversity * shift) for lw, sg in leading]
+    logs = [log_pref + lw - diversity * shift for lw, _ in leading]
     leading_coefficients = tuple(
-        sum(w * math.comb(k, j) * shift ** (k - j) for k, w in enumerate(lin)
-            if k >= j)
-        for j in range(len(lin)))
+        _exp_sum(logs[j:], [sg * math.comb(k, j) * shift ** (k - j)
+                            for k, (_, sg) in enumerate(leading[j:], j)])
+        for j in range(len(logs)))
 
     report = AsymptoteReport(
         diversity_order=diversity,
         coding_gain=math.nan,
         leading_coefficients=leading_coefficients,
-        term_weights=tuple(sg * math.exp(lw) if lw < 700.0 else sg * math.inf
+        term_weights=tuple(_signed_exp(sg, lw)
                            for lw, sg in zip(log_weights, signs)),
         exponents=tuple(exps),
         log_powers=tuple(powers),

@@ -107,7 +107,6 @@ class MeijerGSpec:
 class EvalResult:
     value: float
     abs_error_estimate: float
-    method: str
     # always empty, since meijer_g perturbs no parameter; kept because the
     # benchmark tracer (bench/tracing.py) reads it for meijerg.perturbed_frac
     perturbation_note: str = field(default="", compare=False)
@@ -276,7 +275,7 @@ def _finished(total: float, err: float) -> EvalResult | MeijerGError:
     value = float(total / math.pi)
     if not math.isfinite(value):
         return MeijerGError(f"contour evaluation returned {value!r}")
-    return EvalResult(value, float(err / math.pi), "contour")
+    return EvalResult(value, float(err / math.pi))
 
 
 def _integrate(kernels: _Kernels, rate: list[float],

@@ -7,27 +7,28 @@ Closed forms for the PDF, CDF and MGF are single Meijer-G evaluations;
 each one is paired with a direct-quadrature implementation of the
 integral it solves, used as an independent validation path.
 
-A ``ClosedForm`` holds one such evaluation before it is made:
-``evaluate`` makes it alone, ``evaluate_batch`` makes many in one
-batched contour pass, with the same values.  The quadrature twins
-integrate with ``gauss_kronrod``, whose integrand takes all the nodes
-of a refinement round at once, so each round is one batched pass.
+Each statistic has one builder (``pdf_form``, ``cdf_form``, ...) that
+returns its ``ClosedForm``, the evaluation before it is made, or the
+value where it is known exactly.  ``evaluate_batch`` is the one
+evaluator: it makes many forms in one batched contour pass, and a
+public scalar call is a batch of one.  The quadrature twins integrate
+with ``gauss_kronrod``, whose integrand takes all the nodes of a
+refinement round at once, so each round is one batch.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import CascadeParams
 from .special import (
+    EvalResult,
     MeijerGError,
     MeijerGSpec,
     gauss_kronrod,
-    meijer_g,
     meijer_g_batch,
 )
 
@@ -38,7 +39,6 @@ __all__ = [
     "cdf",
     "cdf_by_quadrature",
     "cdf_form",
-    "evaluate",
     "evaluate_batch",
     "mgf",
     "mgf_form",
@@ -46,7 +46,9 @@ __all__ = [
     "pdf",
     "pdf_by_product_integral",
     "pdf_by_substituted_integral",
+    "pdf_form",
     "subchannel_pdf",
+    "subchannel_pdf_form",
 ]
 
 # the densities return 0 beyond these ratios: past 1e12 under IM/DD the
@@ -91,35 +93,6 @@ class SnrDistribution:
     def mean_snr(self) -> float:
         return self.params.mean_snr * self.ris.mu ** 2
 
-    @cached_property
-    def _pdf_params(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        p = self.params
-        upper = (p.zeta2 + 1.0, p.zeta2 + 1.0)
-        lower = (p.zeta2, p.alpha, p.beta) * 2
-        return upper, lower
-
-    @cached_property
-    def _cdf_params(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        p = self.params
-        return (1.0,) + p.delta1, p.delta2 + (0.0,)
-
-    def pdf_spec(self, gamma: float) -> MeijerGSpec:
-        p = self.params
-        upper, lower = self._pdf_params
-        z = p.big_q ** 2 * (gamma / self.mean_snr) ** (1.0 / p.a)
-        return MeijerGSpec(6, 0, upper, lower, z)
-
-    def cdf_spec(self, gamma: float) -> MeijerGSpec:
-        p = self.params
-        upper, lower = self._cdf_params
-        return MeijerGSpec(6 * p.a, 1, upper, lower, p.q0 * gamma / self.mean_snr)
-
-    def mgf_spec(self, s: float) -> MeijerGSpec:
-        p = self.params
-        upper, lower = self._cdf_params
-        return MeijerGSpec(6 * p.a, 2, (0.0,) + upper, lower,
-                           p.q0 / (self.mean_snr * s))
-
 
 class ClosedForm(NamedTuple):
     """exp(log_prefactor) * G(spec), clamped to [0, 1] if a probability."""
@@ -128,27 +101,64 @@ class ClosedForm(NamedTuple):
     log_prefactor: float
     probability: bool = False
 
-    def finish(self, value: float) -> float:
-        """The statistic from its contour value.  Near saturation the
-        contour value of a probability carries rounding of order 1e-13
-        and can land just above one."""
-        return min(max(value, 0.0), 1.0) if self.probability else value
+    def finish(self, res: EvalResult | MeijerGError) -> float | MeijerGError:
+        """The statistic from its contour result, or the error the contour
+        failed with.  Near saturation the contour value of a probability
+        carries rounding of order 1e-13 and can land just above one."""
+        if isinstance(res, MeijerGError):
+            return res
+        return min(max(res.value, 0.0), 1.0) if self.probability else res.value
 
 
-def evaluate(form: ClosedForm | float) -> float:
-    """Value of one closed form; a float is a value known exactly."""
-    if isinstance(form, float):
-        return form
-    return form.finish(meijer_g(form.spec, log_prefactor=form.log_prefactor).value)
+def evaluate_batch(forms: Sequence[ClosedForm | float | MeijerGError]
+                   ) -> list[float | MeijerGError]:
+    """Value of every form, the closed forms in one batched contour pass.
+
+    A float is a value known exactly and passes straight through, as
+    does a MeijerGError met before evaluation; a closed form whose
+    evaluation fails holds its MeijerGError instead.
+    """
+    closed = [f for f in forms if isinstance(f, ClosedForm)]
+    results = iter(meijer_g_batch([f.spec for f in closed],
+                                  [f.log_prefactor for f in closed]))
+    return [f.finish(next(results)) if isinstance(f, ClosedForm) else f
+            for f in forms]
 
 
-def evaluate_batch(forms: list[ClosedForm]) -> list[float | MeijerGError]:
-    """``evaluate`` of every form in one batched contour pass; a form whose
-    evaluation fails holds its MeijerGError instead."""
-    results = meijer_g_batch([f.spec for f in forms],
-                             [f.log_prefactor for f in forms])
-    return [res if isinstance(res, MeijerGError) else form.finish(res.value)
-            for form, res in zip(forms, results)]
+def _values(forms: Sequence[ClosedForm | float]) -> list[float]:
+    """``evaluate_batch`` of forms; a form that fails raises its
+    MeijerGError."""
+    values = evaluate_batch(forms)
+    for value in values:
+        if isinstance(value, MeijerGError):
+            raise value
+    return values
+
+
+def pdf_form(dist: SnrDistribution, gamma: float,
+             guard: float = _RATIO_GUARD) -> ClosedForm | float:
+    """Closed form of the density at gamma, or its value 0 where
+    gamma / mean SNR lies outside [1 / guard, guard]."""
+    ratio = gamma / dist.mean_snr
+    if ratio < 1.0 / guard or ratio > guard:
+        return 0.0
+    p = dist.params
+    spec = MeijerGSpec(6, 0, (p.zeta2 + 1.0,) * 2, (p.zeta2, p.alpha, p.beta) * 2,
+                       p.big_q ** 2 * ratio ** (1.0 / p.a))
+    return ClosedForm(spec, math.log(p.a) + 2.0 * p.log_m - math.log(gamma))
+
+
+def subchannel_pdf_form(dist: SnrDistribution, gamma_i: float,
+                        mean_snr_i: float) -> ClosedForm | float:
+    """Closed form of a single hop's density at gamma_i with per-hop mean
+    ``mean_snr_i``, or its value 0 outside the guard band."""
+    ratio = gamma_i / mean_snr_i
+    if ratio < 1.0 / _RATIO_GUARD or ratio > _RATIO_GUARD:
+        return 0.0
+    p = dist.params
+    spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta),
+                       p.big_q * ratio ** (1.0 / p.a))
+    return ClosedForm(spec, p.log_m - math.log(gamma_i))
 
 
 def cdf_form(dist: SnrDistribution, gamma: float) -> ClosedForm | float:
@@ -157,76 +167,32 @@ def cdf_form(dist: SnrDistribution, gamma: float) -> ClosedForm | float:
         raise ValueError(f"cdf needs gamma >= 0, got {gamma!r}")
     if gamma == 0.0:
         return 0.0
-    return ClosedForm(dist.cdf_spec(gamma), dist.params.log_m0, probability=True)
+    p = dist.params
+    spec = MeijerGSpec(6 * p.a, 1, (1.0,) + p.delta1, p.delta2 + (0.0,),
+                       p.q0 * gamma / dist.mean_snr)
+    return ClosedForm(spec, p.log_m0, probability=True)
 
 
 def mgf_form(dist: SnrDistribution, s: float) -> ClosedForm:
     """Closed form of E[exp(-s SNR)]."""
     if not s > 0.0:
         raise ValueError(f"mgf needs s > 0, got {s!r}")
-    return ClosedForm(dist.mgf_spec(s), dist.params.log_m0, probability=True)
-
-
-def _evaluate_all(forms: list[ClosedForm | float]) -> np.ndarray:
-    """``evaluate`` of every form, the closed forms in one batched
-    contour pass; a form that fails raises its MeijerGError."""
-    values = np.array([f if isinstance(f, float) else 0.0 for f in forms])
-    index = [i for i, f in enumerate(forms) if isinstance(f, ClosedForm)]
-    for i, value in zip(index, evaluate_batch([forms[i] for i in index])):
-        if isinstance(value, MeijerGError):
-            raise value
-        values[i] = value
-    return values
-
-
-def _pdf_values(dist: SnrDistribution, gammas: Sequence[float],
-                guard: float = _RATIO_GUARD) -> np.ndarray:
-    """``pdf`` at every gamma > 0, 0 where gamma / mean SNR lies outside
-    [1 / guard, guard]."""
     p = dist.params
-    forms: list[ClosedForm | float] = []
-    for gamma in np.asarray(gammas, dtype=np.float64).tolist():
-        ratio = gamma / dist.mean_snr
-        if ratio < 1.0 / guard or ratio > guard:
-            forms.append(0.0)
-        else:
-            lp = math.log(p.a) + 2.0 * p.log_m - math.log(gamma)
-            forms.append(ClosedForm(dist.pdf_spec(gamma), lp))
-    return _evaluate_all(forms)
-
-
-def _subchannel_pdf_values(dist: SnrDistribution, gammas: Sequence[float],
-                           mean_snr_i: float) -> np.ndarray:
-    """``subchannel_pdf`` at every gamma_i > 0."""
-    p = dist.params
-    forms: list[ClosedForm | float] = []
-    for gamma_i in np.asarray(gammas, dtype=np.float64).tolist():
-        ratio = gamma_i / mean_snr_i
-        if ratio < 1.0 / _RATIO_GUARD or ratio > _RATIO_GUARD:
-            forms.append(0.0)
-        else:
-            z = p.big_q * ratio ** (1.0 / p.a)
-            spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta), z)
-            forms.append(ClosedForm(spec, p.log_m - math.log(gamma_i)))
-    return _evaluate_all(forms)
-
-
-def _cdf_values(dist: SnrDistribution, gammas: Sequence[float]) -> np.ndarray:
-    """``cdf`` at every gamma >= 0."""
-    return _evaluate_all([cdf_form(dist, gamma) for gamma in
-                          np.asarray(gammas, dtype=np.float64).tolist()])
+    spec = MeijerGSpec(6 * p.a, 2, (0.0, 1.0) + p.delta1, p.delta2 + (0.0,),
+                       p.q0 / (dist.mean_snr * s))
+    return ClosedForm(spec, p.log_m0, probability=True)
 
 
 def pdf(dist: SnrDistribution, gamma: float) -> float:
     """Density of the end-to-end SNR at gamma > 0."""
     if not gamma > 0.0:
         raise ValueError(f"pdf needs gamma > 0, got {gamma!r}")
-    return float(_pdf_values(dist, [gamma])[0])
+    return _values([pdf_form(dist, gamma)])[0]
 
 
 def cdf(dist: SnrDistribution, gamma: float) -> float:
     """P(SNR <= gamma) for gamma >= 0, clamped to [0, 1]."""
-    return evaluate(cdf_form(dist, gamma))
+    return _values([cdf_form(dist, gamma)])[0]
 
 
 def mgf(dist: SnrDistribution, s: float) -> float:
@@ -235,7 +201,7 @@ def mgf(dist: SnrDistribution, s: float) -> float:
     As s goes to zero the contour value carries rounding of order 1e-12
     and can land just above one.
     """
-    return evaluate(mgf_form(dist, s))
+    return _values([mgf_form(dist, s)])[0]
 
 
 def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
@@ -243,7 +209,7 @@ def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
     """Density of a single hop's SNR with per-hop mean ``mean_snr_i``."""
     if not gamma_i > 0.0:
         raise ValueError(f"subchannel_pdf needs gamma_i > 0, got {gamma_i!r}")
-    return float(_subchannel_pdf_values(dist, [gamma_i], mean_snr_i)[0])
+    return _values([subchannel_pdf_form(dist, gamma_i, mean_snr_i)])[0]
 
 
 def _product_span(dist: SnrDistribution) -> float:
@@ -268,7 +234,8 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
     def integrand(u: np.ndarray) -> np.ndarray:
         t = t_star * np.exp(u)
         # both hop densities of every node in one batch
-        f = _subchannel_pdf_values(dist, np.concatenate([t, gamma / t]), gbar_i)
+        f = np.array(_values([subchannel_pdf_form(dist, x, gbar_i) for x in
+                              np.concatenate([t, gamma / t]).tolist()]))
         return f[:t.size] * f[t.size:]
 
     span = _product_span(dist)
@@ -299,7 +266,7 @@ def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float) -> float:
         x = (x_star * np.exp(u)).tolist()
         first = [ClosedForm(MeijerGSpec(3, 0, upper1, lower1, c1 * v), 0.0) for v in x]
         second = [ClosedForm(MeijerGSpec(0, 3, upper2, lower2, c2 * v), 0.0) for v in x]
-        g = _evaluate_all(first + second)
+        g = np.array(_values(first + second))
         return g[:len(x)] * g[len(x):]
 
     # in the substituted variable the small-side decay exponent is the
@@ -326,7 +293,8 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
 
     def integrand(u: np.ndarray) -> np.ndarray:
         x = gamma * np.exp(u)
-        return _pdf_values(dist, x, _TWIN_GUARD) * x
+        return np.array(_values([pdf_form(dist, v, _TWIN_GUARD)
+                                 for v in x.tolist()])) * x
 
     return gauss_kronrod(integrand, -(48.0 / c + 5.0), 0.0,
                          _TWIN_REL_TOL, 0.0).value
@@ -338,7 +306,8 @@ def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
         raise ValueError(f"needs s > 0, got {s!r}")
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        return np.exp(-v) * _cdf_values(dist, v / s)
+        return np.exp(-v) * np.array(_values([cdf_form(dist, g)
+                                              for g in (v / s).tolist()]))
 
     return gauss_kronrod(integrand, 0.0, 50.0, _TWIN_REL_TOL, 0.0,
                          points=[0.1, 1.0, 5.0, 20.0]).value

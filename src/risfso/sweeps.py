@@ -396,8 +396,7 @@ def _curve(spec: SweepSpec, sc: ScenarioSpec, metric: MetricSpec,
                                       gamma_th_db, spec.seed))
         except MeijerGError as exc:
             points.append(exc)
-    values = iter(evaluate_batch([p for p in points if isinstance(p, ClosedForm)]))
-    points = [next(values) if isinstance(p, ClosedForm) else p for p in points]
+    points = evaluate_batch(points)
     ys = [math.nan if isinstance(p, MeijerGError) else float(p) for p in points]
     failures = [f"x={x:g}: {p}" for x, p in zip(grid, points)
                 if isinstance(p, MeijerGError)]

@@ -5,10 +5,20 @@ import json
 import math
 from functools import cache
 from pathlib import Path
+from typing import Iterator
 
 from risfso.channel import DetectionMode, cascade_from_constants
+from risfso.metrics import ModulationScheme, ber_form, capacity_form
 from risfso.special import MeijerGSpec
-from risfso.statistics import RisElement, SnrDistribution
+from risfso.statistics import (
+    ClosedForm,
+    RisElement,
+    SnrDistribution,
+    cdf_form,
+    mgf_form,
+    pdf_form,
+    subchannel_pdf_form,
+)
 from risfso.sweeps import MetricCurve
 
 # (level, alpha, beta): the three turbulence rows used by the sweeps
@@ -27,6 +37,10 @@ FIG_COLORS = {
 
 # frozen 40-digit Meijer-G values, written by make_meijer_references.py
 REFERENCES = Path(__file__).with_name("meijer_references.json")
+# the twelve family rows of the references: the three turbulence rows,
+# these pointing ratios and both detection modes, at FAMILY_MEAN_DB
+FAMILY_ZETAS = (1.1, 6.1)
+FAMILY_MEAN_DB = 20.0
 # cdf and mgf ratios (gamma / mean SNR and mean SNR * s) far outside the
 # bulk, each on every family row at BAND_MEAN_DB
 BAND_RATIOS = (1e-30, 0.99e-12, 1e13, 1e20)
@@ -36,6 +50,55 @@ BAND_MEAN_DB = 30.0
 @cache
 def meijer_references() -> tuple[dict, ...]:
     return tuple(json.loads(REFERENCES.read_text(encoding="utf-8"))["entries"])
+
+
+def reference_cases() -> Iterator[dict]:
+    """The case of every reference taken from a closed form of the
+    package, in the order make_meijer_references.py writes them: pdf,
+    cdf, mgf, capacity, the four BER schemes and the per-hop density on
+    each family row, then the cdf and the mgf at every ``BAND_RATIOS``
+    entry."""
+    for level, alpha, beta in TABLE2_LEVELS:
+        for zeta in FAMILY_ZETAS:
+            for a in (1, 2):
+                row = {"level": level, "alpha": alpha, "beta": beta,
+                       "zeta": zeta, "a": a}
+                base = dict(row, mean_snr_db=FAMILY_MEAN_DB)
+                yield dict(base, statistic="pdf", ratio=0.03)
+                yield dict(base, statistic="cdf", ratio=0.05)
+                yield dict(base, statistic="mgf", ratio=1.0)
+                yield dict(base, statistic="capacity")
+                for scheme in ModulationScheme:
+                    yield dict(base, statistic="ber", scheme=scheme.name)
+                yield dict(base, statistic="subchannel_pdf", ratio=0.5)
+                for ratio in BAND_RATIOS:
+                    case = dict(row, mean_snr_db=BAND_MEAN_DB, ratio=ratio)
+                    yield dict(case, statistic="cdf")
+                    yield dict(case, statistic="mgf")
+
+
+def closed_form(case: dict) -> ClosedForm | float:
+    """What the builder of ``case["statistic"]`` makes of one reference
+    case: gamma / mean SNR for a density or the cdf, mean SNR * s for the
+    mgf, and gamma_i / mean_snr_i at a per-hop mean of sqrt(mean SNR)."""
+    dist = make_dist(case["alpha"], case["beta"], case["zeta"], case["a"],
+                     case["mean_snr_db"])
+    gbar = dist.mean_snr
+    statistic = case["statistic"]
+    if statistic == "pdf":
+        return pdf_form(dist, case["ratio"] * gbar)
+    if statistic == "cdf":
+        return cdf_form(dist, case["ratio"] * gbar)
+    if statistic == "mgf":
+        return mgf_form(dist, case["ratio"] / gbar)
+    if statistic == "capacity":
+        return capacity_form(dist)
+    if statistic == "ber":
+        return ber_form(dist, ModulationScheme[case["scheme"]])
+    if statistic == "subchannel_pdf":
+        gbar_i = math.sqrt(gbar)
+        return subchannel_pdf_form(dist, case["ratio"] * gbar_i, gbar_i)
+    raise ValueError(f"no builder for statistic {statistic!r}")
 
 
 def make_dist(alpha: float, beta: float, zeta: float, a: int,

@@ -283,6 +283,24 @@ def test_degenerate_exponent_gap_warns():
         asymptotic_ber(dist, ModulationScheme.DBPSK)
 
 
+@pytest.mark.parametrize("row", [
+    (200.0, 150.0, 20.0, 1, 30.0),
+    (200.0, 150.0, 20.0, 2, 30.0),
+    (1000.0, 2.0, 2.0, 1, -40.0),
+], ids=["large-shapes-HD", "large-shapes-IM/DD", "alpha-1000-HD"])
+def test_asymptote_past_double_range_is_infinite_not_an_error(row):
+    # the log weights of these rows reach 462 to 11,784, so the residue
+    # weights, the leading coefficients and the sum all leave the double
+    # range; they read +-inf, and terms of opposite sign never meet as
+    # inf - inf
+    rep = asymptotic_ber(make_dist(*row), ModulationScheme.DBPSK)
+    for g in (1e-4, 1.0, 1e30):
+        value = rep.evaluate(g)
+        assert not math.isnan(value), (g, value)
+    assert not any(math.isnan(c) for c in rep.leading_coefficients)
+    assert not any(math.isnan(w) for w in rep.term_weights)
+
+
 def test_term_weights_shape():
     for a in (1, 2):
         dist = make_dist(*RED, 6.1, a, 50.0)

@@ -31,6 +31,7 @@ from risfso.special import (
     meijer_g_batch,
 )
 from risfso.special.meijerg import _chi_tables, _Kernels, _kernel_tables
+from risfso.statistics import cdf_form, mgf_form, pdf_form
 
 # ---------------------------------------------------------------------------
 # gamma family
@@ -138,7 +139,6 @@ def test_meijer_exponential_identity():
     for z in (0.2, 0.5, 1.0, 3.0, 8.0):
         res = meijer_g(MeijerGSpec(1, 0, (), (0.0,), z))
         assert res.value == pytest.approx(math.exp(-z), rel=1e-10)
-        assert res.method == "contour"
         assert res.abs_error_estimate >= 0.0
 
 
@@ -261,8 +261,8 @@ def test_kernel_tables_merge_equal_and_fold_shifted_factors(a, factors, folded):
     # the (zeta^2 + 1)/2 factor cancels between numerator and denominator;
     # then zeta^2 + 1 folds onto zeta^2 and Gamma(1 + s) onto Gamma(s)
     dist = make_dist(4.9477, 1.2310, 1.1, a, 20.0)
-    specs = {"pdf": dist.pdf_spec(30.0), "cdf": dist.cdf_spec(30.0),
-             "mgf": dist.mgf_spec(0.3)}
+    specs = {"pdf": pdf_form(dist, 30.0).spec, "cdf": cdf_form(dist, 30.0).spec,
+             "mgf": mgf_form(dist, 0.3).spec}
     t = np.linspace(0.0, 60.0, 241)
     for name, spec in specs.items():
         offs, slope, weight = _chi_tables(spec)
@@ -337,4 +337,3 @@ def test_eval_result_invariants():
         res = meijer_g(spec)
         assert math.isfinite(res.value)
         assert res.abs_error_estimate >= 0.0
-        assert res.method == "contour"

@@ -9,6 +9,7 @@ the intensity-to-SNR mapping gamma = gbar (I/E[I])^a.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -20,11 +21,13 @@ from conftest import (
     BAND_MEAN_DB,
     BAND_RATIOS,
     TABLE2_LEVELS,
+    closed_form,
     make_dist,
     meijer_references,
+    reference_cases,
 )
 from risfso import metrics, statistics
-from risfso.special import quadrature
+from risfso.special import meijer_g, quadrature
 from risfso.simulator import McChannel, sample_end_to_end_snr
 from risfso.statistics import (
     RisElement,
@@ -32,11 +35,16 @@ from risfso.statistics import (
     cdf,
     cdf_by_quadrature,
     mgf,
+    cdf_form,
+    evaluate_batch,
     mgf_by_quadrature,
+    mgf_form,
     pdf,
     pdf_by_product_integral,
     pdf_by_substituted_integral,
+    pdf_form,
     subchannel_pdf,
+    subchannel_pdf_form,
 )
 
 BLUE = (12.5331, 4.6787)
@@ -345,24 +353,39 @@ def test_mgf_domain():
 def test_spec_shapes_match_contract():
     dist = make_dist(*BLUE, 6.1, 1, 20.0)
     z2 = 6.1 ** 2
-    spec = dist.pdf_spec(50.0)
+    spec = pdf_form(dist, 50.0).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (6, 0, 2, 6)
     assert spec.a_params == (z2 + 1.0, z2 + 1.0)
     assert spec.b_params == (z2, BLUE[0], BLUE[1]) * 2
     assert spec.argument == pytest.approx(
         dist.params.big_q ** 2 * 50.0 / dist.mean_snr, rel=1e-14)
 
-    spec = dist.cdf_spec(50.0)
+    spec = cdf_form(dist, 50.0).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (6, 1, 3, 7)
     assert spec.a_params == (1.0,) + dist.params.delta1
     assert spec.b_params == dist.params.delta2 + (0.0,)
 
     dist2 = make_dist(*BLUE, 6.1, 2, 20.0)
-    spec = dist2.cdf_spec(50.0)
+    spec = cdf_form(dist2, 50.0).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (12, 1, 5, 13)
-    spec = dist2.mgf_spec(0.3)
+    spec = mgf_form(dist2, 0.3).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (12, 2, 6, 13)
     assert spec.a_params[:2] == (0.0, 1.0)
+
+
+def test_builders_rebuild_every_frozen_spec():
+    # the cases the reference generator enumerates, and the spec and
+    # prefactor each builder makes of them, exactly as frozen; nothing is
+    # evaluated
+    entries = [entry for entry in meijer_references() if "case" in entry]
+    assert [entry["case"] for entry in entries] == list(reference_cases())
+    for entry in entries:
+        form = closed_form(entry["case"])
+        spec = form.spec
+        assert (spec.m, spec.n, list(spec.a_params), list(spec.b_params),
+                spec.argument, form.log_prefactor) \
+            == (entry["m"], entry["n"], entry["a_params"], entry["b_params"],
+                entry["argument"], entry["log_prefactor"]), entry["label"]
 
 
 def test_reflection_amplitude_rescales_mean_snr():
@@ -386,27 +409,33 @@ def test_ris_element_validation():
 # batched node values of the quadrature twins
 
 
-def test_array_helpers_match_scalar_calls_bit_for_bit():
-    # one decade apart across both guard bands, on the 12 family rows
+def test_batched_builders_match_scalar_calls_bit_for_bit():
+    # one decade apart across both guard bands, on the 12 family rows, all
+    # in one evaluate_batch call
     ratios = 10.0 ** np.arange(-20.0, 21.0)
+    rows, forms = [], []
     for _, alpha, beta in TABLE2_LEVELS:
         for zeta in (1.1, 6.1):
             for a in (1, 2):
                 dist = make_dist(alpha, beta, zeta, a, BAND_MEAN_DB)
-                gammas = ratios * dist.mean_snr
+                gammas = (ratios * dist.mean_snr).tolist()
                 gbar_i = math.sqrt(dist.mean_snr)
-                for helper, scalar in (
-                        (statistics._pdf_values(dist, gammas),
-                         [pdf(dist, g) for g in gammas.tolist()]),
-                        (statistics._subchannel_pdf_values(dist, ratios * gbar_i, gbar_i),
-                         [subchannel_pdf(dist, g, gbar_i) for g in (ratios * gbar_i).tolist()]),
-                        (statistics._cdf_values(dist, gammas),
-                         [cdf(dist, g) for g in gammas.tolist()])):
-                    assert [v.hex() for v in helper.tolist()] \
-                        == [v.hex() for v in scalar], (alpha, zeta, a)
-                # the densities are exactly 0 outside the guard band
-                outside = (ratios < 1e-12) | (ratios > 1e12)
-                assert np.all(statistics._pdf_values(dist, gammas)[outside] == 0.0)
+                hops = (ratios * gbar_i).tolist()
+                rows.append(((alpha, zeta, a), dist, gammas, gbar_i, hops))
+                forms += [pdf_form(dist, g) for g in gammas]
+                forms += [subchannel_pdf_form(dist, g, gbar_i) for g in hops]
+                forms += [cdf_form(dist, g) for g in gammas]
+    values = iter(evaluate_batch(forms))
+    outside = (ratios < 1e-12) | (ratios > 1e12)
+    for row, dist, gammas, gbar_i, hops in rows:
+        batched = [[next(values) for _ in ratios] for _ in range(3)]
+        for got, scalar in zip(batched, (
+                [pdf(dist, g) for g in gammas],
+                [subchannel_pdf(dist, g, gbar_i) for g in hops],
+                [cdf(dist, g) for g in gammas])):
+            assert [v.hex() for v in got] == [v.hex() for v in scalar], row
+        # the densities are exactly 0 outside the guard band
+        assert np.all(np.array(batched[0])[outside] == 0.0)
 
 
 # (distribution row, call) of each of the six quadrature twins
@@ -440,8 +469,12 @@ def test_twins_make_one_batched_pass_per_round(monkeypatch, twin):
     def gauss_kronrod(f, *args, **kwargs):
         return quadrature.gauss_kronrod(counting("rounds", f), *args, **kwargs)
 
-    monkeypatch.setattr(statistics, "meijer_g",
-                        counting("meijer_g", statistics.meijer_g))
+    # the scalar evaluator, wherever a risfso module binds it
+    for module in [m for k, m in sys.modules.items()
+                   if k.partition(".")[0] == "risfso"]:
+        for name, value in list(vars(module).items()):
+            if value is meijer_g:
+                monkeypatch.setattr(module, name, counting("meijer_g", meijer_g))
     monkeypatch.setattr(statistics, "meijer_g_batch",
                         counting("meijer_g_batch", statistics.meijer_g_batch))
     monkeypatch.setattr(statistics, "gauss_kronrod", gauss_kronrod)
