@@ -173,7 +173,7 @@ def _run(args: argparse.Namespace) -> int:
         fields = {k: v for k, v in vars(args).items() if v is not None}
         detection = _field(fields, "detection", "params",
                            DetectionMode.from_name)
-        scenario = link_scenario(fields, args.zeta, detection, "params")
+        scenario = link_scenario(fields, detection, "params")
         turb = alpha_beta(scenario)
         point = pointing_state(scenario)
         _print_result({

@@ -356,6 +356,9 @@ def asymptotic_ber(dist: SnrDistribution,
         ber_estimate=math.nan,
     )
     est = report.evaluate(dist.mean_snr)
+    if not 0.0 <= est <= 0.5:
+        warnings.warn("ber_estimate is no BER: the high-SNR expansion is outside "
+                      "its regime at this mean SNR", RuntimeWarning, stacklevel=2)
     gc = est ** (-1.0 / diversity) / dist.mean_snr if est > 0.0 else math.nan
     object.__setattr__(report, "ber_estimate", est)
     object.__setattr__(report, "coding_gain", gc)

@@ -145,8 +145,8 @@ def estimate_metric(metric: str, chan: McChannel, config: McConfig, *,
     index) and merge in batch order, so the result is bit-identical for
     a fixed configuration no matter how batches are scheduled.
     """
-    if metric == "outage" and gamma_th is None:
-        raise ValueError("outage needs gamma_th")
+    if metric == "outage" and (gamma_th is None or math.isnan(gamma_th)):
+        raise ValueError(f"outage needs gamma_th, got {gamma_th!r}")
     if metric == "ber" and (p is None or q is None):
         raise ValueError("ber needs kernel exponents p and q")
     if metric == "mgf" and (s is None or not s > 0.0):

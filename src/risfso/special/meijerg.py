@@ -5,10 +5,11 @@ each instance along a vertical line placed inside the strip separating
 the two pole families.  The abscissa is chosen by minimizing the
 integrand magnitude on the real axis, which keeps cancellation mild both
 deep in the small-argument tail and near saturation.  Every instance
-keeps its own line, segments and adaptive panels; the instances of a
-batch only share the log-gamma calls of each refinement round, so a
-value does not depend on the batch it is evaluated in.  ``meijer_g`` is
-a batch of one.
+keeps its own line and integrates it segment by segment; the adaptive
+Gauss-Kronrod engine of ``quadrature._refine`` refines the segments of
+all instances in lockstep, so they share only the integrand calls of
+each refinement round, and a value does not depend on the batch it is
+evaluated in.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .gammafn import loggamma_complex
-from .quadrature import MAX_PANELS, kronrod_nodes, kronrod_sums
+from .quadrature import _refine
 
 __all__ = [
     "ContourError",
@@ -50,10 +50,6 @@ _SCAN = np.arange(17) / 16.0
 # contour nodes per log-gamma call: the first rounds of a long curve hold
 # a few thousand, and chunks keep their temporaries near 0.3 MB
 _CHUNK = 1024
-# panels per piece of a refinement round (15 Kronrod nodes each): a round
-# of a quadrature twin can hold 10^5 nodes, and pieces keep the arrays of
-# its nodes near 0.3 MB; the rounds of a sweep curve are mostly one piece
-_ROUND_PANELS = 4 * _CHUNK // 15
 
 
 class MeijerGError(Exception):
@@ -197,29 +193,6 @@ class _Kernels:
             w[i:i + _CHUNK] = np.exp(self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2])
         return w
 
-    def round_values(self, mid: np.ndarray, half: np.ndarray,
-                     owner: np.ndarray, end_t: np.ndarray,
-                     end_owner: np.ndarray) -> tuple[Sequence[np.ndarray], np.ndarray]:
-        """One refinement round: ``kronrod_sums`` of the real part of the
-        integrand of instance owner[i] on the panel [mid[i] - half[i],
-        mid[i] + half[i]], as rows (value, error, |f| integral), and w at
-        end_t[i] of instance end_owner[i].  A round of more than
-        ``_ROUND_PANELS`` panels goes in pieces of that many, the end
-        points with the first."""
-        if mid.size > _ROUND_PANELS:
-            step = _ROUND_PANELS
-            first, w_end = self.round_values(mid[:step], half[:step], owner[:step],
-                                             end_t, end_owner)
-            pieces = [first] + [
-                self.round_values(mid[j:j + step], half[j:j + step], owner[j:j + step],
-                                  end_t[:0], end_owner[:0])[0]
-                for j in range(step, mid.size, step)]
-            return [np.concatenate(rows) for rows in zip(*pieces)], w_end
-        pts = kronrod_nodes(mid, half)
-        w = self.integrand(np.concatenate([pts.ravel(), end_t]),
-                           np.concatenate([np.repeat(owner, pts.shape[1]), end_owner]))
-        return kronrod_sums(w[:pts.size].real.reshape(pts.shape), half), w[pts.size:]
-
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
     lo = max(spec.a_params[:spec.n]) - 1.0 if spec.n else -math.inf
@@ -280,17 +253,14 @@ def _finished(total: float, err: float) -> EvalResult | MeijerGError:
 
 def _integrate(kernels: _Kernels, rate: list[float],
                rel_tol: float) -> list[EvalResult | MeijerGError]:
-    """The line integrals of all instances, in lockstep.
+    """The line integrals of all instances, refined in lockstep by ``_refine``.
 
     Each instance integrates t over [0, t_hi], then over segments each
     1.7 times longer, until the envelope bound on the rest falls below
-    its tolerance.  Each segment is refined by adaptive 15/7
-    Gauss-Kronrod bisection.  A round evaluates the new panels of every
-    open segment, and w at the ends of every segment just begun, in
-    batched integrand calls (``_Kernels.round_values``).
+    its tolerance.  The first integrand call of a round also evaluates w
+    at the ends of every segment just begun.
     """
     count = len(rate)
-    inner_rel = max(1e-13, 0.03 * rel_tol)
     results: list = [None] * count
     t_lo = [0.0] * count
     t_hi = [max(8.0, 12.0 / r) for r in rate]
@@ -300,53 +270,32 @@ def _integrate(kernels: _Kernels, rate: list[float],
     env_lo = [0.0] * count  # |w(t_lo)|
     w_hi = [0j] * count  # w(t_hi)
     segments = [0] * count
-    seg_abs_tol = np.zeros(count)  # 0.1 rel_tol |total| at the segment's start
+    # the segment ends (t, instance) that the next integrand call evaluates
+    ends = np.array(t_hi + t_lo), np.concatenate([np.arange(count)] * 2)
 
-    # open panels, one column each: midpoint, half-width, value, error,
-    # |f| integral.  Each instance's panels stay in an order set by its
-    # own refinement alone, so its sums do not depend on the batch.
-    panels = np.empty((5, 0))
-    owner = no_owner = np.empty(0, dtype=np.intp)
-    mid = half = 0.5 * np.array(t_hi)  # the panels to evaluate
-    new_owner = np.arange(count)
-    end_owner = np.concatenate([new_owner, new_owner])
-    end_t = np.concatenate([t_hi, np.zeros(count)])
-    while new_owner.size:
-        sums, w_end = kernels.round_values(mid, half, new_owner, end_t, end_owner)
-        if end_owner.size:
-            for i, t_end, w in zip(end_owner.tolist(), end_t.tolist(), w_end.tolist()):
-                if t_end == t_lo[i]:
-                    env_lo[i] = abs(w)
-                else:
-                    w_hi[i] = w
-        panels = np.concatenate([panels, np.array([mid, half, *sums])], axis=1)
-        owner = np.concatenate([owner, new_owner])
+    def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """The real part of w at the nodes x, a row per panel, and w at
+        the segment ends begun since the last call."""
+        nonlocal ends
+        if ends is None:
+            return kernels.integrand(x.ravel(), np.repeat(owner, x.shape[1])).real
+        w = kernels.integrand(np.concatenate([x.ravel(), ends[0]]),
+                              np.concatenate([np.repeat(owner, x.shape[1]), ends[1]]))
+        for t_end, i, w_end in zip(ends[0].tolist(), ends[1].tolist(), w[x.size:].tolist()):
+            if t_end == t_lo[i]:
+                env_lo[i] = abs(w_end)
+            else:
+                w_hi[i] = w_end
+        ends = None
+        return w[:x.size].real
 
-        n = np.bincount(owner, minlength=count)
-        seg_val = np.bincount(owner, panels[2], count)
-        seg_err = np.bincount(owner, panels[3], count)
-        tol = np.maximum(seg_abs_tol, inner_rel * np.abs(seg_val))
-        # an error estimate that is not a number ends the segment too
-        done = (n > 0) & ~(seg_err > tol)
-        if n.max() >= MAX_PANELS:
-            done |= n >= MAX_PANELS
-        # split every panel holding more than its share of the error
-        # budget; the worst panel of a segment over its tolerance holds
-        # more than tol / n, so every open segment splits.  Instances
-        # without panels get no share (n = 0).
-        worst = np.zeros(count)
-        np.maximum.at(worst, owner, panels[3])
-        share = np.maximum(0.5 * tol / n, 0.25 * worst)
-        open_panel = ~done[owner]
-        split = (panels[3] >= share[owner]) & open_panel
-
-        next_owner = []
-        if done.any():
-            seg_abs = np.bincount(owner, panels[4], count)
-        for i in np.flatnonzero(done).tolist():
-            total[i] += float(seg_val[i])
-            err[i] += float(seg_err[i])
-            amplitude[i] += float(seg_abs[i])
+    def finish(done, value, error, abs_integral, panels):
+        nonlocal ends
+        begun = []
+        for i in done.tolist():
+            total[i] += float(value[i])
+            err[i] += float(error[i])
+            amplitude[i] += float(abs_integral[i])
             # the envelope, not the oscillating real part, which can sit
             # near a zero at t_hi
             env_hi = abs(w_hi[i])
@@ -355,7 +304,7 @@ def _integrate(kernels: _Kernels, rate: list[float],
             if not math.isfinite(total[i]):
                 results[i] = _finished(total[i], err[i])
             elif tail < 0.05 * budget and (t_lo[i] > 0.0 or tail == 0.0
-                                          or abs(seg_val[i]) < budget):
+                                          or abs(value[i]) < budget):
                 bound = _tail_bound(env_lo[i], env_hi, t_hi[i] - t_lo[i], rate[i])
                 # cancellation floor: the result is a sum of terms of size
                 # ~amplitude
@@ -367,26 +316,14 @@ def _integrate(kernels: _Kernels, rate: list[float],
                 segments[i] += 1
                 t_lo[i], t_hi[i] = t_hi[i], 1.7 * t_hi[i]
                 env_lo[i] = env_hi
-                seg_abs_tol[i] = 0.1 * rel_tol * abs(total[i])
-                next_owner.append(i)
+                begun.append((t_lo[i], t_hi[i], 0.1 * rel_tol * abs(total[i]), i))
+        if begun:
+            lo, hi, tol, index = np.array(begun).T
+            ends = hi, index.astype(np.intp)
+            return ends[1], lo, hi, tol
 
-        # the halves of the split panels, then the first panel of each
-        # segment begun
-        mid, half = panels[:2, split]
-        half = 0.5 * half
-        halved = owner[split]
-        mid, half, new_owner = [mid - half, mid + half], [half, half], [halved, halved]
-        end_owner, end_t = no_owner, end_t[:0]
-        if next_owner:
-            end_owner = np.array(next_owner)
-            end_t = np.array([t_hi[i] for i in next_owner])
-            start = np.array([t_lo[i] for i in next_owner])
-            mid.append(0.5 * (start + end_t))
-            half.append(0.5 * (end_t - start))
-            new_owner.append(end_owner)
-        mid, half, new_owner = (np.concatenate(x) for x in (mid, half, new_owner))
-        keep = open_panel & ~split
-        panels, owner = panels[:, keep], owner[keep]
+    _refine(integrand, (np.arange(count), np.zeros(count), np.array(t_hi), 0.0),
+            max(1e-13, 0.03 * rel_tol), finish, centred=True)
     return results
 
 

@@ -163,7 +163,7 @@ def subchannel_pdf_form(dist: SnrDistribution, gamma_i: float,
 
 def cdf_form(dist: SnrDistribution, gamma: float) -> ClosedForm | float:
     """Closed form of P(SNR <= gamma), or its exact value 0 at gamma = 0."""
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError(f"cdf needs gamma >= 0, got {gamma!r}")
     if gamma == 0.0:
         return 0.0

@@ -131,13 +131,17 @@ def _require(cond: bool, path: str, msg: str) -> None:
 
 def _field(obj: dict, key: str, path: str, convert=float, default=None):
     """``convert(obj[key])``, or ``default`` when ``key`` is absent; a
-    value that ``convert`` rejects raises ConfigError naming the field."""
+    value that ``convert`` rejects, or a float that is not finite,
+    raises ConfigError naming the field."""
     if key not in obj:
         return default
     try:
-        return convert(obj[key])
+        value = convert(obj[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.{key}: {exc}") from None
+    _require(not isinstance(value, float) or math.isfinite(value),
+             f"{path}.{key}", "must be finite")
+    return value
 
 
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -164,12 +168,12 @@ def table2_constants(name: str, path: str) -> tuple[float, float]:
     return TABLE2[(color, level)]
 
 
-def link_scenario(fields: dict, zeta: float, detection: DetectionMode,
+def link_scenario(fields: dict, detection: DetectionMode,
                   path: str) -> LinkScenario:
     """Physical link from user units (nm, m, mm, 1/km).
 
     ``fields`` uses the JSON scenario keys; ``wavelength_nm`` wins over
-    ``color``, and every key but ``cn2`` has a default.
+    ``color``, and every key but ``cn2`` and ``zeta`` has a default.
     """
     from .presets import WAVELENGTH_NM  # local import to avoid a cycle
 
@@ -188,7 +192,7 @@ def link_scenario(fields: dict, zeta: float, detection: DetectionMode,
         receiver_radius=_field(f, "receiver_radius_m", path),
         beam_waist=_field(f, "beam_waist_m", path),
         attenuation=_field(f, "attenuation_per_km", path) * 1e-3,
-        zeta=zeta,
+        zeta=_field(f, "zeta", path),
         detection=detection,
     )
 
@@ -243,7 +247,7 @@ def scenario_spec(obj: dict, path: str) -> ScenarioSpec:
         _require(alpha > 0, f"{path}.alpha", "must be > 0")
         _require(beta > 0, f"{path}.beta", "must be > 0")
     elif "cn2" in obj:
-        turb = alpha_beta(link_scenario(obj, zeta, detection, path))
+        turb = alpha_beta(link_scenario(obj, detection, path))
         alpha, beta = turb.alpha, turb.beta
     else:
         raise ConfigError(
@@ -310,9 +314,7 @@ def parse_config(path: str) -> SweepSpec:
              f"must be one of {VARIABLES}")
     for key in ("start", "stop", "step"):
         _require(key in sw, f"sweep.{key}", "is required")
-        _require(math.isfinite(_field(sw, key, "sweep")), f"sweep.{key}",
-                 "must be finite")
-    start, stop, step = float(sw["start"]), float(sw["stop"]), float(sw["step"])
+    start, stop, step = (_field(sw, key, "sweep") for key in ("start", "stop", "step"))
     _require(step > 0, "sweep.step", "must be > 0")
     _require(stop >= start, "sweep.stop", "must be >= start")
     _require((stop - start) / step < MAX_GRID_POINTS, "sweep.step",

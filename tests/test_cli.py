@@ -424,6 +424,33 @@ def test_cli_field_errors_name_the_field(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mc", "--preset", "table2-red-strong", "--zeta", "1.1", "--mean-snr-db",
+      "30", "--metric", "outage", "--gamma-th-db", "nan", "--samples", "1000"],
+     "metric.gamma_th_db: must be finite"),
+    (["capacity", "--alpha", "2", "--beta", "2", "--zeta", "inf",
+      "--mean-snr-db", "30"], "channel.zeta: must be finite"),
+    (["capacity", "--alpha", "nan", "--beta", "2", "--zeta", "2",
+      "--mean-snr-db", "30"], "channel.alpha: must be finite"),
+    (["capacity", *ONE_POINT[:4], "--mean-snr-db=inf", "--zeta", "2"],
+     "channel.mean_snr_db: must be finite"),
+    (["cdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "nan"],
+     "cdf needs gamma >= 0, got nan"),
+    (["params", "--color", "red", "--cn2", "5e-14", "--zeta", "inf"],
+     "params.zeta: must be finite"),
+])
+def test_cli_non_finite_inputs_exit_one_naming_the_field(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_non_finite_scenario_field_names_it(tmp_path):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["scenarios"][0]["zeta"] = math.nan
+    with pytest.raises(ConfigError, match=r"^scenarios\[0\]\.zeta: must be finite$"):
+        parse_config(write_config(tmp_path, cfg))
+
+
 @pytest.mark.parametrize("argv", [
     ["ber", *ONE_POINT, "--zeta", "2.0"],
     ["asymptote", *ONE_POINT, "--zeta", "2.0"],

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,30 @@ def test_degenerate_exponent_gap_warns():
     dist = make_dist(4.2, 4.2 + 1e-7, 2.0, 1, 40.0)
     with pytest.warns(RuntimeWarning, match="nearly degenerate"):
         asymptotic_ber(dist, ModulationScheme.DBPSK)
+
+
+@pytest.mark.parametrize("row", [
+    (200.0, 150.0, 20.0, 1, 30.0),
+    (1000.0, 2.0, 2.0, 1, -40.0),
+], ids=["above-one-half", "minus-infinity"])
+def test_asymptote_outside_its_regime_warns_and_keeps_its_value(row):
+    with pytest.warns(RuntimeWarning, match="outside its regime"):
+        rep = asymptotic_ber(make_dist(*row), ModulationScheme.DBPSK)
+    assert not 0.0 <= rep.ber_estimate <= 0.5
+    # the value is the sum itself, reported as it is
+    assert rep.ber_estimate == rep.evaluate(rep.mean_snr)
+
+
+def test_asymptote_in_its_regime_does_not_warn():
+    # the 70 and 80 dB rows of acceptance criterion 8
+    for alpha, beta, a in [(13.2818, 5.7795, 1), (10.9537, 2.9833, 1),
+                           (13.2818, 5.7795, 2), (12.5331, 4.6787, 2)]:
+        for db in (70.0, 80.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = asymptotic_ber(make_dist(alpha, beta, 6.1, a, db),
+                                     ModulationScheme.DBPSK)
+            assert 0.0 < rep.ber_estimate < 0.5
 
 
 @pytest.mark.parametrize("row", [

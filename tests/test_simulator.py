@@ -137,6 +137,15 @@ def test_outage_zero_threshold_is_exactly_zero():
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
+@pytest.mark.parametrize("gamma_th", [None, math.nan])
+def test_outage_needs_a_threshold_that_is_a_number(gamma_th):
+    # a NaN threshold would count no sample as an outage: a mean of 0
+    chan = McChannel(zeta2=37.21, alpha=BLUE[0], beta=BLUE[1], a=1,
+                     mean_snr_h=10.0, mean_snr_g=10.0)
+    with pytest.raises(ValueError, match="outage needs gamma_th"):
+        estimate_metric("outage", chan, McConfig(1_000, seed=1), gamma_th=gamma_th)
+
+
 def test_capacity_estimate_matches_closed_form():
     dist = make_dist(*BLUE, 6.1, 1, 20.0)
     chan = McChannel(zeta2=6.1 ** 2, alpha=BLUE[0], beta=BLUE[1], a=1,

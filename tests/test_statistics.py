@@ -486,7 +486,21 @@ def test_twins_make_one_batched_pass_per_round(monkeypatch, twin):
 
 
 def test_twin_short_of_its_tolerance_warns(monkeypatch):
+    # cap the twin at one panel, but not the Meijer-G contours its
+    # integrand evaluates, which refine in the same engine
+    cap = quadrature.MAX_PANELS
+
+    def gauss_kronrod(f, *args, **kwargs):
+        def uncapped(x):
+            quadrature.MAX_PANELS = cap
+            try:
+                return f(x)
+            finally:
+                quadrature.MAX_PANELS = 1
+        return quadrature.gauss_kronrod(uncapped, *args, **kwargs)
+
     monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    monkeypatch.setattr(statistics, "gauss_kronrod", gauss_kronrod)
     dist = make_dist(*RED, 6.1, 1, 20.0)
     with pytest.warns(IntegrationWarning, match="1 panels"):
         cdf_by_quadrature(dist, 0.01 * dist.mean_snr)
