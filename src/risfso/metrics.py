@@ -20,6 +20,7 @@ from .special import MeijerGSpec, gauss_kronrod
 from .statistics import (
     ClosedForm,
     SnrDistribution,
+    _log_pdf_floor,
     _values,
     cdf,
     cdf_form,
@@ -118,7 +119,9 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
         f = np.array(_values([pdf_form(dist, x) for x in g.tolist()]))
         return np.log1p(chi * g) * f * g
 
-    lo = -(80.0 / c + 20.0)
+    # the integrand scales like g^(1 + c) toward the origin; the cut goes
+    # no lower than where the density's argument is still a normal double
+    lo = max(-(80.0 / c + 20.0), _log_pdf_floor(dist) - math.log(gbar))
     hi = 20.0 * p.a
     val = gauss_kronrod(integrand, lo, hi, _TWIN_REL_TOL, 1e-290,
                         points=[0.0]).value

@@ -2,14 +2,17 @@
 
 ``meijer_g_batch`` integrates the defining Mellin-Barnes integral of
 each instance along a vertical line placed inside the strip separating
-the two pole families.  The abscissa is chosen by minimizing the
-integrand magnitude on the real axis, which keeps cancellation mild both
-deep in the small-argument tail and near saturation.  Every instance
-keeps its own line and integrates it segment by segment; the adaptive
-Gauss-Kronrod engine of ``quadrature._refine`` refines the segments of
-all instances in lockstep, so they share only the integrand calls of
-each refinement round, and a value does not depend on the batch it is
-evaluated in.  ``meijer_g`` is a batch of one.
+the two pole families.  The line passes through the saddle point of the
+integrand on the real axis, where its magnitude is least: the root of
+the digamma sum that is the derivative of its log, found by Newton steps
+inside a bracket (``_pick_sigma``).  There the integral cancels least,
+deep in either tail, near saturation and for large shapes alike, even
+where the saddle lies millions of units from the end of a one-sided
+strip.  Every instance keeps its own line and integrates it segment by
+segment; the adaptive Gauss-Kronrod engine of ``quadrature._refine``
+refines the segments of all instances in lockstep, so they share only
+the integrand calls of each refinement round, and a value does not
+depend on the batch it is evaluated in.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import digamma, zeta
 
 from .gammafn import loggamma_complex
 from .quadrature import _refine
@@ -45,8 +49,19 @@ __all__ = [
 _COLLISION_TOL = 1e-9
 # the line integral gives up after this many segments, each 1.7x longer
 _MAX_SEGMENTS = 48
-# the 17 abscissae of one round of the scan for sigma, as fractions
-_SCAN = np.arange(17) / 16.0
+# a new segment starts in at most this many panels
+_MAX_PIECES = 256
+# the first round of the saddle search evaluates phi' at these u, 0.5
+# apart: from 6e-6 to 1.6e5 units off the end of a one-sided strip
+_GRID = np.arange(-12.0, 12.25, 0.5)
+# past the grid's ends a bracket runs to u = -+_U_MAX, where sigma is
+# still a double and phi' counts as -+_G_MAX
+_U_MAX, _G_MAX = 700.0, 1e300
+_BRACKET = np.concatenate([[-_U_MAX], _GRID, [_U_MAX]])
+# an instance's search stops at its first Newton step below _U_TOL, or
+# after _MAX_STEPS steps
+_U_TOL = 1e-8
+_MAX_STEPS = 60
 # contour nodes per log-gamma call: the first rounds of a long curve hold
 # a few thousand, and chunks keep their temporaries near 0.3 MB
 _CHUNK = 1024
@@ -114,15 +129,9 @@ def _table(factors: dict[tuple[float, float], float]) -> np.ndarray:
     return np.array(kept, dtype=np.float64).reshape(-1, 3).T
 
 
-def _chi_tables(spec: MeijerGSpec) -> np.ndarray:
-    """Rows (offset c, sign e of s, weight w), one column per gamma factor
-    of the kernel: log chi(s) = sum_k w_k logGamma(c_k + e_k s).
-
-    Factors with equal (offset, sign) merge and their weights add;
-    factors whose weights cancel drop out.  The cascade closed forms list
-    every parameter twice, and under IM/DD the (zeta^2 + 1)/2 factor sits
-    in both the numerator and the denominator.
-    """
+def _merged_factors(spec: MeijerGSpec) -> dict[tuple[float, float], float]:
+    """The weight of each (offset, sign of s) among the gamma factors of
+    the kernel, equal factors merged."""
     m, n = spec.m, spec.n
     a, b = spec.a_params, spec.b_params
     factors = ([(b[j], -1.0, 1.0) for j in range(m)]
@@ -132,7 +141,19 @@ def _chi_tables(spec: MeijerGSpec) -> np.ndarray:
     merged: dict[tuple[float, float], float] = {}
     for offset, slope, weight in factors:
         merged[offset, slope] = merged.get((offset, slope), 0.0) + weight
-    return _table(merged)
+    return merged
+
+
+def _chi_tables(spec: MeijerGSpec) -> np.ndarray:
+    """Rows (offset c, sign e of s, weight w), one column per gamma factor
+    of the kernel: log chi(s) = sum_k w_k logGamma(c_k + e_k s).
+
+    Factors with equal (offset, sign) merge and their weights add;
+    factors whose weights cancel drop out.  The cascade closed forms list
+    every parameter twice, and under IM/DD the (zeta^2 + 1)/2 factor sits
+    in both the numerator and the denominator.
+    """
+    return _table(_merged_factors(spec))
 
 
 def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -146,12 +167,16 @@ def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray]:
     pair zeta^2 with zeta^2 + 1 and Gamma(s) with Gamma(1 + s), and log is
     much cheaper than log-gamma.
     """
-    gamma = {(c, e): w for c, e, w in zip(*_chi_tables(spec))}
+    gamma = {key: w for key, w in _merged_factors(spec).items() if w != 0.0}
+    # the first factor whose offset lies one below each (offset, sign)
+    below: dict[tuple[float, float], tuple[float, float]] = {}
+    for c, e in gamma:
+        below.setdefault((c + 1.0, e), (c, e))
     logs: dict[tuple[float, float], float] = {}
-    for c, e in sorted(gamma, reverse=True):  # chains fold downwards
-        base = next((k for k in gamma if k[1] == e and k[0] + 1.0 == c), None)
+    for key in sorted(gamma, reverse=True):  # chains fold downwards
+        base = below.get(key)
         if base is not None:
-            w = gamma.pop((c, e))
+            w = gamma.pop(key)
             gamma[base] += w
             logs[base] = logs.get(base, 0.0) + w
     return _table(gamma), _table(logs)
@@ -183,15 +208,17 @@ class _Kernels:
         terms *= rows[:, 3 + 2 * k:]
         return np.add.reduce(terms, axis=1)
 
-    def integrand(self, t: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """The Mellin-Barnes integrand w(sigma + i t) of instance owner[i]
-        at t[i], in chunks of ``_CHUNK`` nodes."""
-        w = np.empty(t.size, dtype=np.complex128)
+    def log_integrand(self, t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Log of the Mellin-Barnes integrand w(sigma + i t) of instance
+        owner[i] at t[i], in chunks of ``_CHUNK`` nodes.  Its imaginary
+        part, the phase of w, is continuous in t > 0: the log-gammas are
+        scipy's, cut along the negative real axis only."""
+        log_w = np.empty(t.size, dtype=np.complex128)
         for i in range(0, t.size, _CHUNK):
             rows = self.rows[owner[i:i + _CHUNK]]
             s = rows[:, 0] + 1j * t[i:i + _CHUNK]
-            w[i:i + _CHUNK] = np.exp(self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2])
-        return w
+            log_w[i:i + _CHUNK] = self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2]
+        return log_w
 
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
@@ -207,25 +234,74 @@ def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
 
 
 def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per instance, the abscissa in (lo, hi) that minimizes the integrand
-    on the real axis, from a coarse-to-fine 17-point scan."""
-    lo = np.where(np.isinf(lo), hi - 40.0, lo)
-    hi = np.where(np.isinf(hi), lo + 40.0, hi)
-    pad = np.minimum(0.35, 0.02 * (hi - lo))
-    g_lo, g_hi = lo + pad, hi - pad
-    index = np.arange(len(lo))
-    rows = kernels.rows[np.repeat(index, _SCAN.size)]
-    for _ in range(3):  # one batched call per round
-        # np.linspace(g_lo, g_hi, 17) per row, bit for bit
-        grid = g_lo[:, None] + _SCAN * (g_hi - g_lo)[:, None]
-        grid[:, -1] = g_hi
-        flat = grid.ravel()
-        obj = (np.real(kernels.log_chi(flat.astype(np.complex128), rows))
-               + flat * rows[:, 1]).reshape(grid.shape)
-        i = np.argmin(np.where(np.isfinite(obj), obj, np.inf), axis=1)
-        g_lo = grid[index, np.maximum(i - 1, 0)]
-        g_hi = grid[index, np.minimum(i + 1, _SCAN.size - 1)]
-    return 0.5 * (g_lo + g_hi)
+    """Per instance, the saddle point of the integrand on the real axis:
+    the sigma in (lo, hi) where phi' = 0, phi(sigma) = Re log chi(sigma)
+    + sigma ln z being the log of the integrand's magnitude there.
+
+    phi' rises through zero, from -inf at the pole at lo, or at the far
+    end of a one-sided strip where the gammas grow, to +inf at the other
+    end.  The search runs in u, with sigma = lo + e^u or hi - e^-u on a
+    one-sided strip and sigma - lo = e^u / (1 + e^u / (hi - lo)) on a
+    two-sided one: near a pole phi' grows like exp(|u|), and far out on
+    a one-sided strip, where the saddle can lie millions of units from
+    its end, it is near linear in u.  One round over ``_GRID`` brackets the sign
+    change; Newton steps in u follow from the secant point, each held
+    inside the bracket.  An instance stops at its first step below
+    ``_U_TOL``, so its sigma does not depend on the batch.
+    """
+    count = len(lo)
+    k, kg = kernels.width, kernels.gamma_width
+    # offsets, signs of s and weights of the factors, each log factor
+    # unfolded into log-gammas, log x = logGamma(x + 1) - logGamma(x):
+    # phi' is then one sum of digammas and phi'' one of trigammas,
+    # zeta(2, x), which is polygamma(1, x) without polygamma's wrapper
+    table = kernels.rows[:, 3:].reshape(count, 3, k)
+    table = np.concatenate([table, table[:, :, kg:]], axis=2)
+    table[:, 0, k:] += 1.0
+    table[:, 2, kg:k] *= -1.0
+    off, sign, weight = table[:, 0], table[:, 1], table[:, 2]
+    slope_weight = weight * sign
+    lnz = kernels.rows[:, 1]
+    # sigma = end + side * dist, dist = gap / (1 + gap / width) and
+    # gap = exp(side * u); then dsigma/du = dist^2 / gap, and the
+    # arguments of the gammas are base + rate * dist
+    left = np.isfinite(lo)
+    side = np.where(left, 1.0, -1.0)
+    end = np.where(left, lo, hi)
+    inv_width = 1.0 / (hi - lo)  # 0 on a one-sided strip
+    base = off + sign * end[:, None]
+    rate = sign * side[:, None]
+
+    gap = np.exp(side[:, None] * _GRID)
+    x = base[:, None, :] + rate[:, None, :] * (gap / (1.0 + gap * inv_width[:, None]))[:, :, None]
+    # phi' on the grid, between -+_G_MAX at the ends of the bracket
+    g = np.empty((count, _BRACKET.size))
+    g[:, 0], g[:, -1] = -_G_MAX, _G_MAX
+    np.add.reduce(digamma(x) * slope_weight[:, None, :], axis=2, out=g[:, 1:-1])
+    g[:, 1:-1] += lnz[:, None]
+    # the bracket [a, b] around the first sign change
+    j = np.argmax(g > 0.0, axis=1)
+    index = np.arange(count)
+    a, b = _BRACKET[j - 1], _BRACKET[j]
+    g_a, g_b = g[index, j - 1], g[index, j]
+    u = a + (b - a) * g_a / (g_a - g_b)
+    done = np.zeros(count, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        gap = np.exp(side * u)
+        q = 1.0 / (1.0 + gap * inv_width)
+        dist = gap * q
+        x = base + rate * dist[:, None]
+        g = np.add.reduce(digamma(x) * slope_weight, axis=1) + lnz
+        h = np.add.reduce(zeta(2.0, x) * weight, axis=1)
+        # fmax and fmin: a step that is not a number goes to the bracket end
+        v = np.fmin(np.fmax(u - g / (h * dist * q), a), b)
+        small = np.abs(v - u) <= _U_TOL
+        u = np.where(done, u, v)
+        done |= small
+        if done.all():
+            break
+    gap = np.exp(side * u)
+    return end + side * gap / (1.0 + gap * inv_width)
 
 
 def _tail_bound(env_lo: float, env_hi: float, width: float,
@@ -258,7 +334,8 @@ def _integrate(kernels: _Kernels, rate: list[float],
     Each instance integrates t over [0, t_hi], then over segments each
     1.7 times longer, until the envelope bound on the rest falls below
     its tolerance.  The first integrand call of a round also evaluates w
-    at the ends of every segment just begun.
+    at the ends of every segment just begun, and with it the phase of w,
+    which sets how many panels the next segment starts in.
     """
     count = len(rate)
     results: list = [None] * count
@@ -269,29 +346,35 @@ def _integrate(kernels: _Kernels, rate: list[float],
     amplitude = [0.0] * count
     env_lo = [0.0] * count  # |w(t_lo)|
     w_hi = [0j] * count  # w(t_hi)
+    # the phase of w at t_lo and t_hi
+    phase_lo = [0.0] * count
+    phase_hi = [0.0] * count
     segments = [0] * count
-    # the segment ends (t, instance) that the next integrand call evaluates
+    # the segment ends (t, instance) at which the next integrand call evaluates w
     ends = np.array(t_hi + t_lo), np.concatenate([np.arange(count)] * 2)
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """The real part of w at the nodes x, a row per panel, and w at
-        the segment ends begun since the last call."""
+        the ends of the segments begun since the last call."""
         nonlocal ends
         if ends is None:
-            return kernels.integrand(x.ravel(), np.repeat(owner, x.shape[1])).real
-        w = kernels.integrand(np.concatenate([x.ravel(), ends[0]]),
-                              np.concatenate([np.repeat(owner, x.shape[1]), ends[1]]))
-        for t_end, i, w_end in zip(ends[0].tolist(), ends[1].tolist(), w[x.size:].tolist()):
+            return np.exp(kernels.log_integrand(x.ravel(), np.repeat(owner, x.shape[1]))).real
+        log_w = kernels.log_integrand(np.concatenate([x.ravel(), ends[0]]),
+                                      np.concatenate([np.repeat(owner, x.shape[1]), ends[1]]))
+        w = np.exp(log_w)
+        for t_end, i, w_end, phase in zip(ends[0].tolist(), ends[1].tolist(),
+                                          w[x.size:].tolist(), log_w.imag[x.size:].tolist()):
             if t_end == t_lo[i]:
-                env_lo[i] = abs(w_end)
+                env_lo[i], phase_lo[i] = abs(w_end), phase
             else:
-                w_hi[i] = w_end
+                w_hi[i], phase_hi[i] = w_end, phase
         ends = None
         return w[:x.size].real
 
     def finish(done, value, error, abs_integral, panels):
         nonlocal ends
         begun = []
+        started = []
         for i in done.tolist():
             total[i] += float(value[i])
             err[i] += float(error[i])
@@ -313,14 +396,27 @@ def _integrate(kernels: _Kernels, rate: list[float],
                 results[i] = ContourError(
                     f"contour tail still {tail:.2e} at t = {1.7 * t_hi[i]:.1f}")
             else:
+                # the phase of w turned at this pace over the segment
+                pace = abs(phase_hi[i] - phase_lo[i]) / (t_hi[i] - t_lo[i])
                 segments[i] += 1
                 t_lo[i], t_hi[i] = t_hi[i], 1.7 * t_hi[i]
-                env_lo[i] = env_hi
-                begun.append((t_lo[i], t_hi[i], 0.1 * rel_tol * abs(total[i]), i))
+                env_lo[i], phase_lo[i] = env_hi, phase_hi[i]
+                width = t_hi[i] - t_lo[i]
+                tol = 0.1 * rel_tol * abs(total[i])
+                # a segment that can hold more than its tolerance starts
+                # in panels of at most two turns of the phase each: a single
+                # panel over many turns can be accepted on a |Kronrod -
+                # Gauss| estimate far below its error
+                pieces = 1
+                if env_hi * width > tol:
+                    pieces = min(_MAX_PIECES, max(1, math.ceil(pace * width / (4.0 * math.pi))))
+                edges = [t_lo[i] + j * width / pieces for j in range(pieces)] + [t_hi[i]]
+                begun += [(a, b, tol, i) for a, b in zip(edges, edges[1:])]
+                started.append(i)
         if begun:
             lo, hi, tol, index = np.array(begun).T
-            ends = hi, index.astype(np.intp)
-            return ends[1], lo, hi, tol
+            ends = np.array([t_hi[i] for i in started]), np.array(started, dtype=np.intp)
+            return index.astype(np.intp), lo, hi, tol
 
     _refine(integrand, (np.arange(count), np.zeros(count), np.array(t_hi), 0.0),
             max(1e-13, 0.03 * rel_tol), finish, centred=True)
@@ -363,9 +459,9 @@ def meijer_g_batch(specs: list[MeijerGSpec], log_prefactors: list[float], *,
         index, kernel_tables, strips, rates, lnz, log_prefactor = zip(*group)
         kernels = _Kernels(kernel_tables, lnz, log_prefactor)
         lo, hi = np.array(strips).T
-        kernels.rows[:, 0] = _pick_sigma(kernels, lo, hi)
         # a value that is not finite fails its own instance only
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            kernels.rows[:, 0] = _pick_sigma(kernels, lo, hi)
             evaluated = _integrate(kernels, rates, rel_tol)
         for i, res in zip(index, evaluated):
             results[i] = res

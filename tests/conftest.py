@@ -7,6 +7,8 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator
 
+from hypothesis import settings
+
 from risfso.channel import DetectionMode, cascade_from_constants
 from risfso.metrics import ModulationScheme, ber_form, capacity_form
 from risfso.special import MeijerGSpec
@@ -35,6 +37,12 @@ FIG_COLORS = {
     "blue": (13.2818, 5.7795),
 }
 
+# the one hypothesis profile of the suite: a bounded example count, no
+# deadline (a contour evaluation can take tens of ms) and no example
+# database, so that no .hypothesis/ state carries from one run to the next
+settings.register_profile("tier1", max_examples=50, deadline=None, database=None)
+settings.load_profile("tier1")
+
 # frozen 40-digit Meijer-G values, written by make_meijer_references.py
 REFERENCES = Path(__file__).with_name("meijer_references.json")
 # the twelve family rows of the references: the three turbulence rows,
@@ -45,6 +53,14 @@ FAMILY_MEAN_DB = 20.0
 # bulk, each on every family row at BAND_MEAN_DB
 BAND_RATIOS = (1e-30, 0.99e-12, 1e13, 1e20)
 BAND_MEAN_DB = 30.0
+# pdf and per-hop density ratios from the far left tail to the far right
+# one, each on every family row and on the large-shape rows, at
+# FAMILY_MEAN_DB
+TAIL_RATIOS = (1e-30, 1e-12, 1e-3, 1e3, 1e12, 1e20)
+# (level, alpha, beta, zeta, a): shapes far past Table 2 that
+# LinkScenario accepts (alpha_beta gives about 101 and 97 at cn2 1e-15)
+LARGE_SHAPE_ROWS = (("large-101", 101.0, 97.0, 6.1, 2),
+                    ("large-200", 200.0, 150.0, 20.0, 1))
 
 
 @cache
@@ -57,7 +73,7 @@ def reference_cases() -> Iterator[dict]:
     package, in the order make_meijer_references.py writes them: pdf,
     cdf, mgf, capacity, the four BER schemes and the per-hop density on
     each family row, then the cdf and the mgf at every ``BAND_RATIOS``
-    entry."""
+    entry; then ``tail_cases``."""
     for level, alpha, beta in TABLE2_LEVELS:
         for zeta in FAMILY_ZETAS:
             for a in (1, 2):
@@ -75,6 +91,20 @@ def reference_cases() -> Iterator[dict]:
                     case = dict(row, mean_snr_db=BAND_MEAN_DB, ratio=ratio)
                     yield dict(case, statistic="cdf")
                     yield dict(case, statistic="mgf")
+    yield from tail_cases()
+
+
+def tail_cases() -> Iterator[dict]:
+    """The pdf and the per-hop density at every ``TAIL_RATIOS`` entry, on
+    each family row and then on each of ``LARGE_SHAPE_ROWS``."""
+    rows = [(level, alpha, beta, zeta, a) for level, alpha, beta in TABLE2_LEVELS
+            for zeta in FAMILY_ZETAS for a in (1, 2)]
+    for level, alpha, beta, zeta, a in rows + list(LARGE_SHAPE_ROWS):
+        for ratio in TAIL_RATIOS:
+            case = {"level": level, "alpha": alpha, "beta": beta, "zeta": zeta,
+                    "a": a, "mean_snr_db": FAMILY_MEAN_DB, "ratio": ratio}
+            yield dict(case, statistic="pdf")
+            yield dict(case, statistic="subchannel_pdf")
 
 
 def closed_form(case: dict) -> ClosedForm | float:

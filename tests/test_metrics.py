@@ -84,6 +84,15 @@ def test_capacity_matches_quadrature(a):
     assert got == pytest.approx(want, rel=1e-7)
 
 
+@pytest.mark.parametrize("zeta, a", [(0.3, 1), (0.45, 2)])
+def test_capacity_twin_at_small_zeta(zeta, a):
+    # the twin's -(80/c + 20) cut lies where the density's Meijer-G
+    # argument is no longer a normal double; the twin stops at that floor
+    dist = make_dist(2.0, 1.5, zeta, a, 20.0)
+    assert ergodic_capacity_by_quadrature(dist) == pytest.approx(
+        ergodic_capacity(dist), rel=1e-7)
+
+
 def test_capacity_matches_sampling():
     for db in (10.0, 20.0, 30.0):
         dist = make_dist(*BLUE, 6.1, 1, db)
