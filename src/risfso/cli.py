@@ -31,6 +31,7 @@ from .statistics import SnrDistribution, cdf, mgf, pdf
 from .sweeps import (
     ConfigError,
     _field,
+    _write_text,
     distribution,
     emit,
     link_scenario,
@@ -90,8 +91,7 @@ def _print_result(payload: dict, args: argparse.Namespace) -> None:
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     sys.stdout.write(text)
 
 

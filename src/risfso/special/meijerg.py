@@ -62,9 +62,6 @@ _BRACKET = np.concatenate([[-_U_MAX], _GRID, [_U_MAX]])
 # after _MAX_STEPS steps
 _U_TOL = 1e-8
 _MAX_STEPS = 60
-# contour nodes per log-gamma call: the first rounds of a long curve hold
-# a few thousand, and chunks keep their temporaries near 0.3 MB
-_CHUNK = 1024
 
 
 class MeijerGError(Exception):
@@ -131,7 +128,13 @@ def _table(factors: dict[tuple[float, float], float]) -> np.ndarray:
 
 def _merged_factors(spec: MeijerGSpec) -> dict[tuple[float, float], float]:
     """The weight of each (offset, sign of s) among the gamma factors of
-    the kernel, equal factors merged."""
+    the kernel: log chi(s) = sum_k w_k logGamma(c_k + e_k s).
+
+    Factors with equal (offset, sign) merge and their weights add, so
+    weights can cancel.  The cascade closed forms list every parameter
+    twice, and under IM/DD the (zeta^2 + 1)/2 factor sits in both the
+    numerator and the denominator.
+    """
     m, n = spec.m, spec.n
     a, b = spec.a_params, spec.b_params
     factors = ([(b[j], -1.0, 1.0) for j in range(m)]
@@ -144,22 +147,10 @@ def _merged_factors(spec: MeijerGSpec) -> dict[tuple[float, float], float]:
     return merged
 
 
-def _chi_tables(spec: MeijerGSpec) -> np.ndarray:
-    """Rows (offset c, sign e of s, weight w), one column per gamma factor
-    of the kernel: log chi(s) = sum_k w_k logGamma(c_k + e_k s).
-
-    Factors with equal (offset, sign) merge and their weights add;
-    factors whose weights cancel drop out.  The cascade closed forms list
-    every parameter twice, and under IM/DD the (zeta^2 + 1)/2 factor sits
-    in both the numerator and the denominator.
-    """
-    return _table(_merged_factors(spec))
-
-
 def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of ``_chi_tables`` with unit shifts folded out, as
-    (log-gamma rows, log rows): log chi(s) = sum_k w_k logGamma(c_k + e_k s)
-    + sum_j v_j log(d_j + f_j s).
+    """The factors of ``_merged_factors`` with nonzero weight and unit
+    shifts folded out, as (log-gamma rows, log rows): log chi(s) =
+    sum_k w_k logGamma(c_k + e_k s) + sum_j v_j log(d_j + f_j s).
 
     logGamma(c + 1 + e s) = logGamma(c + e s) + log(c + e s), so a factor
     whose offset lies exactly one above another's, with the same sign of
@@ -210,15 +201,12 @@ class _Kernels:
 
     def log_integrand(self, t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Log of the Mellin-Barnes integrand w(sigma + i t) of instance
-        owner[i] at t[i], in chunks of ``_CHUNK`` nodes.  Its imaginary
-        part, the phase of w, is continuous in t > 0: the log-gammas are
-        scipy's, cut along the negative real axis only."""
-        log_w = np.empty(t.size, dtype=np.complex128)
-        for i in range(0, t.size, _CHUNK):
-            rows = self.rows[owner[i:i + _CHUNK]]
-            s = rows[:, 0] + 1j * t[i:i + _CHUNK]
-            log_w[i:i + _CHUNK] = self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2]
-        return log_w
+        owner[i] at t[i].  Its imaginary part, the phase of w, is
+        continuous in t > 0: the log-gammas are scipy's, cut along the
+        negative real axis only."""
+        rows = self.rows[owner]
+        s = rows[:, 0] + 1j * t
+        return self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2]
 
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
@@ -419,7 +407,7 @@ def _integrate(kernels: _Kernels, rate: list[float],
             return index.astype(np.intp), lo, hi, tol
 
     _refine(integrand, (np.arange(count), np.zeros(count), np.array(t_hi), 0.0),
-            max(1e-13, 0.03 * rel_tol), finish, centred=True)
+            max(1e-13, 0.03 * rel_tol), finish)
     return results
 
 

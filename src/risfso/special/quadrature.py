@@ -41,20 +41,16 @@ _WK_MINUS_WG = _WK - np.array([
 ])
 # an integral stops at this many panels even short of its tolerance
 MAX_PANELS = 2048
-# panels per integrand call (15 Kronrod nodes each): a round of a
-# Meijer-G batch over a twin's nodes can hold 10^5 nodes, and pieces keep
-# the arrays of their nodes near 0.3 MB; most rounds are one piece
-_ROUND_PANELS = 273
+# panels per integrand call (15 Kronrod nodes each, 1,020 in all): the
+# first rounds of a long sweep curve's contours hold a few thousand nodes,
+# and pieces keep the temporaries of their log-gammas near 0.3 MB
+_ROUND_PANELS = 68
 
 
 class QuadratureResult(NamedTuple):
     value: float
     error: float
     abs_integral: float
-
-
-def _centre(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def _kronrod_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], mid: np.ndarray,
@@ -73,7 +69,7 @@ def _kronrod_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], mid: np.nda
 
 
 def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], begun: tuple,
-            rel_tol: float | np.ndarray, finish: Callable, centred: bool = False) -> None:
+            rel_tol: float | np.ndarray, finish: Callable) -> None:
     """Integrate the integrals 0, 1, ... in lockstep.
 
     ``begun`` holds (index, lo, hi, abs_tol): integral index[k] gets the
@@ -89,8 +85,8 @@ def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], begun: tuple,
     integrals' ascending indices, the per-integral sums, each in the
     integral's own panel order, and every panel as a column (lo, hi,
     value, error, |f| integral); it returns a ``begun`` to start in the
-    next round, or None.  With ``centred``, panels are held as (mid, half)
-    and halved into mid -+ half/2 instead of at 0.5 (lo + hi).
+    next round, or None.  A panel is halved at 0.5 (lo + hi), and how a
+    round is cut into calls does not change any value.
     """
     abs_tol = np.zeros(int(begun[0].max()) + 1)
     count = abs_tol.size
@@ -109,24 +105,16 @@ def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], begun: tuple,
         if not new_owner.size:
             return
         block = np.empty((5, new_owner.size))
-        if centred:
-            block[1, :s] = block[1, s:2 * s] = h = 0.5 * b
-            np.subtract(a, h, out=block[0, :s])
-            np.add(a, h, out=block[0, s:2 * s])
-        else:
-            block[0, :s], block[1, s:2 * s] = a, b
-            block[0, s:2 * s] = block[1, :s] = 0.5 * (a + b)
+        block[0, :s], block[1, s:2 * s] = a, b
+        block[0, s:2 * s] = block[1, :s] = 0.5 * (a + b)
         if begun is not None:
-            block[0, 2 * s:], block[1, 2 * s:] = _centre(lo, hi) if centred else (lo, hi)
+            block[0, 2 * s:], block[1, 2 * s:] = lo, hi
         panels, owner = panels[:, keep], owner[keep]
 
-        mid, half = block[:2] if centred else _centre(*block[:2])
-        if new_owner.size <= _ROUND_PANELS:
-            _kronrod_sums(f, mid, half, new_owner, block[2:])
-        else:
-            for j in range(0, new_owner.size, _ROUND_PANELS):
-                k = slice(j, j + _ROUND_PANELS)
-                _kronrod_sums(f, mid[k], half[k], new_owner[k], block[2:, k])
+        mid, half = 0.5 * (block[0] + block[1]), 0.5 * (block[1] - block[0])
+        for j in range(0, new_owner.size, _ROUND_PANELS):
+            k = slice(j, j + _ROUND_PANELS)
+            _kronrod_sums(f, mid[k], half[k], new_owner[k], block[2:, k])
         panels = np.concatenate([panels, block], axis=1)
         owner = np.concatenate([owner, new_owner])
 

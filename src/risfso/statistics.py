@@ -274,9 +274,8 @@ def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float) -> float:
         g = np.array(_values(first + second))
         return g[:len(x)] * g[len(x):]
 
-    # in the substituted variable the small-side decay exponent is the
-    # unsplit min(zeta^2, alpha, beta) = a * min(delta2)
-    span = 42.0 / (a * min(dist.params.delta2)) + 6.0
+    # x = t^(1/a) of the product integral's t: the same region
+    span = _product_span(dist) / a
     val = gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
                         points=[0.0]).value
     lp = math.log(a) + 2.0 * dist.params.log_m - math.log(gamma)

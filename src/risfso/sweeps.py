@@ -272,7 +272,8 @@ def metric_spec(obj: dict, path: str, variable: str | None) -> MetricSpec:
     gamma_th_db = _field(obj, "gamma_th_db", path)
     scheme = str(obj["scheme"]).upper() if "scheme" in obj else None
     s = _field(obj, "s", path)
-    mc = bool(obj.get("mc", False))
+    mc = obj.get("mc", False)
+    _require(isinstance(mc, bool), f"{path}.mc", "must be true or false")
     samples = _field(obj, "samples", path, int, 200_000)
     _require(samples >= 1, f"{path}.samples", "must be >= 1")
     if name == "outage" and variable != "gamma_th_db":
@@ -330,12 +331,15 @@ def parse_config(path: str) -> SweepSpec:
         for i, sc in enumerate(scenarios):
             _require(sc.mean_snr_db is not None, f"scenarios[{i}].mean_snr_db",
                      f"required when sweeping {variable}")
+    output = sw.get("output")
+    _require(output is None or isinstance(output, str), "sweep.output", "must be a string")
+    fmt = sw.get("format", "csv")
+    _require(fmt in ("csv", "json"), "sweep.format", f"must be csv or json, got {fmt!r}")
     return SweepSpec(variable=variable, start=start, stop=stop, step=step,
                      metrics=metrics, scenarios=scenarios,
                      gbar_interpretation=interp,
                      seed=_field(sw, "seed", "sweep", int, 0),
-                     output_path=sw.get("output"),
-                     output_format=str(sw.get("format", "csv")))
+                     output_path=output, output_format=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +400,7 @@ def _curve(spec: SweepSpec, sc: ScenarioSpec, metric: MetricSpec,
         try:
             points.append(_eval_point(metric, distribution(sc, mean_snr, zeta),
                                       gamma_th_db, spec.seed))
-        except MeijerGError as exc:
+        except MeijerGError as exc:  # no builder raises it; the benchmark's self-test does
             points.append(exc)
     points = evaluate_batch(points)
     ys = [math.nan if isinstance(p, MeijerGError) else float(p) for p in points]
@@ -480,6 +484,12 @@ def emit(curves: list[MetricCurve], fmt: str, path: str) -> None:
         text = _curves_to_json(curves)
     else:
         raise ConfigError(f"format: must be csv or json, got {fmt!r}")
+    _write_text(path, text)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``; a file that cannot be written
+    raises ConfigError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -103,6 +103,28 @@ def test_parse_rejects_bad_metric(tmp_path):
         parse_config(write_config(tmp_path, cfg))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("format", "xml", r"^sweep\.format: must be csv or json, got 'xml'$"),
+    ("output", 1, r"^sweep\.output: must be a string$"),
+], ids=["format", "output"])
+def test_parse_checks_output_fields(tmp_path, key, value, message):
+    # before the sweep runs, not when its result is written
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"][key] = value
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_config(tmp_path, cfg))
+
+
+def test_parse_rejects_mc_flag_that_is_not_boolean(tmp_path):
+    # the string "false" is truthy
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"]["metrics"] = [{"name": "capacity", "mc": "false"}]
+    with pytest.raises(ConfigError, match=r"^sweep\.metrics\[0\]\.mc: must be true or false$"):
+        parse_config(write_config(tmp_path, cfg))
+    cfg["sweep"]["metrics"] = [{"name": "capacity", "mc": False}]
+    assert parse_config(write_config(tmp_path, cfg)).metrics[0].mc is False
+
+
 def test_parse_warns_on_unknown_key(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["scenarios"][0]["wavelenght_nm"] = 700.0
@@ -183,7 +205,9 @@ def test_mc_metric_embeds_seed():
 
 
 def test_point_failures_recorded_as_gaps(monkeypatch):
-    # one bad grid point yields NaN plus a diagnostic, not an abort
+    # one bad grid point yields NaN plus a diagnostic, not an abort; no
+    # builder raises MeijerGError, but bench/selftest.py injects one
+    # before the curve's batch, as this test does
     import risfso.sweeps as sweeps_mod
 
     real = sweeps_mod.cdf_form
@@ -306,6 +330,14 @@ def test_cli_capacity_roundtrip(capsys):
     from risfso.metrics import ergodic_capacity
     want = ergodic_capacity(make_dist(12.5331, 4.6787, 6.1, 1, 20.0))
     assert payload["value"] == pytest.approx(want, rel=1e-12)
+
+
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.json"
+    rc = cli.main(["capacity", "--alpha", "12.5331", "--beta", "4.6787",
+                   "--zeta", "6.1", "--mean-snr-db", "20", "--out", str(target)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: output: cannot write")
 
 
 def test_cli_outage_and_cdf_agree(capsys):

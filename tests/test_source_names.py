@@ -1,0 +1,45 @@
+"""No production code that only the tests call: every top-level
+function, class and constant of the package is either used somewhere in
+``src/`` or exported through its module's ``__all__``."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "risfso"
+
+
+def _defined(tree: ast.Module) -> tuple[list[str], set[str]]:
+    """The names a module defines at top level, and its ``__all__``."""
+    names, exported = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if name == "__all__":
+                    exported |= set(ast.literal_eval(node.value))
+                else:
+                    names.append(name)
+    return names, exported
+
+
+def test_every_top_level_name_is_used_or_exported():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.rglob("*.py"))}
+    # a name read anywhere, bare or as an attribute; text in docstrings
+    # and comments is no use
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unused = []
+    for path, tree in trees.items():
+        names, exported = _defined(tree)
+        unused += [f"{path.relative_to(PACKAGE)}:{name}" for name in names
+                   if name not in exported and name not in loaded
+                   and not (name.startswith("__") and name.endswith("__"))]
+    assert not unused, unused

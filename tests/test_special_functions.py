@@ -36,11 +36,12 @@ from risfso.special import (
     meijer_g_batch,
 )
 from risfso.special.meijerg import (
-    _chi_tables,
     _contour_strip,
     _Kernels,
     _kernel_tables,
+    _merged_factors,
     _pick_sigma,
+    _table,
 )
 from risfso.special.quadrature import _refine
 from risfso.statistics import cdf_form, mgf_form, pdf_form
@@ -138,7 +139,7 @@ def test_gauss_kronrod_stops_on_nan_integrand():
     assert not math.isfinite(err)
 
 
-def _refine_rows(rows, centred):
+def _refine_rows(rows):
     """(value, error, abs_integral) of each row's integral, refined in one
     lockstep batch.  A row with a cut integrates up to it, then begins the
     rest of its interval in the round that finishes the first part."""
@@ -162,7 +163,7 @@ def _refine_rows(rows, centred):
         return (rest, cut[rest], hi[rest], abs_tol[rest]) if rest.size else None
 
     _refine(f, (np.arange(len(rows)), lo, np.where(first, cut, hi), abs_tol),
-            rel_tol, finish, centred)
+            rel_tol, finish)
     return sums
 
 
@@ -191,11 +192,11 @@ def _integral_rows(draw):
             10.0 ** -draw(st.integers(6, 12)), draw(st.sampled_from([0.0, 1e-13])))
 
 
-@given(rows=st.lists(_integral_rows(), min_size=2, max_size=6), centred=st.booleans())
-def test_refine_batch_invariance_and_error_estimates(rows, centred):
-    batched = _refine_rows(rows, centred)
+@given(rows=st.lists(_integral_rows(), min_size=2, max_size=6))
+def test_refine_batch_invariance_and_error_estimates(rows):
+    batched = _refine_rows(rows)
     for row, got in zip(rows, batched):
-        alone = _refine_rows([row], centred)[0]
+        alone = _refine_rows([row])[0]
         assert [v.hex() for v in got] == [v.hex() for v in alone], row
         # the |Kronrod - Gauss| estimate bounds the error of a smooth
         # integrand, unless its absolute tolerance let it stop first;
@@ -364,7 +365,7 @@ def test_kernel_tables_merge_equal_and_fold_shifted_factors(a, factors, folded):
              "mgf": mgf_form(dist, 0.3).spec}
     t = np.linspace(0.0, 60.0, 241)
     for name, spec in specs.items():
-        offs, slope, weight = _chi_tables(spec)
+        offs, slope, weight = _table(_merged_factors(spec))
         assert (spec.p + spec.q, len(offs)) == factors[name], name
         tables = _kernel_tables(spec)
         assert (tables[0].shape[1], tables[1].shape[1]) == folded[name], name

@@ -154,6 +154,18 @@ def test_pdf_matches_substituted_integral(a):
         assert got == pytest.approx(want, rel=1e-5), (a, ratio)
 
 
+@pytest.mark.parametrize("a", [1, 2])
+def test_substituted_twin_at_small_zeta(a):
+    # at zeta 0.2 the density decays slowly toward 0 (c = 0.04 / a), and
+    # the twin's span, that of the product twin in x = t^(1/a), keeps
+    # both Meijer-G arguments normal doubles
+    dist = make_dist(2.0, 1.5, 0.2, a, 20.0)
+    for ratio in (1e-3, 1.0, 1e3):
+        gamma = ratio * dist.mean_snr
+        assert pdf_by_substituted_integral(dist, gamma) \
+            == pytest.approx(pdf(dist, gamma), rel=1e-7), ratio
+
+
 def test_substituted_integrand_nonnegative():
     # both G factors of the substituted integrand stay nonnegative
     from risfso.special import MeijerGSpec, meijer_g
