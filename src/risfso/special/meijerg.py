@@ -58,6 +58,9 @@ _GRID = np.arange(-12.0, 12.25, 0.5)
 # still a double and phi' counts as -+_G_MAX
 _U_MAX, _G_MAX = 700.0, 1e300
 _BRACKET = np.concatenate([[-_U_MAX], _GRID, [_U_MAX]])
+# that first round takes the instances in slabs of about this many
+# digamma arguments, so its arrays stay near 64 kB
+_SLAB = 8192
 # an instance's search stops at its first Newton step below _U_TOL, or
 # after _MAX_STEPS steps
 _U_TOL = 1e-8
@@ -189,24 +192,26 @@ class _Kernels:
             [np.concatenate([g, lg], axis=1).ravel() for g, lg in tables]])
 
     def log_chi(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Log of the gamma-ratio kernel at s[i], for the instance whose
-        row is rows[i]."""
+        """Log of the gamma-ratio kernel at s, for the instances whose rows
+        ``rows`` holds, broadcast against s along all but its last axis."""
         k, kg = self.width, self.gamma_width
         # the arguments c + e s, overwritten in place by the terms
-        terms = rows[:, 3:3 + k] + rows[:, 3 + k:3 + 2 * k] * s[:, None]
-        loggamma_complex(terms[:, :kg], out=terms[:, :kg])
-        np.log(terms[:, kg:], out=terms[:, kg:])
-        terms *= rows[:, 3 + 2 * k:]
-        return np.add.reduce(terms, axis=1)
+        terms = rows[..., 3 + k:3 + 2 * k] * s[..., None]
+        terms += rows[..., 3:3 + k]
+        loggamma_complex(terms[..., :kg], out=terms[..., :kg])
+        np.log(terms[..., kg:], out=terms[..., kg:])
+        terms *= rows[..., 3 + 2 * k:]
+        return np.add.reduce(terms, axis=-1)
 
     def log_integrand(self, t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Log of the Mellin-Barnes integrand w(sigma + i t) of instance
-        owner[i] at t[i].  Its imaginary part, the phase of w, is
+        owner[i] at each t[i, j].  Its imaginary part, the phase of w, is
         continuous in t > 0: the log-gammas are scipy's, cut along the
         negative real axis only."""
-        rows = self.rows[owner]
-        s = rows[:, 0] + 1j * t
-        return self.log_chi(s, rows) + s * rows[:, 1] + rows[:, 2]
+        # one row per instance row of t, broadcast along it
+        rows = self.rows[owner][:, None, :]
+        s = rows[..., 0] + 1j * t
+        return self.log_chi(s, rows) + s * rows[..., 1] + rows[..., 2]
 
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
@@ -261,11 +266,16 @@ def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     rate = sign * side[:, None]
 
     gap = np.exp(side[:, None] * _GRID)
-    x = base[:, None, :] + rate[:, None, :] * (gap / (1.0 + gap * inv_width[:, None]))[:, :, None]
-    # phi' on the grid, between -+_G_MAX at the ends of the bracket
+    dist = gap / (1.0 + gap * inv_width[:, None])
+    # phi' on the grid, between -+_G_MAX at the ends of the bracket, for
+    # a slab of instances at a time
     g = np.empty((count, _BRACKET.size))
     g[:, 0], g[:, -1] = -_G_MAX, _G_MAX
-    np.add.reduce(digamma(x) * slope_weight[:, None, :], axis=2, out=g[:, 1:-1])
+    step = max(1, _SLAB // (_GRID.size * base.shape[1]))
+    for i in range(0, count, step):
+        part = slice(i, i + step)
+        x = base[part, None, :] + rate[part, None, :] * dist[part, :, None]
+        np.add.reduce(digamma(x) * slope_weight[part, None, :], axis=2, out=g[part, 1:-1])
     g[:, 1:-1] += lnz[:, None]
     # the bracket [a, b] around the first sign change
     j = np.argmax(g > 0.0, axis=1)
@@ -345,19 +355,16 @@ def _integrate(kernels: _Kernels, rate: list[float],
         """The real part of w at the nodes x, a row per panel, and w at
         the ends of the segments begun since the last call."""
         nonlocal ends
-        if ends is None:
-            return np.exp(kernels.log_integrand(x.ravel(), np.repeat(owner, x.shape[1]))).real
-        log_w = kernels.log_integrand(np.concatenate([x.ravel(), ends[0]]),
-                                      np.concatenate([np.repeat(owner, x.shape[1]), ends[1]]))
-        w = np.exp(log_w)
-        for t_end, i, w_end, phase in zip(ends[0].tolist(), ends[1].tolist(),
-                                          w[x.size:].tolist(), log_w.imag[x.size:].tolist()):
-            if t_end == t_lo[i]:
-                env_lo[i], phase_lo[i] = abs(w_end), phase
-            else:
-                w_hi[i], phase_hi[i] = w_end, phase
-        ends = None
-        return w[:x.size].real
+        if ends is not None:
+            log_w = kernels.log_integrand(ends[0][:, None], ends[1])[:, 0]
+            for t_end, i, w_end, phase in zip(ends[0].tolist(), ends[1].tolist(),
+                                              np.exp(log_w).tolist(), log_w.imag.tolist()):
+                if t_end == t_lo[i]:
+                    env_lo[i], phase_lo[i] = abs(w_end), phase
+                else:
+                    w_hi[i], phase_hi[i] = w_end, phase
+            ends = None
+        return np.exp(kernels.log_integrand(x, owner)).real
 
     def finish(done, value, error, abs_integral, panels):
         nonlocal ends

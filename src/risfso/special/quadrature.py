@@ -43,7 +43,7 @@ _WK_MINUS_WG = _WK - np.array([
 MAX_PANELS = 2048
 # panels per integrand call (15 Kronrod nodes each, 1,020 in all): the
 # first rounds of a long sweep curve's contours hold a few thousand nodes,
-# and pieces keep the temporaries of their log-gammas near 0.3 MB
+# and pieces keep the temporaries of their log-gammas near 130 kB
 _ROUND_PANELS = 68
 
 
