@@ -22,6 +22,7 @@ from .statistics import (
     SnrDistribution,
     _log_pdf_floor,
     _values,
+    _warn_if_cut_short,
     cdf,
     cdf_form,
     pdf_form,
@@ -120,11 +121,16 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
         return np.log1p(chi * g) * f * g
 
     # the integrand scales like g^(1 + c) toward the origin; the cut goes
-    # no lower than where the density's argument is still a normal double
-    lo = max(-(80.0 / c + 20.0), _log_pdf_floor(dist) - math.log(gbar))
+    # no lower than where the density's argument is still a normal double,
+    # and leaves out about the integrand there over 1 + c
+    cut = -(80.0 / c + 20.0)
+    lo = max(cut, _log_pdf_floor(dist) - math.log(gbar))
     hi = 20.0 * p.a
     val = gauss_kronrod(integrand, lo, hi, _TWIN_REL_TOL, 1e-290,
                         points=[0.0]).value
+    if lo > cut:
+        _warn_if_cut_short(integrand(np.array([lo]))[0] / (1.0 + c), val,
+                           _TWIN_REL_TOL, "ergodic_capacity_by_quadrature")
     return val / math.log(2.0)
 
 

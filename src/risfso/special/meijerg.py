@@ -24,7 +24,13 @@ whose families touch or interleave has no separating strip and raises
 All gamma factors are accumulated in log space, so instances whose
 G-value spans hundreds of orders of magnitude stay representable; an
 optional ``log_prefactor`` folds an external scale factor into the
-integrand for the same reason.
+integrand for the same reason.  Before the pass the factors of each
+kernel are reduced (``_kernel_tables``): equal ones merge, a factor one
+above another folds onto it and a log, and a pair half a unit apart
+becomes one log-gamma of twice the slope by Legendre's duplication
+formula, its constant and term linear in s joining the log prefactor
+and ln z.  Under IM/DD that pairing undoes the Gauss multiplication of
+the closed forms and halves the log-gammas the cdf needs per node.
 """
 from __future__ import annotations
 
@@ -47,6 +53,8 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-9
+_LN2 = math.log(2.0)
+_HALF_LN_PI = 0.5 * math.log(math.pi)
 # the line integral gives up after this many segments, each 1.7x longer
 _MAX_SEGMENTS = 48
 # a new segment starts in at most this many panels
@@ -150,16 +158,28 @@ def _merged_factors(spec: MeijerGSpec) -> dict[tuple[float, float], float]:
     return merged
 
 
-def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of ``_merged_factors`` with nonzero weight and unit
-    shifts folded out, as (log-gamma rows, log rows): log chi(s) =
-    sum_k w_k logGamma(c_k + e_k s) + sum_j v_j log(d_j + f_j s).
+def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The factors of ``_merged_factors`` with nonzero weight, unit shifts
+    folded out and half shifts paired, as (log-gamma rows, log rows, a
+    constant, a slope): log chi(s) = sum_k w_k logGamma(c_k + e_k s) +
+    sum_j v_j log(d_j + f_j s) + constant + slope s.
 
     logGamma(c + 1 + e s) = logGamma(c + e s) + log(c + e s), so a factor
     whose offset lies exactly one above another's, with the same sign of
     s, moves its weight onto that factor and onto a log.  The closed forms
     pair zeta^2 with zeta^2 + 1 and Gamma(s) with Gamma(1 + s), and log is
     much cheaper than log-gamma.
+
+    Then Legendre's duplication formula, Gamma(x) Gamma(x + 1/2) =
+    2^(1 - 2x) sqrt(pi) Gamma(2x) (DLMF 5.5.5), moves the weight that
+    the factors at (c, e) and (c + 1/2, e) share onto one at (2c, 2e),
+    leaving the constant w ((1 - 2c) ln 2 + ln(pi) / 2) and the slope
+    -2 e w ln 2.  Under IM/DD the closed forms split alpha, beta and
+    zeta^2 into such pairs by Gauss's multiplication formula, and this
+    puts each pair back together.  Folding first keeps Gamma(s) /
+    Gamma(1 + s), which cancels to a log, from pairing with Gamma(1/2 + s).
+    After the fold no two offsets of one sign lie exactly one apart, so
+    the pairs are disjoint.
     """
     gamma = {key: w for key, w in _merged_factors(spec).items() if w != 0.0}
     # the first factor whose offset lies one below each (offset, sign)
@@ -173,13 +193,24 @@ def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray]:
             w = gamma.pop(key)
             gamma[base] += w
             logs[base] = logs.get(base, 0.0) + w
-    return _table(gamma), _table(logs)
+    constant = slope = 0.0
+    for c, e in sorted(gamma):
+        w_lo, w_hi = gamma[c, e], gamma.get((c + 0.5, e), 0.0)
+        if w_lo * w_hi > 0.0:
+            w = w_lo if abs(w_lo) <= abs(w_hi) else w_hi
+            gamma[c, e] -= w
+            gamma[c + 0.5, e] -= w
+            gamma[2.0 * c, 2.0 * e] = gamma.get((2.0 * c, 2.0 * e), 0.0) + w
+            constant += w * ((1.0 - 2.0 * c) * _LN2 + _HALF_LN_PI)
+            slope -= 2.0 * e * w * _LN2
+    return _table(gamma), _table(logs), constant, slope
 
 
 class _Kernels:
     """The kernels of a batch of instances with equally many log-gamma and
-    log factors, one row each: sigma (set once chosen), ln z, log
-    prefactor, then the offsets, signs and weights of the factors, the
+    log factors, one row each: sigma (set once chosen), ln z and log
+    prefactor (each with the slope and constant of ``_kernel_tables``
+    added), then the offsets, signs and weights of the factors, the
     log-gamma ones first.  A kernel value is a sum along its instance's
     row, so it does not depend on the other instances of the batch."""
 
@@ -247,13 +278,15 @@ def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     # offsets, signs of s and weights of the factors, each log factor
     # unfolded into log-gammas, log x = logGamma(x + 1) - logGamma(x):
     # phi' is then one sum of digammas and phi'' one of trigammas,
-    # zeta(2, x), which is polygamma(1, x) without polygamma's wrapper
+    # zeta(2, x), which is polygamma(1, x) without polygamma's wrapper;
+    # a factor of slope e weighs e in phi' and e^2 in phi''
     table = kernels.rows[:, 3:].reshape(count, 3, k)
     table = np.concatenate([table, table[:, :, kg:]], axis=2)
     table[:, 0, k:] += 1.0
     table[:, 2, kg:k] *= -1.0
     off, sign, weight = table[:, 0], table[:, 1], table[:, 2]
     slope_weight = weight * sign
+    curvature_weight = slope_weight * sign
     lnz = kernels.rows[:, 1]
     # sigma = end + side * dist, dist = gap / (1 + gap / width) and
     # gap = exp(side * u); then dsigma/du = dist^2 / gap, and the
@@ -290,7 +323,7 @@ def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         dist = gap * q
         x = base + rate * dist[:, None]
         g = np.add.reduce(digamma(x) * slope_weight, axis=1) + lnz
-        h = np.add.reduce(zeta(2.0, x) * weight, axis=1)
+        h = np.add.reduce(zeta(2.0, x) * curvature_weight, axis=1)
         # fmax and fmin: a step that is not a number goes to the bracket end
         v = np.fmin(np.fmax(u - g / (h * dist * q), a), b)
         small = np.abs(v - u) <= _U_TOL
@@ -431,7 +464,7 @@ def meijer_g_batch(specs: list[MeijerGSpec], log_prefactors: list[float], *,
     results: list = [None] * len(specs)
     groups: dict[tuple[int, int], list[tuple]] = {}
     # the points of a curve mostly share their parameters
-    tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    tables: dict[tuple, tuple[np.ndarray, np.ndarray, float, float]] = {}
     for i, spec in enumerate(specs):
         delta = spec.decay_index
         try:
@@ -446,10 +479,10 @@ def meijer_g_batch(specs: list[MeijerGSpec], log_prefactors: list[float], *,
         key = (spec.m, spec.n, spec.a_params, spec.b_params)
         if key not in tables:
             tables[key] = _kernel_tables(spec)
-        table = tables[key]
-        groups.setdefault((table[0].shape[1], table[1].shape[1]), []).append(
-            (i, table, strip, delta * math.pi, math.log(spec.argument),
-             float(log_prefactors[i])))
+        gamma, logs, constant, slope = tables[key]
+        groups.setdefault((gamma.shape[1], logs.shape[1]), []).append(
+            (i, (gamma, logs), strip, delta * math.pi, math.log(spec.argument) + slope,
+             float(log_prefactors[i]) + constant))
     for group in groups.values():
         index, kernel_tables, strips, rates, lnz, log_prefactor = zip(*group)
         kernels = _Kernels(kernel_tables, lnz, log_prefactor)

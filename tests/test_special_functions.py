@@ -17,7 +17,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning
@@ -25,9 +25,11 @@ from scipy.special import digamma as scipy_digamma
 from scipy.special import kv as scipy_kv
 from scipy.special import polygamma as scipy_polygamma
 
-from conftest import TABLE2_LEVELS, make_dist, meijer_references, reflected
+from conftest import TABLE2_LEVELS, closed_form, make_dist, meijer_references, reflected
+from risfso.metrics import ModulationScheme, ber_form, capacity_form
 from risfso.special import (
     ContourError,
+    EvalResult,
     MeijerGError,
     MeijerGSpec,
     gauss_kronrod,
@@ -350,39 +352,131 @@ def _unmerged_log_chi(spec: MeijerGSpec, s: np.ndarray) -> np.ndarray:
     return total
 
 
-@pytest.mark.parametrize("a, factors, folded", [
-    (1, {"pdf": (8, 4), "cdf": (10, 6), "mgf": (11, 5)},
-     {"pdf": (2, 1), "cdf": (2, 2), "mgf": (3, 1)}),
-    (2, {"pdf": (8, 4), "cdf": (18, 8), "mgf": (19, 7)},
-     {"pdf": (2, 1), "cdf": (4, 2), "mgf": (5, 1)}),
-], ids=["HD", "IM/DD"])
-def test_kernel_tables_merge_equal_and_fold_shifted_factors(a, factors, folded):
+def _line_in_strip(spec: MeijerGSpec) -> float:
+    lo, hi = _contour_strip(spec)
+    if math.isinf(lo):
+        return hi - 0.5
+    return lo + 0.5 if math.isinf(hi) else 0.5 * (lo + hi)
+
+
+def _assert_kernel_matches_unmerged(spec: MeijerGSpec, tables) -> None:
+    """The folded kernel, its constant and slope included, against one
+    log-gamma per parameter on a line inside the strip: the real part to
+    1e-13 and the phase modulo 2 pi, since the folded kernel sums logs in
+    place of log-gamma differences and Gamma(2x) in place of Gamma(x)
+    Gamma(x + 1/2)."""
+    gamma, logs, constant, slope = tables
+    s = _line_in_strip(spec) + 1j * np.linspace(0.0, 60.0, 241)
+    want = _unmerged_log_chi(spec, s)
+    scale = 1e-13 * np.maximum(1.0, np.abs(want))
+    kernels = _Kernels([(gamma, logs)], [0.0], [0.0])
+    got = kernels.log_chi(s, kernels.rows[np.zeros(s.size, dtype=np.intp)]) + slope * s + constant
+    phase = np.angle(np.exp(1j * (got - want).imag))
+    assert np.all(np.abs((got - want).real) <= scale), spec
+    assert np.all(np.abs(phase) <= scale), spec
+
+
+# per closed form: parameters, merged factors, then log-gammas and logs
+# once unit shifts are folded and half shifts paired
+KERNEL_COUNTS = {
+    1: {"pdf": (8, 4, 2, 1), "cdf": (10, 6, 2, 2), "mgf": (11, 5, 3, 1),
+        "capacity": (12, 7, 4, 2), "CBFSK": (11, 7, 3, 2), "NBFSK": (11, 5, 3, 1),
+        "CBPSK": (11, 7, 3, 2), "DBPSK": (11, 5, 3, 1)},
+    2: {"pdf": (8, 4, 2, 1), "cdf": (18, 8, 2, 2), "mgf": (19, 7, 3, 1),
+        "capacity": (20, 9, 4, 2), "CBFSK": (19, 9, 3, 2), "NBFSK": (19, 7, 3, 1),
+        "CBPSK": (19, 9, 3, 2), "DBPSK": (19, 7, 3, 1)},
+}
+
+
+@pytest.mark.parametrize("a", [1, 2], ids=["HD", "IM/DD"])
+def test_kernel_tables_merge_equal_and_fold_shifted_factors(a):
     # the cascade closed forms list every parameter twice, and under IM/DD
     # the (zeta^2 + 1)/2 factor cancels between numerator and denominator;
-    # then zeta^2 + 1 folds onto zeta^2 and Gamma(1 + s) onto Gamma(s)
+    # then zeta^2 + 1 folds onto zeta^2 and Gamma(1 + s) onto Gamma(s), and
+    # under IM/DD each alpha/2, (alpha + 1)/2 pair, and beta's, becomes one
+    # log-gamma of slope -2
     dist = make_dist(4.9477, 1.2310, 1.1, a, 20.0)
     specs = {"pdf": pdf_form(dist, 30.0).spec, "cdf": cdf_form(dist, 30.0).spec,
-             "mgf": mgf_form(dist, 0.3).spec}
-    t = np.linspace(0.0, 60.0, 241)
+             "mgf": mgf_form(dist, 0.3).spec, "capacity": capacity_form(dist).spec}
+    specs.update((scheme.name, ber_form(dist, scheme).spec) for scheme in ModulationScheme)
+    assert specs.keys() == KERNEL_COUNTS[a].keys()
     for name, spec in specs.items():
         offs, slope, weight = _table(_merged_factors(spec))
-        assert (spec.p + spec.q, len(offs)) == factors[name], name
         tables = _kernel_tables(spec)
-        assert (tables[0].shape[1], tables[1].shape[1]) == folded[name], name
-        hi = min(spec.b_params[:spec.m])
-        sigma = hi - 0.5 if spec.n == 0 else 0.5 * hi
-        s = sigma + 1j * t
+        assert (spec.p + spec.q, len(offs), tables[0].shape[1], tables[1].shape[1]) \
+            == KERNEL_COUNTS[a][name], name
+        # a paired factor has slope +-2 and leaves a constant and a slope;
+        # the densities' parameters carry no Gauss multiplication
+        paired = bool(np.any(np.abs(tables[0][1]) == 2.0))
+        assert (tables[2] != 0.0, tables[3] != 0.0) == (paired, paired), name
+        assert paired == (a == 2 and name != "pdf"), name
+        s = _line_in_strip(spec) + 1j * np.linspace(0.0, 60.0, 241)
         want = _unmerged_log_chi(spec, s)
-        scale = 1e-13 * np.maximum(1.0, np.abs(want))
         merged = (weight[:, None] * loggamma_complex(offs[:, None] + slope[:, None] * s)).sum(axis=0)
-        assert np.all(np.abs(merged - want) <= scale), name
-        # the folded kernel sums logs in place of log-gamma differences,
-        # so its imaginary part may differ by a multiple of 2 pi
-        kernels = _Kernels([tables], [0.0], [0.0])
-        got = kernels.log_chi(s, kernels.rows[np.zeros(t.size, dtype=np.intp)])
-        phase = np.angle(np.exp(1j * (got - want).imag))
-        assert np.all(np.abs((got - want).real) <= scale), name
-        assert np.all(np.abs(phase) <= scale), name
+        assert np.all(np.abs(merged - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), name
+        _assert_kernel_matches_unmerged(spec, tables)
+
+
+@st.composite
+def _coincident_forms(draw):
+    """A closed form, of either detection mode and any builder, whose
+    parameters coincide exactly: alpha - beta in {0, +-1/2, +-1, +-3/2,
+    +-2}, and zeta^2 = alpha or zeta^2 + 1 = beta in two draws of three.
+    alpha, zeta^2 and beta lie on a lattice of quarters from 1/2 up, so
+    the capacity's Gamma(-s)^2 can pair with a factor at 1/2 of unequal
+    weight, which merges partly."""
+    gap = draw(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0]))
+    kind = draw(st.sampled_from(["gap", "zeta^2 = alpha", "zeta^2 + 1 = beta"]))
+    zeta = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
+    if kind == "gap":
+        alpha = draw(st.integers(2, 120)) / 4.0
+        beta = alpha - gap
+    elif kind == "zeta^2 = alpha":
+        alpha = zeta ** 2
+        beta = alpha - gap
+    else:
+        beta = zeta ** 2 + 1.0
+        alpha = beta + gap
+    assume(min(alpha, beta) >= 0.5)
+    case = {"alpha": alpha, "beta": beta, "zeta": zeta, "a": draw(st.sampled_from([1, 2])),
+            "mean_snr_db": 20.0, "ratio": 10.0 ** draw(st.floats(-3.0, 3.0)),
+            "statistic": draw(st.sampled_from(
+                ["pdf", "subchannel_pdf", "cdf", "mgf", "capacity", "ber"])),
+            "scheme": draw(st.sampled_from([s.name for s in ModulationScheme]))}
+    return closed_form(case)
+
+
+@given(form=_coincident_forms())
+# IM/DD capacity at alpha = 1: Gamma(-s) of weight 3 after the fold pairs
+# with Gamma(1/2 - s) of weight 2
+@example(form=closed_form({"alpha": 1.0, "beta": 1.5, "zeta": 1.1, "a": 2,
+                           "mean_snr_db": 20.0, "statistic": "capacity"}))
+# HD capacity at alpha = beta = 1/2 and IM/DD cdf at zeta^2 + 1 = beta = alpha
+@example(form=closed_form({"alpha": 0.5, "beta": 0.5, "zeta": 1.1, "a": 1,
+                           "mean_snr_db": 20.0, "statistic": "capacity"}))
+@example(form=closed_form({"alpha": 3.25, "beta": 3.25, "zeta": 1.5, "a": 2,
+                           "mean_snr_db": 20.0, "ratio": 1.0, "statistic": "cdf"}))
+def test_fold_of_coincident_parameters(form):
+    spec = form.spec
+    _assert_kernel_matches_unmerged(spec, _kernel_tables(spec))
+    # one instance alone and in a batch with other shapes and arguments
+    others = [MeijerGSpec(spec.m, spec.n, spec.a_params, spec.b_params, spec.argument * 7.0),
+              EXP_SPEC, BESSEL_SPEC]
+    alone = meijer_g_batch([spec], [form.log_prefactor])[0]
+    batched = meijer_g_batch([others[0], spec] + others[1:], [0.0, form.log_prefactor, 0.0, 0.0])[1]
+    assert isinstance(alone, EvalResult), alone
+    assert (alone.value.hex(), alone.abs_error_estimate.hex()) \
+        == (batched.value.hex(), batched.abs_error_estimate.hex())
+
+
+def test_fold_merges_unequal_weights_partly():
+    # IM/DD capacity at alpha = 1: (alpha + 1)/2 = 1 folds onto Gamma(-s),
+    # whose weight 3 then shares 2 with Gamma(1/2 - s), alpha/2
+    dist = make_dist(1.0, 1.5, 1.1, 2, 20.0)
+    gamma, _, _, _ = _kernel_tables(capacity_form(dist).spec)
+    factors = {(c, e): w for c, e, w in gamma.T}
+    assert factors == {(0.0, -1.0): 1.0, (0.0, -2.0): 2.0, (1.5, -2.0): 2.0,
+                       (1.0, 1.0): 1.0}
 
 
 def _raw_slopes(spec: MeijerGSpec, sigma: float) -> tuple[float, float, float]:
@@ -416,12 +510,15 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
     for spec in specs:
         tables = _kernel_tables(spec)
         groups.setdefault((tables[0].shape[1], tables[1].shape[1]), []).append((spec, tables))
-    assert len(groups) == 3
+    # the IM/DD cdf pairs alpha's and beta's factors into log-gammas of
+    # slope -2 and joins the HD cdf's group
+    assert len(groups) == 2
     eps = np.finfo(float).eps
     for group in groups.values():
         strips = np.array([_contour_strip(spec) for spec, _ in group])
         with np.errstate(all="ignore"):
-            kernels = _Kernels([t for _, t in group], [math.log(spec.argument) for spec, _ in group],
+            kernels = _Kernels([t[:2] for _, t in group],
+                               [math.log(spec.argument) + t[3] for spec, t in group],
                                [0.0] * len(group))
             batched = _pick_sigma(kernels, *strips.T)
         for (spec, tables), strip, sigma in zip(group, strips, batched):
@@ -430,8 +527,8 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
             slope, size, curvature = _raw_slopes(spec, float(sigma))
             assert abs(slope) <= 8 * eps * (size + abs(curvature * sigma)), (spec, sigma, slope)
             with np.errstate(all="ignore"):
-                alone = _pick_sigma(_Kernels([tables], [math.log(spec.argument)], [0.0]),
-                                    strip[:1], strip[1:])[0]
+                alone = _pick_sigma(_Kernels([tables[:2]], [math.log(spec.argument) + tables[3]],
+                                             [0.0]), strip[:1], strip[1:])[0]
             assert alone.hex() == sigma.hex(), (spec, alone, sigma)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -222,6 +223,19 @@ def test_pdf_tails_and_domain():
         pdf(dist, 5e-324)
 
 
+@pytest.mark.parametrize("gamma", [1e-308, 1e-320])
+def test_pdf_rejects_a_subnormal_argument(gamma):
+    # at zeta 0.2 the density diverges toward 0 (decay exponent 0.04);
+    # the argument Q^2 gamma / mean SNR is subnormal and has lost digits,
+    # and at 1e-320 the contour value overflowed
+    dist = make_dist(10.9537, 2.9833, 0.2, 1, 30.0)
+    with pytest.raises(ValueError, match=f"pdf at gamma {gamma!r} is out of double range"):
+        pdf(dist, gamma)
+    gbar_i = math.sqrt(dist.mean_snr)
+    with pytest.raises(ValueError, match=f"gamma {gamma!r}"):
+        subchannel_pdf(dist, gamma, gbar_i)
+
+
 @st.composite
 def _density_points(draw):
     """(alpha, beta, zeta, a, ratio): shapes log-uniform in [0.3, 1e4],
@@ -280,10 +294,25 @@ def test_cdf_matches_integrated_pdf_on_grid(a):
 def test_cdf_twin_at_small_zeta(zeta, a):
     # c = zeta^2 / a is 0.04 or 0.045: the twin's -48/c cut lies where
     # the density's Meijer-G argument is no longer a normal double, so
-    # the twin stops at that floor
+    # the twin stops at that floor, which leaves out less than its
+    # tolerance and does not warn
     dist = make_dist(2.0, 1.5, zeta, a, 20.0)
     for gamma in (1.0, 100.0):
-        assert cdf_by_quadrature(dist, gamma) == pytest.approx(cdf(dist, gamma), rel=1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            twin = cdf_by_quadrature(dist, gamma)
+        assert twin == pytest.approx(cdf(dist, gamma), rel=1e-8)
+
+
+def test_cdf_twin_warns_where_its_floor_cut_leaves_out_too_much():
+    # zeta 0.2 under IM/DD: c = 0.02, and at gamma = mean SNR / 100 the
+    # floor leaves out about the integrand there over c, against a
+    # tolerance of 1e-8 relative
+    dist = make_dist(2.0, 1.5, 0.2, 2, 20.0)
+    gamma = 0.01 * dist.mean_snr
+    with pytest.warns(IntegrationWarning, match="leaves out about 8.4e-06 of 0.96"):
+        twin = cdf_by_quadrature(dist, gamma)
+    assert 8.4e-6 < cdf(dist, gamma) - twin < 9.5e-6
 
 
 # (alpha, beta, zeta, a, product mean SNR dB, threshold dB): saturated
