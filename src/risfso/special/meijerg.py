@@ -1,18 +1,22 @@
 """Meijer-G evaluation on positive real arguments.
 
-``meijer_g_batch`` integrates the defining Mellin-Barnes integral of
-each instance along a vertical line placed inside the strip separating
-the two pole families.  The line passes through the saddle point of the
-integrand on the real axis, where its magnitude is least: the root of
-the digamma sum that is the derivative of its log, found by Newton steps
-inside a bracket (``_pick_sigma``).  There the integral cancels least,
-deep in either tail, near saturation and for large shapes alike, even
-where the saddle lies millions of units from the end of a one-sided
-strip.  Every instance keeps its own line and integrates it segment by
-segment; the adaptive Gauss-Kronrod engine of ``quadrature._refine``
-refines the segments of all instances in lockstep, so they share only
-the integrand calls of each refinement round, and a value does not
-depend on the batch it is evaluated in.  ``meijer_g`` is a batch of one.
+``meijer_g_batch`` sums the defining Mellin-Barnes integral of each
+instance with the trapezoid rule along a vertical line placed inside the
+strip separating the two pole families.  The line passes through the
+saddle point of the integrand on the real axis, where its magnitude is
+least: the root of the digamma sum that is the derivative of its log,
+found by Newton steps inside a bracket (``_pick_sigma``).  There the
+integral cancels least, deep in either tail, near saturation and for
+large shapes alike, even where the saddle lies millions of units from
+the end of a one-sided strip.
+
+The integrand is analytic in the strip of half-width d about the line,
+d being the distance to the nearest pole, where the trapezoid rule
+converges geometrically (Trefethen and Weideman, SIAM Review 56(3),
+2014, Thm 5.1).  Each instance (``_line``) takes its own step and span
+from d and from its integrand; ``_trapezoid`` runs all instances in
+lockstep rounds that share only kernel calls, so a value does not
+depend on its batch.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -41,7 +45,6 @@ import numpy as np
 from scipy.special import digamma, zeta
 
 from .gammafn import loggamma_complex
-from .quadrature import _refine
 
 __all__ = [
     "ContourError",
@@ -55,10 +58,21 @@ __all__ = [
 _COLLISION_TOL = 1e-9
 _LN2 = math.log(2.0)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
-# the line integral gives up after this many segments, each 1.7x longer
-_MAX_SEGMENTS = 48
-# a new segment starts in at most this many panels
-_MAX_PIECES = 256
+# nodes per row of a line's ask; one kernel row is broadcast along a row
+_WIDTH = 15
+# rows per kernel call, and at most per ask: pieces of 1,020 nodes keep
+# the temporaries of the log-gammas near 130 kB
+_PIECE_ROWS = 68
+_PIECE = _WIDTH * _PIECE_ROWS
+# lines join a round while it asks for fewer rows than this, so a batch
+# of thousands of instances holds a bounded number of nodes at once
+_ROUND_ROWS = 8 * _PIECE_ROWS
+# a line's first span is _SPAN / (pi decay_index), where the asymptotic
+# decay of |w|, exp(-pi decay_index t), is 4e-18; most lines then grow
+# once, to where their own decay meets the tail bound
+_SPAN = 40.0
+# a line fails rather than take more nodes than this
+_MAX_NODES = 1 << 20
 # the first round of the saddle search evaluates phi' at these u, 0.5
 # apart: from 6e-6 to 1.6e5 units off the end of a one-sided strip
 _GRID = np.arange(-12.0, 12.25, 0.5)
@@ -124,6 +138,10 @@ class MeijerGSpec:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """A G-value and a bound on its absolute error: the trapezoid rule's
+    bound (Trefethen and Weideman, Thm 5.1) plus the tail past the span
+    and a rounding floor (``_line``)."""
+
     value: float
     abs_error_estimate: float
     # always empty, since meijer_g perturbs no parameter; kept because the
@@ -208,18 +226,18 @@ def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, float, fl
 
 class _Kernels:
     """The kernels of a batch of instances with equally many log-gamma and
-    log factors, one row each: sigma (set once chosen), ln z and log
-    prefactor (each with the slope and constant of ``_kernel_tables``
-    added), then the offsets, signs and weights of the factors, the
-    log-gamma ones first.  A kernel value is a sum along its instance's
-    row, so it does not depend on the other instances of the batch."""
+    log factors, one row each: ln z and log prefactor (each with the
+    slope and constant of ``_kernel_tables`` added), then the offsets,
+    signs and weights of the factors, the log-gamma ones first.  A
+    kernel value is a sum along its instance's row, so it does not
+    depend on the other instances of the batch."""
 
     def __init__(self, tables: list[tuple[np.ndarray, np.ndarray]],
                  lnz: list[float], log_prefactor: list[float]) -> None:
         self.gamma_width = tables[0][0].shape[1]
         self.width = self.gamma_width + tables[0][1].shape[1]
         self.rows = np.column_stack([
-            np.zeros(len(tables)), lnz, log_prefactor,
+            lnz, log_prefactor,
             [np.concatenate([g, lg], axis=1).ravel() for g, lg in tables]])
 
     def log_chi(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -227,22 +245,21 @@ class _Kernels:
         ``rows`` holds, broadcast against s along all but its last axis."""
         k, kg = self.width, self.gamma_width
         # the arguments c + e s, overwritten in place by the terms
-        terms = rows[..., 3 + k:3 + 2 * k] * s[..., None]
-        terms += rows[..., 3:3 + k]
+        terms = rows[..., 2 + k:2 + 2 * k] * s[..., None]
+        terms += rows[..., 2:2 + k]
         loggamma_complex(terms[..., :kg], out=terms[..., :kg])
         np.log(terms[..., kg:], out=terms[..., kg:])
-        terms *= rows[..., 3 + 2 * k:]
+        terms *= rows[..., 2 + 2 * k:]
         return np.add.reduce(terms, axis=-1)
 
-    def log_integrand(self, t: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Log of the Mellin-Barnes integrand w(sigma + i t) of instance
-        owner[i] at each t[i, j].  Its imaginary part, the phase of w, is
-        continuous in t > 0: the log-gammas are scipy's, cut along the
-        negative real axis only."""
-        # one row per instance row of t, broadcast along it
+    def log_integrand(self, s: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Log of the Mellin-Barnes integrand w(s) of instance owner[i] at
+        each s[i, j].  Its imaginary part, the phase of w, is continuous
+        along a vertical line in the upper half plane: the log-gammas are
+        scipy's, cut along the negative real axis only."""
+        # one row per instance row of s, broadcast along it
         rows = self.rows[owner][:, None, :]
-        s = rows[..., 0] + 1j * t
-        return self.log_chi(s, rows) + s * rows[..., 1] + rows[..., 2]
+        return self.log_chi(s, rows) + s * rows[..., 0] + rows[..., 1]
 
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
@@ -280,14 +297,14 @@ def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     # phi' is then one sum of digammas and phi'' one of trigammas,
     # zeta(2, x), which is polygamma(1, x) without polygamma's wrapper;
     # a factor of slope e weighs e in phi' and e^2 in phi''
-    table = kernels.rows[:, 3:].reshape(count, 3, k)
+    table = kernels.rows[:, 2:].reshape(count, 3, k)
     table = np.concatenate([table, table[:, :, kg:]], axis=2)
     table[:, 0, k:] += 1.0
     table[:, 2, kg:k] *= -1.0
     off, sign, weight = table[:, 0], table[:, 1], table[:, 2]
     slope_weight = weight * sign
     curvature_weight = slope_weight * sign
-    lnz = kernels.rows[:, 1]
+    lnz = kernels.rows[:, 0]
     # sigma = end + side * dist, dist = gap / (1 + gap / width) and
     # gap = exp(side * u); then dsigma/du = dist^2 / gap, and the
     # arguments of the gammas are base + rate * dist
@@ -335,22 +352,6 @@ def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return end + side * gap / (1.0 + gap * inv_width)
 
 
-def _tail_bound(env_lo: float, env_hi: float, width: float,
-                rate: float) -> float:
-    """Bound on the integral past t_hi from the envelope |w| at the ends
-    of the last segment.
-
-    Past t_hi the envelope falls at least as fast as the slower of its
-    secant rate over the segment and the asymptotic rate pi *
-    decay_index; an envelope that did not fall over the segment is given
-    the asymptotic rate.
-    """
-    if env_hi == 0.0:
-        return 0.0
-    secant = math.log(env_lo / env_hi) / width if env_lo > 0.0 else 0.0
-    return env_hi / (min(rate, secant) if secant > 0.0 else rate)
-
-
 def _finished(total: float, err: float) -> EvalResult | MeijerGError:
     value = float(total / math.pi)
     if not math.isfinite(value):
@@ -358,101 +359,136 @@ def _finished(total: float, err: float) -> EvalResult | MeijerGError:
     return EvalResult(value, float(err / math.pi))
 
 
-def _integrate(kernels: _Kernels, rate: list[float],
-               rel_tol: float) -> list[EvalResult | MeijerGError]:
-    """The line integrals of all instances, refined in lockstep by ``_refine``.
+def _line(sigma: float, d: float, rate: float):
+    """The trapezoid sum of one instance along its line, as a generator:
+    it yields nodes s, ``_WIDTH`` to a row and at most ``_PIECE_ROWS``
+    rows at a time, is sent log w at them in the same shape, and returns
+    the EvalResult or MeijerGError.
 
-    Each instance integrates t over [0, t_hi], then over segments each
-    1.7 times longer, until the envelope bound on the rest falls below
-    its tolerance.  The first integrand call of a round also evaluates w
-    at the ends of every segment just begun, and with it the phase of w,
-    which sets how many panels the next segment starts in.
+    The nodes lie at s = sigma + i k h, k = 0, 1, ..., and the value is
+    (h / pi) (sum Re w - Re w(sigma) / 2).  h starts at min(0.1, d / 6),
+    d being the distance from sigma to the nearest pole, and halves while
+    the phase of w turns by more than pi / 4 between neighbouring nodes.
+    The span starts at ``_SPAN`` / rate and grows, by at most 1.7 times
+    at a time, until |w| at its end is at most 1e-14 of the value.  Then
+    |w| is summed every 8 h along the lines sigma -+ 4 h, for M in the
+    error bound.
     """
-    count = len(rate)
-    results: list = [None] * count
-    t_lo = [0.0] * count
-    t_hi = [max(8.0, 12.0 / r) for r in rate]
-    total = [0.0] * count
-    err = [0.0] * count
-    amplitude = [0.0] * count
-    env_lo = [0.0] * count  # |w(t_lo)|
-    w_hi = [0j] * count  # w(t_hi)
-    # the phase of w at t_lo and t_hi
-    phase_lo = [0.0] * count
-    phase_hi = [0.0] * count
-    segments = [0] * count
-    # the segment ends (t, instance) at which the next integrand call evaluates w
-    ends = np.array(t_hi + t_lo), np.concatenate([np.arange(count)] * 2)
+    h = min(0.1, d / 6.0)
+    span = _SPAN / rate
+    if not span < h * _MAX_NODES:
+        return ContourError(f"line step {h:.3g} is too fine for a span of {span:.3g}")
+    k = np.arange(_WIDTH * math.ceil(span / (_WIDTH * h)))
+    phase = np.empty(0)
+    total = amplitude = 0.0
+    halved = False
+    while True:
+        fresh = [phase]
+        for j in range(0, k.size, _PIECE):
+            log_w = yield (1j * h) * k[j:j + _PIECE].reshape(-1, _WIDTH) + sigma
+            w = np.exp(log_w)
+            if not (phase.size or j):
+                w0 = w[0, 0].real
+            total += w.real.sum()
+            amplitude += np.abs(w).sum()
+            fresh.append(log_w.imag.ravel())
+        end = abs(w[-1, -1])
+        # the phase at every node in order of t, and from where it is new
+        if halved:
+            new = 0
+            phase = np.column_stack((phase, np.concatenate(fresh[1:]))).ravel()
+        else:
+            new = max(phase.size - 1, 0)
+            phase = np.concatenate(fresh)
+        value = h * (total - 0.5 * w0)
+        if not math.isfinite(value):
+            return _finished(value, 0.0)
+        turns = phase[new:]
+        halved = np.abs(turns[1:] - turns[:-1]).max(initial=0.0) > 0.25 * math.pi
+        if halved:
+            # the midpoints, at the odd multiples of the halved step
+            k = np.arange(1, 2 * phase.size, 2)
+            h *= 0.5
+        elif end <= 1e-14 * abs(value):
+            break
+        else:
+            # to where |w|, falling on as over the last row, meets that
+            # bound, with a fifth to spare
+            row = log_w[-1].real
+            fall = (row[0] - row[-1]) / ((_WIDTH - 1) * (k[1] - k[0]) * h)
+            grow = 0.7 * phase.size
+            if fall > 0.0 and value:
+                grow = min(grow, 1.2 * math.log(end / (1e-14 * abs(value))) / (fall * h))
+            k = np.arange(phase.size, _WIDTH * math.ceil((phase.size + grow) / _WIDTH))
+        if k[-1] >= _MAX_NODES:
+            return ContourError(f"line needs over {_MAX_NODES} nodes: step {h:.3g}, "
+                                f"|w| still {end:.2e} at t = {h * phase.size:.3g}")
+    # Trefethen and Weideman, Thm 5.1: where w is analytic in the strip of
+    # half-width a about the line, and M bounds its integral of |w| on
+    # every parallel line there, the trapezoid sum is off by at most
+    # 2 M / (exp(2 pi a / h) - 1).  Here a = 4 h <= 2 d / 3.  The log of
+    # the integral of |w| along a line is convex across the strip, so the
+    # larger of its two edges, each summed with step 8 h, is M.
+    a = 4.0 * h
+    t = (8j * h) * np.arange(_WIDTH * math.ceil(phase.size / (8 * _WIDTH)))
+    nodes = np.concatenate((t + (sigma - a), t + (sigma + a))).reshape(-1, _WIDTH)
+    edges = np.empty(nodes.size)
+    for j in range(0, len(nodes), _PIECE_ROWS):
+        log_w = yield nodes[j:j + _PIECE_ROWS]
+        edges[j * _WIDTH:(j + _PIECE_ROWS) * _WIDTH] = np.exp(log_w.real).ravel()
+    edges = edges.reshape(2, -1)
+    big_m = 8.0 * h * (edges.sum(axis=1) - 0.5 * edges[:, 0]).max()
+    # then the tail past the span, and rounding in a sum of terms of size
+    # |w|
+    return _finished(value, 2.0 * big_m / math.expm1(8.0 * math.pi) + end / rate
+                     + 3e-16 * h * amplitude)
 
-    def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """The real part of w at the nodes x, a row per panel, and w at
-        the ends of the segments begun since the last call."""
-        nonlocal ends
-        if ends is not None:
-            log_w = kernels.log_integrand(ends[0][:, None], ends[1])[:, 0]
-            for t_end, i, w_end, phase in zip(ends[0].tolist(), ends[1].tolist(),
-                                              np.exp(log_w).tolist(), log_w.imag.tolist()):
-                if t_end == t_lo[i]:
-                    env_lo[i], phase_lo[i] = abs(w_end), phase
-                else:
-                    w_hi[i], phase_hi[i] = w_end, phase
-            ends = None
-        return np.exp(kernels.log_integrand(x, owner)).real
 
-    def finish(done, value, error, abs_integral, panels):
-        nonlocal ends
-        begun = []
-        started = []
-        for i in done.tolist():
-            total[i] += float(value[i])
-            err[i] += float(error[i])
-            amplitude[i] += float(abs_integral[i])
-            # the envelope, not the oscillating real part, which can sit
-            # near a zero at t_hi
-            env_hi = abs(w_hi[i])
-            tail = env_hi / rate[i]
-            budget = rel_tol * max(abs(total[i]), 1e-300)
-            if not math.isfinite(total[i]):
-                results[i] = _finished(total[i], err[i])
-            elif tail < 0.05 * budget and (t_lo[i] > 0.0 or tail == 0.0
-                                          or abs(value[i]) < budget):
-                bound = _tail_bound(env_lo[i], env_hi, t_hi[i] - t_lo[i], rate[i])
-                # cancellation floor: the result is a sum of terms of size
-                # ~amplitude
-                results[i] = _finished(total[i], err[i] + bound + 3e-16 * amplitude[i])
-            elif segments[i] == _MAX_SEGMENTS - 1:
-                results[i] = ContourError(
-                    f"contour tail still {tail:.2e} at t = {1.7 * t_hi[i]:.1f}")
-            else:
-                # the phase of w turned at this pace over the segment
-                pace = abs(phase_hi[i] - phase_lo[i]) / (t_hi[i] - t_lo[i])
-                segments[i] += 1
-                t_lo[i], t_hi[i] = t_hi[i], 1.7 * t_hi[i]
-                env_lo[i], phase_lo[i] = env_hi, phase_hi[i]
-                width = t_hi[i] - t_lo[i]
-                tol = 0.1 * rel_tol * abs(total[i])
-                # a segment that can hold more than its tolerance starts
-                # in panels of at most two turns of the phase each: a single
-                # panel over many turns can be accepted on a |Kronrod -
-                # Gauss| estimate far below its error
-                pieces = 1
-                if env_hi * width > tol:
-                    pieces = min(_MAX_PIECES, max(1, math.ceil(pace * width / (4.0 * math.pi))))
-                edges = [t_lo[i] + j * width / pieces for j in range(pieces)] + [t_hi[i]]
-                begun += [(a, b, tol, i) for a, b in zip(edges, edges[1:])]
-                started.append(i)
-        if begun:
-            lo, hi, tol, index = np.array(begun).T
-            ends = np.array([t_hi[i] for i in started]), np.array(started, dtype=np.intp)
-            return index.astype(np.intp), lo, hi, tol
+def _trapezoid(kernels: _Kernels, sigma: np.ndarray, d: np.ndarray,
+               rate: list[float]) -> list[EvalResult | MeijerGError]:
+    """The ``_line`` sums of all instances in lockstep rounds.
 
-    _refine(integrand, (np.arange(count), np.zeros(count), np.array(t_hi), 0.0),
-            max(1e-13, 0.03 * rel_tol), finish)
+    A waiting line joins a round while the round asks for fewer than
+    ``_ROUND_ROWS`` rows.  A round packs whole asks into pieces of at
+    most ``_PIECE_ROWS`` rows, one kernel call each.  A line sees only
+    its own values, so none depends on the batch.
+    """
+    lines = [_line(*v) for v in zip(sigma.tolist(), d.tolist(), rate)]
+    results: list = [None] * len(lines)
+    asks: dict[int, np.ndarray] = {}
+    waiting = list(range(len(lines)))[::-1]
+
+    def resume(i: int, values: np.ndarray | None) -> None:
+        try:
+            asks[i] = lines[i].send(values)
+        except StopIteration as stop:
+            results[i] = stop.value
+            asks.pop(i, None)
+
+    while asks or waiting:
+        rows = sum(len(a) for a in asks.values())
+        while waiting and rows < _ROUND_ROWS:
+            i = waiting.pop()
+            resume(i, None)
+            rows += len(asks.get(i, ()))
+        queue = list(asks.items())
+        while queue:
+            # no ask holds more than a piece
+            rows = stop = 0
+            while stop < len(queue) and rows + len(queue[stop][1]) <= _PIECE_ROWS:
+                rows += len(queue[stop][1])
+                stop += 1
+            (index, nodes), queue = zip(*queue[:stop]), queue[stop:]
+            sizes = [len(n) for n in nodes]
+            log_w = kernels.log_integrand(np.concatenate(nodes), np.repeat(index, sizes))
+            ends = np.cumsum(sizes).tolist()
+            for i, lo, hi in zip(index, [0] + ends, ends):
+                resume(i, log_w[lo:hi])
     return results
 
 
-def meijer_g_batch(specs: list[MeijerGSpec], log_prefactors: list[float], *,
-                   rel_tol: float = 1e-10) -> list[EvalResult | MeijerGError]:
+def meijer_g_batch(specs: list[MeijerGSpec],
+                   log_prefactors: list[float]) -> list[EvalResult | MeijerGError]:
     """Evaluate exp(log_prefactors[i]) * G(specs[i]) for every i together.
 
     Slot i of the result holds the EvalResult of instance i, or the
@@ -489,17 +525,16 @@ def meijer_g_batch(specs: list[MeijerGSpec], log_prefactors: list[float], *,
         lo, hi = np.array(strips).T
         # a value that is not finite fails its own instance only
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            kernels.rows[:, 0] = _pick_sigma(kernels, lo, hi)
-            evaluated = _integrate(kernels, rates, rel_tol)
+            sigma = _pick_sigma(kernels, lo, hi)
+            evaluated = _trapezoid(kernels, sigma, np.minimum(sigma - lo, hi - sigma), rates)
         for i, res in zip(index, evaluated):
             results[i] = res
     return results
 
 
-def meijer_g(spec: MeijerGSpec, *, log_prefactor: float = 0.0,
-             rel_tol: float = 1e-10) -> EvalResult:
+def meijer_g(spec: MeijerGSpec, *, log_prefactor: float = 0.0) -> EvalResult:
     """Evaluate exp(log_prefactor) * G(spec) by contour integration."""
-    res = meijer_g_batch([spec], [log_prefactor], rel_tol=rel_tol)[0]
+    res = meijer_g_batch([spec], [log_prefactor])[0]
     if isinstance(res, MeijerGError):
         raise res
     return res

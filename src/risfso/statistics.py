@@ -307,12 +307,17 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
     ``_log_pdf_floor``, the cut stops at the floor instead, leaving out
     about the integrand there over c: 1.4e-11 at zeta 0.2 under HD (c =
     0.04) and gamma = mean SNR / 100, 8.4e-6 under IM/DD (c = 0.02),
-    where the twin warns that this exceeds its tolerance.
+    where the twin warns that this exceeds its tolerance.  A gamma at or
+    below the floor leaves nothing to integrate and raises ValueError.
     """
     if gamma < 0.0:
         raise ValueError(f"needs gamma >= 0, got {gamma!r}")
     if gamma == 0.0:
         return 0.0
+    floor = _log_pdf_floor(dist)
+    if not math.log(gamma) > floor:
+        raise ValueError(f"needs gamma above exp({floor:.6g}), where the density's "
+                         f"argument is a normal double, got {gamma!r}")
     c = min(dist.params.delta2)
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -320,7 +325,7 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
         return np.array(_values([pdf_form(dist, v) for v in x.tolist()])) * x
 
     cut = -(48.0 / c + 5.0)
-    lo = max(cut, _log_pdf_floor(dist) - math.log(gamma))
+    lo = max(cut, floor - math.log(gamma))
     value = gauss_kronrod(integrand, lo, 0.0, _TWIN_REL_TOL, 0.0).value
     if lo > cut:
         _warn_if_cut_short(integrand(np.array([lo]))[0] / c, value,

@@ -45,7 +45,6 @@ from risfso.special.meijerg import (
     _pick_sigma,
     _table,
 )
-from risfso.special.quadrature import _refine
 from risfso.statistics import cdf_form, mgf_form, pdf_form
 
 # ---------------------------------------------------------------------------
@@ -141,74 +140,35 @@ def test_gauss_kronrod_stops_on_nan_integrand():
     assert not math.isfinite(err)
 
 
-def _refine_rows(rows):
-    """(value, error, abs_integral) of each row's integral, refined in one
-    lockstep batch.  A row with a cut integrates up to it, then begins the
-    rest of its interval in the round that finishes the first part."""
-    kind, c, decay, k, x0, lo, hi, cut, rel_tol, abs_tol = (
-        np.array(v) for v in zip(*rows))
-
-    def f(x, owner):
-        o = owner[:, None]
-        return np.where(kind[o] == 0,
-                        c[o] * np.exp(-decay[o] * x) * np.sin(k[o] * x),
-                        np.abs(x - x0[o]))
-
-    sums = [[0.0, 0.0, 0.0] for _ in rows]
-    first = ~np.isnan(cut)
-
-    def finish(done, value, error, abs_integral, panels):
-        for i in done.tolist():
-            sums[i] = [a + float(b[i]) for a, b in zip(sums[i], (value, error, abs_integral))]
-        rest = done[first[done]]
-        first[rest] = False
-        return (rest, cut[rest], hi[rest], abs_tol[rest]) if rest.size else None
-
-    _refine(f, (np.arange(len(rows)), lo, np.where(first, cut, hi), abs_tol),
-            rel_tol, finish)
-    return sums
-
-
 def _exact(row):
     """The exact integral of a row, and the size of the terms whose
     difference it is (its rounding scale)."""
-    kind, c, decay, k, x0, lo, hi = row[:7]
-    if kind == 1:
-        ends = [0.5 * (x - x0) * abs(x - x0) for x in (lo, hi)]
-    else:
-        ends = [-c * math.exp(-decay * x) * (decay * math.sin(k * x) + k * math.cos(k * x))
-                / (decay ** 2 + k ** 2) for x in (lo, hi)]
+    c, decay, k, lo, hi = row[:5]
+    ends = [-c * math.exp(-decay * x) * (decay * math.sin(k * x) + k * math.cos(k * x))
+            / (decay ** 2 + k ** 2) for x in (lo, hi)]
     return ends[1] - ends[0], max(map(abs, ends))
 
 
 @st.composite
 def _integral_rows(draw):
-    """A damped sine c exp(-b x) sin(k x) or a kink |x - x0| over [lo, hi],
-    possibly cut in two, with its tolerances."""
+    """A damped sine c exp(-b x) sin(k x) over [lo, hi], with its
+    tolerances."""
     lo = draw(st.floats(-4.0, 4.0))
     hi = lo + draw(st.floats(0.1, 8.0))
-    cut = draw(st.one_of(st.just(math.nan), st.floats(0.2, 0.8).map(lambda u: lo + u * (hi - lo))))
     c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 3.0))
-    return (draw(st.integers(0, 1)), c, draw(st.floats(0.0, 2.0)),
-            draw(st.floats(0.5, 20.0)), draw(st.floats(lo, hi)), lo, hi, cut,
+    return (c, draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 20.0)), lo, hi,
             10.0 ** -draw(st.integers(6, 12)), draw(st.sampled_from([0.0, 1e-13])))
 
 
-@given(rows=st.lists(_integral_rows(), min_size=2, max_size=6))
-def test_refine_batch_invariance_and_error_estimates(rows):
-    batched = _refine_rows(rows)
-    for row, got in zip(rows, batched):
-        alone = _refine_rows([row])[0]
-        assert [v.hex() for v in got] == [v.hex() for v in alone], row
-        # the |Kronrod - Gauss| estimate bounds the error of a smooth
-        # integrand, unless its absolute tolerance let it stop first;
-        # nodes on one side of a kink see a line, whose two rules agree,
-        # so a kink row is held to invariance only
-        if row[0] == 0:
-            value, error, abs_integral = got
-            exact, scale = _exact(row)
-            slack = 1e-14 * (abs_integral + scale)
-            assert abs(value - exact) <= max(error, row[9]) + slack, row
+@given(row=_integral_rows())
+def test_gauss_kronrod_error_estimate_bounds_a_smooth_integral(row):
+    # the |Kronrod - Gauss| estimate bounds the error of a smooth
+    # integrand, unless its absolute tolerance let it stop first
+    c, decay, k, lo, hi, rel_tol, abs_tol = row
+    value, error, abs_integral = gauss_kronrod(
+        lambda x: c * np.exp(-decay * x) * np.sin(k * x), lo, hi, rel_tol, abs_tol)
+    exact, scale = _exact(row)
+    assert abs(value - exact) <= max(error, abs_tol) + 1e-14 * (abs_integral + scale), row
 
 
 # ---------------------------------------------------------------------------

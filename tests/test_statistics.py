@@ -315,6 +315,14 @@ def test_cdf_twin_warns_where_its_floor_cut_leaves_out_too_much():
     assert 8.4e-6 < cdf(dist, gamma) - twin < 9.5e-6
 
 
+
+def test_cdf_twin_rejects_gamma_at_or_below_its_floor():
+    # zeta 0.2 under IM/DD: the floor lies at ln gamma = -702.8, so at
+    # 1e-306 the interval from the floor to gamma would run backwards
+    dist = make_dist(2.0, 1.5, 0.2, 2, 20.0)
+    with pytest.raises(ValueError, match="got 1e-306"):
+        cdf_by_quadrature(dist, 1e-306)
+    assert cdf(dist, 1e-306) == pytest.approx(8.66e-6, rel=1e-3)
 # (alpha, beta, zeta, a, product mean SNR dB, threshold dB): saturated
 # points whose contour value rounds a few ulps above one
 NEAR_SATURATION = [
@@ -573,21 +581,7 @@ def test_twins_make_one_batched_pass_per_round(monkeypatch, twin):
 
 
 def test_twin_short_of_its_tolerance_warns(monkeypatch):
-    # cap the twin at one panel, but not the Meijer-G contours its
-    # integrand evaluates, which refine in the same engine
-    cap = quadrature.MAX_PANELS
-
-    def gauss_kronrod(f, *args, **kwargs):
-        def uncapped(x):
-            quadrature.MAX_PANELS = cap
-            try:
-                return f(x)
-            finally:
-                quadrature.MAX_PANELS = 1
-        return quadrature.gauss_kronrod(uncapped, *args, **kwargs)
-
     monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
-    monkeypatch.setattr(statistics, "gauss_kronrod", gauss_kronrod)
     dist = make_dist(*RED, 6.1, 1, 20.0)
     with pytest.warns(IntegrationWarning, match="1 panels"):
         cdf_by_quadrature(dist, 0.01 * dist.mean_snr)
