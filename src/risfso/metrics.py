@@ -20,12 +20,10 @@ from .special import MeijerGSpec, gauss_kronrod
 from .statistics import (
     ClosedForm,
     SnrDistribution,
-    _log_pdf_floor,
     _values,
-    _warn_if_cut_short,
+    _x_pdf_form,
     cdf,
     cdf_form,
-    pdf_form,
 )
 
 __all__ = [
@@ -98,8 +96,8 @@ def capacity_form(dist: SnrDistribution) -> ClosedForm:
     p = dist.params
     upper = (0.0, 1.0) + p.delta1
     lower = p.delta2 + (0.0, 0.0)
-    z = p.q0 / (DetectionMode(p.a).chi * dist.mean_snr)
-    spec = MeijerGSpec(6 * p.a + 2, 1, upper, lower, z)
+    lnz = math.log(p.q0) - math.log(DetectionMode(p.a).chi) - math.log(dist.mean_snr)
+    spec = MeijerGSpec(6 * p.a + 2, 1, upper, lower, log_argument=lnz)
     return ClosedForm(spec, p.log_m0 - math.log(math.log(2.0)))
 
 
@@ -113,24 +111,18 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
     p = dist.params
     chi = DetectionMode(p.a).chi
     gbar = dist.mean_snr
+    ln_gbar = math.log(gbar)
     c = min(p.delta2)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        g = gbar * np.exp(u)
-        f = np.array(_values([pdf_form(dist, x) for x in g.tolist()]))
-        return np.log1p(chi * g) * f * g
+        # g f(g) at g = gbar e^u as one closed form
+        gf = np.array(_values([_x_pdf_form(dist, v) for v in (ln_gbar + u).tolist()]))
+        return np.log1p(chi * gbar * np.exp(u)) * gf
 
-    # the integrand scales like g^(1 + c) toward the origin; the cut goes
-    # no lower than where the density's argument is still a normal double,
-    # and leaves out about the integrand there over 1 + c
-    cut = -(80.0 / c + 20.0)
-    lo = max(cut, _log_pdf_floor(dist) - math.log(gbar))
-    hi = 20.0 * p.a
-    val = gauss_kronrod(integrand, lo, hi, _TWIN_REL_TOL, 1e-290,
-                        points=[0.0]).value
-    if lo > cut:
-        _warn_if_cut_short(integrand(np.array([lo]))[0] / (1.0 + c), val,
-                           _TWIN_REL_TOL, "ergodic_capacity_by_quadrature")
+    # toward the origin the integrand falls like exp((1 + c) u), so the cut
+    # at -(80/c + 20) leaves out about exp(-80/c - 100) of its size at u = 0
+    val = gauss_kronrod(integrand, -(80.0 / c + 20.0), 20.0 * p.a, _TWIN_REL_TOL,
+                        1e-290, points=[0.0]).value
     return val / math.log(2.0)
 
 
@@ -140,8 +132,8 @@ def ber_form(dist: SnrDistribution, scheme: ModulationScheme) -> ClosedForm:
     sp, sq = scheme.p, scheme.q
     upper = (1.0 - sp, 1.0) + p.delta1
     lower = p.delta2 + (0.0,)
-    z = p.q0 / (sq * dist.mean_snr)
-    spec = MeijerGSpec(6 * p.a, 2, upper, lower, z)
+    lnz = math.log(p.q0) - math.log(sq) - math.log(dist.mean_snr)
+    spec = MeijerGSpec(6 * p.a, 2, upper, lower, log_argument=lnz)
     return ClosedForm(spec, p.log_m0 - math.log(2.0) - math.lgamma(sp))
 
 
@@ -160,9 +152,9 @@ def average_ber_by_quadrature(dist: SnrDistribution,
     sp, sq = scheme.p, scheme.q
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        g = v ** (1.0 / sp)
-        return np.exp(-sq * g) * np.array(_values([cdf_form(dist, x)
-                                                   for x in g.tolist()]))
+        # the cdf at g = v^(1/p)
+        return np.exp(-sq * v ** (1.0 / sp)) * np.array(
+            _values([cdf_form(dist, x) for x in (np.log(v) / sp).tolist()]))
 
     v_hi = (45.0 / sq) ** sp
     val = gauss_kronrod(integrand, 0.0, v_hi, _TWIN_REL_TOL, 1e-290,

@@ -26,15 +26,16 @@ whose families touch or interleave has no separating strip and raises
 ``ContourError``.
 
 All gamma factors are accumulated in log space, so instances whose
-G-value spans hundreds of orders of magnitude stay representable; an
-optional ``log_prefactor`` folds an external scale factor into the
-integrand for the same reason.  Before the pass the factors of each
-kernel are reduced (``_kernel_tables``): equal ones merge, a factor one
-above another folds onto it and a log, and a pair half a unit apart
-becomes one log-gamma of twice the slope by Legendre's duplication
-formula, its constant and term linear in s joining the log prefactor
-and ln z.  Under IM/DD that pairing undoes the Gauss multiplication of
-the closed forms and halves the log-gammas the cdf needs per node.
+G-value spans hundreds of orders of magnitude stay representable; the
+argument enters as ln z, and an optional ``log_prefactor`` folds an
+external scale factor into the integrand, for the same reason.  Before
+the pass the factors of each kernel are reduced (``_kernel_tables``):
+equal ones merge, a factor one above another folds onto it and a log,
+and a pair half a unit apart becomes one log-gamma of twice the slope
+by Legendre's duplication formula, its constant and term linear in s
+joining the log prefactor and ln z.  Under IM/DD that pairing undoes
+the Gauss multiplication of the closed forms and halves the log-gammas
+the cdf needs per node.
 """
 from __future__ import annotations
 
@@ -73,6 +74,8 @@ _ROUND_ROWS = 8 * _PIECE_ROWS
 _SPAN = 40.0
 # a line fails rather than take more nodes than this
 _MAX_NODES = 1 << 20
+# ln |w| at the saddle node above which a line scales w down (_line)
+_CEILING = 690.0
 # the first round of the saddle search evaluates phi' at these u, 0.5
 # apart: from 6e-6 to 1.6e5 units off the end of a one-sided strip
 _GRID = np.arange(-12.0, 12.25, 0.5)
@@ -99,18 +102,20 @@ class ContourError(MeijerGError):
 
 @dataclass(frozen=True)
 class MeijerGSpec:
-    """Orders, parameter lists and argument of one G-function instance.
+    """Orders, parameter lists and log argument of one G-function instance.
 
     ``m`` leading lower parameters and ``n`` leading upper parameters
     feed numerator gammas of the Mellin-Barnes integrand; the remaining
-    ones feed the denominator.
+    ones feed the denominator.  The argument z > 0 enters only as
+    ``log_argument``, ln z, which any finite double may be: z itself
+    need not be a double.
     """
 
     m: int
     n: int
     a_params: tuple[float, ...]
     b_params: tuple[float, ...]
-    argument: float
+    log_argument: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_params", tuple(float(v) for v in self.a_params))
@@ -119,8 +124,8 @@ class MeijerGSpec:
             raise ValueError(f"need 0 <= n <= p, got n={self.n}, p={self.p}")
         if not (0 <= self.m <= self.q):
             raise ValueError(f"need 0 <= m <= q, got m={self.m}, q={self.q}")
-        if not (self.argument > 0.0 and math.isfinite(self.argument)):
-            raise ValueError(f"argument must be positive and finite, got {self.argument!r}")
+        if not math.isfinite(self.log_argument):
+            raise ValueError(f"log_argument must be finite, got {self.log_argument!r}")
 
     @property
     def p(self) -> int:
@@ -352,11 +357,18 @@ def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return end + side * gap / (1.0 + gap * inv_width)
 
 
-def _finished(total: float, err: float) -> EvalResult | MeijerGError:
-    value = float(total / math.pi)
+def _finished(total: float, err: float, shift: float) -> EvalResult | MeijerGError:
+    """The EvalResult of e^shift (total, err) / pi, or a MeijerGError
+    where its value is not a finite double."""
+    value, err = total / math.pi, err / math.pi
+    if shift:
+        # in logs, so that only a value past the double range is inf
+        value, err = (np.copysign(np.exp(np.log(np.abs(v)) + shift), v)
+                      for v in (value, err))
+    value = float(value)
     if not math.isfinite(value):
         return MeijerGError(f"contour evaluation returned {value!r}")
-    return EvalResult(value, float(err / math.pi))
+    return EvalResult(value, float(err))
 
 
 def _line(sigma: float, d: float, rate: float):
@@ -373,6 +385,10 @@ def _line(sigma: float, d: float, rate: float):
     at a time, until |w| at its end is at most 1e-14 of the value.  Then
     |w| is summed every 8 h along the lines sigma -+ 4 h, for M in the
     error bound.
+
+    Where |w| at the saddle node exceeds e^``_CEILING``, every w is
+    scaled by e^-shift to bring it there and the result scaled back, so
+    that a value up to the largest double sums without overflow.
     """
     h = min(0.1, d / 6.0)
     span = _SPAN / rate
@@ -380,13 +396,15 @@ def _line(sigma: float, d: float, rate: float):
         return ContourError(f"line step {h:.3g} is too fine for a span of {span:.3g}")
     k = np.arange(_WIDTH * math.ceil(span / (_WIDTH * h)))
     phase = np.empty(0)
-    total = amplitude = 0.0
+    total = amplitude = shift = 0.0
     halved = False
     while True:
         fresh = [phase]
         for j in range(0, k.size, _PIECE):
             log_w = yield (1j * h) * k[j:j + _PIECE].reshape(-1, _WIDTH) + sigma
-            w = np.exp(log_w)
+            if not (phase.size or j):
+                shift = max(0.0, log_w[0, 0].real - _CEILING)
+            w = np.exp(log_w - shift) if shift else np.exp(log_w)
             if not (phase.size or j):
                 w0 = w[0, 0].real
             total += w.real.sum()
@@ -402,7 +420,7 @@ def _line(sigma: float, d: float, rate: float):
             phase = np.concatenate(fresh)
         value = h * (total - 0.5 * w0)
         if not math.isfinite(value):
-            return _finished(value, 0.0)
+            return _finished(value, 0.0, shift)
         turns = phase[new:]
         halved = np.abs(turns[1:] - turns[:-1]).max(initial=0.0) > 0.25 * math.pi
         if halved:
@@ -435,13 +453,13 @@ def _line(sigma: float, d: float, rate: float):
     edges = np.empty(nodes.size)
     for j in range(0, len(nodes), _PIECE_ROWS):
         log_w = yield nodes[j:j + _PIECE_ROWS]
-        edges[j * _WIDTH:(j + _PIECE_ROWS) * _WIDTH] = np.exp(log_w.real).ravel()
+        edges[j * _WIDTH:(j + _PIECE_ROWS) * _WIDTH] = np.exp(log_w.real - shift).ravel()
     edges = edges.reshape(2, -1)
     big_m = 8.0 * h * (edges.sum(axis=1) - 0.5 * edges[:, 0]).max()
     # then the tail past the span, and rounding in a sum of terms of size
     # |w|
     return _finished(value, 2.0 * big_m / math.expm1(8.0 * math.pi) + end / rate
-                     + 3e-16 * h * amplitude)
+                     + 3e-16 * h * amplitude, shift)
 
 
 def _trapezoid(kernels: _Kernels, sigma: np.ndarray, d: np.ndarray,
@@ -517,7 +535,7 @@ def meijer_g_batch(specs: list[MeijerGSpec],
             tables[key] = _kernel_tables(spec)
         gamma, logs, constant, slope = tables[key]
         groups.setdefault((gamma.shape[1], logs.shape[1]), []).append(
-            (i, (gamma, logs), strip, delta * math.pi, math.log(spec.argument) + slope,
+            (i, (gamma, logs), strip, delta * math.pi, spec.log_argument + slope,
              float(log_prefactors[i]) + constant))
     for group in groups.values():
         index, kernel_tables, strips, rates, lnz, log_prefactor = zip(*group)

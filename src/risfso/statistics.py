@@ -9,22 +9,21 @@ integral it solves, used as an independent validation path.
 
 Each statistic has one builder (``pdf_form``, ``cdf_form``, ...) that
 returns its ``ClosedForm``, the evaluation before it is made, or the
-value where it is known exactly.  ``evaluate_batch`` is the one
-evaluator: it makes many forms in one batched contour pass, and a
-public scalar call is a batch of one.  The quadrature twins integrate
-with ``gauss_kronrod``, whose integrand takes all the nodes of a
-refinement round at once, so each round is one batch.
+value where it is known exactly.  The density and cdf builders take
+ln gamma, and every builder forms ln z from logs, so that neither gamma
+nor z need be a double.  ``evaluate_batch`` is the one evaluator: it
+makes many forms in one batched contour pass, and a public scalar call
+is a batch of one.  The quadrature twins integrate with
+``gauss_kronrod``, whose integrand takes all the nodes of a refinement
+round at once, so each round is one batch.
 """
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from .channel import CascadeParams
 from .special import (
@@ -57,9 +56,6 @@ __all__ = [
 # relative tolerances of the quadrature twins
 _PDF_TWIN_REL_TOL = 1e-7
 _TWIN_REL_TOL = 1e-8
-# the least positive normal double and its ln
-_TINY = sys.float_info.min
-_LN_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -131,93 +127,81 @@ def _values(forms: Sequence[ClosedForm | float]) -> list[float]:
     return values
 
 
-def _density_argument(z: float, name: str, gamma: float) -> float:
-    """z, the Meijer-G argument of a density at gamma, or a ValueError
-    naming gamma where z is not a normal double: it overflows, or it is
-    subnormal and has lost digits, or 0."""
-    if not _TINY <= z < math.inf:
-        raise ValueError(f"{name} at gamma {gamma!r} is out of double range: "
-                         f"its Meijer-G argument is {z!r}")
-    return z
+def _density(form: ClosedForm, name: str, gamma: float) -> float:
+    """The value of a density's closed form; a MeijerGError, such as a
+    value past the double range, names gamma."""
+    value = evaluate_batch([form])[0]
+    if isinstance(value, MeijerGError):
+        raise type(value)(f"{name} at gamma {gamma!r}: {value}")
+    return value
 
 
-def _warn_if_cut_short(left_out: float, value: float, rel_tol: float,
-                       name: str) -> None:
-    """IntegrationWarning where a twin's cut at ``_log_pdf_floor`` leaves
-    out an estimated ``left_out`` of its integral, more than its relative
-    tolerance allows."""
-    if left_out > rel_tol * abs(value):
-        warnings.warn(f"{name}: the cut where the density's argument leaves the "
-                      f"normal doubles leaves out about {left_out:.2g} of "
-                      f"{value:.6g}, more than the relative tolerance {rel_tol:g}",
-                      IntegrationWarning, stacklevel=3)
-
-
-def _log_pdf_floor(dist: SnrDistribution) -> float:
-    """ln of a gamma above which gamma, gamma / mean SNR and the argument
-    of ``pdf_form`` are all normal doubles."""
+def pdf_form(dist: SnrDistribution, ln_gamma: float) -> ClosedForm:
+    """Closed form of the density at gamma, given ln gamma."""
     p = dist.params
-    ln_mean = math.log(dist.mean_snr)
-    return 1.0 + max(_LN_TINY, ln_mean + max(
-        _LN_TINY, p.a * (_LN_TINY - 2.0 * math.log(p.big_q))))
+    lnz = 2.0 * math.log(p.big_q) + (ln_gamma - math.log(dist.mean_snr)) / p.a
+    spec = MeijerGSpec(6, 0, (p.zeta2 + 1.0,) * 2, (p.zeta2, p.alpha, p.beta) * 2,
+                       log_argument=lnz)
+    return ClosedForm(spec, math.log(p.a) + 2.0 * p.log_m - ln_gamma)
 
 
-def pdf_form(dist: SnrDistribution, gamma: float) -> ClosedForm:
-    """Closed form of the density at gamma."""
-    ratio = gamma / dist.mean_snr
-    p = dist.params
-    z = _density_argument(p.big_q ** 2 * ratio ** (1.0 / p.a), "pdf", gamma)
-    spec = MeijerGSpec(6, 0, (p.zeta2 + 1.0,) * 2, (p.zeta2, p.alpha, p.beta) * 2, z)
-    return ClosedForm(spec, math.log(p.a) + 2.0 * p.log_m - math.log(gamma))
+def _x_pdf_form(dist: SnrDistribution, ln_x: float) -> ClosedForm:
+    """Closed form of x times the density at x, given ln x."""
+    form = pdf_form(dist, ln_x)
+    return form._replace(log_prefactor=form.log_prefactor + ln_x)
 
 
-def subchannel_pdf_form(dist: SnrDistribution, gamma_i: float,
+def subchannel_pdf_form(dist: SnrDistribution, ln_gamma_i: float,
                         mean_snr_i: float) -> ClosedForm:
-    """Closed form of a single hop's density at gamma_i with per-hop mean
-    ``mean_snr_i``."""
-    ratio = gamma_i / mean_snr_i
+    """Closed form of a single hop's density at gamma_i, given ln gamma_i,
+    with per-hop mean ``mean_snr_i``."""
     p = dist.params
-    z = _density_argument(p.big_q * ratio ** (1.0 / p.a), "subchannel_pdf", gamma_i)
-    spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta), z)
-    return ClosedForm(spec, p.log_m - math.log(gamma_i))
+    lnz = math.log(p.big_q) + (ln_gamma_i - math.log(mean_snr_i)) / p.a
+    spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta),
+                       log_argument=lnz)
+    return ClosedForm(spec, p.log_m - ln_gamma_i)
 
 
-def cdf_form(dist: SnrDistribution, gamma: float) -> ClosedForm | float:
-    """Closed form of P(SNR <= gamma), or its exact value 0 at gamma = 0."""
-    if not gamma >= 0.0:
-        raise ValueError(f"cdf needs gamma >= 0, got {gamma!r}")
-    if gamma == 0.0:
+def cdf_form(dist: SnrDistribution, ln_gamma: float) -> ClosedForm | float:
+    """Closed form of P(SNR <= gamma), given ln gamma, or its exact value
+    0 at ln gamma = -inf."""
+    if ln_gamma == -math.inf:
         return 0.0
     p = dist.params
+    lnz = math.log(p.q0) + ln_gamma - math.log(dist.mean_snr)
     spec = MeijerGSpec(6 * p.a, 1, (1.0,) + p.delta1, p.delta2 + (0.0,),
-                       p.q0 * gamma / dist.mean_snr)
+                       log_argument=lnz)
     return ClosedForm(spec, p.log_m0, probability=True)
 
 
 def mgf_form(dist: SnrDistribution, s: float) -> ClosedForm:
     """Closed form of E[exp(-s SNR)]."""
-    if not s > 0.0:
-        raise ValueError(f"mgf needs s > 0, got {s!r}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"mgf needs finite s > 0, got {s!r}")
     p = dist.params
+    lnz = math.log(p.q0) - math.log(dist.mean_snr) - math.log(s)
     spec = MeijerGSpec(6 * p.a, 2, (0.0, 1.0) + p.delta1, p.delta2 + (0.0,),
-                       p.q0 / (dist.mean_snr * s))
+                       log_argument=lnz)
     return ClosedForm(spec, p.log_m0, probability=True)
 
 
 def pdf(dist: SnrDistribution, gamma: float) -> float:
-    """Density of the end-to-end SNR at gamma > 0."""
-    if not gamma > 0.0:
-        raise ValueError(f"pdf needs gamma > 0, got {gamma!r}")
-    return _values([pdf_form(dist, gamma)])[0]
+    """Density of the end-to-end SNR at a finite gamma > 0; a MeijerGError
+    naming gamma where the density is past the double range."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"pdf needs finite gamma > 0, got {gamma!r}")
+    return _density(pdf_form(dist, math.log(gamma)), "pdf", gamma)
 
 
 def cdf(dist: SnrDistribution, gamma: float) -> float:
-    """P(SNR <= gamma) for gamma >= 0, clamped to [0, 1]."""
-    return _values([cdf_form(dist, gamma)])[0]
+    """P(SNR <= gamma) for a finite gamma >= 0, clamped to [0, 1]."""
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"cdf needs finite gamma >= 0, got {gamma!r}")
+    return _values([cdf_form(dist, math.log(gamma) if gamma else -math.inf)])[0]
 
 
 def mgf(dist: SnrDistribution, s: float) -> float:
-    """Laplace transform E[exp(-s SNR)] for s > 0, clamped to [0, 1].
+    """E[exp(-s SNR)], the Laplace transform, for a finite s > 0, clamped to [0, 1].
 
     As s goes to zero the contour value carries rounding of order 1e-12
     and can land just above one.
@@ -227,10 +211,14 @@ def mgf(dist: SnrDistribution, s: float) -> float:
 
 def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
                    mean_snr_i: float) -> float:
-    """Density of a single hop's SNR with per-hop mean ``mean_snr_i``."""
-    if not gamma_i > 0.0:
-        raise ValueError(f"subchannel_pdf needs gamma_i > 0, got {gamma_i!r}")
-    return _values([subchannel_pdf_form(dist, gamma_i, mean_snr_i)])[0]
+    """Density of a single hop's SNR at a finite gamma_i > 0 with finite
+    per-hop mean ``mean_snr_i`` > 0; a MeijerGError naming gamma_i where
+    the density is past the double range."""
+    for name, value in (("gamma_i", gamma_i), ("mean_snr_i", mean_snr_i)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"subchannel_pdf needs finite {name} > 0, got {value!r}")
+    return _density(subchannel_pdf_form(dist, math.log(gamma_i), mean_snr_i),
+                    "subchannel_pdf", gamma_i)
 
 
 def _product_span(dist: SnrDistribution) -> float:
@@ -247,17 +235,17 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
     evaluated inside the integrand.  The per-hop means are split evenly
     (the result depends on their product only).
     """
-    if not gamma > 0.0:
-        raise ValueError(f"needs gamma > 0, got {gamma!r}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"needs finite gamma > 0, got {gamma!r}")
     gbar_i = math.sqrt(dist.mean_snr)
-    t_star = math.sqrt(gamma)  # equal sub-channel arguments here
+    ln_t_star = 0.5 * math.log(gamma)  # equal sub-channel arguments here
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        t = t_star * np.exp(u)
-        # both hop densities of every node in one batch
-        f = np.array(_values([subchannel_pdf_form(dist, x, gbar_i) for x in
-                              np.concatenate([t, gamma / t]).tolist()]))
-        return f[:t.size] * f[t.size:]
+        # both hop densities of every node in one batch, at t and gamma / t
+        ln_t = np.concatenate([ln_t_star + u, ln_t_star - u])
+        f = np.array(_values([subchannel_pdf_form(dist, v, gbar_i)
+                              for v in ln_t.tolist()]))
+        return f[:u.size] * f[u.size:]
 
     span = _product_span(dist)
     return gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
@@ -270,77 +258,70 @@ def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float) -> float:
     The second factor carries the reflected parameter lists, so this
     path exercises the reflection identity inside an integrand.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"needs gamma > 0, got {gamma!r}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"needs finite gamma > 0, got {gamma!r}")
     p = dist.params
     a = p.a
-    gbar_i = math.sqrt(dist.mean_snr)
+    ln_gamma = math.log(gamma)
+    ln_gbar_i = 0.5 * math.log(dist.mean_snr)
     upper1 = (p.zeta2 + 1.0,)
     lower1 = (p.zeta2, p.alpha, p.beta)
     upper2 = (1.0 - p.zeta2, 1.0 - p.alpha, 1.0 - p.beta)
     lower2 = (-p.zeta2,)
-    c1 = p.big_q / gbar_i ** (1.0 / a)
-    c2 = (gbar_i / gamma) ** (1.0 / a) / p.big_q
-    x_star = (1.0 / (c1 * c2)) ** 0.5  # equal arguments at the peak
+    # the two arguments are c1 x and c2 x
+    ln_c1 = math.log(p.big_q) - ln_gbar_i / a
+    ln_c2 = (ln_gbar_i - ln_gamma) / a - math.log(p.big_q)
+    ln_x_star = -0.5 * (ln_c1 + ln_c2)  # equal arguments at the peak
+    lp = math.log(a) + 2.0 * p.log_m - ln_gamma
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        x = (x_star * np.exp(u)).tolist()
-        first = [ClosedForm(MeijerGSpec(3, 0, upper1, lower1, c1 * v), 0.0) for v in x]
-        second = [ClosedForm(MeijerGSpec(0, 3, upper2, lower2, c2 * v), 0.0) for v in x]
+        ln_x = (ln_x_star + u).tolist()
+        first = [ClosedForm(MeijerGSpec(3, 0, upper1, lower1, log_argument=ln_c1 + v), lp)
+                 for v in ln_x]
+        second = [ClosedForm(MeijerGSpec(0, 3, upper2, lower2, log_argument=ln_c2 + v), 0.0)
+                  for v in ln_x]
         g = np.array(_values(first + second))
-        return g[:len(x)] * g[len(x):]
+        return g[:len(ln_x)] * g[len(ln_x):]
 
     # x = t^(1/a) of the product integral's t: the same region
     span = _product_span(dist) / a
-    val = gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
-                        points=[0.0]).value
-    lp = math.log(a) + 2.0 * dist.params.log_m - math.log(gamma)
-    return math.exp(lp) * val
+    return gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
+                         points=[0.0]).value
 
 
 def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
     """CDF as the direct integral of the closed-form density.
 
-    On the log axis the integrand decays like exp(c u) toward the
-    origin, c being the smallest decay exponent, so a fixed cut at
-    -48/c loses under 1e-20 of the mass.  Where that cut lies below
-    ``_log_pdf_floor``, the cut stops at the floor instead, leaving out
-    about the integrand there over c: 1.4e-11 at zeta 0.2 under HD (c =
-    0.04) and gamma = mean SNR / 100, 8.4e-6 under IM/DD (c = 0.02),
-    where the twin warns that this exceeds its tolerance.  A gamma at or
-    below the floor leaves nothing to integrate and raises ValueError.
+    On the log axis, u = ln(x / gamma), the integrand x pdf(x) decays
+    like exp(c u) toward the origin, c being the smallest decay
+    exponent, so a fixed cut at -48/c loses under 1e-20 of the mass.
+    Each node passes ln gamma + u to the builder and takes x pdf(x) as
+    one closed form, so neither x nor the density need be a double
+    there, at any gamma.
     """
-    if gamma < 0.0:
-        raise ValueError(f"needs gamma >= 0, got {gamma!r}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"needs finite gamma >= 0, got {gamma!r}")
     if gamma == 0.0:
         return 0.0
-    floor = _log_pdf_floor(dist)
-    if not math.log(gamma) > floor:
-        raise ValueError(f"needs gamma above exp({floor:.6g}), where the density's "
-                         f"argument is a normal double, got {gamma!r}")
+    ln_gamma = math.log(gamma)
     c = min(dist.params.delta2)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        x = gamma * np.exp(u)
-        return np.array(_values([pdf_form(dist, v) for v in x.tolist()])) * x
+        return np.array(_values([_x_pdf_form(dist, v) for v in (ln_gamma + u).tolist()]))
 
-    cut = -(48.0 / c + 5.0)
-    lo = max(cut, floor - math.log(gamma))
-    value = gauss_kronrod(integrand, lo, 0.0, _TWIN_REL_TOL, 0.0).value
-    if lo > cut:
-        _warn_if_cut_short(integrand(np.array([lo]))[0] / c, value,
-                           _TWIN_REL_TOL, "cdf_by_quadrature")
-    return value
+    return gauss_kronrod(integrand, -(48.0 / c + 5.0), 0.0, _TWIN_REL_TOL, 0.0).value
 
 
 def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
     """MGF as s times the Laplace transform of the closed-form CDF."""
-    if not s > 0.0:
-        raise ValueError(f"needs s > 0, got {s!r}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"needs finite s > 0, got {s!r}")
+    ln_s = math.log(s)
 
     def integrand(v: np.ndarray) -> np.ndarray:
+        # the cdf at v / s
         return np.exp(-v) * np.array(_values([cdf_form(dist, g)
-                                              for g in (v / s).tolist()]))
+                                              for g in (np.log(v) - ln_s).tolist()]))
 
     return gauss_kronrod(integrand, 0.0, 50.0, _TWIN_REL_TOL, 0.0,
                          points=[0.1, 1.0, 5.0, 20.0]).value

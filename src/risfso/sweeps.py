@@ -144,6 +144,13 @@ def _field(obj: dict, key: str, path: str, convert=float, default=None):
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer; a float, a bool or a string raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -274,7 +281,7 @@ def metric_spec(obj: dict, path: str, variable: str | None) -> MetricSpec:
     s = _field(obj, "s", path)
     mc = obj.get("mc", False)
     _require(isinstance(mc, bool), f"{path}.mc", "must be true or false")
-    samples = _field(obj, "samples", path, int, 200_000)
+    samples = _field(obj, "samples", path, _integer, 200_000)
     _require(samples >= 1, f"{path}.samples", "must be >= 1")
     if name == "outage" and variable != "gamma_th_db":
         _require(gamma_th_db is not None, path, "outage needs gamma_th_db")
@@ -335,10 +342,11 @@ def parse_config(path: str) -> SweepSpec:
     _require(output is None or isinstance(output, str), "sweep.output", "must be a string")
     fmt = sw.get("format", "csv")
     _require(fmt in ("csv", "json"), "sweep.format", f"must be csv or json, got {fmt!r}")
+    seed = _field(sw, "seed", "sweep", _integer, 0)
+    _require(0 <= seed < 2 ** 64, "sweep.seed", f"must lie in [0, 2^64), got {seed}")
     return SweepSpec(variable=variable, start=start, stop=stop, step=step,
                      metrics=metrics, scenarios=scenarios,
-                     gbar_interpretation=interp,
-                     seed=_field(sw, "seed", "sweep", int, 0),
+                     gbar_interpretation=interp, seed=seed,
                      output_path=output, output_format=fmt)
 
 
@@ -371,7 +379,7 @@ def _eval_point(metric: MetricSpec, dist: SnrDistribution,
         cfg = McConfig(sample_count=metric.samples, seed=seed)
         return mc_estimate(metric, dist, cfg, gamma_th_db).mean
     if metric.name == "outage":
-        return cdf_form(dist, 10.0 ** (gamma_th_db / 10.0))
+        return cdf_form(dist, gamma_th_db / 10.0 * math.log(10.0))
     if metric.name == "capacity":
         return capacity_form(dist)
     if metric.name == "ber":

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from functools import cache
@@ -11,7 +12,7 @@ from hypothesis import settings
 
 from risfso.channel import DetectionMode, cascade_from_constants
 from risfso.metrics import ModulationScheme, ber_form, capacity_form
-from risfso.special import MeijerGSpec
+from risfso.special import EvalResult, MeijerGSpec
 from risfso.statistics import (
     ClosedForm,
     RisElement,
@@ -68,6 +69,29 @@ def meijer_references() -> tuple[dict, ...]:
     return tuple(json.loads(REFERENCES.read_text(encoding="utf-8"))["entries"])
 
 
+def reference_value(entry: dict) -> float:
+    """exp(log_prefactor) times the entry's 40-digit value, rounded once.
+    An entry from a builder is the closed form with its prefactor: the
+    large-shape densities are G-values far past the double range that the
+    prefactor brings back into it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 50, decimal.MIN_EMIN, decimal.MAX_EMAX
+        scale = decimal.Decimal(entry.get("log_prefactor", 0.0)).exp()
+        return float(decimal.Decimal(entry["value"]) * scale)
+
+
+def assert_matches_reference(entry: dict, res: EvalResult) -> None:
+    """Within 1e-10 relative and within the result's own estimate; a
+    reference below 1e-300 evaluates to 0 or lies within the estimate."""
+    want = reference_value(entry)
+    err = abs(res.value - want)
+    if abs(want) < 1e-300:
+        assert res.value == 0.0 or err <= res.abs_error_estimate, (entry["label"], res, want)
+        return
+    assert err <= 1e-10 * abs(want), (entry["label"], res.value, want)
+    assert err <= res.abs_error_estimate, (entry["label"], err, res.abs_error_estimate)
+
+
 def reference_cases() -> Iterator[dict]:
     """The case of every reference taken from a closed form of the
     package, in the order make_meijer_references.py writes them: pdf,
@@ -109,16 +133,17 @@ def tail_cases() -> Iterator[dict]:
 
 def closed_form(case: dict) -> ClosedForm | float:
     """What the builder of ``case["statistic"]`` makes of one reference
-    case: gamma / mean SNR for a density or the cdf, mean SNR * s for the
-    mgf, and gamma_i / mean_snr_i at a per-hop mean of sqrt(mean SNR)."""
+    case, whose ratio is gamma / mean SNR for a density or the cdf, mean
+    SNR * s for the mgf, and gamma_i / mean_snr_i at a per-hop mean of
+    sqrt(mean SNR); the density and cdf builders take ln gamma."""
     dist = make_dist(case["alpha"], case["beta"], case["zeta"], case["a"],
                      case["mean_snr_db"])
     gbar = dist.mean_snr
     statistic = case["statistic"]
     if statistic == "pdf":
-        return pdf_form(dist, case["ratio"] * gbar)
+        return pdf_form(dist, math.log(case["ratio"] * gbar))
     if statistic == "cdf":
-        return cdf_form(dist, case["ratio"] * gbar)
+        return cdf_form(dist, math.log(case["ratio"] * gbar))
     if statistic == "mgf":
         return mgf_form(dist, case["ratio"] / gbar)
     if statistic == "capacity":
@@ -127,7 +152,7 @@ def closed_form(case: dict) -> ClosedForm | float:
         return ber_form(dist, ModulationScheme[case["scheme"]])
     if statistic == "subchannel_pdf":
         gbar_i = math.sqrt(gbar)
-        return subchannel_pdf_form(dist, case["ratio"] * gbar_i, gbar_i)
+        return subchannel_pdf_form(dist, math.log(case["ratio"] * gbar_i), gbar_i)
     raise ValueError(f"no builder for statistic {statistic!r}")
 
 
@@ -156,7 +181,7 @@ def reflected(spec: MeijerGSpec) -> MeijerGSpec:
         n=spec.m,
         a_params=tuple(1.0 - b for b in spec.b_params),
         b_params=tuple(1.0 - a for a in spec.a_params),
-        argument=1.0 / spec.argument,
+        log_argument=-spec.log_argument,
     )
 
 

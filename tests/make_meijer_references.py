@@ -15,11 +15,25 @@ instances off the family, and the two densities from ratio 1e-30 to
 1e20 on the family rows and two large-shape rows (``tail_cases``).  The
 cases are ``conftest.reference_cases``, and each instance is the spec
 that the statistic's builder returns (``conftest.closed_form``).  Each
-instance is evaluated at 40 significant digits and written to
+instance is evaluated at 40 significant digits at z = exp(ln z), ln z
+being the spec's ``log_argument``, and written to
 ``tests/meijer_references.json`` with its own orders, parameters and
-argument, so that a later change to ``cascade_from_constants`` cannot
-move a reference with it.  Instances taken from a builder also keep
-their case and the builder's ``log_prefactor``.
+argument z rounded to a double, so that a later change to
+``cascade_from_constants`` cannot move a reference with it.  Instances
+taken from a builder also keep their case and the builder's
+``log_prefactor``.
+
+The committed entries were made when the builders formed z itself in
+floating point; they now form ln z from logs.  So a run today writes
+arguments an ulp or so away from the committed ones, and values that
+move with them: by up to about 1e-13 relative where the value, its
+prefactor included, is a double, and by more in the far tails, where
+it underflows.  ``test_builders_rebuild_every_frozen_spec``
+in ``tests/test_statistics.py`` bounds that difference: each builder's
+ln z lies within 1e-13 of the log of the frozen argument, and each
+builder form evaluates within 1e-10 of the frozen value, or to 0 where
+that underflows.  A run over the committed file would thus rewrite
+every entry; to check the script, run it on a copy of the repository.
 
 Most instances come from ``mpmath.meijerg``.  A tail density whose
 argument exceeds 1 has its saddle point out on the far side of its
@@ -31,6 +45,7 @@ along the Mellin-Barnes line through mpmath's own saddle point with
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,30 +62,37 @@ DPS = 40
 # off-family instances: the Meijer-G identities and the frozen and
 # coincident-parameter cases of the special-function tests
 OTHER = {
-    "exp z=1": MeijerGSpec(1, 0, (), (0.0,), 1.0),
-    "log1p z=1": MeijerGSpec(1, 2, (1.0, 1.0), (1.0, 0.0), 1.0),
-    "bessel-k nu=0.5 x=2": MeijerGSpec(2, 0, (), (0.25, -0.25), 1.0),
-    "z^0.75 exp z=0.5": MeijerGSpec(1, 0, (), (0.75,), 0.5),
-    "z^0.75 exp z=2": MeijerGSpec(1, 0, (), (0.75,), 2.0),
-    "G3-0 z=0.7": MeijerGSpec(3, 0, (5.0,), (4.0, 4.2, 2.5), 0.7),
-    "G6-0 twin z=0.8": MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, 0.8),
+    "exp z=1": MeijerGSpec(1, 0, (), (0.0,), log_argument=0.0),
+    "log1p z=1": MeijerGSpec(1, 2, (1.0, 1.0), (1.0, 0.0), log_argument=0.0),
+    "bessel-k nu=0.5 x=2": MeijerGSpec(2, 0, (), (0.25, -0.25), log_argument=0.0),
+    "z^0.75 exp z=0.5": MeijerGSpec(1, 0, (), (0.75,), log_argument=math.log(0.5)),
+    "z^0.75 exp z=2": MeijerGSpec(1, 0, (), (0.75,), log_argument=math.log(2.0)),
+    "G3-0 z=0.7": MeijerGSpec(3, 0, (5.0,), (4.0, 4.2, 2.5), log_argument=math.log(0.7)),
+    "G6-0 twin z=0.8": MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2,
+                                   log_argument=math.log(0.8)),
     "G6-0 cascade pdf z=0.3": MeijerGSpec(
-        6, 0, (38.21, 38.21), (37.21, 12.5331, 4.6787) * 2, 0.3),
+        6, 0, (38.21, 38.21), (37.21, 12.5331, 4.6787) * 2, log_argument=math.log(0.3)),
 }
+
+
+def argument(spec: MeijerGSpec) -> mpmath.mpf:
+    """z = exp(ln z) of the spec, at DPS digits."""
+    return mpmath.exp(mpmath.mpf(spec.log_argument))
 
 
 def reference(spec: MeijerGSpec) -> mpmath.mpf:
     a = [list(spec.a_params[:spec.n]), list(spec.a_params[spec.n:])]
     b = [list(spec.b_params[:spec.m]), list(spec.b_params[spec.m:])]
-    if spec.n and spec.argument > 1e10:
+    z = argument(spec)
+    if spec.n and z > 1e10:
         # the series in z cancels through hundreds of digits out here; the
         # expansion in 1/z omits terms of order exp(-(q-p) z^(1/(q-p))),
         # and mpmath raises where its divergent tail cannot reach DPS
         try:
-            return mpmath.meijerg(a, b, spec.argument, series=2)
+            return mpmath.meijerg(a, b, z, series=2)
         except mpmath.mp.NoConvergence:
             pass
-    return mpmath.meijerg(a, b, spec.argument, series=1)
+    return mpmath.meijerg(a, b, z, series=1)
 
 
 def line_reference(spec: MeijerGSpec) -> mpmath.mpf:
@@ -85,7 +107,7 @@ def line_reference(spec: MeijerGSpec) -> mpmath.mpf:
         raise ValueError("line_reference takes one-sided specs only")
     a = [mpmath.mpf(v) for v in spec.a_params]
     b = [mpmath.mpf(v) for v in spec.b_params]
-    lnz = mpmath.log(mpmath.mpf(spec.argument))
+    lnz = mpmath.mpf(spec.log_argument)
     # (offset, sign of s, weight) of each gamma factor of chi
     factors = ([(b[j], -1, 1) for j in range(m)] + [(1 - a[j], 1, 1) for j in range(n)]
                + [(1 - b[j], 1, -1) for j in range(m, spec.q)]
@@ -138,7 +160,7 @@ def entry(label: str, spec: MeijerGSpec, value: mpmath.mpf, **extra) -> dict:
     print(f"{label:48s} {mpmath.nstr(value, 12)}", flush=True)
     return {"label": label, "m": spec.m, "n": spec.n,
             "a_params": list(spec.a_params), "b_params": list(spec.b_params),
-            "argument": spec.argument, **extra,
+            "argument": float(argument(spec)), **extra,
             "value": mpmath.nstr(value, DPS, min_fixed=1, max_fixed=0)}
 
 
@@ -149,7 +171,7 @@ def main() -> None:
     for case in reference_cases():
         form = closed_form(case)
         spec = form.spec
-        value = (line_reference(spec) if case in tails and spec.argument > 1.0
+        value = (line_reference(spec) if case in tails and spec.log_argument > 0.0
                  else reference(spec))
         entries.append(entry(case_label(case), spec, value, case=case,
                              log_prefactor=form.log_prefactor))

@@ -31,7 +31,7 @@ def test_traced_functions_resolve():
 
 def test_traced_meijer_g_fields_exist():
     # the fields tracing._annotate reads off a meijer_g result
-    spec = MeijerGSpec(1, 0, (), (0.0,), 1.0)
+    spec = MeijerGSpec(1, 0, (), (0.0,), log_argument=0.0)
     res = meijer_g(spec)
     missing = [a for a in ("value", "abs_error_estimate", "perturbation_note")
                if not hasattr(res, a)]

@@ -93,6 +93,31 @@ def test_parse_rejects_non_finite_and_runaway_grids(tmp_path, key, value,
         parse_config(write_config(tmp_path, cfg))
 
 
+@pytest.mark.parametrize("metric, seed, message", [
+    ({"samples": 2.7}, 0, r"^sweep\.metrics\[0\]\.samples: must be an integer, got 2\.7$"),
+    ({"samples": True}, 0, r"^sweep\.metrics\[0\]\.samples: must be an integer, got True$"),
+    ({"samples": "2000"}, 0,
+     r"^sweep\.metrics\[0\]\.samples: must be an integer, got '2000'$"),
+    ({}, 1.9, r"^sweep\.seed: must be an integer, got 1\.9$"),
+    ({}, True, r"^sweep\.seed: must be an integer, got True$"),
+    ({}, -1, r"^sweep\.seed: must lie in \[0, 2\^64\), got -1$"),
+    ({}, 2 ** 64, r"^sweep\.seed: must lie in \[0, 2\^64\), got 18446744073709551616$"),
+], ids=["samples-float", "samples-bool", "samples-string", "seed-float",
+        "seed-bool", "seed-negative", "seed-too-large"])
+def test_parse_takes_json_integers_only(tmp_path, metric, seed, message):
+    # a float, a bool or a string is not silently truncated, and a seed
+    # out of range fails here rather than inside a Monte Carlo curve
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"]["metrics"] = [{"name": "capacity", "mc": True, **metric}]
+    cfg["sweep"]["seed"] = seed
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_config(tmp_path, cfg))
+    cfg["sweep"]["metrics"] = [{"name": "capacity", "mc": True, "samples": 2000}]
+    cfg["sweep"]["seed"] = 2 ** 64 - 1
+    spec = parse_config(write_config(tmp_path, cfg))
+    assert (spec.metrics[0].samples, spec.seed) == (2000, 2 ** 64 - 1)
+
+
 def test_parse_rejects_bad_metric(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["sweep"]["metrics"] = [{"name": "ber"}]
@@ -202,6 +227,18 @@ def test_mc_metric_embeds_seed():
     curves = run_sweep(spec)
     assert curves[0].meta["seed"] == 777
     assert curves[0].meta["samples"] == 20_000
+
+
+def test_threshold_sweep_reaches_past_the_double_range():
+    # 10^(x / 10) leaves the doubles below -3,240 dB and above 3,083 dB;
+    # the sweep hands the cdf builder ln gamma = x ln(10) / 10 instead
+    spec = SweepSpec(variable="gamma_th_db", start=-4000.0, stop=4000.0, step=2000.0,
+                     metrics=(MetricSpec(name="outage"),),
+                     scenarios=(ScenarioSpec("x", 4.2, 2.5, 2.0, mean_snr_db=20.0),))
+    curve = run_sweep(spec)[0]
+    assert "failures" not in curve.meta
+    assert curve.y[:2] == [0.0, 0.0] and curve.y[3:] == [1.0, 1.0]
+    assert 0.0 < curve.y[2] < 1.0
 
 
 def test_point_failures_recorded_as_gaps(monkeypatch):
@@ -467,9 +504,15 @@ def test_cli_field_errors_name_the_field(capsys, argv, message):
     (["capacity", *ONE_POINT[:4], "--mean-snr-db=inf", "--zeta", "2"],
      "channel.mean_snr_db: must be finite"),
     (["cdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "nan"],
-     "cdf needs gamma >= 0, got nan"),
+     "cdf needs finite gamma >= 0, got nan"),
     (["params", "--color", "red", "--cn2", "5e-14", "--zeta", "inf"],
      "params.zeta: must be finite"),
+    (["cdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "inf"],
+     "cdf needs finite gamma >= 0, got inf"),
+    (["pdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "inf"],
+     "pdf needs finite gamma > 0, got inf"),
+    (["mgf", *ONE_POINT, "--zeta", "2", "--s", "inf"],
+     "mgf needs finite s > 0, got inf"),
 ])
 def test_cli_non_finite_inputs_exit_one_naming_the_field(capsys, argv, message):
     assert cli.main(argv) == 1

@@ -86,10 +86,10 @@ def test_capacity_matches_quadrature(a):
 
 @pytest.mark.parametrize("zeta, a", [(0.3, 1), (0.45, 2)])
 def test_capacity_twin_at_small_zeta(zeta, a):
-    # the twin's -(80/c + 20) cut lies where the density's Meijer-G
-    # argument is no longer a normal double; the twin stops at that
-    # floor, where the integrand, of order gamma^(1 + c), is far below
-    # its tolerance, so it does not warn
+    # the twin's -(80/c + 20) cut lies where neither gamma nor the
+    # density's Meijer-G argument is a double; the builder takes their
+    # logs, and the integrand there, of order gamma^(1 + c), is far below
+    # the twin's tolerance, so it does not warn
     dist = make_dist(2.0, 1.5, zeta, a, 20.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -11,7 +11,6 @@ reference.
 from __future__ import annotations
 
 import cmath
-import decimal
 import math
 import signal
 
@@ -25,7 +24,14 @@ from scipy.special import digamma as scipy_digamma
 from scipy.special import kv as scipy_kv
 from scipy.special import polygamma as scipy_polygamma
 
-from conftest import TABLE2_LEVELS, closed_form, make_dist, meijer_references, reflected
+from conftest import (
+    TABLE2_LEVELS,
+    assert_matches_reference,
+    closed_form,
+    make_dist,
+    meijer_references,
+    reflected,
+)
 from risfso.metrics import ModulationScheme, ber_form, capacity_form
 from risfso.special import (
     ContourError,
@@ -175,21 +181,21 @@ def test_gauss_kronrod_error_estimate_bounds_a_smooth_integral(row):
 # Meijer-G: identity instances
 
 
-EXP_SPEC = MeijerGSpec(1, 0, (), (0.0,), 1.0)
-LOG_SPEC = MeijerGSpec(1, 2, (1.0, 1.0), (1.0, 0.0), 1.0)
-BESSEL_SPEC = MeijerGSpec(2, 0, (), (0.25, -0.25), 1.0)
+EXP_SPEC = MeijerGSpec(1, 0, (), (0.0,), log_argument=0.0)
+LOG_SPEC = MeijerGSpec(1, 2, (1.0, 1.0), (1.0, 0.0), log_argument=0.0)
+BESSEL_SPEC = MeijerGSpec(2, 0, (), (0.25, -0.25), log_argument=0.0)
 
 
 def test_meijer_exponential_identity():
     for z in (0.2, 0.5, 1.0, 3.0, 8.0):
-        res = meijer_g(MeijerGSpec(1, 0, (), (0.0,), z))
+        res = meijer_g(MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(z)))
         assert res.value == pytest.approx(math.exp(-z), rel=1e-10)
         assert res.abs_error_estimate >= 0.0
 
 
 def test_meijer_log_identity():
     for z in (0.3, 1.0):
-        res = meijer_g(MeijerGSpec(1, 2, (1.0, 1.0), (1.0, 0.0), z))
+        res = meijer_g(MeijerGSpec(1, 2, (1.0, 1.0), (1.0, 0.0), log_argument=math.log(z)))
         assert res.value == pytest.approx(math.log1p(z), rel=1e-10)
 
 
@@ -197,19 +203,19 @@ def test_meijer_bessel_identity_against_own_bessel():
     # covers the coincident-order case nu = 0 as well
     for nu in (0.0, 0.5, 1.0, 2.3):
         for x in (0.5, 1.0, 5.0):
-            spec = MeijerGSpec(2, 0, (), (nu / 2.0, -nu / 2.0), x * x / 4.0)
+            spec = MeijerGSpec(2, 0, (), (nu / 2.0, -nu / 2.0), log_argument=math.log(x * x / 4.0))
             want = 2.0 * float(scipy_kv(nu, x))
             assert meijer_g(spec).value == pytest.approx(want, rel=1e-8)
 
 
 def test_meijer_frozen_references():
     # mpmath anchors (duplicates perturbed by 1e-12 at 40 digits)
-    g = meijer_g(MeijerGSpec(3, 0, (5.0,), (4.0, 4.2, 2.5), 2.0))
+    g = meijer_g(MeijerGSpec(3, 0, (5.0,), (4.0, 4.2, 2.5), log_argument=math.log(2.0)))
     assert g.value == pytest.approx(0.487528417735208131, rel=1e-10)
-    g = meijer_g(MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, 0.8))
+    g = meijer_g(MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, log_argument=math.log(0.8)))
     assert g.value == pytest.approx(0.0529417155971279576, rel=1e-10)
     g = meijer_g(MeijerGSpec(6, 0, (38.21, 38.21),
-                             (37.21, 12.5331, 4.6787) * 2, 1.3))
+                             (37.21, 12.5331, 4.6787) * 2, log_argument=math.log(1.3)))
     assert g.value == pytest.approx(120566.891301455704, rel=1e-9)
 
 
@@ -224,9 +230,11 @@ def test_reflection_identity():
         EXP_SPEC,
         LOG_SPEC,
         BESSEL_SPEC,
-        MeijerGSpec(3, 0, (5.0,), (4.0, 4.2, 2.5), 2.0),
-        MeijerGSpec(6, 0, (38.21, 38.21), (37.21, 12.5331, 4.6787) * 2, 1.3),
-        MeijerGSpec(6, 1, (1.0, 5.0, 5.0), (4.0, 4.2, 2.5) * 2 + (0.0,), 0.4),
+        MeijerGSpec(3, 0, (5.0,), (4.0, 4.2, 2.5), log_argument=math.log(2.0)),
+        MeijerGSpec(6, 0, (38.21, 38.21), (37.21, 12.5331, 4.6787) * 2,
+                    log_argument=math.log(1.3)),
+        MeijerGSpec(6, 1, (1.0, 5.0, 5.0), (4.0, 4.2, 2.5) * 2 + (0.0,),
+                    log_argument=math.log(0.4)),
     ]
     for spec in specs:
         direct = meijer_g(spec)
@@ -240,36 +248,13 @@ def test_reflection_identity():
 
 def _reference_spec(entry) -> MeijerGSpec:
     return MeijerGSpec(entry["m"], entry["n"], tuple(entry["a_params"]),
-                       tuple(entry["b_params"]), entry["argument"])
-
-
-def _reference_value(entry) -> float:
-    """exp(log_prefactor) times the entry's 40-digit value, rounded once.
-    An entry from a builder is the closed form with its prefactor: the
-    large-shape densities are G-values far past the double range that the
-    prefactor brings back into it."""
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emin, ctx.Emax = 50, decimal.MIN_EMIN, decimal.MAX_EMAX
-        scale = decimal.Decimal(entry.get("log_prefactor", 0.0)).exp()
-        return float(decimal.Decimal(entry["value"]) * scale)
-
-
-def _assert_matches_reference(entry, res) -> None:
-    """Within 1e-10 relative and within the result's own estimate; a
-    reference below 1e-300 evaluates to 0 or lies within the estimate."""
-    want = _reference_value(entry)
-    err = abs(res.value - want)
-    if abs(want) < 1e-300:
-        assert res.value == 0.0 or err <= res.abs_error_estimate, (entry["label"], res, want)
-        return
-    assert err <= 1e-10 * abs(want), (entry["label"], res.value, want)
-    assert err <= res.abs_error_estimate, (entry["label"], err, res.abs_error_estimate)
+                       tuple(entry["b_params"]), log_argument=math.log(entry["argument"]))
 
 
 @pytest.mark.parametrize("entry", meijer_references(), ids=lambda e: e["label"])
 def test_meijer_matches_frozen_reference(entry):
     res = meijer_g(_reference_spec(entry), log_prefactor=entry.get("log_prefactor", 0.0))
-    _assert_matches_reference(entry, res)
+    assert_matches_reference(entry, res)
 
 
 def test_batched_references_match_frozen_and_one_at_a_time():
@@ -283,7 +268,7 @@ def test_batched_references_match_frozen_and_one_at_a_time():
         prefactors = [entry.get("log_prefactor", 0.0) for entry, _ in group]
         batch = meijer_g_batch([spec for _, spec in group], prefactors)
         for (entry, spec), prefactor, res in zip(group, prefactors, batch):
-            _assert_matches_reference(entry, res)
+            assert_matches_reference(entry, res)
             alone = meijer_g(spec, log_prefactor=prefactor).value
             assert abs(res.value - alone) <= 1e-14 * abs(alone), entry["label"]
 
@@ -291,8 +276,9 @@ def test_batched_references_match_frozen_and_one_at_a_time():
 def test_batch_failures_stay_per_instance():
     # an empty strip fails at set-up and an overflowing prefactor inside
     # the contour pass; the other instances keep their values
-    specs = [EXP_SPEC, EXP_SPEC, MeijerGSpec(1, 1, (1.0,), (0.0, -3.2), 0.6),
-             MeijerGSpec(1, 0, (), (0.0,), 2.0)]
+    specs = [EXP_SPEC, EXP_SPEC,
+             MeijerGSpec(1, 1, (1.0,), (0.0, -3.2), log_argument=math.log(0.6)),
+             MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0))]
     good, overflow, empty, other = meijer_g_batch(specs, [0.0, 800.0, 0.0, 0.0])
     assert good == meijer_g(EXP_SPEC)
     assert other == meijer_g(specs[3])
@@ -356,7 +342,8 @@ def test_kernel_tables_merge_equal_and_fold_shifted_factors(a):
     # under IM/DD each alpha/2, (alpha + 1)/2 pair, and beta's, becomes one
     # log-gamma of slope -2
     dist = make_dist(4.9477, 1.2310, 1.1, a, 20.0)
-    specs = {"pdf": pdf_form(dist, 30.0).spec, "cdf": cdf_form(dist, 30.0).spec,
+    ln_gamma = math.log(30.0)
+    specs = {"pdf": pdf_form(dist, ln_gamma).spec, "cdf": cdf_form(dist, ln_gamma).spec,
              "mgf": mgf_form(dist, 0.3).spec, "capacity": capacity_form(dist).spec}
     specs.update((scheme.name, ber_form(dist, scheme).spec) for scheme in ModulationScheme)
     assert specs.keys() == KERNEL_COUNTS[a].keys()
@@ -420,7 +407,8 @@ def test_fold_of_coincident_parameters(form):
     spec = form.spec
     _assert_kernel_matches_unmerged(spec, _kernel_tables(spec))
     # one instance alone and in a batch with other shapes and arguments
-    others = [MeijerGSpec(spec.m, spec.n, spec.a_params, spec.b_params, spec.argument * 7.0),
+    others = [MeijerGSpec(spec.m, spec.n, spec.a_params, spec.b_params,
+                          log_argument=spec.log_argument + math.log(7.0)),
               EXP_SPEC, BESSEL_SPEC]
     alone = meijer_g_batch([spec], [form.log_prefactor])[0]
     batched = meijer_g_batch([others[0], spec] + others[1:], [0.0, form.log_prefactor, 0.0, 0.0])[1]
@@ -449,7 +437,7 @@ def _raw_slopes(spec: MeijerGSpec, sigma: float) -> tuple[float, float, float]:
                + [(1.0 - a[j] + sigma, 1, 1) for j in range(n)]
                + [(1.0 - b[j] + sigma, 1, -1) for j in range(m, spec.q)]
                + [(a[j] - sigma, -1, -1) for j in range(n, spec.p)])
-    terms = [w * e * float(scipy_digamma(x)) for x, e, w in factors] + [math.log(spec.argument)]
+    terms = [w * e * float(scipy_digamma(x)) for x, e, w in factors] + [spec.log_argument]
     curvature = sum(w * float(scipy_polygamma(1, x)) for x, _, w in factors)
     return math.fsum(terms), sum(map(abs, terms)), curvature
 
@@ -464,8 +452,9 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
                                  (101.0, 97.0, 6.1, 2), (200.0, 150.0, 20.0, 1)]:
         dist = make_dist(alpha, beta, zeta, a, 30.0)
         for ratio in (1e-30, 1e-12, 1e-3, 1.0, 1e3, 1e12, 1e20):
-            pdf_spec = pdf_form(dist, ratio * dist.mean_snr).spec
-            specs += [pdf_spec, reflected(pdf_spec), cdf_form(dist, ratio * dist.mean_snr).spec]
+            ln_gamma = math.log(ratio * dist.mean_snr)
+            pdf_spec = pdf_form(dist, ln_gamma).spec
+            specs += [pdf_spec, reflected(pdf_spec), cdf_form(dist, ln_gamma).spec]
     groups: dict[tuple, list] = {}
     for spec in specs:
         tables = _kernel_tables(spec)
@@ -478,7 +467,7 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
         strips = np.array([_contour_strip(spec) for spec, _ in group])
         with np.errstate(all="ignore"):
             kernels = _Kernels([t[:2] for _, t in group],
-                               [math.log(spec.argument) + t[3] for spec, t in group],
+                               [spec.log_argument + t[3] for spec, t in group],
                                [0.0] * len(group))
             batched = _pick_sigma(kernels, *strips.T)
         for (spec, tables), strip, sigma in zip(group, strips, batched):
@@ -487,7 +476,7 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
             slope, size, curvature = _raw_slopes(spec, float(sigma))
             assert abs(slope) <= 8 * eps * (size + abs(curvature * sigma)), (spec, sigma, slope)
             with np.errstate(all="ignore"):
-                alone = _pick_sigma(_Kernels([tables[:2]], [math.log(spec.argument) + tables[3]],
+                alone = _pick_sigma(_Kernels([tables[:2]], [spec.log_argument + tables[3]],
                                              [0.0]), strip[:1], strip[1:])[0]
             assert alone.hex() == sigma.hex(), (spec, alone, sigma)
 
@@ -517,19 +506,22 @@ def test_frozen_references_cover_every_closed_form_shape():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        MeijerGSpec(2, 0, (), (0.0,), 1.0)  # m > q
+        MeijerGSpec(2, 0, (), (0.0,), log_argument=0.0)  # m > q
     with pytest.raises(ValueError):
-        MeijerGSpec(0, 2, (1.0,), (0.0,), 1.0)  # n > p
-    with pytest.raises(ValueError):
-        MeijerGSpec(1, 0, (), (0.0,), -1.0)  # nonpositive argument
-    with pytest.raises(ValueError):
-        MeijerGSpec(1, 0, (), (0.0,), 0.0)
+        MeijerGSpec(0, 2, (1.0,), (0.0,), log_argument=0.0)  # n > p
+    # ln z of z = 0, of z past the double range, and not a number
+    for log_argument in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="log_argument must be finite"):
+            MeijerGSpec(1, 0, (), (0.0,), log_argument=log_argument)
+    # ln z is keyword-only, so a fifth positional argument, such as z, raises
+    with pytest.raises(TypeError):
+        MeijerGSpec(1, 0, (), (0.0,), 1.0)
 
 
 def test_contour_rejects_nonpositive_decay_index():
     # m + n - (p+q)/2 = 0: no exponential decay along the line
     with pytest.raises(ContourError):
-        meijer_g(MeijerGSpec(1, 1, (0.3, 0.9), (0.7, 0.1), 0.5))
+        meijer_g(MeijerGSpec(1, 1, (0.3, 0.9), (0.7, 0.1), log_argument=math.log(0.5)))
 
 
 @pytest.mark.parametrize("upper", [1.0, 2.0], ids=["unit-deep", "two-deep"])
@@ -537,7 +529,7 @@ def test_touching_pole_families_raise_contour_error(upper):
     # a leading upper parameter a positive integer above a leading lower
     # one: the families touch and no vertical line separates them
     with pytest.raises(ContourError, match=r"separating strip .* is empty"):
-        meijer_g(MeijerGSpec(1, 1, (upper,), (0.0, -3.2), 0.6))
+        meijer_g(MeijerGSpec(1, 1, (upper,), (0.0, -3.2), log_argument=math.log(0.6)))
 
 
 def test_eval_result_invariants():

@@ -24,13 +24,14 @@ from conftest import (
     BAND_MEAN_DB,
     BAND_RATIOS,
     TABLE2_LEVELS,
+    assert_matches_reference,
     closed_form,
     make_dist,
     meijer_references,
     reference_cases,
 )
 from risfso import metrics, statistics
-from risfso.special import meijer_g, quadrature
+from risfso.special import MeijerGError, meijer_g, meijer_g_batch, quadrature
 from risfso.simulator import McChannel, sample_end_to_end_snr
 from risfso.statistics import (
     RisElement,
@@ -157,9 +158,8 @@ def test_pdf_matches_substituted_integral(a):
 
 @pytest.mark.parametrize("a", [1, 2])
 def test_substituted_twin_at_small_zeta(a):
-    # at zeta 0.2 the density decays slowly toward 0 (c = 0.04 / a), and
-    # the twin's span, that of the product twin in x = t^(1/a), keeps
-    # both Meijer-G arguments normal doubles
+    # at zeta 0.2 the density decays slowly toward 0 (c = 0.04 / a); the
+    # twin's span is that of the product twin in x = t^(1/a)
     dist = make_dist(2.0, 1.5, 0.2, a, 20.0)
     for ratio in (1e-3, 1.0, 1e3):
         gamma = ratio * dist.mean_snr
@@ -177,10 +177,10 @@ def test_substituted_integrand_nonnegative():
     c2 = 1.0 / (p.big_q * math.sqrt(dist.mean_snr / dist.mean_snr))
     for x in np.logspace(-2, 2, 9):
         g1 = meijer_g(MeijerGSpec(3, 0, (p.zeta2 + 1.0,),
-                                  (p.zeta2, p.alpha, p.beta), c1 * x)).value
+                                  (p.zeta2, p.alpha, p.beta), log_argument=math.log(c1 * x))).value
         g2 = meijer_g(MeijerGSpec(0, 3,
                                   (1 - p.zeta2, 1 - p.alpha, 1 - p.beta),
-                                  (-p.zeta2,), c2 * x)).value
+                                  (-p.zeta2,), log_argument=math.log(c2 * x))).value
         assert g1 >= -1e-12 and g2 >= -1e-12
 
 
@@ -218,22 +218,44 @@ def test_pdf_tails_and_domain():
         pdf(dist, 0.0)
     with pytest.raises(ValueError):
         pdf(dist, -1.0)
-    # where the Meijer-G argument underflows, the error names gamma
-    with pytest.raises(ValueError, match="gamma 5e-324"):
-        pdf(dist, 5e-324)
+    with pytest.raises(ValueError, match="pdf needs finite gamma > 0, got inf"):
+        pdf(dist, math.inf)
+    # the least double: its Meijer-G argument is far below the doubles,
+    # but the builder takes ln gamma, and the density underflows to 0
+    assert pdf(dist, 5e-324) == 0.0
+    # at zeta 0.2 the density there, about 1.7e310, is past the double
+    # range, and the error names gamma
+    with pytest.raises(MeijerGError, match="pdf at gamma 5e-324: "):
+        pdf(make_dist(10.9537, 2.9833, 0.2, 1, 30.0), 5e-324)
 
 
-@pytest.mark.parametrize("gamma", [1e-308, 1e-320])
-def test_pdf_rejects_a_subnormal_argument(gamma):
-    # at zeta 0.2 the density diverges toward 0 (decay exponent 0.04);
-    # the argument Q^2 gamma / mean SNR is subnormal and has lost digits,
-    # and at 1e-320 the contour value overflowed
+# (gamma, pdf, subchannel_pdf at a per-hop mean of sqrt(mean SNR)) on the
+# strong row at zeta 0.2, HD, 30 dB: 40-digit mpmath values at these
+# doubles, where the density diverges toward 0 (decay exponent 0.04) and
+# the Meijer-G argument, Q^2 gamma / mean SNR, is subnormal
+SUBNORMAL_DENSITIES = [
+    (1e-308, 3.293358428430503170062470698153922103321e+295,
+     1.477442516708084752975028029820906717243e+294),
+    (1e-320, 1.132272679900766473770531666572281943572e+307,
+     4.892324261585909238736915424295984522664e+305),
+]
+
+
+@pytest.mark.parametrize("gamma, want, want_hop", SUBNORMAL_DENSITIES,
+                         ids=[repr(g) for g, _, _ in SUBNORMAL_DENSITIES])
+def test_densities_where_the_argument_is_subnormal(gamma, want, want_hop):
     dist = make_dist(10.9537, 2.9833, 0.2, 1, 30.0)
-    with pytest.raises(ValueError, match=f"pdf at gamma {gamma!r} is out of double range"):
-        pdf(dist, gamma)
+    assert pdf(dist, gamma) == pytest.approx(want, rel=1e-12)
     gbar_i = math.sqrt(dist.mean_snr)
-    with pytest.raises(ValueError, match=f"gamma {gamma!r}"):
-        subchannel_pdf(dist, gamma, gbar_i)
+    assert subchannel_pdf(dist, gamma, gbar_i) == pytest.approx(want_hop, rel=1e-12)
+
+
+@pytest.mark.parametrize("mean_snr_i", [0.0, -4.0, math.inf, math.nan])
+@pytest.mark.parametrize("a", [1, 2])
+def test_subchannel_pdf_rejects_a_bad_per_hop_mean(mean_snr_i, a):
+    dist = make_dist(*RED, 6.1, a, 20.0)
+    with pytest.raises(ValueError, match="subchannel_pdf needs finite mean_snr_i > 0"):
+        subchannel_pdf(dist, 1.0, mean_snr_i)
 
 
 @st.composite
@@ -278,6 +300,24 @@ def test_cdf_endpoints_and_guards():
     assert 1.0 - 1e-12 <= cdf(dist, dist.mean_snr * 1e13) <= 1.0
     with pytest.raises(ValueError):
         cdf(dist, -0.5)
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"cdf needs finite gamma >= 0, got {gamma!r}"):
+            cdf(dist, gamma)
+
+
+# (gamma, cdf) on the row alpha 2, beta 1.5, zeta 0.2, HD, 20 dB: 40-digit
+# mpmath values at these doubles, where gamma / mean SNR is subnormal
+SUBNORMAL_CDF = [
+    (1e-310, 8.060931192342647174987520619822138470665e-12),
+    (1e-318, 3.9531529610805081477730993887724006713e-12),
+    (1e-322, 2.766479106680529791932204864617172241254e-12),
+]
+
+
+@pytest.mark.parametrize("gamma, want", SUBNORMAL_CDF,
+                         ids=[repr(g) for g, _ in SUBNORMAL_CDF])
+def test_cdf_where_the_ratio_is_subnormal(gamma, want):
+    assert cdf(make_dist(2.0, 1.5, 0.2, 1, 20.0), gamma) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [1, 2])
@@ -293,9 +333,8 @@ def test_cdf_matches_integrated_pdf_on_grid(a):
 @pytest.mark.parametrize("zeta, a", [(0.2, 1), (0.3, 2)])
 def test_cdf_twin_at_small_zeta(zeta, a):
     # c = zeta^2 / a is 0.04 or 0.045: the twin's -48/c cut lies where
-    # the density's Meijer-G argument is no longer a normal double, so
-    # the twin stops at that floor, which leaves out less than its
-    # tolerance and does not warn
+    # gamma and the density's Meijer-G argument are far below the doubles,
+    # and the builder takes their logs
     dist = make_dist(2.0, 1.5, zeta, a, 20.0)
     for gamma in (1.0, 100.0):
         with warnings.catch_warnings():
@@ -304,25 +343,29 @@ def test_cdf_twin_at_small_zeta(zeta, a):
         assert twin == pytest.approx(cdf(dist, gamma), rel=1e-8)
 
 
-def test_cdf_twin_warns_where_its_floor_cut_leaves_out_too_much():
-    # zeta 0.2 under IM/DD: c = 0.02, and at gamma = mean SNR / 100 the
-    # floor leaves out about the integrand there over c, against a
-    # tolerance of 1e-8 relative
+def test_cdf_twin_meets_its_tolerance_at_small_zeta_under_imdd():
+    # zeta 0.2 under IM/DD: c = 0.02, so the twin's cut lies 2,405 below
+    # ln gamma, where neither x nor the density's Meijer-G argument is a
+    # double; the builder takes their logs
     dist = make_dist(2.0, 1.5, 0.2, 2, 20.0)
     gamma = 0.01 * dist.mean_snr
-    with pytest.warns(IntegrationWarning, match="leaves out about 8.4e-06 of 0.96"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         twin = cdf_by_quadrature(dist, gamma)
-    assert 8.4e-6 < cdf(dist, gamma) - twin < 9.5e-6
+    assert twin == pytest.approx(cdf(dist, gamma), rel=1e-8)
 
 
-
-def test_cdf_twin_rejects_gamma_at_or_below_its_floor():
-    # zeta 0.2 under IM/DD: the floor lies at ln gamma = -702.8, so at
-    # 1e-306 the interval from the floor to gamma would run backwards
+def test_cdf_twin_near_the_least_normal_double():
+    # zeta 0.2 under IM/DD: at gamma 1e-306 the twin runs over ln x from
+    # -3,110 to -704.6
     dist = make_dist(2.0, 1.5, 0.2, 2, 20.0)
-    with pytest.raises(ValueError, match="got 1e-306"):
-        cdf_by_quadrature(dist, 1e-306)
-    assert cdf(dist, 1e-306) == pytest.approx(8.66e-6, rel=1e-3)
+    twin = cdf_by_quadrature(dist, 1e-306)
+    want = cdf(dist, 1e-306)
+    assert want == pytest.approx(8.66e-6, rel=1e-3)
+    assert twin >= 0.0
+    assert twin == pytest.approx(want, rel=1e-8)
+
+
 # (alpha, beta, zeta, a, product mean SNR dB, threshold dB): saturated
 # points whose contour value rounds a few ulps above one
 NEAR_SATURATION = [
@@ -403,6 +446,8 @@ def test_mgf_small_s_limit():
     dist = make_dist(*BLUE, 6.1, 1, 20.0)
     assert mgf(dist, 1e-5 / dist.mean_snr) == pytest.approx(1.0, abs=1e-4)
     assert 1.0 - 1e-12 <= mgf(dist, 1e-14 / dist.mean_snr) <= 1.0
+    # mean SNR / s is far past the doubles, and so is the argument
+    assert 1.0 - 1e-12 <= mgf(dist, 1e-320) <= 1.0
 
 
 @pytest.mark.parametrize("a", [1, 2])
@@ -440,6 +485,8 @@ def test_mgf_domain():
         mgf(dist, 0.0)
     with pytest.raises(ValueError):
         mgf(dist, -1.0)
+    with pytest.raises(ValueError, match="mgf needs finite s > 0, got inf"):
+        mgf(dist, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +496,20 @@ def test_mgf_domain():
 def test_spec_shapes_match_contract():
     dist = make_dist(*BLUE, 6.1, 1, 20.0)
     z2 = 6.1 ** 2
-    spec = pdf_form(dist, 50.0).spec
+    spec = pdf_form(dist, math.log(50.0)).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (6, 0, 2, 6)
     assert spec.a_params == (z2 + 1.0, z2 + 1.0)
     assert spec.b_params == (z2, BLUE[0], BLUE[1]) * 2
-    assert spec.argument == pytest.approx(
-        dist.params.big_q ** 2 * 50.0 / dist.mean_snr, rel=1e-14)
+    assert spec.log_argument == pytest.approx(
+        math.log(dist.params.big_q ** 2 * 50.0 / dist.mean_snr), abs=1e-14)
 
-    spec = cdf_form(dist, 50.0).spec
+    spec = cdf_form(dist, math.log(50.0)).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (6, 1, 3, 7)
     assert spec.a_params == (1.0,) + dist.params.delta1
     assert spec.b_params == dist.params.delta2 + (0.0,)
 
     dist2 = make_dist(*BLUE, 6.1, 2, 20.0)
-    spec = cdf_form(dist2, 50.0).spec
+    spec = cdf_form(dist2, math.log(50.0)).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (12, 1, 5, 13)
     spec = mgf_form(dist2, 0.3).spec
     assert (spec.m, spec.n, spec.p, spec.q) == (12, 2, 6, 13)
@@ -471,17 +518,22 @@ def test_spec_shapes_match_contract():
 
 def test_builders_rebuild_every_frozen_spec():
     # the cases the reference generator enumerates, and the spec and
-    # prefactor each builder makes of them, exactly as frozen; nothing is
-    # evaluated
+    # prefactor each builder makes of them: exactly as frozen, but for ln z,
+    # which the builders form from logs while the frozen arguments were
+    # formed in floating point; each form evaluates to its frozen value
     entries = [entry for entry in meijer_references() if "case" in entry]
     assert [entry["case"] for entry in entries] == list(reference_cases())
-    for entry in entries:
-        form = closed_form(entry["case"])
+    forms = [closed_form(entry["case"]) for entry in entries]
+    for entry, form in zip(entries, forms):
         spec = form.spec
         assert (spec.m, spec.n, list(spec.a_params), list(spec.b_params),
-                spec.argument, form.log_prefactor) \
+                form.log_prefactor) \
             == (entry["m"], entry["n"], entry["a_params"], entry["b_params"],
-                entry["argument"], entry["log_prefactor"]), entry["label"]
+                entry["log_prefactor"]), entry["label"]
+        assert abs(spec.log_argument - math.log(entry["argument"])) <= 1e-13, entry["label"]
+    results = meijer_g_batch([f.spec for f in forms], [f.log_prefactor for f in forms])
+    for entry, res in zip(entries, results):
+        assert_matches_reference(entry, res)
 
 
 def test_reflection_amplitude_rescales_mean_snr():
@@ -518,9 +570,9 @@ def test_batched_builders_match_scalar_calls_bit_for_bit():
                 gbar_i = math.sqrt(dist.mean_snr)
                 hops = (ratios * gbar_i).tolist()
                 rows.append(((alpha, zeta, a), dist, gammas, gbar_i, hops))
-                forms += [pdf_form(dist, g) for g in gammas]
-                forms += [subchannel_pdf_form(dist, g, gbar_i) for g in hops]
-                forms += [cdf_form(dist, g) for g in gammas]
+                forms += [pdf_form(dist, math.log(g)) for g in gammas]
+                forms += [subchannel_pdf_form(dist, math.log(g), gbar_i) for g in hops]
+                forms += [cdf_form(dist, math.log(g)) for g in gammas]
     values = iter(evaluate_batch(forms))
     for row, dist, gammas, gbar_i, hops in rows:
         batched = [[next(values) for _ in ratios] for _ in range(3)]
