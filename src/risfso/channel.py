@@ -3,7 +3,8 @@
 Translates a free-space-optical hop (geometry, wavelength, refractive
 index structure, pointing) into the turbulence shape parameters, the
 pointing-error parameters, and the cascade parameter bundle that every
-closed-form statistic of the reflected two-hop link consumes.
+closed-form statistic of the reflected two-hop link consumes, and holds
+the source's wavelengths and turbulence-shape table.
 """
 from __future__ import annotations
 
@@ -16,13 +17,32 @@ __all__ = [
     "DetectionMode",
     "LinkScenario",
     "PointingState",
+    "TABLE2",
     "TurbulenceState",
+    "WAVELENGTH_NM",
     "alpha_beta",
     "cascade_from_constants",
     "path_loss",
     "pointing_state",
     "rytov_variance",
 ]
+
+
+WAVELENGTH_NM = {"red": 700.0, "green": 530.0, "blue": 470.0}
+
+# (color, turbulence level) -> (alpha, beta); column labels of the source
+# parameter table (levels: strong 2e-11, moderate 3e-12, weak 5e-14)
+TABLE2 = {
+    ("red", "strong"): (10.9537, 2.9833),
+    ("blue", "strong"): (12.5331, 4.6787),
+    ("green", "strong"): (13.2818, 5.7795),
+    ("red", "moderate"): (4.9477, 1.2310),
+    ("blue", "moderate"): (5.6690, 1.4315),
+    ("green", "moderate"): (6.0130, 1.5682),
+    ("red", "weak"): (2.9428, 2.5605),
+    ("blue", "weak"): (2.5012, 2.0807),
+    ("green", "weak"): (2.3664, 1.9221),
+}
 
 
 class DetectionMode(enum.Enum):
@@ -197,12 +217,10 @@ def cascade_from_constants(alpha: float, beta: float, zeta: float,
     both validated against direct quadrature of the CDF integral for
     a = 2 (the a = 1 case collapses to M0 = M^2, Q0 = Q^2).
     """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError("alpha and beta must be positive")
-    if not zeta > 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta!r}")
-    if not (mean_snr_h > 0.0 and mean_snr_g > 0.0):
-        raise ValueError("per-hop mean SNRs must be positive")
+    for name, value in (("alpha", alpha), ("beta", beta), ("zeta", zeta),
+                        ("mean_snr_h", mean_snr_h), ("mean_snr_g", mean_snr_g)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     a = mode.a
     zeta2 = zeta ** 2
 

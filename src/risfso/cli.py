@@ -31,7 +31,10 @@ from .statistics import SnrDistribution, cdf, mgf, pdf
 from .sweeps import (
     ConfigError,
     _field,
+    _require,
+    _seed,
     _write_text,
+    db_to_linear,
     distribution,
     emit,
     link_scenario,
@@ -53,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 # channel flags share their dest names with the JSON scenario keys
 _CHANNEL_KEYS = ("preset", "alpha", "beta", "zeta", "detection",
                  "mean_snr_db", "mu")
-_MC_METRIC_KEYS = ("gamma_th_db", "scheme", "s")
+_MC_METRIC_KEYS = ("gamma_th_db", "scheme", "s", "samples")
 
 
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
@@ -81,7 +84,7 @@ def _distribution(args: argparse.Namespace) -> SnrDistribution:
         # the cn2 geometry that a JSON scenario may give has no flag here
         raise ConfigError("channel: give --preset, or --alpha and --beta")
     sc = scenario_spec(given, "channel")
-    return distribution(sc, 10.0 ** (sc.mean_snr_db / 10.0))
+    return distribution(sc, sc.mean_snr_db, path="channel.mean_snr_db")
 
 
 def _print_result(payload: dict, args: argparse.Namespace) -> None:
@@ -188,14 +191,13 @@ def _run(args: argparse.Namespace) -> int:
     if cmd in ("pdf", "cdf", "mgf", "outage", "capacity", "ber", "asymptote"):
         dist = _distribution(args)
         scheme = _field(vars(args), "scheme", "metric", ModulationScheme.from_name)
-        if cmd == "pdf":
-            value = pdf(dist, 10.0 ** (args.gamma_db / 10.0))
-        elif cmd == "cdf":
-            value = cdf(dist, 10.0 ** (args.gamma_db / 10.0))
+        if cmd in ("pdf", "cdf"):
+            gamma = db_to_linear(args.gamma_db, "metric.gamma_db")
+            value = pdf(dist, gamma) if cmd == "pdf" else cdf(dist, gamma)
         elif cmd == "mgf":
             value = mgf(dist, args.s)
         elif cmd == "outage":
-            gth = 10.0 ** (args.gamma_th_db / 10.0) \
+            gth = db_to_linear(args.gamma_th_db, "metric.gamma_th_db") \
                 if args.gamma_th_db is not None else None
             value = outage_probability(dist, gth, rate=args.rate,
                                        rate_convention=args.rate_convention)
@@ -219,7 +221,9 @@ def _run(args: argparse.Namespace) -> int:
         dist = _distribution(args)
         metric = metric_spec({"name": args.metric,
                               **_given(args, _MC_METRIC_KEYS)}, "metric", None)
-        cfg = McConfig(sample_count=args.samples, seed=args.seed,
+        _require(args.batch_size >= 1, "mc.batch_size", "must be >= 1")
+        cfg = McConfig(sample_count=metric.samples,
+                       seed=_field(vars(args), "seed", "mc", _seed),
                        batch_size=args.batch_size)
         est = mc_estimate(metric, dist, cfg, metric.gamma_th_db)
         _print_result({"mean": est.mean, "std_error": est.std_error,
@@ -228,9 +232,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "sweep":
-        given = {k: v for k, v in (("seed", args.seed),
-                                   ("gbar_interpretation", args.gbar_interpretation))
-                 if v is not None}
+        given = _given(args, ("seed", "gbar_interpretation"))
         if args.preset:
             spec = presets.figure_preset(args.preset, **given)
             default_out = f"{args.preset}.{args.format or 'csv'}"

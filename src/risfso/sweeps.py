@@ -16,7 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .channel import DetectionMode, LinkScenario, alpha_beta, cascade_from_constants
+from .channel import (TABLE2, WAVELENGTH_NM, DetectionMode, LinkScenario,
+                      alpha_beta, cascade_from_constants)
 from .metrics import ModulationScheme, ber_form, capacity_form
 from .simulator import McChannel, McConfig, McEstimate, estimate_metric
 from .special import MeijerGError
@@ -35,6 +36,7 @@ __all__ = [
     "MetricSpec",
     "ScenarioSpec",
     "SweepSpec",
+    "db_to_linear",
     "distribution",
     "emit",
     "link_scenario",
@@ -104,6 +106,21 @@ class SweepSpec:
     output_path: str | None = None
     output_format: str = "csv"
 
+    def __post_init__(self) -> None:
+        # checked here, so that an override by dataclasses.replace is
+        # checked like the config's own field
+        _require(self.gbar_interpretation in INTERPRETATIONS,
+                 "sweep.gbar_interpretation", f"must be one of {INTERPRETATIONS}")
+        _field(vars(self), "seed", "sweep", _seed)
+        if self.variable == "mean_snr_db":
+            mean_snrs = [(self.start, "sweep.start"), (self.stop, "sweep.stop")]
+        else:
+            mean_snrs = [(sc.mean_snr_db, f"scenarios[{i}].mean_snr_db")
+                         for i, sc in enumerate(self.scenarios)]
+        for x_db, path in mean_snrs:
+            _require(x_db is not None, path, f"required when sweeping {self.variable}")
+            _mean_snr_linear(x_db, self.gbar_interpretation, path)
+
     def grid(self) -> list[float]:
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
         return [self.start + i * self.step for i in range(n)]
@@ -151,6 +168,31 @@ def _integer(value) -> int:
     return value
 
 
+def _seed(value) -> int:
+    """A Monte Carlo seed: a JSON integer in [0, 2^64)."""
+    if not 0 <= _integer(value) < 2 ** 64:
+        raise ValueError(f"must lie in [0, 2^64), got {value}")
+    return value
+
+
+def db_to_linear(x_db: float, path: str, factor: float = 1.0) -> float:
+    """10^(factor x_db / 10); a value that is not a finite positive double
+    raises ConfigError naming ``path``."""
+    _require(math.isfinite(x_db), path, "must be finite")
+    try:
+        value = 10.0 ** (factor * x_db / 10.0)
+    except OverflowError:
+        value = math.inf
+    _require(0.0 < value < math.inf, path,
+             f"{x_db:g} dB is not a finite positive double once linear")
+    return value
+
+
+def _mean_snr_linear(x_db: float, interpretation: str, path: str) -> float:
+    # per-hop: the value is one hop's mean SNR, both hops equal
+    return db_to_linear(x_db, path, 2.0 if interpretation == "per-hop" else 1.0)
+
+
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -164,8 +206,6 @@ _LINK_DEFAULTS = {"distance_m": 1000.0, "aperture_diameter_mm": 1.0,
 
 def table2_constants(name: str, path: str) -> tuple[float, float]:
     """(alpha, beta) behind a ``table2-<color>-<level>`` preset name."""
-    from .presets import TABLE2  # local import to avoid a cycle
-
     prefix, _, key = name.partition("-")
     color, _, level = key.partition("-")
     if prefix != "table2" or (color, level) not in TABLE2:
@@ -182,8 +222,6 @@ def link_scenario(fields: dict, detection: DetectionMode,
     ``fields`` uses the JSON scenario keys; ``wavelength_nm`` wins over
     ``color``, and every key but ``cn2`` and ``zeta`` has a default.
     """
-    from .presets import WAVELENGTH_NM  # local import to avoid a cycle
-
     f = {**_LINK_DEFAULTS, **fields}
     wavelength_nm = _field(f, "wavelength_nm", path)
     if wavelength_nm is None:
@@ -215,7 +253,7 @@ def mc_estimate(metric: MetricSpec, dist: SnrDistribution, config: McConfig,
                      mean_snr_h=hop, mean_snr_g=hop, mu=dist.ris.mu)
     kw: dict = {}
     if metric.name == "outage":
-        kw["gamma_th"] = 10.0 ** (gamma_th_db / 10.0)
+        kw["gamma_th"] = db_to_linear(gamma_th_db, "metric.gamma_th_db")
     elif metric.name == "ber":
         sch = ModulationScheme.from_name(metric.scheme)
         kw.update(p=sch.p, q=sch.q)
@@ -327,43 +365,32 @@ def parse_config(path: str) -> SweepSpec:
     _require(stop >= start, "sweep.stop", "must be >= start")
     _require((stop - start) / step < MAX_GRID_POINTS, "sweep.step",
              f"gives more than {MAX_GRID_POINTS} grid points")
-    interp = str(sw.get("gbar_interpretation", "product"))
-    _require(interp in INTERPRETATIONS, "sweep.gbar_interpretation",
-             f"must be one of {INTERPRETATIONS}")
     raw_metrics = sw.get("metrics", [])
     _require(isinstance(raw_metrics, list), "sweep.metrics", "must be a list")
     metrics = tuple(metric_spec(mt, f"sweep.metrics[{i}]", variable)
                     for i, mt in enumerate(raw_metrics))
-    if variable != "mean_snr_db":
-        for i, sc in enumerate(scenarios):
-            _require(sc.mean_snr_db is not None, f"scenarios[{i}].mean_snr_db",
-                     f"required when sweeping {variable}")
     output = sw.get("output")
     _require(output is None or isinstance(output, str), "sweep.output", "must be a string")
     fmt = sw.get("format", "csv")
     _require(fmt in ("csv", "json"), "sweep.format", f"must be csv or json, got {fmt!r}")
-    seed = _field(sw, "seed", "sweep", _integer, 0)
-    _require(0 <= seed < 2 ** 64, "sweep.seed", f"must lie in [0, 2^64), got {seed}")
     return SweepSpec(variable=variable, start=start, stop=stop, step=step,
                      metrics=metrics, scenarios=scenarios,
-                     gbar_interpretation=interp, seed=seed,
-                     output_path=output, output_format=fmt)
+                     gbar_interpretation=sw.get("gbar_interpretation", "product"),
+                     seed=sw.get("seed", 0), output_path=output, output_format=fmt)
 
 
 # ---------------------------------------------------------------------------
 # execution
 
 
-def _mean_snr_linear(x_db: float, interpretation: str) -> float:
-    # per-hop: the axis shows one hop's mean SNR, both hops equal
-    factor = 2.0 if interpretation == "per-hop" else 1.0
-    return 10.0 ** (factor * x_db / 10.0)
-
-
-def distribution(sc: ScenarioSpec, mean_snr: float, zeta: float | None = None
-                 ) -> SnrDistribution:
-    """Distribution of ``sc`` at the linear product mean SNR ``mean_snr``,
-    with ``zeta`` in place of the scenario's own when given."""
+def distribution(sc: ScenarioSpec, mean_snr_db: float,
+                 interpretation: str = "product", zeta: float | None = None,
+                 path: str = "mean_snr_db") -> SnrDistribution:
+    """Distribution of ``sc`` at ``mean_snr_db``: the product mean SNR, or
+    under ``per-hop`` the mean SNR of each hop.  ``zeta`` replaces the
+    scenario's own when given; a mean SNR out of range raises ConfigError
+    naming ``path``."""
+    mean_snr = _mean_snr_linear(mean_snr_db, interpretation, path)
     params = cascade_from_constants(sc.alpha, sc.beta,
                                     zeta if zeta is not None else sc.zeta,
                                     sc.detection, math.sqrt(mean_snr),
@@ -394,20 +421,15 @@ def _curve(spec: SweepSpec, sc: ScenarioSpec, metric: MetricSpec,
     """Values of one curve over the grid, and its failures as
     ``x=<x>: <message>``; a point that failed is NaN."""
     points: list[ClosedForm | float | MeijerGError] = []
+    fixed = {"mean_snr_db": sc.mean_snr_db, "gamma_th_db": metric.gamma_th_db,
+             "zeta": sc.zeta}
     for x in grid:
-        zeta = sc.zeta
-        gamma_th_db = metric.gamma_th_db
-        if spec.variable == "mean_snr_db":
-            mean_snr = _mean_snr_linear(x, spec.gbar_interpretation)
-        else:
-            mean_snr = _mean_snr_linear(sc.mean_snr_db, spec.gbar_interpretation)
-            if spec.variable == "gamma_th_db":
-                gamma_th_db = x
-            else:
-                zeta = x
+        point = {**fixed, spec.variable: x}
+        dist = distribution(sc, point["mean_snr_db"], spec.gbar_interpretation,
+                            point["zeta"])
         try:
-            points.append(_eval_point(metric, distribution(sc, mean_snr, zeta),
-                                      gamma_th_db, spec.seed))
+            points.append(_eval_point(metric, dist, point["gamma_th_db"],
+                                      spec.seed))
         except MeijerGError as exc:  # no builder raises it; the benchmark's self-test does
             points.append(exc)
     points = evaluate_batch(points)

@@ -6,10 +6,13 @@ run."""
 from __future__ import annotations
 
 import importlib
+import json
+import math
 import sys
 from pathlib import Path
 
-from risfso.special import MeijerGSpec, meijer_g
+from risfso import presets, sweeps
+from risfso.special import MeijerGError, MeijerGSpec, meijer_g
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,3 +43,49 @@ def test_traced_meijer_g_fields_exist():
     _tracing()._annotate("meijerg.meijer_g", (spec,), res, info)
     assert info["perturbed"] is False
     assert 0.0 <= info["rel_err"] < 1e-9
+
+
+# names the benchmark reads without tracing them: bench/workloads.py
+# builds the figures workload from the presets and the point inputs from
+# the parameter table, and bench/selftest.py replaces sweeps._eval_point
+
+
+def test_untraced_names_the_benchmark_reads():
+    assert callable(presets.figure_preset) and callable(sweeps._eval_point)
+    assert presets.PRESET_NAMES == ("fig2", "fig3", "fig4", "fig5", "fig6",
+                                    "fig7", "fig8", "fig9a", "fig9b")
+    assert set(presets.TABLE2) == {(color, level)
+                                   for color in ("red", "green", "blue")
+                                   for level in ("strong", "moderate", "weak")}
+
+
+def test_preset_curve_keys_match_the_frozen_figures():
+    keys = []
+    for preset in presets.PRESET_NAMES:
+        spec = presets.figure_preset(preset)
+        keys += [f"{preset}|{sc.label}|{metric.label()}"
+                 for sc in spec.scenarios for metric in spec.metrics]
+    frozen = json.loads((BENCH / "reference_figures.json").read_text(encoding="utf-8"))
+    assert len(keys) == len(set(keys)) == 58
+    assert set(keys) == set(frozen["curves"])
+
+
+def test_sweep_looks_up_the_point_evaluator_at_every_point(monkeypatch):
+    # the self-test swaps sweeps._eval_point by name and makes its 4th
+    # call raise; the point becomes a gap and the curve goes on
+    real, calls = sweeps._eval_point, []
+
+    def fourth_point_raises(*args):
+        calls.append(1)
+        if len(calls) == 4:
+            raise MeijerGError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "_eval_point", fourth_point_raises)
+    spec = sweeps.SweepSpec(variable="mean_snr_db", start=10.0, stop=15.0, step=1.0,
+                            metrics=(sweeps.MetricSpec(name="capacity"),),
+                            scenarios=(sweeps.ScenarioSpec("x", 4.2, 2.5, 2.0),))
+    curve = sweeps.run_sweep(spec)[0]
+    assert len(calls) == 6
+    assert [math.isnan(y) for y in curve.y] == [False] * 3 + [True] + [False] * 2
+    assert curve.meta["failures"] == "x=13: injected"

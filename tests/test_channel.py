@@ -205,6 +205,20 @@ def test_cascade_mean_snr_product_and_scale_free():
     assert p2.mean_snr == pytest.approx(1e4, rel=1e-14)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("name", ["alpha", "beta", "zeta", "mean_snr_h",
+                                  "mean_snr_g"])
+def test_cascade_rejects_an_input_that_is_not_positive_and_finite(name, value):
+    # an infinite shape or mean SNR fails here, naming it, rather than
+    # as a non-finite ln z inside a closed form
+    args = dict(alpha=4.2, beta=2.5, zeta=2.0, mode=DetectionMode.HD,
+                mean_snr_h=10.0, mean_snr_g=10.0)
+    args[name] = value
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and "
+                                         rf"finite, got {value!r}$"):
+        cascade_from_constants(**args)
+
+
 def test_detection_mode_binding():
     assert DetectionMode.HD.a == 1 and DetectionMode.HD.chi == 1.0
     assert DetectionMode.IM_DD.a == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -486,6 +487,17 @@ ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
     (["asymptote", "--scheme", "foo", *ONE_POINT, "--zeta", "2.0"],
      "metric.scheme: unknown modulation scheme 'foo'; "
      "choose from ['CBFSK', 'NBFSK', 'CBPSK', 'DBPSK']"),
+    (["mc", "--metric", "capacity", *ONE_POINT, "--zeta", "2", "--seed", "-1"],
+     "mc.seed: must lie in [0, 2^64), got -1"),
+    (["mc", "--metric", "capacity", *ONE_POINT, "--zeta", "2",
+      "--seed", str(2 ** 64)],
+     "mc.seed: must lie in [0, 2^64), got 18446744073709551616"),
+    (["mc", "--metric", "capacity", *ONE_POINT, "--zeta", "2", "--samples", "0"],
+     "metric.samples: must be >= 1"),
+    (["mc", "--metric", "capacity", *ONE_POINT, "--zeta", "2",
+      "--batch-size", "0"], "mc.batch_size: must be >= 1"),
+    (["sweep", "--preset", "fig3", "--seed", "-1"],
+     "sweep.seed: must lie in [0, 2^64), got -1"),
 ])
 def test_cli_field_errors_name_the_field(capsys, argv, message):
     # the CLI's channel and MC flags go through the JSON config parser
@@ -504,19 +516,71 @@ def test_cli_field_errors_name_the_field(capsys, argv, message):
     (["capacity", *ONE_POINT[:4], "--mean-snr-db=inf", "--zeta", "2"],
      "channel.mean_snr_db: must be finite"),
     (["cdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "nan"],
-     "cdf needs finite gamma >= 0, got nan"),
+     "metric.gamma_db: must be finite"),
     (["params", "--color", "red", "--cn2", "5e-14", "--zeta", "inf"],
      "params.zeta: must be finite"),
     (["cdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "inf"],
-     "cdf needs finite gamma >= 0, got inf"),
+     "metric.gamma_db: must be finite"),
     (["pdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "inf"],
-     "pdf needs finite gamma > 0, got inf"),
+     "metric.gamma_db: must be finite"),
     (["mgf", *ONE_POINT, "--zeta", "2", "--s", "inf"],
      "mgf needs finite s > 0, got inf"),
+    # 10^(x / 10) is a finite positive double from -3236 to 3082 dB
+    (["capacity", *ONE_POINT[:4], "--zeta", "2", "--mean-snr-db", "3100"],
+     "channel.mean_snr_db: 3100 dB is not a finite positive double once linear"),
+    (["capacity", *ONE_POINT[:4], "--zeta", "2", "--mean-snr-db", "-4000"],
+     "channel.mean_snr_db: -4000 dB is not a finite positive double once linear"),
+    (["cdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "4000"],
+     "metric.gamma_db: 4000 dB is not a finite positive double once linear"),
+    (["pdf", *ONE_POINT, "--zeta", "2", "--gamma-db", "-4000"],
+     "metric.gamma_db: -4000 dB is not a finite positive double once linear"),
+    (["outage", *ONE_POINT, "--zeta", "2", "--gamma-th-db", "4000"],
+     "metric.gamma_th_db: 4000 dB is not a finite positive double once linear"),
+    (["mc", "--metric", "outage", "--gamma-th-db", "4000", *ONE_POINT,
+      "--zeta", "2", "--samples", "1000"],
+     "metric.gamma_th_db: 4000 dB is not a finite positive double once linear"),
 ])
 def test_cli_non_finite_inputs_exit_one_naming_the_field(capsys, argv, message):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sweep, scenario, flags, message", [
+    ({"start": 3000.0, "stop": 3100.0, "step": 50.0}, {}, [],
+     r"sweep\.stop: 3100 dB is not"),
+    ({"start": -4000.0, "stop": 0.0, "step": 1000.0}, {}, [],
+     r"sweep\.start: -4000 dB is not"),
+    ({"start": 1500.0, "stop": 1600.0, "step": 50.0}, {},
+     ["--gbar-interpretation", "per-hop"], r"sweep\.stop: 1600 dB is not"),
+    ({"variable": "zeta", "start": 1.0, "stop": 2.0, "step": 1.0},
+     {"mean_snr_db": 3100.0}, [], r"scenarios\[0\]\.mean_snr_db: 3100 dB is not"),
+    ({"variable": "zeta", "start": 1.0, "stop": 2.0, "step": 1.0},
+     {"mean_snr_db": 1600.0}, ["--gbar-interpretation", "per-hop"],
+     r"scenarios\[0\]\.mean_snr_db: 1600 dB is not"),
+], ids=["stop", "start", "stop-per-hop", "scenario", "scenario-per-hop"])
+def test_config_mean_snr_past_the_double_range_names_the_field(
+        tmp_path, capsys, sweep, scenario, flags, message):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"].update(sweep)
+    cfg["scenarios"][0].update(scenario)
+    path = write_config(tmp_path, cfg)
+    if not flags:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(path)
+    assert cli.main(["sweep", "--config", path, *flags,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+    assert re.match(f"error: {message}", capsys.readouterr().err)
+
+
+def test_cli_config_seed_override_is_checked_like_the_config(tmp_path, capsys):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"]["metrics"] = [{"name": "capacity", "mc": True, "samples": 1000}]
+    path = write_config(tmp_path, cfg)
+    for seed in ("-1", str(2 ** 64)):
+        assert cli.main(["sweep", "--config", path, "--seed", seed,
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: sweep.seed: must lie in [0, 2^64), got {int(seed)}\n"
 
 
 def test_config_non_finite_scenario_field_names_it(tmp_path):
