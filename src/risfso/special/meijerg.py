@@ -2,7 +2,7 @@
 
 ``meijer_g_batch`` sums the defining Mellin-Barnes integral of each
 instance with the trapezoid rule along a vertical line placed inside the
-strip separating the two pole families.  The line passes through the
+strip separating the two pole families.  The line passes near the
 saddle point of the integrand on the real axis, where its magnitude is
 least: the root of the digamma sum that is the derivative of its log,
 found by Newton steps inside a bracket (``_pick_sigma``).  There the
@@ -10,13 +10,18 @@ integral cancels least, deep in either tail, near saturation and for
 large shapes alike, even where the saddle lies millions of units from
 the end of a one-sided strip.
 
-The integrand is analytic in the strip of half-width d about the line,
-d being the distance to the nearest pole, where the trapezoid rule
-converges geometrically (Trefethen and Weideman, SIAM Review 56(3),
-2014, Thm 5.1).  Each instance (``_line``) takes its own step and span
-from d and from its integrand; ``_trapezoid`` runs all instances in
-lockstep rounds that share only kernel calls, so a value does not
-depend on its batch.  ``meijer_g`` is a batch of one.
+The line itself lies on a lattice near the saddle that the strip alone
+fixes (``_snap``), and the step follows from the line, so the instances
+of one kernel whose saddles lie close together, the points of a sweep
+curve, ask for the same nodes.  The integrand is analytic in the strip
+of half-width d about the line, d being the distance to the nearest
+pole, where the trapezoid rule converges geometrically (Trefethen and
+Weideman, SIAM Review 56(3), 2014, Thm 5.1).  Each instance (``_line``)
+takes its own span from its integrand and keeps its own error
+estimate; ``_trapezoid`` runs all instances in lockstep rounds over one
+table of log chi per kernel and line, so the log-gammas of a node are
+computed once per batch.  A value depends on its instance and its line
+alone, not on its batch.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -59,22 +64,22 @@ __all__ = [
 _COLLISION_TOL = 1e-9
 _LN2 = math.log(2.0)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
-# nodes per row of a line's ask; one kernel row is broadcast along a row
+# a line asks for nodes in multiples of this, and reads the fall of |w|
+# over its last _WIDTH nodes
 _WIDTH = 15
-# rows per kernel call, and at most per ask: pieces of 1,020 nodes keep
-# the temporaries of the log-gammas near 130 kB
-_PIECE_ROWS = 68
-_PIECE = _WIDTH * _PIECE_ROWS
-# lines join a round while it asks for fewer rows than this, so a batch
+# nodes per kernel call, and at most per line of an ask: pieces of 1,020
+# nodes keep the temporaries of the log-gammas near 130 kB
+_PIECE = 68 * _WIDTH
+# lines join a round while it asks for fewer nodes than this, so a batch
 # of thousands of instances holds a bounded number of nodes at once
-_ROUND_ROWS = 8 * _PIECE_ROWS
+_ROUND = 8 * _PIECE
 # a line's first span is _SPAN / (pi decay_index), where the asymptotic
 # decay of |w|, exp(-pi decay_index t), is 4e-18; most lines then grow
 # once, to where their own decay meets the tail bound
 _SPAN = 40.0
 # a line fails rather than take more nodes than this
 _MAX_NODES = 1 << 20
-# ln |w| at the saddle node above which a line scales w down (_line)
+# ln |w| at a line's first node above which it scales w down (_line)
 _CEILING = 690.0
 # the first round of the saddle search evaluates phi' at these u, 0.5
 # apart: from 6e-6 to 1.6e5 units off the end of a one-sided strip
@@ -247,7 +252,10 @@ class _Kernels:
 
     def log_chi(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Log of the gamma-ratio kernel at s, for the instances whose rows
-        ``rows`` holds, broadcast against s along all but its last axis."""
+        ``rows`` holds, broadcast against s along all but its last axis.
+        Its imaginary part, plus t ln z, is the phase of w, continuous
+        along a vertical line in the upper half plane: the log-gammas are
+        scipy's, cut along the negative real axis only."""
         k, kg = self.width, self.gamma_width
         # the arguments c + e s, overwritten in place by the terms
         terms = rows[..., 2 + k:2 + 2 * k] * s[..., None]
@@ -256,15 +264,6 @@ class _Kernels:
         np.log(terms[..., kg:], out=terms[..., kg:])
         terms *= rows[..., 2 + 2 * k:]
         return np.add.reduce(terms, axis=-1)
-
-    def log_integrand(self, s: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Log of the Mellin-Barnes integrand w(s) of instance owner[i] at
-        each s[i, j].  Its imaginary part, the phase of w, is continuous
-        along a vertical line in the upper half plane: the log-gammas are
-        scipy's, cut along the negative real axis only."""
-        # one row per instance row of s, broadcast along it
-        rows = self.rows[owner][:, None, :]
-        return self.log_chi(s, rows) + s * rows[..., 0] + rows[..., 1]
 
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
@@ -357,6 +356,24 @@ def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return end + side * gap / (1.0 + gap * inv_width)
 
 
+def _snap(sigma: float, lo: float, hi: float) -> tuple[float, float]:
+    """sigma moved onto a lattice that the strip (lo, hi) alone fixes, so
+    that the instances of a kernel share lines, and the distance from
+    there to the nearest pole.  D, the distance from sigma to the nearer
+    end of the strip, goes to the nearest multiple of 0.5 from D = 1 up,
+    and below it ln D to the nearest multiple of 0.25.  The line stays
+    inside the strip, within 0.25 of sigma from D = 1 up and within a
+    factor e^0.125 of D below."""
+    below, above = sigma - lo, hi - sigma
+    dist = min(below, above)
+    if dist >= 1.0:
+        dist = 0.5 * round(2.0 * dist)
+    elif dist > 0.0:
+        dist = math.exp(0.25 * round(4.0 * math.log(dist)))
+    line = lo + dist if below <= above else hi - dist
+    return line, min(line - lo, hi - line)
+
+
 def _finished(total: float, err: float, shift: float) -> EvalResult | MeijerGError:
     """The EvalResult of e^shift (total, err) / pi, or a MeijerGError
     where its value is not a finite double."""
@@ -373,20 +390,22 @@ def _finished(total: float, err: float, shift: float) -> EvalResult | MeijerGErr
 
 def _line(sigma: float, d: float, rate: float):
     """The trapezoid sum of one instance along its line, as a generator:
-    it yields nodes s, ``_WIDTH`` to a row and at most ``_PIECE_ROWS``
-    rows at a time, is sent log w at them in the same shape, and returns
-    the EvalResult or MeijerGError.
+    it asks for log w at the nodes s = x + i k step by yielding a list of
+    (x, step, k), k a range of at most ``_PIECE`` indices and a multiple
+    of ``_WIDTH`` long, is sent the list of log w there in the order of
+    k, and returns the EvalResult or MeijerGError.
 
     The nodes lie at s = sigma + i k h, k = 0, 1, ..., and the value is
     (h / pi) (sum Re w - Re w(sigma) / 2).  h starts at min(0.1, d / 6),
     d being the distance from sigma to the nearest pole, and halves while
-    the phase of w turns by more than pi / 4 between neighbouring nodes.
-    The span starts at ``_SPAN`` / rate and grows, by at most 1.7 times
-    at a time, until |w| at its end is at most 1e-14 of the value.  Then
-    |w| is summed every 8 h along the lines sigma -+ 4 h, for M in the
-    error bound.
+    the phase of w turns by more than pi / 4 between neighbouring nodes;
+    the midpoints are then the odd k of the line at the halved step.  The
+    span starts at ``_SPAN`` / rate and grows, by at most 1.7 times at a
+    time, until |w| at its end is at most 1e-14 of the value.  Then |w|
+    is summed every 8 h along the lines sigma -+ 4 h, for M in the error
+    bound.
 
-    Where |w| at the saddle node exceeds e^``_CEILING``, every w is
+    Where |w| at the first node exceeds e^``_CEILING``, every w is
     scaled by e^-shift to bring it there and the result scaled back, so
     that a value up to the largest double sums without overflow.
     """
@@ -394,14 +413,15 @@ def _line(sigma: float, d: float, rate: float):
     span = _SPAN / rate
     if not span < h * _MAX_NODES:
         return ContourError(f"line step {h:.3g} is too fine for a span of {span:.3g}")
-    k = np.arange(_WIDTH * math.ceil(span / (_WIDTH * h)))
+    k = range(_WIDTH * math.ceil(span / (_WIDTH * h)))
     phase = np.empty(0)
     total = amplitude = shift = 0.0
     halved = False
     while True:
         fresh = [phase]
-        for j in range(0, k.size, _PIECE):
-            log_w = yield (1j * h) * k[j:j + _PIECE].reshape(-1, _WIDTH) + sigma
+        for j in range(0, len(k), _PIECE):
+            (log_w,) = yield [(sigma, h, k[j:j + _PIECE])]
+            log_w = log_w.reshape(-1, _WIDTH)
             if not (phase.size or j):
                 shift = max(0.0, log_w[0, 0].real - _CEILING)
             w = np.exp(log_w - shift) if shift else np.exp(log_w)
@@ -424,8 +444,7 @@ def _line(sigma: float, d: float, rate: float):
         turns = phase[new:]
         halved = np.abs(turns[1:] - turns[:-1]).max(initial=0.0) > 0.25 * math.pi
         if halved:
-            # the midpoints, at the odd multiples of the halved step
-            k = np.arange(1, 2 * phase.size, 2)
+            k = range(1, 2 * phase.size, 2)
             h *= 0.5
         elif end <= 1e-14 * abs(value):
             break
@@ -433,11 +452,11 @@ def _line(sigma: float, d: float, rate: float):
             # to where |w|, falling on as over the last row, meets that
             # bound, with a fifth to spare
             row = log_w[-1].real
-            fall = (row[0] - row[-1]) / ((_WIDTH - 1) * (k[1] - k[0]) * h)
+            fall = (row[0] - row[-1]) / ((_WIDTH - 1) * k.step * h)
             grow = 0.7 * phase.size
             if fall > 0.0 and value:
                 grow = min(grow, 1.2 * math.log(end / (1e-14 * abs(value))) / (fall * h))
-            k = np.arange(phase.size, _WIDTH * math.ceil((phase.size + grow) / _WIDTH))
+            k = range(phase.size, _WIDTH * math.ceil((phase.size + grow) / _WIDTH))
         if k[-1] >= _MAX_NODES:
             return ContourError(f"line needs over {_MAX_NODES} nodes: step {h:.3g}, "
                                 f"|w| still {end:.2e} at t = {h * phase.size:.3g}")
@@ -448,13 +467,12 @@ def _line(sigma: float, d: float, rate: float):
     # the integral of |w| along a line is convex across the strip, so the
     # larger of its two edges, each summed with step 8 h, is M.
     a = 4.0 * h
-    t = (8j * h) * np.arange(_WIDTH * math.ceil(phase.size / (8 * _WIDTH)))
-    nodes = np.concatenate((t + (sigma - a), t + (sigma + a))).reshape(-1, _WIDTH)
-    edges = np.empty(nodes.size)
-    for j in range(0, len(nodes), _PIECE_ROWS):
-        log_w = yield nodes[j:j + _PIECE_ROWS]
-        edges[j * _WIDTH:(j + _PIECE_ROWS) * _WIDTH] = np.exp(log_w.real - shift).ravel()
-    edges = edges.reshape(2, -1)
+    count = _WIDTH * math.ceil(phase.size / (8 * _WIDTH))
+    edges = np.empty((2, count))
+    for j in range(0, count, _PIECE):
+        piece = range(j, min(j + _PIECE, count))
+        log_w = yield [(sigma - a, 8.0 * h, piece), (sigma + a, 8.0 * h, piece)]
+        edges[:, j:j + _PIECE] = np.exp(np.real(log_w) - shift)
     big_m = 8.0 * h * (edges.sum(axis=1) - 0.5 * edges[:, 0]).max()
     # then the tail past the span, and rounding in a sum of terms of size
     # |w|
@@ -462,21 +480,36 @@ def _line(sigma: float, d: float, rate: float):
                      + 3e-16 * h * amplitude, shift)
 
 
-def _trapezoid(kernels: _Kernels, sigma: np.ndarray, d: np.ndarray,
+def _trapezoid(kernels: _Kernels, placed: list[tuple[float, float]],
                rate: list[float]) -> list[EvalResult | MeijerGError]:
-    """The ``_line`` sums of all instances in lockstep rounds.
+    """The ``_line`` sums of all instances, on their lines (sigma, d), in
+    lockstep rounds over one table of log chi that the instances of a
+    kernel share.
 
-    A waiting line joins a round while the round asks for fewer than
-    ``_ROUND_ROWS`` rows.  A round packs whole asks into pieces of at
-    most ``_PIECE_ROWS`` rows, one kernel call each.  A line sees only
-    its own values, so none depends on the batch.
+    The table has a row per kernel and line (x, step) that some instance
+    asked for, holding log chi(x + i k step) for k from 0 to the highest
+    k asked for so far.  A waiting line joins a round while the round
+    asks for fewer than ``_ROUND`` nodes.  The round first extends each
+    row to the highest k of its asks: the new nodes of a kernel go to
+    ``log_chi`` in pieces of at most ``_PIECE``, and the even k under a
+    halved line's odd ones are copied from the line of twice the step,
+    which holds them.  Then each ask is served as its slice of its row
+    plus s ln z + log prefactor.  A node's log chi depends on its kernel
+    and s alone, so no value depends on the batch.  The table lasts for
+    the call.
     """
-    lines = [_line(*v) for v in zip(sigma.tolist(), d.tolist(), rate)]
+    lines = [_line(sigma, d, r) for (sigma, d), r in zip(placed, rate)]
     results: list = [None] * len(lines)
-    asks: dict[int, np.ndarray] = {}
+    asks: dict[int, list[tuple[float, float, range]]] = {}
     waiting = list(range(len(lines)))[::-1]
+    # each instance's kernel, named by the first instance that has it
+    first: dict[bytes, int] = {}
+    kernel = [first.setdefault(row.tobytes(), i) for i, row in enumerate(kernels.rows[:, 2:])]
+    lnz, log_prefactor = kernels.rows[:, 0].tolist(), kernels.rows[:, 1].tolist()
+    # (kernel, x, step) -> [log chi at the nodes k < size (and beyond), size]
+    table: dict[tuple[int, float, float], list] = {}
 
-    def resume(i: int, values: np.ndarray | None) -> None:
+    def resume(i: int, values: list[np.ndarray] | None) -> None:
         try:
             asks[i] = lines[i].send(values)
         except StopIteration as stop:
@@ -484,24 +517,52 @@ def _trapezoid(kernels: _Kernels, sigma: np.ndarray, d: np.ndarray,
             asks.pop(i, None)
 
     while asks or waiting:
-        rows = sum(len(a) for a in asks.values())
-        while waiting and rows < _ROUND_ROWS:
+        count = sum(len(k) for ask in asks.values() for _, _, k in ask)
+        while waiting and count < _ROUND:
             i = waiting.pop()
             resume(i, None)
-            rows += len(asks.get(i, ()))
-        queue = list(asks.items())
-        while queue:
-            # no ask holds more than a piece
-            rows = stop = 0
-            while stop < len(queue) and rows + len(queue[stop][1]) <= _PIECE_ROWS:
-                rows += len(queue[stop][1])
-                stop += 1
-            (index, nodes), queue = zip(*queue[:stop]), queue[stop:]
-            sizes = [len(n) for n in nodes]
-            log_w = kernels.log_integrand(np.concatenate(nodes), np.repeat(index, sizes))
-            ends = np.cumsum(sizes).tolist()
-            for i, lo, hi in zip(index, [0] + ends, ends):
-                resume(i, log_w[lo:hi])
+            count += sum(len(k) for _, _, k in asks.get(i, ()))
+        # the nodes of each ask, and per kernel the (row, slots, nodes)
+        # that no line has asked for yet: the tail of an ask, since a line
+        # asks for the nodes of a row in order from k = 0 (a halved line
+        # for its odd k)
+        nodes = {i: [(1j * step) * np.arange(k.start, k.stop, k.step) + x for x, step, k in ask]
+                 for i, ask in asks.items()}
+        fresh: dict[int, list[tuple]] = {}
+        for i, ask in asks.items():
+            for (x, step, k), s in zip(ask, nodes[i]):
+                key = (kernel[i], x, step)
+                row = table.get(key)
+                if row is None:
+                    row = table[key] = [np.empty(0, dtype=complex), 0]
+                chi, size = row
+                stop = k[-1] + 1
+                if stop <= size:
+                    continue
+                if stop > chi.size:
+                    row[0] = np.empty(max(stop, 2 * chi.size), dtype=complex)
+                    row[0][:size] = chi[:size]
+                if k.step == 2:
+                    # the even k lie on the line of twice the step
+                    below = table[kernel[i], x, 2.0 * step][0]
+                    even = size + size % 2
+                    row[0][even:stop:2] = below[even // 2:stop // 2]
+                new = len(range(k.start, size, k.step))
+                row[1] = stop
+                fresh.setdefault(kernel[i], []).append(
+                    (row, slice(k[new], stop, k.step), s[new:]))
+        for j, news in fresh.items():
+            s = np.concatenate([part for _, _, part in news]) if len(news) > 1 else news[0][2]
+            chi = np.empty_like(s)
+            for n in range(0, s.size, _PIECE):
+                chi[n:n + _PIECE] = kernels.log_chi(s[n:n + _PIECE], kernels.rows[j])
+            n = 0
+            for row, slots, part in news:
+                row[0][slots] = chi[n:n + part.size]
+                n += part.size
+        for i, ask in list(asks.items()):
+            resume(i, [table[kernel[i], x, step][0][k.start:k.stop:k.step] + s * lnz[i]
+                       + log_prefactor[i] for (x, step, k), s in zip(ask, nodes[i])])
     return results
 
 
@@ -513,7 +574,8 @@ def meijer_g_batch(specs: list[MeijerGSpec],
     MeijerGError it failed with; one failure leaves the other instances
     unaffected.  Each value equals the one ``meijer_g`` returns.
     Instances with equally many kernel factors (all the points of a sweep
-    curve) share one lockstep pass.
+    curve) share one lockstep pass, and those of one kernel the log chi
+    of the lines they share.
     """
     results: list = [None] * len(specs)
     groups: dict[tuple[int, int], list[tuple]] = {}
@@ -543,8 +605,9 @@ def meijer_g_batch(specs: list[MeijerGSpec],
         lo, hi = np.array(strips).T
         # a value that is not finite fails its own instance only
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sigma = _pick_sigma(kernels, lo, hi)
-            evaluated = _trapezoid(kernels, sigma, np.minimum(sigma - lo, hi - sigma), rates)
+            sigma = _pick_sigma(kernels, lo, hi).tolist()
+            evaluated = _trapezoid(kernels, [_snap(v, *strip) for v, strip in zip(sigma, strips)],
+                                   rates)
         for i, res in zip(index, evaluated):
             results[i] = res
     return results

@@ -120,6 +120,11 @@ class SweepSpec:
         for x_db, path in mean_snrs:
             _require(x_db is not None, path, f"required when sweeping {self.variable}")
             _mean_snr_linear(x_db, self.gbar_interpretation, path)
+        # the Monte Carlo outage takes its threshold linear (mc_estimate)
+        if self.variable == "gamma_th_db" and any(
+                m.mc and m.name == "outage" for m in self.metrics):
+            for x_db, path in ((self.start, "sweep.start"), (self.stop, "sweep.stop")):
+                db_to_linear(x_db, path)
 
     def grid(self) -> list[float]:
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -323,6 +328,9 @@ def metric_spec(obj: dict, path: str, variable: str | None) -> MetricSpec:
     _require(samples >= 1, f"{path}.samples", "must be >= 1")
     if name == "outage" and variable != "gamma_th_db":
         _require(gamma_th_db is not None, path, "outage needs gamma_th_db")
+    if name == "outage" and mc and gamma_th_db is not None:
+        # the Monte Carlo outage takes its threshold linear (mc_estimate)
+        db_to_linear(gamma_th_db, f"{path}.gamma_th_db")
     if name == "ber":
         _require(scheme is not None, path, "ber needs a scheme")
         _field(obj, "scheme", path,

@@ -572,6 +572,34 @@ def test_config_mean_snr_past_the_double_range_names_the_field(
     assert re.match(f"error: {message}", capsys.readouterr().err)
 
 
+MC_OUTAGE = {"name": "outage", "mc": True, "samples": 1000}
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"variable": "gamma_th_db", "start": 3000.0, "stop": 3100.0, "metrics": [MC_OUTAGE]},
+     "sweep.stop: 3100 dB is not"),
+    ({"variable": "gamma_th_db", "start": -4000.0, "stop": 0.0, "metrics": [MC_OUTAGE]},
+     "sweep.start: -4000 dB is not"),
+    ({"metrics": [{"name": "capacity"}, {**MC_OUTAGE, "gamma_th_db": 3100.0}]},
+     "sweep.metrics[1].gamma_th_db: 3100 dB is not"),
+], ids=["stop", "start", "fixed"])
+def test_mc_outage_threshold_past_the_double_range_names_the_field(
+        tmp_path, capsys, sweep, message):
+    # the closed-form outage reaches past the doubles, but the Monte Carlo
+    # one compares linear SNRs, so the sweep fails before it runs
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"].update(sweep, step=50.0)
+    config = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        parse_config(config)
+    assert cli.main(["sweep", "--config", config, "--seed", "3",
+                     "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    # without the Monte Carlo the same sweep parses
+    cfg["sweep"]["metrics"] = [{**metric, "mc": False} for metric in cfg["sweep"]["metrics"]]
+    assert parse_config(write_config(tmp_path, cfg)).stop == cfg["sweep"]["stop"]
+
+
 def test_cli_config_seed_override_is_checked_like_the_config(tmp_path, capsys):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["sweep"]["metrics"] = [{"name": "capacity", "mc": True, "samples": 1000}]

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import digamma
 
 from conftest import (
@@ -113,6 +115,15 @@ def test_ber_approaches_half_at_vanishing_snr():
     dist = make_dist(*BLUE, 6.1, 1, -80.0)
     assert average_ber(dist, ModulationScheme.DBPSK) \
         == pytest.approx(0.5, abs=1e-3)
+
+
+@given(row=st.sampled_from(TABLE2_LEVELS), zeta=st.floats(0.2, 20.0),
+       a=st.sampled_from([1, 2]), scheme=st.sampled_from(list(ModulationScheme)),
+       mean_snr_db=st.floats(0.0, 80.0))
+def test_ber_lies_between_zero_and_one_half(row, zeta, a, scheme, mean_snr_db):
+    # BER has no clamp, so this guards the contour over the whole domain
+    _, alpha, beta = row
+    assert 0.0 <= average_ber(make_dist(alpha, beta, zeta, a, mean_snr_db), scheme) <= 0.5
 
 
 @pytest.mark.parametrize("scheme", list(ModulationScheme))

@@ -43,12 +43,14 @@ from risfso.special import (
     meijer_g,
     meijer_g_batch,
 )
+from risfso.special import meijerg
 from risfso.special.meijerg import (
     _contour_strip,
     _Kernels,
     _kernel_tables,
     _merged_factors,
     _pick_sigma,
+    _snap,
     _table,
 )
 from risfso.statistics import cdf_form, mgf_form, pdf_form
@@ -273,6 +275,28 @@ def test_batched_references_match_frozen_and_one_at_a_time():
             assert abs(res.value - alone) <= 1e-14 * abs(alone), entry["label"]
 
 
+def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
+    # a dense mean-SNR curve of the outage: one kernel, 41 arguments, whose
+    # lines mostly fall on shared lattice lines; the count goes through the
+    # name that the benchmark's tracer replaces
+    points = [0]
+
+    def counting(x, out=None):
+        points[0] += x.size
+        return loggamma_complex(x, out=out)
+
+    monkeypatch.setattr(meijerg, "loggamma_complex", counting)
+    forms = [cdf_form(make_dist(4.9477, 1.2310, 1.1, 1, mean_db), math.log(10.0))
+             for mean_db in np.linspace(0.0, 40.0, 41)]
+    alone = [meijer_g(form.spec, log_prefactor=form.log_prefactor) for form in forms]
+    one_at_a_time, points[0] = points[0], 0
+    batch = meijer_g_batch([form.spec for form in forms], [form.log_prefactor for form in forms])
+    assert 0 < points[0] <= one_at_a_time / 4, (points[0], one_at_a_time)
+    for one, res in zip(alone, batch):
+        assert (res.value.hex(), res.abs_error_estimate.hex()) \
+            == (one.value.hex(), one.abs_error_estimate.hex())
+
+
 def test_batch_failures_stay_per_instance():
     # an empty strip fails at set-up and an overflowing prefactor inside
     # the contour pass; the other instances keep their values
@@ -470,7 +494,8 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
                                [spec.log_argument + t[3] for spec, t in group],
                                [0.0] * len(group))
             batched = _pick_sigma(kernels, *strips.T)
-        for (spec, tables), strip, sigma in zip(group, strips, batched):
+        lines = [_snap(sigma, *strip)[0] for sigma, strip in zip(batched.tolist(), strips.tolist())]
+        for (spec, tables), strip, sigma, line in zip(group, strips, batched, lines):
             assert strip[0] < sigma < strip[1], (spec, sigma)
             # phi' vanishes within its own rounding and that of sigma
             slope, size, curvature = _raw_slopes(spec, float(sigma))
@@ -479,6 +504,18 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
                 alone = _pick_sigma(_Kernels([tables[:2]], [spec.log_argument + tables[3]],
                                              [0.0]), strip[:1], strip[1:])[0]
             assert alone.hex() == sigma.hex(), (spec, alone, sigma)
+            # the lattice line: inside the strip, within half a spacing of
+            # the saddle (0.5 in the distance D to the nearer strip end
+            # from D = 1 up, 0.25 in ln D below), the same in any batch
+            assert strip[0] < line < strip[1], (spec, sigma, line)
+            end = strip[0] if sigma - strip[0] <= strip[1] - sigma else strip[1]
+            dist, line_dist = abs(sigma - end), abs(line - end)
+            if dist >= 1.0:
+                assert abs(line_dist - dist) <= 0.25 + 4 * eps * abs(sigma), (spec, sigma, line)
+            else:
+                assert abs(math.log(line_dist / dist)) <= 0.125 + 1e-12, (spec, sigma, line)
+            alone_line = _snap(float(alone), *strip)[0]
+            assert alone_line.hex() == line.hex(), (spec, alone_line, line)
 
 
 def test_frozen_references_cover_every_closed_form_shape():
