@@ -16,12 +16,14 @@ of one kernel whose saddles lie close together, the points of a sweep
 curve, ask for the same nodes.  The integrand is analytic in the strip
 of half-width d about the line, d being the distance to the nearest
 pole, where the trapezoid rule converges geometrically (Trefethen and
-Weideman, SIAM Review 56(3), 2014, Thm 5.1).  Each instance (``_line``)
-takes its own span from its integrand and keeps its own error
-estimate; ``_trapezoid`` runs all instances in lockstep rounds over one
-table of log chi per kernel and line, so the log-gammas of a node are
-computed once per batch.  A value depends on its instance and its line
-alone, not on its batch.  ``meijer_g`` is a batch of one.
+Weideman, SIAM Review 56(3), 2014, Thm 5.1).  Each instance takes its
+own span from its integrand and keeps its own error estimate.
+``_trapezoid`` sums all instances of a batch in rounds: each round
+gathers every line's next nodes from one table of log chi per kernel and
+line (``_Table``), so the log-gammas of a node are computed once per
+batch, and sums the lines as flat arrays with np.add.reduceat.  A value
+depends on its instance and its line alone, not on its batch.
+``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -79,7 +81,7 @@ _ROUND = 8 * _PIECE
 _SPAN = 40.0
 # a line fails rather than take more nodes than this
 _MAX_NODES = 1 << 20
-# ln |w| at a line's first node above which it scales w down (_line)
+# ln |w| at a line's first node above which it scales w down (_trapezoid)
 _CEILING = 690.0
 # the first round of the saddle search evaluates phi' at these u, 0.5
 # apart: from 6e-6 to 1.6e5 units off the end of a one-sided strip
@@ -95,6 +97,8 @@ _SLAB = 8192
 # after _MAX_STEPS steps
 _U_TOL = 1e-8
 _MAX_STEPS = 60
+# the edge lines of a line at x with step h lie at x -+ 4 h, with step 8 h
+_EDGES = np.array([[[-4.0], [4.0], [0.0]], [[8.0], [8.0], [1.0]]])
 
 
 class MeijerGError(Exception):
@@ -150,7 +154,7 @@ class MeijerGSpec:
 class EvalResult:
     """A G-value and a bound on its absolute error: the trapezoid rule's
     bound (Trefethen and Weideman, Thm 5.1) plus the tail past the span
-    and a rounding floor (``_line``)."""
+    and a rounding floor (``_trapezoid``)."""
 
     value: float
     abs_error_estimate: float
@@ -244,11 +248,12 @@ class _Kernels:
 
     def __init__(self, tables: list[tuple[np.ndarray, np.ndarray]],
                  lnz: list[float], log_prefactor: list[float]) -> None:
-        self.gamma_width = tables[0][0].shape[1]
-        self.width = self.gamma_width + tables[0][1].shape[1]
-        self.rows = np.column_stack([
-            lnz, log_prefactor,
-            [np.concatenate([g, lg], axis=1).ravel() for g, lg in tables]])
+        self.gamma_width = kg = tables[0][0].shape[1]
+        self.width = kg + tables[0][1].shape[1]
+        self.rows = np.empty((len(tables), 2 + 3 * self.width))
+        self.rows[:, 0], self.rows[:, 1] = lnz, log_prefactor
+        factors = self.rows[:, 2:].reshape(-1, 3, self.width)
+        factors[:, :, :kg], factors[:, :, kg:] = zip(*tables)
 
     def log_chi(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Log of the gamma-ratio kernel at s, for the instances whose rows
@@ -388,182 +393,326 @@ def _finished(total: float, err: float, shift: float) -> EvalResult | MeijerGErr
     return EvalResult(value, float(err))
 
 
-def _line(sigma: float, d: float, rate: float):
-    """The trapezoid sum of one instance along its line, as a generator:
-    it asks for log w at the nodes s = x + i k step by yielding a list of
-    (x, step, k), k a range of at most ``_PIECE`` indices and a multiple
-    of ``_WIDTH`` long, is sent the list of log w there in the order of
-    k, and returns the EvalResult or MeijerGError.
+def _edge(k):
+    """The nodes of an edge line that the nodes below k of its line call
+    for: one in 8, rounded up to whole multiples of _WIDTH."""
+    return (k + (8 * _WIDTH - 1)) // (8 * _WIDTH) * _WIDTH
+
+
+class _Table:
+    """Log chi of a batch on the nodes x + i k step, k = 0, 1, ..., of each
+    row (kernel, x, step) that its lines ask for, in one growing buffer.
+    Row r holds its nodes k < size[r] from offset[r] on; it gets room for
+    twice the pass it is made for, and moves to the end of the buffer
+    with room for twice a longer pass.  A node's log chi depends on its
+    kernel and s alone, so no value depends on the batch."""
+
+    def __init__(self, kernels: _Kernels, kernel: list[int]) -> None:
+        self.kernels, self.kernel = kernels, np.array(kernel)
+        self.index: dict[tuple[int, float, float], int] = {}
+        # the buffer, and per slot the ask of a round that fills it
+        self.chi = np.empty(_PIECE, dtype=complex)
+        self.claim = np.empty(_PIECE, dtype=np.intp)
+        self.used = 0
+        # whether the batch has two kernels, whether two lines share a row,
+        # and whether a row has a parent
+        self.mixed, self.shared, self.halved = any(kernel), False, False
+        # per row: its kernel, parent (the row of twice the step, which
+        # holds its even k, or -1), offset, room and size
+        self.ints = np.zeros((5, 8 * len(kernel)), dtype=np.intp)
+        self.kern, self.parent, self.offset, self.room, self.size = self.ints
+
+    def rows(self, inst: np.ndarray, x: np.ndarray, step: np.ndarray,
+             need: np.ndarray) -> np.ndarray:
+        """The row of each (kernel of inst, x, step), made for a pass of
+        need nodes where new."""
+        ids, new = [], []
+        for key, k in zip(zip(self.kernel[inst].tolist(), x.tolist(), step.tolist()),
+                          need.tolist()):
+            row = self.index.get(key)
+            if row is None:
+                row = self.index[key] = len(self.index)
+                parent = self.index.get((key[0], key[1], 2.0 * key[2]), -1)
+                self.halved |= parent >= 0
+                new.append((key[0], parent, self.used, 2 * k))
+                self.used += 2 * k
+            else:
+                self.shared = True
+            ids.append(row)
+        if new:
+            if len(self.index) > self.size.size:
+                self.ints = np.concatenate([self.ints, np.zeros_like(self.ints)], axis=1)
+                self.kern, self.parent, self.offset, self.room, self.size = self.ints
+            self._fit()
+            self.ints[:4, len(self.index) - len(new):len(self.index)] = np.array(new).T
+        return np.array(ids, dtype=np.intp)
+
+    def _fit(self) -> None:
+        """Grow the buffer to the room of every row."""
+        if self.used > self.chi.size:
+            more = max(self.used, self.chi.size)
+            self.chi = np.concatenate([self.chi, np.empty(more, dtype=complex)])
+            self.claim = np.concatenate([self.claim, np.empty(more, dtype=np.intp)])
+
+    def move(self, rows: list[int], need: list[int]) -> None:
+        """Move the rows to the end of the buffer, for passes of need nodes."""
+        rows, room = np.array(rows), 2 * np.array(need)
+        at = self.used + np.add.accumulate(room) - room
+        self.used += int(room.sum())
+        self._fit()
+        size = self.size[rows]
+        begin = np.add.accumulate(size) - size
+        k = np.arange(begin[-1] + size[-1]) + np.repeat(self.offset[rows] - begin, size)
+        self.chi[k + np.repeat(at - self.offset[rows], size)] = self.chi[k]
+        self.offset[rows], self.room[rows] = at, room
+
+    def ask(self, rows: np.ndarray, stop: np.ndarray, size: np.ndarray, k: np.ndarray,
+            x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Log chi at s = x + i t of the asks laid end to end: the nodes k
+        of each row, size of them, up to its node stop."""
+        slot = np.repeat(self.offset[rows], size) + k
+        # the nodes that no ask has had yet: all, unless lines share a row
+        new = slice(None)
+        if self.shared:
+            # each once, from one of the asks that share it
+            new = (k >= np.repeat(self.size[rows], size)).nonzero()[0]
+            self.claim[slot[new]] = new
+            new = new[self.claim[slot[new]] == new]
+        slot_new, x, t = slot[new], x[new], t[new]
+        kern = np.repeat(self.kern[rows], size)[new] if self.mixed else 0
+        if self.halved:
+            # the even k that the row of twice the step holds
+            parent, k_new = np.repeat(self.parent[rows], size)[new], k[new]
+            copy = (parent >= 0) & (k_new % 2 == 0) & (k_new // 2 < self.size[parent])
+            self.chi[slot_new[copy]] = self.chi[self.offset[parent[copy]] + k_new[copy] // 2]
+            slot_new, x, t = slot_new[~copy], x[~copy], t[~copy]
+            kern = kern[~copy] if self.mixed else 0
+        s = np.empty(x.size, dtype=complex)
+        s.real, s.imag = x, t
+        for j in range(0, s.size, _PIECE):
+            piece = slice(j, j + _PIECE)
+            self.chi[slot_new[piece]] = self.kernels.log_chi(
+                s[piece], self.kernels.rows[kern[piece] if self.mixed else 0])
+        if self.shared:
+            np.maximum.at(self.size, rows, stop)
+        else:
+            self.size[rows] = stop
+        return self.chi[slot]
+
+
+def _lines(table: _Table, inst: np.ndarray, x: np.ndarray, h: np.ndarray, stop: np.ndarray,
+           lnz: np.ndarray, log_prefactor: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """The rows of the lower edge, the upper edge and the line itself of
+    step h at x of the instances inst, for a pass to node stop; the x ln z,
+    log prefactor, step, ln z and x that their nodes take go to const."""
+    const[4] = x + _EDGES[0] * h
+    const[2] = _EDGES[1] * h
+    edge = _edge(stop)
+    rows = table.rows(np.concatenate([inst, inst, inst]), const[4].ravel(), const[2].ravel(),
+                      np.concatenate([edge, edge, stop]))
+    const[0] = const[4] * lnz
+    const[1], const[3] = log_prefactor, lnz
+    return rows.reshape(3, -1)
+
+
+class _Line:
+    """The state of an instance's line: its step h, its pass (next node
+    and end, and the next node of its edges), the sums of |w| along its
+    edges and itself and of Re w along itself, the phase at its last
+    node, its shift and whether the phase turned too fast."""
+
+    __slots__ = ("inst", "h", "nxt", "stop", "edge", "lower", "upper", "amplitude", "total",
+                 "phase", "shift", "turned")
+
+    def __init__(self, inst: int, h: float, stop: int) -> None:
+        self.inst, self.h, self.stop = inst, h, stop
+        self.start()
+
+    def start(self) -> None:
+        self.nxt = self.edge = 0
+        self.lower = self.upper = self.amplitude = self.total = self.phase = self.shift = 0.0
+        self.turned = False
+
+
+def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, float]],
+               rate: list[float]) -> list[EvalResult | MeijerGError]:
+    """The trapezoid sum of each instance i along its line (sigma, d),
+    kernel[i] naming its kernel by the first instance that has it, all in
+    rounds of array operations over one ``_Table``.
 
     The nodes lie at s = sigma + i k h, k = 0, 1, ..., and the value is
     (h / pi) (sum Re w - Re w(sigma) / 2).  h starts at min(0.1, d / 6),
-    d being the distance from sigma to the nearest pole, and halves while
-    the phase of w turns by more than pi / 4 between neighbouring nodes;
-    the midpoints are then the odd k of the line at the halved step.  The
-    span starts at ``_SPAN`` / rate and grows, by at most 1.7 times at a
-    time, until |w| at its end is at most 1e-14 of the value.  Then |w|
-    is summed every 8 h along the lines sigma -+ 4 h, for M in the error
-    bound.
+    d being the distance from sigma to the nearest pole.  The span starts
+    at ``_SPAN`` / rate and grows, by at most 1.7 times at a time, until
+    |w| at its end is at most 1e-14 of the value; but where the phase of
+    w turns by more than pi / 4 between neighbouring nodes, h halves and
+    the line sums its whole span again.  Along the lines sigma -+ 4 h |w|
+    is summed every 8 h, for M in the error bound: the nodes below k of
+    the line call for those below ``_edge(k)`` of each.  Where |w| at the
+    first node exceeds e^``_CEILING``, every w is scaled by e^-shift to
+    bring it there and the result scaled back, so that a value up to the
+    largest double sums without overflow.
 
-    Where |w| at the first node exceeds e^``_CEILING``, every w is
-    scaled by e^-shift to bring it there and the result scaled back, so
-    that a value up to the largest double sums without overflow.
+    In a round every line asks for its next ``_PIECE`` nodes at most, a
+    multiple of ``_WIDTH``, with its edges' nodes, and a waiting instance
+    joins while the round asks for fewer than ``_ROUND``.  The asks are
+    one gather from the table and one exp, and np.add.reduceat sums each
+    in order; the asks of a line follow from its instance alone, so no
+    value depends on the batch.  Where a pass ends the line decides on
+    floats, since it does so about twice.
     """
-    h = min(0.1, d / 6.0)
-    span = _SPAN / rate
-    if not span < h * _MAX_NODES:
-        return ContourError(f"line step {h:.3g} is too fine for a span of {span:.3g}")
-    k = range(_WIDTH * math.ceil(span / (_WIDTH * h)))
-    phase = np.empty(0)
-    total = amplitude = shift = 0.0
-    halved = False
+    x, d = np.array(placed).T
+    lnz, log_prefactor = kernels.rows[:, 0], kernels.rows[:, 1]
+    h = np.minimum(0.1, d / 6.0)
+    span = _SPAN / np.array(rate)
+    fine = ~(span < h * _MAX_NODES)
+    results: list = [ContourError(f"line step {v:.3g} is too fine for a span of {w:.3g}")
+                     if f else None for f, v, w in zip(fine.tolist(), h.tolist(), span.tolist())]
+    table = _Table(kernels, kernel)
+    waiting = (~fine).nonzero()[0]
+    first_stop = (_WIDTH * np.ceil(span[waiting] / (_WIDTH * h[waiting]))).astype(np.intp)
+    ask = np.minimum(first_stop, _PIECE)
+    before, joined = np.add.accumulate(ask) - ask, 0
+    # the lines under way, and per line its lower edge, upper edge and
+    # itself in turn: their rows and the constants of ``_lines``
+    lines: list[_Line] = []
+    rows, const = np.empty(0, dtype=np.intp), np.empty((5, 0))
+    heads = False
     while True:
-        fresh = [phase]
-        for j in range(0, len(k), _PIECE):
-            (log_w,) = yield [(sigma, h, k[j:j + _PIECE])]
-            log_w = log_w.reshape(-1, _WIDTH)
-            if not (phase.size or j):
-                shift = max(0.0, log_w[0, 0].real - _CEILING)
-            w = np.exp(log_w - shift) if shift else np.exp(log_w)
-            if not (phase.size or j):
-                w0 = w[0, 0].real
-            total += w.real.sum()
-            amplitude += np.abs(w).sum()
-            fresh.append(log_w.imag.ravel())
-        end = abs(w[-1, -1])
-        # the phase at every node in order of t, and from where it is new
+        if joined < waiting.size:
+            j = np.searchsorted(before, _ROUND - sum(
+                min(line.stop - line.nxt, _PIECE) for line in lines) + before[joined])
+            new = waiting[joined:j]
+            more = np.empty((5, 3, new.size))
+            rows = np.concatenate([rows, _lines(table, new, x[new], h[new], first_stop[joined:j],
+                                                lnz[new], log_prefactor[new], more).T.ravel()])
+            const = np.concatenate([const, more.transpose(0, 2, 1).reshape(5, -1)], axis=1)
+            lines += map(_Line, new.tolist(), h[new].tolist(), first_stop[joined:j].tolist())
+            joined, heads = j, True
+        if not lines:
+            return results
+        # per edge and line: the end of its ask, its size and where its
+        # nodes begin among all, and the phase before them
+        ends, size, begin, tail, phase, nodes = [], [], [], [], [], 0
+        for line in lines:
+            end = min(line.nxt + _PIECE, line.stop)
+            edge = _edge(end) - line.edge
+            ends += (line.edge + edge, line.edge + edge, end)
+            size += (edge, edge, end - line.nxt)
+            begin += (nodes, nodes + edge, nodes + 2 * edge)
+            nodes += 2 * edge + end - line.nxt
+            tail.append(nodes - 1)
+            phase += (line.phase,) * 3
+        stop, size, begin, tail = np.array(ends), np.array(size), np.array(begin), np.array(tail)
+        k = np.arange(nodes) + np.repeat(stop - size - begin, size)
+        # each constant its own array: five rows of a full round would pass
+        # 400 kB, and freeing a block that large moves glibc's mmap
+        # threshold, and with it the speed of every later temporary
+        x_lnz, log_prefactor_k, step, lnz_k, x_k = (np.repeat(v, size) for v in const)
+        t = k * step
+        log_chi = table.ask(rows, stop, size, k, x_k, t)
+        re = log_chi.real + x_lnz + log_prefactor_k
+        if heads:
+            # the first node of a line, w(sigma), sets its shift
+            head = [3 * j + 2 for j, line in enumerate(lines) if not line.nxt]
+            for j, first in zip(head, re[begin[head]].tolist()):
+                lines[j // 3].shift = max(0.0, first - _CEILING)
+        shift = [line.shift for line in lines]
+        mag = np.exp(re - np.repeat(np.repeat(shift, 3), size)) if any(shift) else np.exp(re)
+        im = log_chi.imag + t * lnz_k
+        if heads:
+            # the first node weighs a half, but in full in the line's |w|
+            for j, first in zip(head, mag[begin[head]].tolist()):
+                lines[j // 3].amplitude += 0.5 * first
+            mag[begin[[j + o for j in head for o in (-2, -1, 0)]]] *= 0.5
+        part = np.add.reduceat(mag, begin).tolist()
+        real = np.add.reduceat(mag * np.cos(im), begin)[2::3].tolist()
+        # the turn of the phase between neighbouring nodes of a pass
+        prev = np.empty_like(im)
+        prev[1:] = im[:-1]
+        prev[begin] = phase
+        if heads:
+            prev[begin[head]] = im[begin[head]]
+        turn = (np.maximum.reduceat(np.abs(im - prev), begin)[2::3] > 0.25 * math.pi).tolist()
+        heads, halved, done, moved = False, [], [], {}
+        for j, (line, lower, upper, amplitude, total, turned, phase, end, drop) in enumerate(zip(
+                lines, part[::3], part[1::3], part[2::3], real, turn, im[tail].tolist(),
+                mag[tail].tolist(), (re[tail - (_WIDTH - 1)] - re[tail]).tolist())):
+            # an edge that asked for no node has no sum
+            if ends[3 * j] > line.edge:
+                line.lower += lower
+                line.upper += upper
+            line.amplitude += amplitude
+            line.total += total
+            line.turned |= turned
+            line.phase, line.nxt, line.edge = phase, ends[3 * j + 2], ends[3 * j]
+            if line.nxt < line.stop:
+                continue
+            # at the end of a pass a value that is not finite fails, a
+            # phase that turned too fast halves h, |w| at the end within
+            # the bound converges, and otherwise the span grows
+            value, h_e, i, reach = line.h * line.total, line.h, line.inst, line.h * line.stop
+            if not math.isfinite(value):
+                results[i] = _finished(value, 0.0, line.shift)
+            elif line.turned:
+                halved.append(j)
+                line.h *= 0.5
+                line.stop *= 2
+            elif end <= 1e-14 * abs(value):
+                # Trefethen and Weideman, Thm 5.1: where w is analytic in
+                # the strip of half-width a about the line, and M bounds
+                # its integral of |w| on every parallel line there, the
+                # trapezoid sum is off by at most 2 M / (exp(2 pi a / h) -
+                # 1).  Here a = 4 h <= 2 d / 3.  The log of the integral
+                # of |w| along a line is convex across the strip, so the
+                # larger of its two edges, each summed with step 8 h, is
+                # M.  Then the tail past the span, and rounding in a sum
+                # of terms of size |w|.
+                big_m = 8.0 * h_e * max(line.lower, line.upper)
+                results[i] = _finished(value, 2.0 * big_m / math.expm1(8.0 * math.pi)
+                                       + end / rate[i] + 3e-16 * h_e * line.amplitude,
+                                       line.shift)
+            else:
+                # to where |w|, falling on as over the last _WIDTH nodes,
+                # meets the bound, with a fifth to spare; in doubles, so
+                # that a bound or a fall that underflows leaves 0.7
+                fall = drop / ((_WIDTH - 1) * h_e)
+                more = 0.7 * line.stop
+                if fall > 0.0 and value:
+                    more = min(more, 1.2 * np.log(np.float64(end) / (1e-14 * abs(value)))
+                               / (fall * h_e))
+                line.stop = _WIDTH * math.ceil((line.stop + more) / _WIDTH)
+                for r, n in zip(rows[3 * j:3 * j + 3].tolist(), (_edge(line.stop),) * 2
+                                + (line.stop,)):
+                    if n > table.room[r]:
+                        moved[r] = max(n, moved.get(r, 0))
+            if results[i] is None and line.stop > _MAX_NODES:
+                results[i] = ContourError(f"line needs over {_MAX_NODES} nodes: step {line.h:.3g}, "
+                                          f"|w| still {end:.2e} at t = {reach:.3g}")
+            if results[i] is not None:
+                done.append(j)
+        if moved:
+            table.move(list(moved), list(moved.values()))
+        halved = [j for j in halved if j not in done]
         if halved:
-            new = 0
-            phase = np.column_stack((phase, np.concatenate(fresh[1:]))).ravel()
-        else:
-            new = max(phase.size - 1, 0)
-            phase = np.concatenate(fresh)
-        value = h * (total - 0.5 * w0)
-        if not math.isfinite(value):
-            return _finished(value, 0.0, shift)
-        turns = phase[new:]
-        halved = np.abs(turns[1:] - turns[:-1]).max(initial=0.0) > 0.25 * math.pi
-        if halved:
-            k = range(1, 2 * phase.size, 2)
-            h *= 0.5
-        elif end <= 1e-14 * abs(value):
-            break
-        else:
-            # to where |w|, falling on as over the last row, meets that
-            # bound, with a fifth to spare
-            row = log_w[-1].real
-            fall = (row[0] - row[-1]) / ((_WIDTH - 1) * k.step * h)
-            grow = 0.7 * phase.size
-            if fall > 0.0 and value:
-                grow = min(grow, 1.2 * math.log(end / (1e-14 * abs(value))) / (fall * h))
-            k = range(phase.size, _WIDTH * math.ceil((phase.size + grow) / _WIDTH))
-        if k[-1] >= _MAX_NODES:
-            return ContourError(f"line needs over {_MAX_NODES} nodes: step {h:.3g}, "
-                                f"|w| still {end:.2e} at t = {h * phase.size:.3g}")
-    # Trefethen and Weideman, Thm 5.1: where w is analytic in the strip of
-    # half-width a about the line, and M bounds its integral of |w| on
-    # every parallel line there, the trapezoid sum is off by at most
-    # 2 M / (exp(2 pi a / h) - 1).  Here a = 4 h <= 2 d / 3.  The log of
-    # the integral of |w| along a line is convex across the strip, so the
-    # larger of its two edges, each summed with step 8 h, is M.
-    a = 4.0 * h
-    count = _WIDTH * math.ceil(phase.size / (8 * _WIDTH))
-    edges = np.empty((2, count))
-    for j in range(0, count, _PIECE):
-        piece = range(j, min(j + _PIECE, count))
-        log_w = yield [(sigma - a, 8.0 * h, piece), (sigma + a, 8.0 * h, piece)]
-        edges[:, j:j + _PIECE] = np.exp(np.real(log_w) - shift)
-    big_m = 8.0 * h * (edges.sum(axis=1) - 0.5 * edges[:, 0]).max()
-    # then the tail past the span, and rounding in a sum of terms of size
-    # |w|
-    return _finished(value, 2.0 * big_m / math.expm1(8.0 * math.pi) + end / rate
-                     + 3e-16 * h * amplitude, shift)
-
-
-def _trapezoid(kernels: _Kernels, placed: list[tuple[float, float]],
-               rate: list[float]) -> list[EvalResult | MeijerGError]:
-    """The ``_line`` sums of all instances, on their lines (sigma, d), in
-    lockstep rounds over one table of log chi that the instances of a
-    kernel share.
-
-    The table has a row per kernel and line (x, step) that some instance
-    asked for, holding log chi(x + i k step) for k from 0 to the highest
-    k asked for so far.  A waiting line joins a round while the round
-    asks for fewer than ``_ROUND`` nodes.  The round first extends each
-    row to the highest k of its asks: the new nodes of a kernel go to
-    ``log_chi`` in pieces of at most ``_PIECE``, and the even k under a
-    halved line's odd ones are copied from the line of twice the step,
-    which holds them.  Then each ask is served as its slice of its row
-    plus s ln z + log prefactor.  A node's log chi depends on its kernel
-    and s alone, so no value depends on the batch.  The table lasts for
-    the call.
-    """
-    lines = [_line(sigma, d, r) for (sigma, d), r in zip(placed, rate)]
-    results: list = [None] * len(lines)
-    asks: dict[int, list[tuple[float, float, range]]] = {}
-    waiting = list(range(len(lines)))[::-1]
-    # each instance's kernel, named by the first instance that has it
-    first: dict[bytes, int] = {}
-    kernel = [first.setdefault(row.tobytes(), i) for i, row in enumerate(kernels.rows[:, 2:])]
-    lnz, log_prefactor = kernels.rows[:, 0].tolist(), kernels.rows[:, 1].tolist()
-    # (kernel, x, step) -> [log chi at the nodes k < size (and beyond), size]
-    table: dict[tuple[int, float, float], list] = {}
-
-    def resume(i: int, values: list[np.ndarray] | None) -> None:
-        try:
-            asks[i] = lines[i].send(values)
-        except StopIteration as stop:
-            results[i] = stop.value
-            asks.pop(i, None)
-
-    while asks or waiting:
-        count = sum(len(k) for ask in asks.values() for _, _, k in ask)
-        while waiting and count < _ROUND:
-            i = waiting.pop()
-            resume(i, None)
-            count += sum(len(k) for _, _, k in asks.get(i, ()))
-        # the nodes of each ask, and per kernel the (row, slots, nodes)
-        # that no line has asked for yet: the tail of an ask, since a line
-        # asks for the nodes of a row in order from k = 0 (a halved line
-        # for its odd k)
-        nodes = {i: [(1j * step) * np.arange(k.start, k.stop, k.step) + x for x, step, k in ask]
-                 for i, ask in asks.items()}
-        fresh: dict[int, list[tuple]] = {}
-        for i, ask in asks.items():
-            for (x, step, k), s in zip(ask, nodes[i]):
-                key = (kernel[i], x, step)
-                row = table.get(key)
-                if row is None:
-                    row = table[key] = [np.empty(0, dtype=complex), 0]
-                chi, size = row
-                stop = k[-1] + 1
-                if stop <= size:
-                    continue
-                if stop > chi.size:
-                    row[0] = np.empty(max(stop, 2 * chi.size), dtype=complex)
-                    row[0][:size] = chi[:size]
-                if k.step == 2:
-                    # the even k lie on the line of twice the step
-                    below = table[kernel[i], x, 2.0 * step][0]
-                    even = size + size % 2
-                    row[0][even:stop:2] = below[even // 2:stop // 2]
-                new = len(range(k.start, size, k.step))
-                row[1] = stop
-                fresh.setdefault(kernel[i], []).append(
-                    (row, slice(k[new], stop, k.step), s[new:]))
-        for j, news in fresh.items():
-            s = np.concatenate([part for _, _, part in news]) if len(news) > 1 else news[0][2]
-            chi = np.empty_like(s)
-            for n in range(0, s.size, _PIECE):
-                chi[n:n + _PIECE] = kernels.log_chi(s[n:n + _PIECE], kernels.rows[j])
-            n = 0
-            for row, slots, part in news:
-                row[0][slots] = chi[n:n + part.size]
-                n += part.size
-        for i, ask in list(asks.items()):
-            resume(i, [table[kernel[i], x, step][0][k.start:k.stop:k.step] + s * lnz[i]
-                       + log_prefactor[i] for (x, step, k), s in zip(ask, nodes[i])])
-    return results
+            # a halved line sums its whole span again
+            at = np.add.outer(3 * np.array(halved), np.arange(3)).ravel()
+            i = np.array([lines[j].inst for j in halved])
+            more = np.empty((5, 3, len(halved)))
+            rows[at] = _lines(table, i, x[i], np.array([lines[j].h for j in halved]),
+                              np.array([lines[j].stop for j in halved]), lnz[i],
+                              log_prefactor[i], more).T.ravel()
+            const[:, at] = more.transpose(0, 2, 1).reshape(5, -1)
+            for j in halved:
+                lines[j].start()
+            heads = True
+        if done:
+            if joined == waiting.size and len(done) == len(lines):
+                return results
+            keep = np.ones(len(lines), dtype=bool)
+            keep[done] = False
+            lines = [line for line, kept in zip(lines, keep.tolist()) if kept]
+            rows, const = rows[np.repeat(keep, 3)], const[:, np.repeat(keep, 3)]
 
 
 def meijer_g_batch(specs: list[MeijerGSpec],
@@ -596,18 +745,21 @@ def meijer_g_batch(specs: list[MeijerGSpec],
         if key not in tables:
             tables[key] = _kernel_tables(spec)
         gamma, logs, constant, slope = tables[key]
-        groups.setdefault((gamma.shape[1], logs.shape[1]), []).append(
-            (i, (gamma, logs), strip, delta * math.pi, spec.log_argument + slope,
-             float(log_prefactors[i]) + constant))
+        group = groups.setdefault((gamma.shape[1], logs.shape[1]), [])
+        group.append((i, (gamma, logs), strip, delta * math.pi, spec.log_argument + slope,
+                      float(log_prefactors[i]) + constant, key))
     for group in groups.values():
-        index, kernel_tables, strips, rates, lnz, log_prefactor = zip(*group)
+        index, kernel_tables, strips, rates, lnz, log_prefactor, keys = zip(*group)
         kernels = _Kernels(kernel_tables, lnz, log_prefactor)
+        # each instance's kernel, named by the first instance that has it
+        first: dict[tuple, int] = {}
+        kernel = [first.setdefault(key, i) for i, key in enumerate(keys)]
         lo, hi = np.array(strips).T
         # a value that is not finite fails its own instance only
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             sigma = _pick_sigma(kernels, lo, hi).tolist()
-            evaluated = _trapezoid(kernels, [_snap(v, *strip) for v, strip in zip(sigma, strips)],
-                                   rates)
+            evaluated = _trapezoid(kernels, kernel,
+                                   [_snap(v, *strip) for v, strip in zip(sigma, strips)], rates)
         for i, res in zip(index, evaluated):
             results[i] = res
     return results

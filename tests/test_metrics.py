@@ -126,6 +126,18 @@ def test_ber_lies_between_zero_and_one_half(row, zeta, a, scheme, mean_snr_db):
     assert 0.0 <= average_ber(make_dist(alpha, beta, zeta, a, mean_snr_db), scheme) <= 0.5
 
 
+@given(row=st.sampled_from(TABLE2_LEVELS), zeta=st.floats(0.2, 20.0),
+       a=st.sampled_from([1, 2]), scheme=st.sampled_from(list(ModulationScheme)),
+       low_db=st.floats(0.0, 79.0), reach=st.floats(0.0, 1.0))
+def test_capacity_rises_and_ber_falls_with_mean_snr(row, zeta, a, scheme, low_db, reach):
+    # two mean SNRs of the stated domain at least 1 dB apart
+    _, alpha, beta = row
+    high_db = low_db + 1.0 + reach * (79.0 - low_db)
+    low, high = (make_dist(alpha, beta, zeta, a, db) for db in (low_db, high_db))
+    assert ergodic_capacity(high) >= ergodic_capacity(low)
+    assert average_ber(high, scheme) <= average_ber(low, scheme)
+
+
 @pytest.mark.parametrize("scheme", list(ModulationScheme))
 def test_ber_matches_quadrature(scheme):
     dist = make_dist(*RED, 6.1, 1, 25.0)

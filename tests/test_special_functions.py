@@ -261,7 +261,8 @@ def test_meijer_matches_frozen_reference(entry):
 
 def test_batched_references_match_frozen_and_one_at_a_time():
     # one batch per (m, n, p, q): each value is right, within its own
-    # estimate, and the same as in a batch of one
+    # estimate, and the same as in a batch of one to the last bit, its
+    # estimate too
     groups: dict[tuple, list] = {}
     for entry in meijer_references():
         spec = _reference_spec(entry)
@@ -271,8 +272,39 @@ def test_batched_references_match_frozen_and_one_at_a_time():
         batch = meijer_g_batch([spec for _, spec in group], prefactors)
         for (entry, spec), prefactor, res in zip(group, prefactors, batch):
             assert_matches_reference(entry, res)
-            alone = meijer_g(spec, log_prefactor=prefactor).value
-            assert abs(res.value - alone) <= 1e-14 * abs(alone), entry["label"]
+            alone = meijer_g(spec, log_prefactor=prefactor)
+            assert (res.value.hex(), res.abs_error_estimate.hex()) \
+                == (alone.value.hex(), alone.abs_error_estimate.hex()), entry["label"]
+
+
+def test_batch_keeps_values_beside_a_failing_line_and_a_halving_one(monkeypatch):
+    # one batch: a line whose step is too fine for its span fails before
+    # it asks for a node, while e^-2 beside it and a line whose phase
+    # turns too fast for its first step, which halves it, keep the values
+    # of a batch of one
+    specs = [MeijerGSpec(1, 0, (), (0.0,), log_argument=-2e4),
+             MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0)),
+             MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, log_argument=math.log(0.8))]
+    alone = [meijer_g_batch([spec], [0.0])[0] for spec in specs]
+    steps = []
+    lines = meijerg._lines
+
+    def recording(table, inst, x, h, *rest):
+        steps.append(h.tolist())
+        return lines(table, inst, x, h, *rest)
+
+    monkeypatch.setattr(meijerg, "_lines", recording)
+    fails, exp2, halves = meijer_g_batch(specs, [0.0, 0.0, 0.0])
+    assert isinstance(fails, ContourError) and "too fine" in str(fails)
+    assert isinstance(alone[0], ContourError) and str(alone[0]) == str(fails)
+    assert exp2.value == pytest.approx(math.exp(-2.0), rel=1e-14)
+    assert halves.value == pytest.approx(0.0529417155971279576, rel=1e-10)
+    # e^-2 and the third line start at their steps, then the third again
+    # at half its own
+    assert len(steps) == 3 and steps[2] == [0.5 * steps[1][0]]
+    for one, res in zip(alone[1:], (exp2, halves)):
+        assert (res.value.hex(), res.abs_error_estimate.hex()) \
+            == (one.value.hex(), one.abs_error_estimate.hex())
 
 
 def test_points_of_a_curve_share_their_log_gammas(monkeypatch):

@@ -466,6 +466,20 @@ def test_mgf_decreasing_in_unit_interval():
     assert all(0.0 < v < 1.0 for v in vals)
 
 
+@given(row=st.sampled_from(TABLE2_LEVELS), zeta=st.floats(0.2, 20.0),
+       a=st.sampled_from([1, 2]), mean_snr_db=st.floats(0.0, 80.0),
+       log_ratio=st.floats(-3.0, 3.0), log_factor=st.floats(0.3, 2.0))
+def test_mgf_lies_in_unit_interval_and_falls_in_s(row, zeta, a, mean_snr_db, log_ratio,
+                                                  log_factor):
+    # Table 2 shapes over the stated domain, s mean SNR from 1e-3 to 1e3,
+    # and a second s 2 to 100 times the first
+    _, alpha, beta = row
+    dist = make_dist(alpha, beta, zeta, a, mean_snr_db)
+    s = 10.0 ** log_ratio / dist.mean_snr
+    near, far = mgf(dist, s), mgf(dist, s * 10.0 ** log_factor)
+    assert 0.0 < far <= near <= 1.0
+
+
 def test_mgf_matches_sampling():
     dist = make_dist(*BLUE, 6.1, 1, 20.0)
     chan = McChannel(zeta2=6.1 ** 2, alpha=BLUE[0], beta=BLUE[1], a=1,
