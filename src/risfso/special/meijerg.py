@@ -97,8 +97,6 @@ _SLAB = 8192
 # after _MAX_STEPS steps
 _U_TOL = 1e-8
 _MAX_STEPS = 60
-# the edge lines of a line at x with step h lie at x -+ 4 h, with step 8 h
-_EDGES = np.array([[[-4.0], [4.0], [0.0]], [[8.0], [8.0], [1.0]]])
 
 
 class MeijerGError(Exception):
@@ -393,145 +391,134 @@ def _finished(total: float, err: float, shift: float) -> EvalResult | MeijerGErr
     return EvalResult(value, float(err))
 
 
-def _edge(k):
+def _edge(k: int) -> int:
     """The nodes of an edge line that the nodes below k of its line call
     for: one in 8, rounded up to whole multiples of _WIDTH."""
     return (k + (8 * _WIDTH - 1)) // (8 * _WIDTH) * _WIDTH
 
 
+class _Row:
+    """Log chi of one kernel on the nodes x + i k step of a line, k <
+    size, from offset on in the buffer of a ``_Table``, with room there
+    for room nodes; need is the end of the round's asks, and parent the
+    row of twice the step, which holds the even k, or None."""
+
+    __slots__ = ("kernel", "x", "step", "parent", "offset", "room", "size", "need")
+
+    def __init__(self, kernel: int, x: float, step: float, parent: _Row | None) -> None:
+        self.kernel, self.x, self.step, self.parent = kernel, x, step, parent
+        self.offset = self.room = self.size = self.need = 0
+
+
 class _Table:
-    """Log chi of a batch on the nodes x + i k step, k = 0, 1, ..., of each
-    row (kernel, x, step) that its lines ask for, in one growing buffer.
-    Row r holds its nodes k < size[r] from offset[r] on; it gets room for
-    twice the pass it is made for, and moves to the end of the buffer
-    with room for twice a longer pass.  A node's log chi depends on its
-    kernel and s alone, so no value depends on the batch."""
+    """The rows of log chi that the lines of a batch ask for, in one
+    buffer.  A round first extends each row to the end of its asks
+    (``extend``), then computes each new node once, by kernel, but copies
+    the even k of a halved line's row from its parent (``fill``).  A row
+    that outgrows its room moves to the end of the buffer with room for
+    half as many nodes again, and a full buffer packs its rows anew into
+    one with half as much room again as they have.  A node's log chi
+    depends on its kernel and s alone, so no value depends on the
+    batch."""
 
-    def __init__(self, kernels: _Kernels, kernel: list[int]) -> None:
-        self.kernels, self.kernel = kernels, np.array(kernel)
-        self.index: dict[tuple[int, float, float], int] = {}
-        # the buffer, and per slot the ask of a round that fills it
-        self.chi = np.empty(_PIECE, dtype=complex)
-        self.claim = np.empty(_PIECE, dtype=np.intp)
+    def __init__(self, kernels: _Kernels) -> None:
+        self.kernels = kernels
+        self.index: dict[tuple[int, float, float], _Row] = {}
+        self.chi = np.empty(0, dtype=complex)
         self.used = 0
-        # whether the batch has two kernels, whether two lines share a row,
-        # and whether a row has a parent
-        self.mixed, self.shared, self.halved = any(kernel), False, False
-        # per row: its kernel, parent (the row of twice the step, which
-        # holds its even k, or -1), offset, room and size
-        self.ints = np.zeros((5, 8 * len(kernel)), dtype=np.intp)
-        self.kern, self.parent, self.offset, self.room, self.size = self.ints
+        # the rows that the round extends
+        self.grown: list[_Row] = []
 
-    def rows(self, inst: np.ndarray, x: np.ndarray, step: np.ndarray,
-             need: np.ndarray) -> np.ndarray:
-        """The row of each (kernel of inst, x, step), made for a pass of
-        need nodes where new."""
-        ids, new = [], []
-        for key, k in zip(zip(self.kernel[inst].tolist(), x.tolist(), step.tolist()),
-                          need.tolist()):
-            row = self.index.get(key)
-            if row is None:
-                row = self.index[key] = len(self.index)
-                parent = self.index.get((key[0], key[1], 2.0 * key[2]), -1)
-                self.halved |= parent >= 0
-                new.append((key[0], parent, self.used, 2 * k))
-                self.used += 2 * k
-            else:
-                self.shared = True
-            ids.append(row)
-        if new:
-            if len(self.index) > self.size.size:
-                self.ints = np.concatenate([self.ints, np.zeros_like(self.ints)], axis=1)
-                self.kern, self.parent, self.offset, self.room, self.size = self.ints
-            self._fit()
-            self.ints[:4, len(self.index) - len(new):len(self.index)] = np.array(new).T
-        return np.array(ids, dtype=np.intp)
+    def row(self, kernel: int, x: float, step: float) -> _Row:
+        row = self.index.get((kernel, x, step))
+        if row is None:
+            row = self.index[kernel, x, step] = _Row(
+                kernel, x, step, self.index.get((kernel, x, 2.0 * step)))
+        return row
 
-    def _fit(self) -> None:
-        """Grow the buffer to the room of every row."""
-        if self.used > self.chi.size:
-            more = max(self.used, self.chi.size)
-            self.chi = np.concatenate([self.chi, np.empty(more, dtype=complex)])
-            self.claim = np.concatenate([self.claim, np.empty(more, dtype=np.intp)])
+    def extend(self, row: _Row, stop: int) -> None:
+        """Ask for the nodes of row below stop."""
+        if stop > row.need:
+            if row.need == row.size:
+                self.grown.append(row)
+            row.need = stop
 
-    def move(self, rows: list[int], need: list[int]) -> None:
-        """Move the rows to the end of the buffer, for passes of need nodes."""
-        rows, room = np.array(rows), 2 * np.array(need)
-        at = self.used + np.add.accumulate(room) - room
-        self.used += int(room.sum())
-        self._fit()
-        size = self.size[rows]
-        begin = np.add.accumulate(size) - size
-        k = np.arange(begin[-1] + size[-1]) + np.repeat(self.offset[rows] - begin, size)
-        self.chi[k + np.repeat(at - self.offset[rows], size)] = self.chi[k]
-        self.offset[rows], self.room[rows] = at, room
-
-    def ask(self, rows: np.ndarray, stop: np.ndarray, size: np.ndarray, k: np.ndarray,
-            x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Log chi at s = x + i t of the asks laid end to end: the nodes k
-        of each row, size of them, up to its node stop."""
-        slot = np.repeat(self.offset[rows], size) + k
-        # the nodes that no ask has had yet: all, unless lines share a row
-        new = slice(None)
-        if self.shared:
-            # each once, from one of the asks that share it
-            new = (k >= np.repeat(self.size[rows], size)).nonzero()[0]
-            self.claim[slot[new]] = new
-            new = new[self.claim[slot[new]] == new]
-        slot_new, x, t = slot[new], x[new], t[new]
-        kern = np.repeat(self.kern[rows], size)[new] if self.mixed else 0
-        if self.halved:
-            # the even k that the row of twice the step holds
-            parent, k_new = np.repeat(self.parent[rows], size)[new], k[new]
-            copy = (parent >= 0) & (k_new % 2 == 0) & (k_new // 2 < self.size[parent])
-            self.chi[slot_new[copy]] = self.chi[self.offset[parent[copy]] + k_new[copy] // 2]
-            slot_new, x, t = slot_new[~copy], x[~copy], t[~copy]
-            kern = kern[~copy] if self.mixed else 0
-        s = np.empty(x.size, dtype=complex)
-        s.real, s.imag = x, t
-        for j in range(0, s.size, _PIECE):
-            piece = slice(j, j + _PIECE)
-            self.chi[slot_new[piece]] = self.kernels.log_chi(
-                s[piece], self.kernels.rows[kern[piece] if self.mixed else 0])
-        if self.shared:
-            np.maximum.at(self.size, rows, stop)
-        else:
-            self.size[rows] = stop
-        return self.chi[slot]
-
-
-def _lines(table: _Table, inst: np.ndarray, x: np.ndarray, h: np.ndarray, stop: np.ndarray,
-           lnz: np.ndarray, log_prefactor: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """The rows of the lower edge, the upper edge and the line itself of
-    step h at x of the instances inst, for a pass to node stop; the x ln z,
-    log prefactor, step, ln z and x that their nodes take go to const."""
-    const[4] = x + _EDGES[0] * h
-    const[2] = _EDGES[1] * h
-    edge = _edge(stop)
-    rows = table.rows(np.concatenate([inst, inst, inst]), const[4].ravel(), const[2].ravel(),
-                      np.concatenate([edge, edge, stop]))
-    const[0] = const[4] * lnz
-    const[1], const[3] = log_prefactor, lnz
-    return rows.reshape(3, -1)
+    def fill(self) -> None:
+        """Compute the nodes asked for since the last fill, in pieces of
+        at most ``_PIECE``."""
+        grown, self.grown = self.grown, []
+        moved = [row for row in grown if row.need > row.room]
+        if moved:
+            for row in moved:
+                row.room = 3 * row.need // 2
+            chi = self.chi
+            if self.used + sum(row.room for row in moved) > chi.size:
+                moved = list(self.index.values())
+                chi = np.empty(3 * sum(row.room for row in moved) // 2, dtype=complex)
+                self.used = 0
+            for row in moved:
+                chi[self.used:self.used + row.size] = self.chi[row.offset:row.offset + row.size]
+                row.offset = self.used
+                self.used += row.room
+            self.chi = chi
+        # per kernel the runs (offset, first k, count, stride, x, step)
+        runs: dict[int, list[tuple]] = {}
+        for row in grown:
+            size = top = row.size
+            if row.parent is not None:
+                # the even k that the parent holds, and the odd k between
+                top = max(size, min(row.need, 2 * row.parent.size))
+                at, up = row.offset, row.parent.offset
+                self.chi[at + size + size % 2:at + top:2] = \
+                    self.chi[up + (size + 1) // 2:up + (top + 1) // 2]
+                runs.setdefault(row.kernel, []).append(
+                    (row.offset, size | 1, (top - (size | 1) + 1) // 2, 2, row.x, row.step))
+            runs.setdefault(row.kernel, []).append(
+                (row.offset, top, row.need - top, 1, row.x, row.step))
+        for row in grown:
+            row.size = row.need
+        for kernel, run in runs.items():
+            offset, first, count, stride, x, step = np.array(run).T
+            count = count.astype(np.intp)
+            n = np.add.accumulate(count)
+            k = first.repeat(count) + stride.repeat(count) * (
+                np.arange(n[-1]) - (n - count).repeat(count))
+            slot = (offset.repeat(count) + k).astype(np.intp)
+            s = np.empty(k.size, dtype=complex)
+            s.real, s.imag = x.repeat(count), k * step.repeat(count)
+            for j in range(0, k.size, _PIECE):
+                piece = slice(j, j + _PIECE)
+                self.chi[slot[piece]] = self.kernels.log_chi(s[piece], self.kernels.rows[kernel])
 
 
 class _Line:
-    """The state of an instance's line: its step h, its pass (next node
-    and end, and the next node of its edges), the sums of |w| along its
-    edges and itself and of Re w along itself, the phase at its last
-    node, its shift and whether the phase turned too fast."""
+    """An instance's line and its pass: the step h, the next node of the
+    line and of its edges, and the end; the rows of its lower edge, upper
+    edge and itself, with the constants (Re, Im per node) that each adds
+    to log chi for log w; the sums of |w| along them and of Re w along
+    itself; the phase at its last node, its shift and whether the phase
+    turned too fast."""
 
-    __slots__ = ("inst", "h", "nxt", "stop", "edge", "lower", "upper", "amplitude", "total",
-                 "phase", "shift", "turned")
+    __slots__ = ("inst", "kernel", "x", "lnz", "log_prefactor", "h", "stop", "nxt", "edge",
+                 "rows", "consts", "lower", "upper", "amplitude", "total", "phase", "shift",
+                 "turned")
 
-    def __init__(self, inst: int, h: float, stop: int) -> None:
-        self.inst, self.h, self.stop = inst, h, stop
-        self.start()
+    def __init__(self, table: _Table, inst: int, kernel: int, x: float, lnz: float,
+                 log_prefactor: float, h: float, stop: int) -> None:
+        self.inst, self.kernel, self.x, self.lnz = inst, kernel, x, lnz
+        self.log_prefactor = log_prefactor
+        self.start(table, h, stop)
 
-    def start(self) -> None:
-        self.nxt = self.edge = 0
-        self.lower = self.upper = self.amplitude = self.total = self.phase = self.shift = 0.0
-        self.turned = False
+    def start(self, table: _Table, h: float, stop: int) -> None:
+        """Start a pass of step h from node 0 to node stop."""
+        self.h, self.stop, self.nxt = h, stop, 0
+        xs, steps = (self.x - 4.0 * h, self.x + 4.0 * h, self.x), (8.0 * h, 8.0 * h, h)
+        self.rows = [table.row(self.kernel, x, step) for x, step in zip(xs, steps)]
+        self.consts = [(x * self.lnz + self.log_prefactor, step * self.lnz)
+                       for x, step in zip(xs, steps)]
+        self.edge = 0
+        self.lower = self.upper = self.amplitude = self.total = self.shift = 0.0
+        self.phase, self.turned = math.nan, False
 
 
 def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, float]],
@@ -561,103 +548,113 @@ def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, f
     value depends on the batch.  Where a pass ends the line decides on
     floats, since it does so about twice.
     """
-    x, d = np.array(placed).T
-    lnz, log_prefactor = kernels.rows[:, 0], kernels.rows[:, 1]
-    h = np.minimum(0.1, d / 6.0)
-    span = _SPAN / np.array(rate)
-    fine = ~(span < h * _MAX_NODES)
-    results: list = [ContourError(f"line step {v:.3g} is too fine for a span of {w:.3g}")
-                     if f else None for f, v, w in zip(fine.tolist(), h.tolist(), span.tolist())]
-    table = _Table(kernels, kernel)
-    waiting = (~fine).nonzero()[0]
-    first_stop = (_WIDTH * np.ceil(span[waiting] / (_WIDTH * h[waiting]))).astype(np.intp)
-    ask = np.minimum(first_stop, _PIECE)
-    before, joined = np.add.accumulate(ask) - ask, 0
-    # the lines under way, and per line its lower edge, upper edge and
-    # itself in turn: their rows and the constants of ``_lines``
+    results: list = [None] * len(placed)
+    # the instances yet to start their lines, last first
+    waiting = []
+    for i, ((x, d), r, lnz, log_prefactor) in enumerate(zip(
+            placed, rate, kernels.rows[:, 0].tolist(), kernels.rows[:, 1].tolist())):
+        h, span = min(0.1, d / 6.0), _SPAN / r
+        if span < h * _MAX_NODES:
+            waiting.append((i, x, lnz, log_prefactor, h, _WIDTH * math.ceil(span / (_WIDTH * h))))
+        else:
+            results[i] = ContourError(f"line step {h:.3g} is too fine for a span of {span:.3g}")
+    waiting.reverse()
+    table = _Table(kernels)
     lines: list[_Line] = []
-    rows, const = np.empty(0, dtype=np.intp), np.empty((5, 0))
-    heads = False
     while True:
-        if joined < waiting.size:
-            j = np.searchsorted(before, _ROUND - sum(
-                min(line.stop - line.nxt, _PIECE) for line in lines) + before[joined])
-            new = waiting[joined:j]
-            more = np.empty((5, 3, new.size))
-            rows = np.concatenate([rows, _lines(table, new, x[new], h[new], first_stop[joined:j],
-                                                lnz[new], log_prefactor[new], more).T.ravel()])
-            const = np.concatenate([const, more.transpose(0, 2, 1).reshape(5, -1)], axis=1)
-            lines += map(_Line, new.tolist(), h[new].tolist(), first_stop[joined:j].tolist())
-            joined, heads = j, True
+        count = sum(min(line.stop - line.nxt, _PIECE) for line in lines)
+        while waiting and count < _ROUND:
+            i, x_i, lnz, log_prefactor, h_i, stop = waiting.pop()
+            lines.append(_Line(table, i, kernel[i], x_i, lnz, log_prefactor, h_i, stop))
+            count += min(stop, _PIECE)
         if not lines:
             return results
-        # per edge and line: the end of its ask, its size and where its
-        # nodes begin among all, and the phase before them
-        ends, size, begin, tail, phase, nodes = [], [], [], [], [], 0
+        # the end of each line's ask and of its edges'
+        ends = []
         for line in lines:
             end = min(line.nxt + _PIECE, line.stop)
-            edge = _edge(end) - line.edge
-            ends += (line.edge + edge, line.edge + edge, end)
-            size += (edge, edge, end - line.nxt)
-            begin += (nodes, nodes + edge, nodes + 2 * edge)
-            nodes += 2 * edge + end - line.nxt
+            edge = _edge(end)
+            lower, upper, row = line.rows
+            table.extend(lower, edge)
+            table.extend(upper, edge)
+            table.extend(row, end)
+            ends.append((edge, end))
+        table.fill()
+        # per ask, the lower edge, upper edge and line of each line in
+        # turn: where its nodes begin among all, its slot and k less that,
+        # its size, its constants and the phase before it; and per line
+        # its last node
+        begin, ints, floats, tail, nodes = [], [], [], [], 0
+        for line, (edge, end) in zip(lines, ends):
+            for row, a, b, c in zip(line.rows, (line.edge, line.edge, line.nxt),
+                                    (edge, edge, end), line.consts):
+                begin.append(nodes)
+                ints += (row.offset + a - nodes, a - nodes, b - a)
+                floats += (*c, line.phase)
+                nodes += b - a
             tail.append(nodes - 1)
-            phase += (line.phase,) * 3
-        stop, size, begin, tail = np.array(ends), np.array(size), np.array(begin), np.array(tail)
-        k = np.arange(nodes) + np.repeat(stop - size - begin, size)
-        # each constant its own array: five rows of a full round would pass
-        # 400 kB, and freeing a block that large moves glibc's mmap
-        # threshold, and with it the speed of every later temporary
-        x_lnz, log_prefactor_k, step, lnz_k, x_k = (np.repeat(v, size) for v in const)
-        t = k * step
-        log_chi = table.ask(rows, stop, size, k, x_k, t)
-        re = log_chi.real + x_lnz + log_prefactor_k
+        # in place where it can: a round's arrays reach 150 kB each
+        ints = np.array(ints).reshape(-1, 3)
+        size = ints[:, 2]
+        k = np.arange(nodes)
+        log_chi = table.chi[k + ints[:, 0].repeat(size)]
+        k += ints[:, 1].repeat(size)
+        add, rot, before = np.array(floats).reshape(-1, 3).T
+        re = add.repeat(size)
+        re += log_chi.real
+        im = rot.repeat(size)
+        im *= k
+        im += log_chi.imag
+        del k, log_chi
+        heads = [j for j, line in enumerate(lines) if not line.nxt]
+        for j in heads:
+            # the first node of a pass, w(sigma), sets the line's shift
+            line = lines[j]
+            line.shift = max(0.0, float(re[begin[3 * j + 2]]) - _CEILING)
+            if line.shift:
+                re[begin[3 * j]:tail[j] + 1] -= line.shift
+                line.consts = [(a - line.shift, b) for a, b in line.consts]
+        # the fall of Re log w over the last _WIDTH nodes of each line
+        drops = (re[[t - (_WIDTH - 1) for t in tail]] - re[tail]).tolist()
+        mag = np.exp(re, out=re)
         if heads:
-            # the first node of a line, w(sigma), sets its shift
-            head = [3 * j + 2 for j, line in enumerate(lines) if not line.nxt]
-            for j, first in zip(head, re[begin[head]].tolist()):
-                lines[j // 3].shift = max(0.0, first - _CEILING)
-        shift = [line.shift for line in lines]
-        mag = np.exp(re - np.repeat(np.repeat(shift, 3), size)) if any(shift) else np.exp(re)
-        im = log_chi.imag + t * lnz_k
-        if heads:
-            # the first node weighs a half, but in full in the line's |w|
-            for j, first in zip(head, mag[begin[head]].tolist()):
-                lines[j // 3].amplitude += 0.5 * first
-            mag[begin[[j + o for j in head for o in (-2, -1, 0)]]] *= 0.5
+            # and its edges' first nodes and it weigh a half
+            mag[[begin[3 * j + o] for j in heads for o in range(3)]] *= 0.5
+        begin = np.array(begin)
         part = np.add.reduceat(mag, begin).tolist()
-        real = np.add.reduceat(mag * np.cos(im), begin)[2::3].tolist()
-        # the turn of the phase between neighbouring nodes of a pass
-        prev = np.empty_like(im)
-        prev[1:] = im[:-1]
-        prev[begin] = phase
-        if heads:
-            prev[begin[head]] = im[begin[head]]
-        turn = (np.maximum.reduceat(np.abs(im - prev), begin)[2::3] > 0.25 * math.pi).tolist()
-        heads, halved, done, moved = False, [], [], {}
-        for j, (line, lower, upper, amplitude, total, turned, phase, end, drop) in enumerate(zip(
-                lines, part[::3], part[1::3], part[2::3], real, turn, im[tail].tolist(),
-                mag[tail].tolist(), (re[tail - (_WIDTH - 1)] - re[tail]).tolist())):
+        # the largest turn of the phase between neighbouring nodes of a
+        # line, from the last node before the ask on
+        diff = np.concatenate(([0.0], im[:-1]))
+        diff[begin] = before
+        diff -= im
+        turns = np.fmax.reduceat(np.abs(diff, out=diff), begin)[2::3].tolist()
+        last = im[tail].tolist()
+        cos = np.cos(im, out=im)
+        cos *= mag
+        real = np.add.reduceat(cos, begin)[2::3].tolist()
+        kept = []
+        for line, t, (edge, nxt), lower, upper, amplitude, total, turn, phase, drop in zip(
+                lines, tail, ends, part[::3], part[1::3], part[2::3], real, turns, last, drops):
             # an edge that asked for no node has no sum
-            if ends[3 * j] > line.edge:
+            if edge > line.edge:
                 line.lower += lower
                 line.upper += upper
             line.amplitude += amplitude
             line.total += total
-            line.turned |= turned
-            line.phase, line.nxt, line.edge = phase, ends[3 * j + 2], ends[3 * j]
+            line.turned |= turn > 0.25 * math.pi
+            line.phase, line.nxt, line.edge = phase, nxt, edge
             if line.nxt < line.stop:
+                kept.append(line)
                 continue
             # at the end of a pass a value that is not finite fails, a
             # phase that turned too fast halves h, |w| at the end within
             # the bound converges, and otherwise the span grows
-            value, h_e, i, reach = line.h * line.total, line.h, line.inst, line.h * line.stop
+            value, h, stop, i = line.h * line.total, line.h, line.stop, line.inst
+            end = float(mag[t])
             if not math.isfinite(value):
                 results[i] = _finished(value, 0.0, line.shift)
             elif line.turned:
-                halved.append(j)
-                line.h *= 0.5
-                line.stop *= 2
+                h, stop = 0.5 * h, 2 * stop
             elif end <= 1e-14 * abs(value):
                 # Trefethen and Weideman, Thm 5.1: where w is analytic in
                 # the strip of half-width a about the line, and M bounds
@@ -668,51 +665,31 @@ def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, f
                 # larger of its two edges, each summed with step 8 h, is
                 # M.  Then the tail past the span, and rounding in a sum
                 # of terms of size |w|.
-                big_m = 8.0 * h_e * max(line.lower, line.upper)
+                big_m = 8.0 * h * max(line.lower, line.upper)
                 results[i] = _finished(value, 2.0 * big_m / math.expm1(8.0 * math.pi)
-                                       + end / rate[i] + 3e-16 * h_e * line.amplitude,
+                                       + end / rate[i] + 3e-16 * h * line.amplitude,
                                        line.shift)
             else:
                 # to where |w|, falling on as over the last _WIDTH nodes,
                 # meets the bound, with a fifth to spare; in doubles, so
                 # that a bound or a fall that underflows leaves 0.7
-                fall = drop / ((_WIDTH - 1) * h_e)
-                more = 0.7 * line.stop
+                fall = drop / ((_WIDTH - 1) * h)
+                more = 0.7 * stop
                 if fall > 0.0 and value:
                     more = min(more, 1.2 * np.log(np.float64(end) / (1e-14 * abs(value)))
-                               / (fall * h_e))
-                line.stop = _WIDTH * math.ceil((line.stop + more) / _WIDTH)
-                for r, n in zip(rows[3 * j:3 * j + 3].tolist(), (_edge(line.stop),) * 2
-                                + (line.stop,)):
-                    if n > table.room[r]:
-                        moved[r] = max(n, moved.get(r, 0))
-            if results[i] is None and line.stop > _MAX_NODES:
-                results[i] = ContourError(f"line needs over {_MAX_NODES} nodes: step {line.h:.3g}, "
-                                          f"|w| still {end:.2e} at t = {reach:.3g}")
-            if results[i] is not None:
-                done.append(j)
-        if moved:
-            table.move(list(moved), list(moved.values()))
-        halved = [j for j in halved if j not in done]
-        if halved:
-            # a halved line sums its whole span again
-            at = np.add.outer(3 * np.array(halved), np.arange(3)).ravel()
-            i = np.array([lines[j].inst for j in halved])
-            more = np.empty((5, 3, len(halved)))
-            rows[at] = _lines(table, i, x[i], np.array([lines[j].h for j in halved]),
-                              np.array([lines[j].stop for j in halved]), lnz[i],
-                              log_prefactor[i], more).T.ravel()
-            const[:, at] = more.transpose(0, 2, 1).reshape(5, -1)
-            for j in halved:
-                lines[j].start()
-            heads = True
-        if done:
-            if joined == waiting.size and len(done) == len(lines):
-                return results
-            keep = np.ones(len(lines), dtype=bool)
-            keep[done] = False
-            lines = [line for line, kept in zip(lines, keep.tolist()) if kept]
-            rows, const = rows[np.repeat(keep, 3)], const[:, np.repeat(keep, 3)]
+                               / (fall * h))
+                stop = _WIDTH * math.ceil((stop + more) / _WIDTH)
+            if results[i] is None and stop > _MAX_NODES:
+                results[i] = ContourError(f"line needs over {_MAX_NODES} nodes: step {h:.3g}, "
+                                          f"|w| still {end:.2e} at t = {line.h * line.stop:.3g}")
+            if results[i] is None:
+                if line.turned:
+                    # a halved line sums its whole span again
+                    line.start(table, h, stop)
+                else:
+                    line.stop = stop
+                kept.append(line)
+        lines = kept
 
 
 def meijer_g_batch(specs: list[MeijerGSpec],

@@ -52,6 +52,7 @@ from risfso.special.meijerg import (
     _pick_sigma,
     _snap,
     _table,
+    _trapezoid,
 )
 from risfso.statistics import cdf_form, mgf_form, pdf_form
 
@@ -287,13 +288,13 @@ def test_batch_keeps_values_beside_a_failing_line_and_a_halving_one(monkeypatch)
              MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, log_argument=math.log(0.8))]
     alone = [meijer_g_batch([spec], [0.0])[0] for spec in specs]
     steps = []
-    lines = meijerg._lines
+    start = meijerg._Line.start
 
-    def recording(table, inst, x, h, *rest):
-        steps.append(h.tolist())
-        return lines(table, inst, x, h, *rest)
+    def recording(line, table, h, stop):
+        steps.append(h)
+        start(line, table, h, stop)
 
-    monkeypatch.setattr(meijerg, "_lines", recording)
+    monkeypatch.setattr(meijerg._Line, "start", recording)
     fails, exp2, halves = meijer_g_batch(specs, [0.0, 0.0, 0.0])
     assert isinstance(fails, ContourError) and "too fine" in str(fails)
     assert isinstance(alone[0], ContourError) and str(alone[0]) == str(fails)
@@ -301,10 +302,39 @@ def test_batch_keeps_values_beside_a_failing_line_and_a_halving_one(monkeypatch)
     assert halves.value == pytest.approx(0.0529417155971279576, rel=1e-10)
     # e^-2 and the third line start at their steps, then the third again
     # at half its own
-    assert len(steps) == 3 and steps[2] == [0.5 * steps[1][0]]
+    assert len(steps) == 3 and steps[2] == 0.5 * steps[1]
     for one, res in zip(alone[1:], (exp2, halves)):
         assert (res.value.hex(), res.abs_error_estimate.hex()) \
             == (one.value.hex(), one.abs_error_estimate.hex())
+
+
+def test_a_shared_row_grows_for_a_line_with_a_longer_pass():
+    # two lines of one kernel on one line, the first made to start with a
+    # third of the second's pass: the rows that the first line makes must
+    # grow for the second, as a row made by a line halving at its first
+    # pass must for a line halving after two growths, and each value
+    # stays that of a batch of one
+    spec = MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0))
+    gamma, logs, constant, slope = _kernel_tables(spec)
+    lo, hi = _contour_strip(spec)
+    lnz = [math.log(2.0) + slope, math.log(3.0) + slope]
+    sigma = _pick_sigma(_Kernels([(gamma, logs)], lnz[:1], [constant]),
+                        np.array([lo]), np.array([hi]))[0]
+    placed = _snap(sigma, lo, hi)
+    rate = [1.5 * math.pi, 0.5 * math.pi]
+
+    def run(which):
+        kernels = _Kernels([(gamma, logs)] * len(which), [lnz[i] for i in which],
+                           [constant] * len(which))
+        return _trapezoid(kernels, [0] * len(which), [placed] * len(which),
+                          [rate[i] for i in which])
+
+    batch = run([0, 1])
+    for i, want in enumerate((math.exp(-2.0), math.exp(-3.0))):
+        (alone,) = run([i])
+        assert batch[i].value == pytest.approx(want, rel=1e-13)
+        assert (batch[i].value.hex(), batch[i].abs_error_estimate.hex()) \
+            == (alone.value.hex(), alone.abs_error_estimate.hex())
 
 
 def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
