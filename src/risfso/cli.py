@@ -19,6 +19,7 @@ import sys
 from . import presets
 from .channel import DetectionMode, alpha_beta, path_loss, pointing_state
 from .metrics import (
+    RATE_CONVENTIONS,
     ModulationScheme,
     asymptotic_ber,
     average_ber,
@@ -29,6 +30,8 @@ from .simulator import McConfig
 from .special import MeijerGError
 from .statistics import SnrDistribution, cdf, mgf, pdf
 from .sweeps import (
+    INTERPRETATIONS,
+    METRICS,
     ConfigError,
     _field,
     _require,
@@ -141,13 +144,12 @@ def _build_parser() -> _Parser:
         if name == "outage":
             p.add_argument("--gamma-th-db", type=float)
             p.add_argument("--rate", type=float)
-            p.add_argument("--rate-convention", default="exp2r-minus1-exponent",
-                           choices=["exp2r-minus1-exponent", "exp2r-minus-1"])
+            p.add_argument("--rate-convention", default=RATE_CONVENTIONS[0],
+                           choices=RATE_CONVENTIONS)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of one metric")
     _add_channel_args(p)
-    p.add_argument("--metric", required=True,
-                   choices=["outage", "capacity", "ber", "mgf"])
+    p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--gamma-th-db", type=float)
     p.add_argument("--scheme", help="BER scheme, as for the ber command")
     p.add_argument("--s", type=float)
@@ -164,7 +166,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--format", default=None, choices=["csv", "json"])
     p.add_argument("--out")
-    p.add_argument("--gbar-interpretation", choices=["product", "per-hop"])
+    p.add_argument("--gbar-interpretation", choices=INTERPRETATIONS)
     return parser
 
 

@@ -41,6 +41,13 @@ __all__ = [
 
 # relative tolerance of the quadrature twins
 _TWIN_REL_TOL = 1e-9
+# outage_probability's threshold gamma_th from a target rate R, by rate
+# convention, the first being the default
+_RATE_THRESHOLDS = {
+    "exp2r-minus1-exponent": lambda rate: math.exp(2.0 * rate - 1.0),
+    "exp2r-minus-1": lambda rate: math.expm1(2.0 * rate),
+}
+RATE_CONVENTIONS = tuple(_RATE_THRESHOLDS)
 
 
 class ModulationScheme(enum.Enum):
@@ -80,12 +87,15 @@ def outage_probability(dist: SnrDistribution, gamma_th: float | None = None, *,
     if (gamma_th is None) == (rate is None):
         raise ValueError("give exactly one of gamma_th or rate")
     if rate is not None:
-        if rate_convention == "exp2r-minus1-exponent":
-            gamma_th = math.exp(2.0 * rate - 1.0)
-        elif rate_convention == "exp2r-minus-1":
-            gamma_th = math.expm1(2.0 * rate)
-        else:
+        if rate_convention not in _RATE_THRESHOLDS:
             raise ValueError(f"unknown rate_convention {rate_convention!r}")
+        if not math.isfinite(rate):
+            raise ValueError(f"rate must be finite, got {rate!r}")
+        try:
+            gamma_th = _RATE_THRESHOLDS[rate_convention](rate)
+        except OverflowError:
+            raise ValueError(
+                f"rate {rate!r} gives a threshold past the largest double") from None
     if gamma_th < 0.0:
         raise ValueError(f"gamma_th must be nonnegative, got {gamma_th!r}")
     return cdf(dist, gamma_th)

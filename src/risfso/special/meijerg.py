@@ -400,24 +400,22 @@ def _edge(k: int) -> int:
 class _Row:
     """Log chi of one kernel on the nodes x + i k step of a line, k <
     size, from offset on in the buffer of a ``_Table``, with room there
-    for room nodes; need is the end of the round's asks, and parent the
-    row of twice the step, which holds the even k, or None."""
+    for room nodes; need is the end of the round's asks."""
 
-    __slots__ = ("kernel", "x", "step", "parent", "offset", "room", "size", "need")
+    __slots__ = ("kernel", "x", "step", "offset", "room", "size", "need")
 
-    def __init__(self, kernel: int, x: float, step: float, parent: _Row | None) -> None:
-        self.kernel, self.x, self.step, self.parent = kernel, x, step, parent
+    def __init__(self, kernel: int, x: float, step: float) -> None:
+        self.kernel, self.x, self.step = kernel, x, step
         self.offset = self.room = self.size = self.need = 0
 
 
 class _Table:
     """The rows of log chi that the lines of a batch ask for, in one
     buffer.  A round first extends each row to the end of its asks
-    (``extend``), then computes each new node once, by kernel, but copies
-    the even k of a halved line's row from its parent (``fill``).  A row
-    that outgrows its room moves to the end of the buffer with room for
-    half as many nodes again, and a full buffer packs its rows anew into
-    one with half as much room again as they have.  A node's log chi
+    (``extend``), then computes each new node once, by kernel (``fill``).
+    A row that outgrows its room moves to the end of the buffer with room
+    for half as many nodes again, and a full buffer packs its rows anew
+    into one with half as much room again as they have.  A node's log chi
     depends on its kernel and s alone, so no value depends on the
     batch."""
 
@@ -432,8 +430,7 @@ class _Table:
     def row(self, kernel: int, x: float, step: float) -> _Row:
         row = self.index.get((kernel, x, step))
         if row is None:
-            row = self.index[kernel, x, step] = _Row(
-                kernel, x, step, self.index.get((kernel, x, 2.0 * step)))
+            row = self.index[kernel, x, step] = _Row(kernel, x, step)
         return row
 
     def extend(self, row: _Row, stop: int) -> None:
@@ -461,28 +458,17 @@ class _Table:
                 row.offset = self.used
                 self.used += row.room
             self.chi = chi
-        # per kernel the runs (offset, first k, count, stride, x, step)
+        # per kernel the runs (offset, first k, count, x, step)
         runs: dict[int, list[tuple]] = {}
         for row in grown:
-            size = top = row.size
-            if row.parent is not None:
-                # the even k that the parent holds, and the odd k between
-                top = max(size, min(row.need, 2 * row.parent.size))
-                at, up = row.offset, row.parent.offset
-                self.chi[at + size + size % 2:at + top:2] = \
-                    self.chi[up + (size + 1) // 2:up + (top + 1) // 2]
-                runs.setdefault(row.kernel, []).append(
-                    (row.offset, size | 1, (top - (size | 1) + 1) // 2, 2, row.x, row.step))
             runs.setdefault(row.kernel, []).append(
-                (row.offset, top, row.need - top, 1, row.x, row.step))
-        for row in grown:
+                (row.offset, row.size, row.need - row.size, row.x, row.step))
             row.size = row.need
         for kernel, run in runs.items():
-            offset, first, count, stride, x, step = np.array(run).T
+            offset, first, count, x, step = np.array(run).T
             count = count.astype(np.intp)
             n = np.add.accumulate(count)
-            k = first.repeat(count) + stride.repeat(count) * (
-                np.arange(n[-1]) - (n - count).repeat(count))
+            k = first.repeat(count) + np.arange(n[-1]) - (n - count).repeat(count)
             slot = (offset.repeat(count) + k).astype(np.intp)
             s = np.empty(k.size, dtype=complex)
             s.real, s.imag = x.repeat(count), k * step.repeat(count)

@@ -50,6 +50,7 @@ __all__ = [
 
 VARIABLES = ("mean_snr_db", "gamma_th_db", "zeta")
 INTERPRETATIONS = ("product", "per-hop")
+METRICS = ("outage", "capacity", "ber", "mgf")
 # far above the largest bundled preset (81 points per curve)
 MAX_GRID_POINTS = 100_000
 
@@ -317,8 +318,7 @@ def metric_spec(obj: dict, path: str, variable: str | None) -> MetricSpec:
     _check_keys(obj, allowed, path)
     _require("name" in obj, path, "name is required")
     name = str(obj["name"])
-    _require(name in ("outage", "capacity", "ber", "mgf"), f"{path}.name",
-             "must be one of outage, capacity, ber, mgf")
+    _require(name in METRICS, f"{path}.name", f"must be one of {', '.join(METRICS)}")
     gamma_th_db = _field(obj, "gamma_th_db", path)
     scheme = str(obj["scheme"]).upper() if "scheme" in obj else None
     s = _field(obj, "s", path)

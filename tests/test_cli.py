@@ -498,6 +498,11 @@ ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
       "--batch-size", "0"], "mc.batch_size: must be >= 1"),
     (["sweep", "--preset", "fig3", "--seed", "-1"],
      "sweep.seed: must lie in [0, 2^64), got -1"),
+    (["outage", *ONE_POINT, "--zeta", "2", "--rate", "400"],
+     "rate 400.0 gives a threshold past the largest double"),
+    (["outage", *ONE_POINT, "--zeta", "2", "--rate", "355",
+      "--rate-convention", "exp2r-minus-1"],
+     "rate 355.0 gives a threshold past the largest double"),
 ])
 def test_cli_field_errors_name_the_field(capsys, argv, message):
     # the CLI's channel and MC flags go through the JSON config parser
@@ -539,6 +544,10 @@ def test_cli_field_errors_name_the_field(capsys, argv, message):
     (["mc", "--metric", "outage", "--gamma-th-db", "4000", *ONE_POINT,
       "--zeta", "2", "--samples", "1000"],
      "metric.gamma_th_db: 4000 dB is not a finite positive double once linear"),
+    (["outage", *ONE_POINT, "--zeta", "2", "--rate", "nan"],
+     "rate must be finite, got nan"),
+    (["outage", *ONE_POINT, "--zeta", "2", "--rate", "inf"],
+     "rate must be finite, got inf"),
 ])
 def test_cli_non_finite_inputs_exit_one_naming_the_field(capsys, argv, message):
     assert cli.main(argv) == 1

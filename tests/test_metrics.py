@@ -66,6 +66,14 @@ def test_outage_rate_conventions():
         outage_probability(dist)
     with pytest.raises(ValueError):
         outage_probability(dist, 1.0, rate=1.0)
+    # a rate that is no finite double, or whose threshold is none, is the
+    # caller's error and names the rate
+    for rate in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^rate must be finite"):
+            outage_probability(dist, rate=rate)
+    for rate, convention in ((400.0, "exp2r-minus1-exponent"), (355.0, "exp2r-minus-1")):
+        with pytest.raises(ValueError, match=r"^rate .* past the largest double"):
+            outage_probability(dist, rate=rate, rate_convention=convention)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +144,22 @@ def test_capacity_rises_and_ber_falls_with_mean_snr(row, zeta, a, scheme, low_db
     low, high = (make_dist(alpha, beta, zeta, a, db) for db in (low_db, high_db))
     assert ergodic_capacity(high) >= ergodic_capacity(low)
     assert average_ber(high, scheme) <= average_ber(low, scheme)
+
+
+@given(row=st.sampled_from(TABLE2_LEVELS), zeta=st.floats(0.3, 20.0),
+       a=st.sampled_from([1, 2]), scheme=st.sampled_from(list(ModulationScheme)),
+       mean_snr_db=st.floats(-100.0, 600.0))
+def test_asymptote_is_a_ber_or_warns_and_keeps_a_number(row, zeta, a, scheme, mean_snr_db):
+    # far below its regime the expansion is no BER; it says so and still
+    # reports its sum, which is never NaN
+    _, alpha, beta = row
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = asymptotic_ber(make_dist(alpha, beta, zeta, a, mean_snr_db), scheme).ber_estimate
+    if any(issubclass(w.category, RuntimeWarning) for w in caught):
+        assert not math.isnan(est)
+    else:
+        assert 0.0 <= est <= 0.5
 
 
 @pytest.mark.parametrize("scheme", list(ModulationScheme))
