@@ -34,7 +34,6 @@ from .sweeps import (
     METRICS,
     ConfigError,
     _field,
-    _require,
     _seed,
     _write_text,
     db_to_linear,
@@ -155,7 +154,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=float)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=200_000)
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="run a grid sweep from a preset or config")
@@ -223,10 +221,8 @@ def _run(args: argparse.Namespace) -> int:
         dist = _distribution(args)
         metric = metric_spec({"name": args.metric,
                               **_given(args, _MC_METRIC_KEYS)}, "metric", None)
-        _require(args.batch_size >= 1, "mc.batch_size", "must be >= 1")
         cfg = McConfig(sample_count=metric.samples,
-                       seed=_field(vars(args), "seed", "mc", _seed),
-                       batch_size=args.batch_size)
+                       seed=_field(vars(args), "seed", "mc", _seed))
         est = mc_estimate(metric, dist, cfg, metric.gamma_th_db)
         _print_result({"mean": est.mean, "std_error": est.std_error,
                        "sample_count": est.sample_count,

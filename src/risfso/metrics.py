@@ -91,6 +91,8 @@ def outage_probability(dist: SnrDistribution, gamma_th: float | None = None, *,
             raise ValueError(f"unknown rate_convention {rate_convention!r}")
         if not math.isfinite(rate):
             raise ValueError(f"rate must be finite, got {rate!r}")
+        if rate < 0.0:
+            raise ValueError(f"rate must be >= 0, got {rate!r}")
         try:
             gamma_th = _RATE_THRESHOLDS[rate_convention](rate)
         except OverflowError:

@@ -31,19 +31,18 @@ __all__ = [
 ]
 
 _METRICS = ("outage", "capacity", "ber", "mgf")
+# samples per batch; batch k draws from the generator keyed by (seed, k)
+_BATCH = 200_000
 
 
 @dataclass(frozen=True)
 class McConfig:
     sample_count: int
     seed: int
-    batch_size: int = 200_000
 
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
@@ -141,9 +140,9 @@ def estimate_metric(metric: str, chan: McChannel, config: McConfig, *,
                     s: float | None = None) -> McEstimate:
     """Streaming Monte Carlo estimate of one metric.
 
-    Batches draw from independent generators keyed by (seed, batch
-    index) and merge in batch order, so the result is bit-identical for
-    a fixed configuration no matter how batches are scheduled.
+    Batches of ``_BATCH`` samples draw from independent generators keyed
+    by (seed, batch index) and merge in batch order, so the seed and the
+    sample count fix the result to the last bit.
     """
     if metric == "outage" and (gamma_th is None or math.isnan(gamma_th)):
         raise ValueError(f"outage needs gamma_th, got {gamma_th!r}")
@@ -158,7 +157,7 @@ def estimate_metric(metric: str, chan: McChannel, config: McConfig, *,
     remaining = config.sample_count
     batch_index = 0
     while remaining > 0:
-        size = min(config.batch_size, remaining)
+        size = min(_BATCH, remaining)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([config.seed, batch_index])))
         snr = sample_end_to_end_snr(chan, rng, size)

@@ -2,28 +2,24 @@
 
 ``meijer_g_batch`` sums the defining Mellin-Barnes integral of each
 instance with the trapezoid rule along a vertical line placed inside the
-strip separating the two pole families.  The line passes near the
-saddle point of the integrand on the real axis, where its magnitude is
-least: the root of the digamma sum that is the derivative of its log,
-found by Newton steps inside a bracket (``_pick_sigma``).  There the
-integral cancels least, deep in either tail, near saturation and for
-large shapes alike, even where the saddle lies millions of units from
-the end of a one-sided strip.
-
-The line itself lies on a lattice near the saddle that the strip alone
-fixes (``_snap``), and the step follows from the line, so the instances
-of one kernel whose saddles lie close together, the points of a sweep
-curve, ask for the same nodes.  The integrand is analytic in the strip
-of half-width d about the line, d being the distance to the nearest
-pole, where the trapezoid rule converges geometrically (Trefethen and
-Weideman, SIAM Review 56(3), 2014, Thm 5.1).  Each instance takes its
-own span from its integrand and keeps its own error estimate.
-``_trapezoid`` sums all instances of a batch in rounds: each round
-gathers every line's next nodes from one table of log chi per kernel and
-line (``_Table``), so the log-gammas of a node are computed once per
-batch, and sums the lines as flat arrays with np.add.reduceat.  A value
-depends on its instance and its line alone, not on its batch.
-``meijer_g`` is a batch of one.
+strip separating the two pole families.  The lines lie on a lattice that
+the strip alone fixes (``_snap``).  An instance takes the one whose cell
+holds the saddle point of its integrand on the real axis, where the
+integral cancels least, in the tails and for large shapes alike: the
+cell at whose bounds the derivative of the log magnitude, a digamma sum,
+changes sign (``_pick_lines``; one round past a bracketing grid for 95 %
+of instances, at most five).  The step follows from the line, so the
+points of a sweep curve, whose saddles lie close together, ask for the
+same nodes.  The integrand is analytic in the strip of half-width d
+about the line, d being the distance to the nearest pole, where the
+trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
+Review 56(3), 2014, Thm 5.1).  Each instance takes its own span from its
+integrand and keeps its own error estimate.  ``_trapezoid`` sums all
+instances of a batch in rounds: each round gathers every line's next
+nodes from one table of log chi per kernel and line (``_Table``), so the
+log-gammas of a node are computed once per batch, and sums the lines as
+flat arrays with np.add.reduceat.  A value depends on its instance and
+its line alone, not on its batch.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -50,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, zeta
+from scipy.special import digamma
 
 from .gammafn import loggamma_complex
 
@@ -90,12 +86,10 @@ _GRID = np.arange(-12.0, 12.25, 0.5)
 # still a double and phi' counts as -+_G_MAX
 _U_MAX, _G_MAX = 700.0, 1e300
 _BRACKET = np.concatenate([[-_U_MAX], _GRID, [_U_MAX]])
-# that first round takes the instances in slabs of about this many
-# digamma arguments, so its arrays stay near 64 kB
+# the search takes the instances in slabs of about this many digamma
+# arguments, so its arrays stay near 64 kB
 _SLAB = 8192
-# an instance's search stops at its first Newton step below _U_TOL, or
-# after _MAX_STEPS steps
-_U_TOL = 1e-8
+# rounds of the search after the grid's; an instance then keeps its cell
 _MAX_STEPS = 60
 
 
@@ -281,100 +275,109 @@ def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def _pick_sigma(kernels: _Kernels, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per instance, the saddle point of the integrand on the real axis:
-    the sigma in (lo, hi) where phi' = 0, phi(sigma) = Re log chi(sigma)
-    + sigma ln z being the log of the integrand's magnitude there.
-
-    phi' rises through zero, from -inf at the pole at lo, or at the far
-    end of a one-sided strip where the gammas grow, to +inf at the other
-    end.  The search runs in u, with sigma = lo + e^u or hi - e^-u on a
-    one-sided strip and sigma - lo = e^u / (1 + e^u / (hi - lo)) on a
-    two-sided one: near a pole phi' grows like exp(|u|), and far out on
-    a one-sided strip, where the saddle can lie millions of units from
-    its end, it is near linear in u.  One round over ``_GRID`` brackets the sign
-    change; Newton steps in u follow from the secant point, each held
-    inside the bracket.  An instance stops at its first step below
-    ``_U_TOL``, so its sigma does not depend on the batch.
+def _pick_lines(kernels: _Kernels, strips: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Per instance, the lattice line (``_snap``) whose cell holds the
+    saddle of the integrand on the real axis, and its distance to the
+    nearest pole.  There phi' = 0, phi(sigma) = Re log chi(sigma) + sigma
+    ln z being the log of the magnitude; phi' rises from -inf at the pole
+    at lo, or at the far end of a one-sided strip, to +inf at the other.
+    The search runs in u, sigma = lo + e^u or hi - e^-u on a one-sided
+    strip and sigma - lo = e^u / (1 + e^u / (hi - lo)) on a two-sided
+    one, where phi' is near linear even far from a pole.  A round over
+    ``_GRID`` brackets the sign change, and its secant point is the first
+    guess.  Each round then snaps the guess: a cell where phi' is <= 0 at
+    its lower bound and >= 0 at its upper one holds the saddle, whatever
+    the batch; else a bound of the wrong sign closes the bracket, and the
+    secant through the bounds, or the bracket's midpoint where that falls
+    outside it, is the next guess.
     """
-    count = len(lo)
-    k, kg = kernels.width, kernels.gamma_width
+    lo, hi = np.array(strips).T
+    k, kg, lnz = kernels.width, kernels.gamma_width, kernels.rows[:, 0]
     # offsets, signs of s and weights of the factors, each log factor
     # unfolded into log-gammas, log x = logGamma(x + 1) - logGamma(x):
-    # phi' is then one sum of digammas and phi'' one of trigammas,
-    # zeta(2, x), which is polygamma(1, x) without polygamma's wrapper;
-    # a factor of slope e weighs e in phi' and e^2 in phi''
-    table = kernels.rows[:, 2:].reshape(count, 3, k)
+    # phi' is then one sum of digammas, a factor of slope e weighing e
+    table = kernels.rows[:, 2:].reshape(-1, 3, k)
     table = np.concatenate([table, table[:, :, kg:]], axis=2)
     table[:, 0, k:] += 1.0
     table[:, 2, kg:k] *= -1.0
-    off, sign, weight = table[:, 0], table[:, 1], table[:, 2]
+    off, sign, weight = table.transpose(1, 0, 2)
     slope_weight = weight * sign
-    curvature_weight = slope_weight * sign
-    lnz = kernels.rows[:, 0]
     # sigma = end + side * dist, dist = gap / (1 + gap / width) and
-    # gap = exp(side * u); then dsigma/du = dist^2 / gap, and the
-    # arguments of the gammas are base + rate * dist
-    left = np.isfinite(lo)
-    side = np.where(left, 1.0, -1.0)
-    end = np.where(left, lo, hi)
+    # gap = exp(side * u); the arguments of the gammas are base + rate * dist
+    side = np.where(np.isfinite(lo), 1.0, -1.0)
+    end = np.where(side > 0.0, lo, hi)
     inv_width = 1.0 / (hi - lo)  # 0 on a one-sided strip
     base = off + sign * end[:, None]
     rate = sign * side[:, None]
 
-    gap = np.exp(side[:, None] * _GRID)
-    dist = gap / (1.0 + gap * inv_width[:, None])
-    # phi' on the grid, between -+_G_MAX at the ends of the bracket, for
-    # a slab of instances at a time
-    g = np.empty((count, _BRACKET.size))
+    # both read the arrays of the instances still searching, row by row
+    def distance(u: np.ndarray) -> np.ndarray:
+        gap = np.exp(side[:, None] * u)
+        return gap / (1.0 + gap * inv_width[:, None])
+
+    def slopes(dist: np.ndarray) -> np.ndarray:
+        # phi' at dist, in slabs of about _SLAB digammas
+        g = np.empty(dist.shape)
+        step = max(1, _SLAB // (dist.shape[1] * base.shape[1]))
+        for i in range(0, len(g), step):
+            part = slice(i, i + step)
+            x = base[part, None, :] + rate[part, None, :] * dist[part, :, None]
+            np.add.reduce(digamma(x) * slope_weight[part, None, :], axis=2, out=g[part])
+        return g + lnz[:, None]
+
+    # phi' on the grid and -+_G_MAX past it; the bracket [a, b] of its sign change
+    index = np.arange(lo.size)
+    g = np.empty((lo.size, _BRACKET.size))
     g[:, 0], g[:, -1] = -_G_MAX, _G_MAX
-    step = max(1, _SLAB // (_GRID.size * base.shape[1]))
-    for i in range(0, count, step):
-        part = slice(i, i + step)
-        x = base[part, None, :] + rate[part, None, :] * dist[part, :, None]
-        np.add.reduce(digamma(x) * slope_weight[part, None, :], axis=2, out=g[part, 1:-1])
-    g[:, 1:-1] += lnz[:, None]
-    # the bracket [a, b] around the first sign change
+    g[:, 1:-1] = slopes(distance(_GRID))
     j = np.argmax(g > 0.0, axis=1)
-    index = np.arange(count)
     a, b = _BRACKET[j - 1], _BRACKET[j]
     g_a, g_b = g[index, j - 1], g[index, j]
     u = a + (b - a) * g_a / (g_a - g_b)
-    done = np.zeros(count, dtype=bool)
+    placed: dict[int, tuple[float, float]] = {}
     for _ in range(_MAX_STEPS):
-        gap = np.exp(side * u)
-        q = 1.0 / (1.0 + gap * inv_width)
-        dist = gap * q
-        x = base + rate * dist[:, None]
-        g = np.add.reduce(digamma(x) * slope_weight, axis=1) + lnz
-        h = np.add.reduce(zeta(2.0, x) * curvature_weight, axis=1)
-        # fmax and fmin: a step that is not a number goes to the bracket end
-        v = np.fmin(np.fmax(u - g / (h * dist * q), a), b)
-        small = np.abs(v - u) <= _U_TOL
-        u = np.where(done, u, v)
-        done |= small
-        if done.all():
+        sigma = (end + side * distance(u[:, None])[:, 0]).tolist()
+        cells = [_snap(v, *strips[i]) for i, v in zip(index.tolist(), sigma)]
+        placed.update(zip(index.tolist(), [cell[:2] for cell in cells]))
+        # phi' at the cell's bounds, and the bounds in u
+        dist = side[:, None] * (np.array(cells)[:, 2:] - end[:, None])
+        g = slopes(dist)
+        high, low = g[:, 0] > 0.0, g[:, 1] < 0.0
+        if not (wrong := high | low).any():
             break
-    gap = np.exp(side * u)
-    return end + side * gap / (1.0 + gap * inv_width)
+        u_ends = side[:, None] * np.log(dist / (1.0 - dist * inv_width[:, None]))
+        a, b = np.where(low, u_ends[:, 1], a), np.where(high, u_ends[:, 0], b)
+        (u_lo, u_hi), (g_lo, g_hi) = u_ends[wrong].T, g[wrong].T
+        index, side, end, inv_width, base, rate, slope_weight, lnz, a, b = (
+            v[wrong] for v in (index, side, end, inv_width, base, rate, slope_weight, lnz, a, b))
+        u = u_lo - g_lo * (u_hi - u_lo) / (g_hi - g_lo)
+        u = np.where((a < u) & (u < b), u, 0.5 * (a + b))
+    return [placed[i] for i in range(lo.size)]
 
 
-def _snap(sigma: float, lo: float, hi: float) -> tuple[float, float]:
-    """sigma moved onto a lattice that the strip (lo, hi) alone fixes, so
-    that the instances of a kernel share lines, and the distance from
-    there to the nearest pole.  D, the distance from sigma to the nearer
-    end of the strip, goes to the nearest multiple of 0.5 from D = 1 up,
-    and below it ln D to the nearest multiple of 0.25.  The line stays
-    inside the strip, within 0.25 of sigma from D = 1 up and within a
-    factor e^0.125 of D below."""
+def _snap(sigma: float, lo: float, hi: float) -> tuple[float, float, float, float]:
+    """sigma moved onto a lattice that the strip (lo, hi) alone fixes, its
+    distance to the nearest pole, and the bounds of its cell.  D, the
+    distance from sigma to the nearer strip end, goes to the nearest
+    multiple of 0.5 from D = 1 up and below it ln D to that of 0.25: a cell
+    spans D -+ 0.25 from D = 1.5 up, e^-0.125 to 1.25 at D = 1 and
+    D e^-+0.125 below, and ends at the centre of a two-sided strip."""
     below, above = sigma - lo, hi - sigma
     dist = min(below, above)
     if dist >= 1.0:
         dist = 0.5 * round(2.0 * dist)
     elif dist > 0.0:
         dist = math.exp(0.25 * round(4.0 * math.log(dist)))
-    line = lo + dist if below <= above else hi - dist
-    return line, min(line - lo, hi - line)
+    if dist >= 1.5:
+        near, far = dist - 0.25, dist + 0.25
+    else:
+        near, far = dist * math.exp(-0.125), (1.25 if dist == 1.0 else dist * math.exp(0.125))
+    far = min(far, 0.5 * (hi - lo))
+    if below <= above:
+        line, lower, upper = lo + dist, lo + near, lo + far
+    else:
+        line, lower, upper = hi - dist, hi - far, hi - near
+    return line, min(line - lo, hi - line), lower, upper
 
 
 def _finished(total: float, err: float, shift: float) -> EvalResult | MeijerGError:
@@ -717,12 +720,9 @@ def meijer_g_batch(specs: list[MeijerGSpec],
         # each instance's kernel, named by the first instance that has it
         first: dict[tuple, int] = {}
         kernel = [first.setdefault(key, i) for i, key in enumerate(keys)]
-        lo, hi = np.array(strips).T
         # a value that is not finite fails its own instance only
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sigma = _pick_sigma(kernels, lo, hi).tolist()
-            evaluated = _trapezoid(kernels, kernel,
-                                   [_snap(v, *strip) for v, strip in zip(sigma, strips)], rates)
+            evaluated = _trapezoid(kernels, kernel, _pick_lines(kernels, strips), rates)
         for i, res in zip(index, evaluated):
             results[i] = res
     return results

@@ -494,8 +494,6 @@ ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
      "mc.seed: must lie in [0, 2^64), got 18446744073709551616"),
     (["mc", "--metric", "capacity", *ONE_POINT, "--zeta", "2", "--samples", "0"],
      "metric.samples: must be >= 1"),
-    (["mc", "--metric", "capacity", *ONE_POINT, "--zeta", "2",
-      "--batch-size", "0"], "mc.batch_size: must be >= 1"),
     (["sweep", "--preset", "fig3", "--seed", "-1"],
      "sweep.seed: must lie in [0, 2^64), got -1"),
     (["outage", *ONE_POINT, "--zeta", "2", "--rate", "400"],
@@ -503,6 +501,10 @@ ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
     (["outage", *ONE_POINT, "--zeta", "2", "--rate", "355",
       "--rate-convention", "exp2r-minus-1"],
      "rate 355.0 gives a threshold past the largest double"),
+    # a negative rate under either convention, not the threshold it gives
+    (["outage", *ONE_POINT, "--zeta", "2", "--rate=-0.5"], "rate must be >= 0, got -0.5"),
+    (["outage", *ONE_POINT, "--zeta", "2", "--rate=-0.5",
+      "--rate-convention", "exp2r-minus-1"], "rate must be >= 0, got -0.5"),
 ])
 def test_cli_field_errors_name_the_field(capsys, argv, message):
     # the CLI's channel and MC flags go through the JSON config parser

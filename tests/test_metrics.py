@@ -18,6 +18,7 @@ from conftest import (
     solve_mean_snr_db,
 )
 from risfso.metrics import (
+    RATE_CONVENTIONS,
     ModulationScheme,
     asymptotic_ber,
     average_ber,
@@ -74,6 +75,13 @@ def test_outage_rate_conventions():
     for rate, convention in ((400.0, "exp2r-minus1-exponent"), (355.0, "exp2r-minus-1")):
         with pytest.raises(ValueError, match=r"^rate .* past the largest double"):
             outage_probability(dist, rate=rate, rate_convention=convention)
+    # a negative rate under either convention; rate 0 stays valid, and
+    # exp(2R) - 1 makes it the threshold 0
+    for convention in RATE_CONVENTIONS:
+        with pytest.raises(ValueError, match=r"^rate must be >= 0, got -0\.5$"):
+            outage_probability(dist, rate=-0.5, rate_convention=convention)
+    assert outage_probability(dist, rate=0.0) == pytest.approx(cdf(dist, math.exp(-1.0)))
+    assert outage_probability(dist, rate=0.0, rate_convention="exp2r-minus-1") == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,23 @@ def test_every_top_level_name_is_used_or_exported():
                    if name not in exported and name not in loaded
                    and not (name.startswith("__") and name.endswith("__"))]
     assert not unused, unused
+
+
+def test_every_imported_name_is_read_or_exported():
+    # an import that nothing reads is left over from deleted code; a
+    # package __init__ re-exports its imports through __all__
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = _defined(tree)[1]
+        unused += [f"{path.relative_to(PACKAGE)}:{name}" for name in imported
+                   if name not in read and name not in exported]
+    assert not unused, unused

@@ -49,7 +49,7 @@ from risfso.special.meijerg import (
     _Kernels,
     _kernel_tables,
     _merged_factors,
-    _pick_sigma,
+    _pick_lines,
     _snap,
     _table,
     _trapezoid,
@@ -318,9 +318,7 @@ def test_a_shared_row_grows_for_a_line_with_a_longer_pass():
     gamma, logs, constant, slope = _kernel_tables(spec)
     lo, hi = _contour_strip(spec)
     lnz = [math.log(2.0) + slope, math.log(3.0) + slope]
-    sigma = _pick_sigma(_Kernels([(gamma, logs)], lnz[:1], [constant]),
-                        np.array([lo]), np.array([hi]))[0]
-    placed = _snap(sigma, lo, hi)
+    (placed,) = _pick_lines(_Kernels([(gamma, logs)], lnz[:1], [constant]), [(lo, hi)])
     rate = [1.5 * math.pi, 0.5 * math.pi]
 
     def run(which):
@@ -528,6 +526,58 @@ def _raw_slopes(spec: MeijerGSpec, sigma: float) -> tuple[float, float, float]:
     return math.fsum(terms), sum(map(abs, terms)), curvature
 
 
+def _cells(line: float, lo: float, hi: float) -> list[tuple[float, float, float]]:
+    """The cells that ``_snap`` moves onto line, as (strip end it measures
+    from, lower bound, upper bound): the line's own, and on a two-sided
+    strip those that meet at the centre, which may end short of a line
+    just past it."""
+    probes = [line]
+    if math.isfinite(lo) and math.isfinite(hi):
+        centre = 0.5 * (lo + hi)
+        probes += [math.nextafter(centre, lo), math.nextafter(centre, hi)]
+    cells = set()
+    for probe in probes:
+        snapped, _, lower, upper = _snap(probe, lo, hi)
+        if snapped == line:
+            cells.add((lo if probe - lo <= hi - probe else hi, lower, upper))
+    return sorted(cells)
+
+
+def _assert_line_holds_the_saddle(spec: MeijerGSpec, line: float, d: float) -> None:
+    """The line lies strictly inside the strip, on the lattice, with d its
+    distance to the nearer pole, and phi' is <= 0 at the lower bound of
+    its cells and >= 0 at the upper one, within the rounding of its terms
+    and of the bound."""
+    lo, hi = _contour_strip(spec)
+    assert lo < line < hi, (spec, line)
+    assert d == min(line - lo, hi - line), (spec, line, d)
+    cells = _cells(line, lo, hi)
+    assert cells, (spec, line)
+    eps = np.finfo(float).eps
+    for end, lower, upper in cells:
+        # within half a spacing of the line: 0.5 in the distance D to the
+        # strip end from D = 1 up, 0.25 in ln D below
+        dist = abs(line - end)
+        for bound in (lower, upper):
+            if dist >= 1.0:
+                assert abs(abs(bound - end) - dist) <= 0.25 + 4 * eps * abs(line), (spec, line)
+            else:
+                assert abs(math.log(abs(bound - end) / dist)) <= 0.125 + 1e-12, (spec, line)
+    for bound, sign in ((min(c[1] for c in cells), 1.0), (max(c[2] for c in cells), -1.0)):
+        slope, size, curvature = _raw_slopes(spec, bound)
+        assert sign * slope <= 8 * eps * (size + abs(curvature * bound)), (spec, line, bound, slope)
+
+
+def _lines(specs: list[MeijerGSpec]) -> list[tuple[float, float]]:
+    """The line and pole distance of each spec, searched as one batch; the
+    specs share their numbers of log-gamma and log factors."""
+    tables = [_kernel_tables(spec) for spec in specs]
+    kernels = _Kernels([t[:2] for t in tables], [spec.log_argument + t[3] for spec, t in
+                                                 zip(specs, tables)], [0.0] * len(specs))
+    with np.errstate(all="ignore"):
+        return _pick_lines(kernels, [_contour_strip(spec) for spec in specs])
+
+
 def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
     # one-sided strips both ways (the cascade pdf and its reflection, from
     # the far tails to large shapes) and two-sided ones (the cdf up to
@@ -544,40 +594,80 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
     groups: dict[tuple, list] = {}
     for spec in specs:
         tables = _kernel_tables(spec)
-        groups.setdefault((tables[0].shape[1], tables[1].shape[1]), []).append((spec, tables))
+        groups.setdefault((tables[0].shape[1], tables[1].shape[1]), []).append(spec)
     # the IM/DD cdf pairs alpha's and beta's factors into log-gammas of
     # slope -2 and joins the HD cdf's group
     assert len(groups) == 2
-    eps = np.finfo(float).eps
     for group in groups.values():
-        strips = np.array([_contour_strip(spec) for spec, _ in group])
-        with np.errstate(all="ignore"):
-            kernels = _Kernels([t[:2] for _, t in group],
-                               [spec.log_argument + t[3] for spec, t in group],
-                               [0.0] * len(group))
-            batched = _pick_sigma(kernels, *strips.T)
-        lines = [_snap(sigma, *strip)[0] for sigma, strip in zip(batched.tolist(), strips.tolist())]
-        for (spec, tables), strip, sigma, line in zip(group, strips, batched, lines):
-            assert strip[0] < sigma < strip[1], (spec, sigma)
-            # phi' vanishes within its own rounding and that of sigma
-            slope, size, curvature = _raw_slopes(spec, float(sigma))
-            assert abs(slope) <= 8 * eps * (size + abs(curvature * sigma)), (spec, sigma, slope)
-            with np.errstate(all="ignore"):
-                alone = _pick_sigma(_Kernels([tables[:2]], [spec.log_argument + tables[3]],
-                                             [0.0]), strip[:1], strip[1:])[0]
-            assert alone.hex() == sigma.hex(), (spec, alone, sigma)
-            # the lattice line: inside the strip, within half a spacing of
-            # the saddle (0.5 in the distance D to the nearer strip end
-            # from D = 1 up, 0.25 in ln D below), the same in any batch
-            assert strip[0] < line < strip[1], (spec, sigma, line)
-            end = strip[0] if sigma - strip[0] <= strip[1] - sigma else strip[1]
-            dist, line_dist = abs(sigma - end), abs(line - end)
-            if dist >= 1.0:
-                assert abs(line_dist - dist) <= 0.25 + 4 * eps * abs(sigma), (spec, sigma, line)
-            else:
-                assert abs(math.log(line_dist / dist)) <= 0.125 + 1e-12, (spec, sigma, line)
-            alone_line = _snap(float(alone), *strip)[0]
-            assert alone_line.hex() == line.hex(), (spec, alone_line, line)
+        for spec, (line, d) in zip(group, _lines(group)):
+            _assert_line_holds_the_saddle(spec, line, d)
+            ((alone, alone_d),) = _lines([spec])
+            assert (alone.hex(), alone_d.hex()) == (line.hex(), d.hex()), (spec, alone, line)
+
+
+@st.composite
+def _saddle_forms(draw):
+    """A pdf, reflected pdf, cdf, mgf, capacity or BER spec over a wide
+    box of channels: ln(gamma / mean SNR) in [-70, 70] moves the argument,
+    through gamma, s = 1 / gamma or, for the capacity and the BER, the
+    mean SNR about 30 dB."""
+    alpha, beta = (draw(st.floats(0.5, 200.0)) for _ in range(2))
+    zeta, a = draw(st.floats(0.3, 20.0)), draw(st.sampled_from([1, 2]))
+    x = draw(st.floats(-70.0, 70.0))
+    kind = draw(st.sampled_from(["pdf", "reflected pdf", "cdf", "mgf", "capacity", "ber"]))
+    if kind in ("capacity", "ber"):
+        dist = make_dist(alpha, beta, zeta, a, 30.0 + 10.0 * x / math.log(10.0))
+        scheme = draw(st.sampled_from(list(ModulationScheme)))
+        return (capacity_form(dist) if kind == "capacity" else ber_form(dist, scheme)).spec
+    dist = make_dist(alpha, beta, zeta, a, 30.0)
+    ln_gamma = x + math.log(dist.mean_snr)
+    if kind == "mgf":
+        return mgf_form(dist, math.exp(-ln_gamma)).spec
+    if kind == "cdf":
+        return cdf_form(dist, ln_gamma).spec
+    spec = pdf_form(dist, ln_gamma).spec
+    return reflected(spec) if kind == "reflected pdf" else spec
+
+
+@given(spec=_saddle_forms(), shift=st.floats(-40.0, 40.0))
+def test_every_line_holds_its_saddle(spec, shift):
+    # the line of each instance, in a batch with the same kernel at other
+    # arguments, is the one it takes alone
+    others = [MeijerGSpec(spec.m, spec.n, spec.a_params, spec.b_params,
+                          log_argument=spec.log_argument + v) for v in (shift, -shift, 3.0)]
+    (alone,) = _lines([spec])
+    line, d = _lines([others[0], spec] + others[1:])[1]
+    _assert_line_holds_the_saddle(spec, line, d)
+    assert (alone[0].hex(), alone[1].hex()) == (line.hex(), d.hex()), (spec, alone, line)
+
+
+@pytest.mark.parametrize(("sigma", "lo", "hi", "want"), [
+    # the D = 1 cell, from either side of D = 1
+    (0.6 + 0.9, 0.6, math.inf, (1.6, 1.0, 0.6 + math.exp(-0.125), 1.85)),
+    (0.6 + 1.2, 0.6, math.inf, (1.6, 1.0, 0.6 + math.exp(-0.125), 1.85)),
+    # a one-sided strip open to the left, far out and near its pole
+    (2.0 - 7.3, -math.inf, 2.0, (-5.5, 7.5, 2.0 - 7.75, 2.0 - 7.25)),
+    (2.0 - 0.3, -math.inf, 2.0, (2.0 - math.exp(-1.25), math.exp(-1.25),
+                                 2.0 - math.exp(-1.125), 2.0 - math.exp(-1.375))),
+    # open to the right, below D = 1
+    (0.5 + 0.3, 0.5, math.inf, (0.5 + math.exp(-1.25), math.exp(-1.25),
+                                0.5 + math.exp(-1.375), 0.5 + math.exp(-1.125))),
+    # a two-sided strip 3.6 wide: D = 1.78 snaps to 2, past the centre,
+    # from either end, and the cell ends at the centre
+    (1.78, 0.0, 3.6, (2.0, 1.6, 1.75, 1.8)),
+    (1.82, 0.0, 3.6, (1.6, 1.6, 1.8, 1.85)),
+    # on a strip 3 wide the line of D = 1.5 is the centre from both ends
+    (1.4, 0.0, 3.0, (1.5, 1.5, 1.25, 1.5)),
+    (1.6, 0.0, 3.0, (1.5, 1.5, 1.5, 1.75)),
+])
+def test_snap_places_the_line_and_bounds_its_cell(sigma, lo, hi, want):
+    got = _snap(sigma, lo, hi)
+    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+    line, _, lower, upper = got
+    # the cell holds sigma, and every point of it snaps onto the line
+    assert lower <= sigma <= upper
+    for point in np.linspace(lower, upper, 9)[1:-1]:
+        assert _snap(float(point), lo, hi)[0] == line
 
 
 def test_frozen_references_cover_every_closed_form_shape():
