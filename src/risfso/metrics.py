@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln, gammasgn, polygamma, zeta
@@ -98,6 +98,8 @@ def outage_probability(dist: SnrDistribution, gamma_th: float | None = None, *,
         except OverflowError:
             raise ValueError(
                 f"rate {rate!r} gives a threshold past the largest double") from None
+    if not math.isfinite(gamma_th):
+        raise ValueError(f"gamma_th must be finite, got {gamma_th!r}")
     if gamma_th < 0.0:
         raise ValueError(f"gamma_th must be nonnegative, got {gamma_th!r}")
     return cdf(dist, gamma_th)
@@ -373,6 +375,4 @@ def asymptotic_ber(dist: SnrDistribution,
         warnings.warn("ber_estimate is no BER: the high-SNR expansion is outside "
                       "its regime at this mean SNR", RuntimeWarning, stacklevel=2)
     gc = est ** (-1.0 / diversity) / dist.mean_snr if est > 0.0 else math.nan
-    object.__setattr__(report, "ber_estimate", est)
-    object.__setattr__(report, "coding_gain", gc)
-    return report
+    return replace(report, ber_estimate=est, coding_gain=gc)

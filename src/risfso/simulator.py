@@ -76,12 +76,12 @@ class McChannel:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.zeta2 > 0 and self.alpha > 0 and self.beta > 0):
-            raise ValueError("zeta2, alpha, beta must be positive")
+        for name in ("zeta2", "alpha", "beta", "mean_snr_h", "mean_snr_g"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.a not in (1, 2):
             raise ValueError(f"detection exponent a must be 1 or 2, got {self.a!r}")
-        if not (self.mean_snr_h > 0 and self.mean_snr_g > 0):
-            raise ValueError("per-hop mean SNRs must be positive")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError(f"mu must lie in (0, 1], got {self.mu!r}")
 

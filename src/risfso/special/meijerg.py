@@ -15,7 +15,7 @@ about the line, d being the distance to the nearest pole, where the
 trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
 Review 56(3), 2014, Thm 5.1).  Each instance takes its own span from its
 integrand and keeps its own error estimate.  ``_trapezoid`` sums all
-instances of a batch in rounds: each round gathers every line's next
+instances of a batch in rounds: each round takes every line's next
 nodes from one table of log chi per kernel and line (``_Table``), so the
 log-gammas of a node are computed once per batch, and sums the lines as
 flat arrays with np.add.reduceat.  A value depends on its instance and
@@ -402,31 +402,27 @@ def _edge(k: int) -> int:
 
 class _Row:
     """Log chi of one kernel on the nodes x + i k step of a line, k <
-    size, from offset on in the buffer of a ``_Table``, with room there
-    for room nodes; need is the end of the round's asks."""
+    chi.size, in an array of its own; need is the end of the round's
+    asks."""
 
-    __slots__ = ("kernel", "x", "step", "offset", "room", "size", "need")
+    __slots__ = ("kernel", "x", "step", "chi", "need")
 
     def __init__(self, kernel: int, x: float, step: float) -> None:
         self.kernel, self.x, self.step = kernel, x, step
-        self.offset = self.room = self.size = self.need = 0
+        self.chi = np.empty(0, dtype=complex)
+        self.need = 0
 
 
 class _Table:
-    """The rows of log chi that the lines of a batch ask for, in one
-    buffer.  A round first extends each row to the end of its asks
-    (``extend``), then computes each new node once, by kernel (``fill``).
-    A row that outgrows its room moves to the end of the buffer with room
-    for half as many nodes again, and a full buffer packs its rows anew
-    into one with half as much room again as they have.  A node's log chi
-    depends on its kernel and s alone, so no value depends on the
-    batch."""
+    """The rows of log chi that the lines of a batch ask for.  A round
+    first extends each row to the end of its asks (``extend``), then
+    computes each new node once, by kernel, and appends it to its row
+    (``fill``).  A node's log chi depends on its kernel and s alone, so
+    no value depends on the batch."""
 
     def __init__(self, kernels: _Kernels) -> None:
         self.kernels = kernels
         self.index: dict[tuple[int, float, float], _Row] = {}
-        self.chi = np.empty(0, dtype=complex)
-        self.used = 0
         # the rows that the round extends
         self.grown: list[_Row] = []
 
@@ -439,7 +435,7 @@ class _Table:
     def extend(self, row: _Row, stop: int) -> None:
         """Ask for the nodes of row below stop."""
         if stop > row.need:
-            if row.need == row.size:
+            if row.need == row.chi.size:
                 self.grown.append(row)
             row.need = stop
 
@@ -447,37 +443,21 @@ class _Table:
         """Compute the nodes asked for since the last fill, in pieces of
         at most ``_PIECE``."""
         grown, self.grown = self.grown, []
-        moved = [row for row in grown if row.need > row.room]
-        if moved:
-            for row in moved:
-                row.room = 3 * row.need // 2
-            chi = self.chi
-            if self.used + sum(row.room for row in moved) > chi.size:
-                moved = list(self.index.values())
-                chi = np.empty(3 * sum(row.room for row in moved) // 2, dtype=complex)
-                self.used = 0
-            for row in moved:
-                chi[self.used:self.used + row.size] = self.chi[row.offset:row.offset + row.size]
-                row.offset = self.used
-                self.used += row.room
-            self.chi = chi
-        # per kernel the runs (offset, first k, count, x, step)
-        runs: dict[int, list[tuple]] = {}
+        runs: dict[int, list[_Row]] = {}
         for row in grown:
-            runs.setdefault(row.kernel, []).append(
-                (row.offset, row.size, row.need - row.size, row.x, row.step))
-            row.size = row.need
-        for kernel, run in runs.items():
-            offset, first, count, x, step = np.array(run).T
+            runs.setdefault(row.kernel, []).append(row)
+        for kernel, rows in runs.items():
+            first, count, x, step = np.array(
+                [(row.chi.size, row.need - row.chi.size, row.x, row.step) for row in rows]).T
             count = count.astype(np.intp)
             n = np.add.accumulate(count)
             k = first.repeat(count) + np.arange(n[-1]) - (n - count).repeat(count)
-            slot = (offset.repeat(count) + k).astype(np.intp)
             s = np.empty(k.size, dtype=complex)
             s.real, s.imag = x.repeat(count), k * step.repeat(count)
-            for j in range(0, k.size, _PIECE):
-                piece = slice(j, j + _PIECE)
-                self.chi[slot[piece]] = self.kernels.log_chi(s[piece], self.kernels.rows[kernel])
+            chi = np.concatenate([self.kernels.log_chi(s[j:j + _PIECE], self.kernels.rows[kernel])
+                                  for j in range(0, k.size, _PIECE)])
+            for row, new in zip(rows, np.split(chi, n[:-1])):
+                row.chi = np.concatenate((row.chi, new))
 
 
 class _Line:
@@ -532,10 +512,10 @@ def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, f
     In a round every line asks for its next ``_PIECE`` nodes at most, a
     multiple of ``_WIDTH``, with its edges' nodes, and a waiting instance
     joins while the round asks for fewer than ``_ROUND``.  The asks are
-    one gather from the table and one exp, and np.add.reduceat sums each
-    in order; the asks of a line follow from its instance alone, so no
-    value depends on the batch.  Where a pass ends the line decides on
-    floats, since it does so about twice.
+    slices of the table's rows, joined into one array, and one exp, and
+    np.add.reduceat sums each in order; the asks of a line follow from
+    its instance alone, so no value depends on the batch.  Where a pass
+    ends the line decides on floats, since it does so about twice.
     """
     results: list = [None] * len(placed)
     # the instances yet to start their lines, last first
@@ -570,24 +550,25 @@ def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, f
             ends.append((edge, end))
         table.fill()
         # per ask, the lower edge, upper edge and line of each line in
-        # turn: where its nodes begin among all, its slot and k less that,
+        # turn: its log chi, where its nodes begin among all, k less that,
         # its size, its constants and the phase before it; and per line
         # its last node
-        begin, ints, floats, tail, nodes = [], [], [], [], 0
+        asks, begin, ints, floats, tail, nodes = [], [], [], [], [], 0
         for line, (edge, end) in zip(lines, ends):
             for row, a, b, c in zip(line.rows, (line.edge, line.edge, line.nxt),
                                     (edge, edge, end), line.consts):
+                asks.append(row.chi[a:b])
                 begin.append(nodes)
-                ints += (row.offset + a - nodes, a - nodes, b - a)
+                ints += (a - nodes, b - a)
                 floats += (*c, line.phase)
                 nodes += b - a
             tail.append(nodes - 1)
         # in place where it can: a round's arrays reach 150 kB each
-        ints = np.array(ints).reshape(-1, 3)
-        size = ints[:, 2]
+        ints = np.array(ints).reshape(-1, 2)
+        log_chi = np.concatenate(asks)
+        size = ints[:, 1]
         k = np.arange(nodes)
-        log_chi = table.chi[k + ints[:, 0].repeat(size)]
-        k += ints[:, 1].repeat(size)
+        k += ints[:, 0].repeat(size)
         add, rot, before = np.array(floats).reshape(-1, 3).T
         re = add.repeat(size)
         re += log_chi.real

@@ -113,6 +113,8 @@ class SweepSpec:
         _require(self.gbar_interpretation in INTERPRETATIONS,
                  "sweep.gbar_interpretation", f"must be one of {INTERPRETATIONS}")
         _field(vars(self), "seed", "sweep", _seed)
+        if self.variable == "zeta":
+            _require(self.start > 0, "sweep.start", "must be > 0 when sweeping zeta")
         if self.variable == "mean_snr_db":
             mean_snrs = [(self.start, "sweep.start"), (self.stop, "sweep.stop")]
         else:

@@ -81,14 +81,17 @@ def test_parse_rejects_zero_step(tmp_path):
         parse_config(write_config(tmp_path, cfg))
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("stop", math.inf, "sweep.stop: must be finite"),
-    ("start", math.nan, "sweep.start: must be finite"),
-    ("step", 1e-300, "sweep.step: gives more than"),
-])
-def test_parse_rejects_non_finite_and_runaway_grids(tmp_path, key, value,
-                                                    message):
+@pytest.mark.parametrize("variable, key, value, message", [
+    ("mean_snr_db", "stop", math.inf, "sweep.stop: must be finite"),
+    ("mean_snr_db", "start", math.nan, "sweep.start: must be finite"),
+    ("mean_snr_db", "step", 1e-300, "sweep.step: gives more than"),
+    # at parse time, not as an unnamed error of the first grid point
+    ("zeta", "start", -1.0, r"^sweep\.start: must be > 0 when sweeping zeta$"),
+], ids=["stop-inf", "start-nan", "step-runaway", "zeta-start-negative"])
+def test_parse_rejects_non_finite_and_runaway_grids(tmp_path, variable, key,
+                                                    value, message):
     cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"]["variable"] = variable
     cfg["sweep"][key] = value
     with pytest.raises(ConfigError, match=message):
         parse_config(write_config(tmp_path, cfg))

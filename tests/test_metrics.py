@@ -84,6 +84,14 @@ def test_outage_rate_conventions():
     assert outage_probability(dist, rate=0.0, rate_convention="exp2r-minus-1") == 0.0
 
 
+@pytest.mark.parametrize("gamma_th", [math.nan, math.inf])
+def test_outage_rejects_a_threshold_that_is_not_finite(gamma_th):
+    # names the caller's argument, not the cdf's
+    dist = make_dist(*RED, 6.1, 1, 26.0)
+    with pytest.raises(ValueError, match=rf"^gamma_th must be finite, got {gamma_th!r}$"):
+        outage_probability(dist, gamma_th)
+
+
 # ---------------------------------------------------------------------------
 # ergodic capacity
 

@@ -212,6 +212,18 @@ def test_config_validation():
                   mean_snr_h=1.0, mean_snr_g=1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("name", ["zeta2", "alpha", "beta", "mean_snr_h", "mean_snr_g"])
+def test_channel_rejects_an_input_that_is_not_positive_and_finite(name, value):
+    # an infinite mean SNR or shape fails here, naming it, rather than as
+    # an estimate that is inf or nan
+    args = dict(zeta2=1.21, alpha=2.0, beta=2.0, a=1, mean_snr_h=1.0, mean_snr_g=1.0)
+    args[name] = value
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and "
+                                         rf"finite, got {value!r}$"):
+        McChannel(**args)
+
+
 def test_metric_argument_validation():
     chan = McChannel(zeta2=1.21, alpha=2.0, beta=2.0, a=1,
                      mean_snr_h=1.0, mean_snr_g=1.0)

@@ -63,3 +63,26 @@ def test_every_imported_name_is_read_or_exported():
         unused += [f"{path.relative_to(PACKAGE)}:{name}" for name in imported
                    if name not in read and name not in exported]
     assert not unused, unused
+
+
+def test_every_slot_is_read():
+    # a __slots__ entry that no code reads is left over from deleted code,
+    # like a top-level name; an augmented assignment reads its target
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.rglob("*.py"))]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+    unread = []
+    for tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in node.targets)):
+                    unread += [f"{cls.name}.{name}" for name in ast.literal_eval(node.value)
+                               if name not in read]
+    assert not unread, unread

@@ -51,6 +51,7 @@ from risfso.special.meijerg import (
     _merged_factors,
     _pick_lines,
     _snap,
+    _Table,
     _table,
     _trapezoid,
 )
@@ -308,31 +309,62 @@ def test_batch_keeps_values_beside_a_failing_line_and_a_halving_one(monkeypatch)
             == (one.value.hex(), one.abs_error_estimate.hex())
 
 
-def test_a_shared_row_grows_for_a_line_with_a_longer_pass():
+def test_a_shared_row_grows_for_a_line_with_a_longer_pass(monkeypatch):
     # two lines of one kernel on one line, the first made to start with a
     # third of the second's pass: the rows that the first line makes must
     # grow for the second, as a row made by a line halving at its first
     # pass must for a line halving after two growths, and each value
-    # stays that of a batch of one
+    # stays that of a batch of one; so too where the second line's pass
+    # is fifteen times the first's, and its row grows past one piece
     spec = MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0))
     gamma, logs, constant, slope = _kernel_tables(spec)
     lo, hi = _contour_strip(spec)
     lnz = [math.log(2.0) + slope, math.log(3.0) + slope]
     (placed,) = _pick_lines(_Kernels([(gamma, logs)], lnz[:1], [constant]), [(lo, hi)])
-    rate = [1.5 * math.pi, 0.5 * math.pi]
+    longest = [0]
+    fill = meijerg._Table.fill
 
-    def run(which):
-        kernels = _Kernels([(gamma, logs)] * len(which), [lnz[i] for i in which],
-                           [constant] * len(which))
-        return _trapezoid(kernels, [0] * len(which), [placed] * len(which),
-                          [rate[i] for i in which])
+    def recording(table):
+        fill(table)
+        longest[0] = max(longest[0], *(row.chi.size for row in table.index.values()))
 
-    batch = run([0, 1])
-    for i, want in enumerate((math.exp(-2.0), math.exp(-3.0))):
-        (alone,) = run([i])
-        assert batch[i].value == pytest.approx(want, rel=1e-13)
-        assert (batch[i].value.hex(), batch[i].abs_error_estimate.hex()) \
-            == (alone.value.hex(), alone.abs_error_estimate.hex())
+    monkeypatch.setattr(meijerg._Table, "fill", recording)
+    for slow in (0.5 * math.pi, 0.1 * math.pi):
+        rate = [1.5 * math.pi, slow]
+
+        def run(which):
+            kernels = _Kernels([(gamma, logs)] * len(which), [lnz[i] for i in which],
+                               [constant] * len(which))
+            return _trapezoid(kernels, [0] * len(which), [placed] * len(which),
+                              [rate[i] for i in which])
+
+        batch = run([0, 1])
+        for i, want in enumerate((math.exp(-2.0), math.exp(-3.0))):
+            (alone,) = run([i])
+            assert batch[i].value == pytest.approx(want, rel=1e-13)
+            assert (batch[i].value.hex(), batch[i].abs_error_estimate.hex()) \
+                == (alone.value.hex(), alone.abs_error_estimate.hex())
+    assert longest[0] > meijerg._PIECE
+
+
+def test_a_row_grown_over_rounds_holds_one_call_of_log_chi():
+    # asks that end inside a piece of _PIECE nodes, on it, past it and
+    # not at all: the row holds log chi at each of its nodes as one kernel
+    # call over all of them gives it, to the last bit
+    form = cdf_form(make_dist(4.9477, 1.2310, 1.1, 2, 20.0), math.log(10.0))
+    gamma, logs, _, _ = _kernel_tables(form.spec)
+    kernels = _Kernels([(gamma, logs)], [0.0], [0.0])
+    table = _Table(kernels)
+    row = table.row(0, 0.3, 0.05)
+    for stop in (15, 1020, 1020, 1035, 2565):
+        table.extend(row, stop)
+        table.fill()
+    s = np.empty(2565, dtype=complex)
+    s.real, s.imag = 0.3, 0.05 * np.arange(2565)
+    want = kernels.log_chi(s, kernels.rows[0])
+    assert row.chi.size == 2565
+    assert [v.hex() for v in row.chi.real] == [v.hex() for v in want.real]
+    assert [v.hex() for v in row.chi.imag] == [v.hex() for v in want.imag]
 
 
 def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
