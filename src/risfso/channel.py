@@ -221,6 +221,10 @@ def cascade_from_constants(alpha: float, beta: float, zeta: float,
                         ("mean_snr_h", mean_snr_h), ("mean_snr_g", mean_snr_g)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    mean_snr = mean_snr_h * mean_snr_g
+    if not 0.0 < mean_snr < math.inf:
+        raise ValueError(f"mean_snr_h * mean_snr_g must be a positive finite double, "
+                         f"got {mean_snr_h!r} * {mean_snr_g!r} = {mean_snr!r}")
     a = mode.a
     zeta2 = zeta ** 2
 
@@ -236,6 +240,6 @@ def cascade_from_constants(alpha: float, beta: float, zeta: float,
               + tuple((beta + k) / a for k in range(a))) * 2
 
     return CascadeParams(zeta2=zeta2, alpha=alpha, beta=beta, a=a,
-                         mean_snr=mean_snr_h * mean_snr_g,
+                         mean_snr=mean_snr,
                          log_m=log_m, big_q=big_q, log_m0=log_m0, q0=q0,
                          delta1=delta1, delta2=delta2)

@@ -144,12 +144,12 @@ def estimate_metric(metric: str, chan: McChannel, config: McConfig, *,
     by (seed, batch index) and merge in batch order, so the seed and the
     sample count fix the result to the last bit.
     """
-    if metric == "outage" and (gamma_th is None or math.isnan(gamma_th)):
-        raise ValueError(f"outage needs gamma_th, got {gamma_th!r}")
-    if metric == "ber" and (p is None or q is None):
-        raise ValueError("ber needs kernel exponents p and q")
-    if metric == "mgf" and (s is None or not s > 0.0):
-        raise ValueError("mgf needs s > 0")
+    # a threshold of 0 is valid: no sample is then an outage
+    if metric == "outage" and not (gamma_th is not None and 0.0 <= gamma_th < math.inf):
+        raise ValueError(f"outage needs gamma_th finite and >= 0, got {gamma_th!r}")
+    for name, value in {"ber": (("p", p), ("q", q)), "mgf": (("s", s),)}.get(metric, ()):
+        if not (value is not None and 0.0 < value < math.inf):
+            raise ValueError(f"{metric} needs {name} finite and > 0, got {value!r}")
 
     n_total = 0
     mean = 0.0

@@ -14,12 +14,13 @@ same nodes.  The integrand is analytic in the strip of half-width d
 about the line, d being the distance to the nearest pole, where the
 trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
 Review 56(3), 2014, Thm 5.1).  Each instance takes its own span from its
-integrand and keeps its own error estimate.  ``_trapezoid`` sums all
-instances of a batch in rounds: each round takes every line's next
-nodes from one table of log chi per kernel and line (``_Table``), so the
-log-gammas of a node are computed once per batch, and sums the lines as
-flat arrays with np.add.reduceat.  A value depends on its instance and
-its line alone, not on its batch.  ``meijer_g`` is a batch of one.
+integrand and keeps its own error estimate.  The instances of a kernel
+share its factor table, its saddle search, whose grid round is one row
+of digamma sums, and one ``_trapezoid`` pass in rounds: each round takes
+every line's next nodes from one table of log chi per line (``_Table``),
+so a node's log-gammas are computed once per batch, and sums the lines
+as flat arrays with np.add.reduceat.  A value depends on its instance
+and line alone, not on its batch.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -230,40 +231,37 @@ def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, float, fl
     return _table(gamma), _table(logs), constant, slope
 
 
-class _Kernels:
-    """The kernels of a batch of instances with equally many log-gamma and
-    log factors, one row each: ln z and log prefactor (each with the
-    slope and constant of ``_kernel_tables`` added), then the offsets,
-    signs and weights of the factors, the log-gamma ones first.  A
-    kernel value is a sum along its instance's row, so it does not
-    depend on the other instances of the batch."""
+class _Kernel:
+    """The factors of one kernel, one column each: offsets, signs and
+    weights, the log-gamma ones first.  A kernel value depends on s
+    alone."""
 
-    def __init__(self, tables: list[tuple[np.ndarray, np.ndarray]],
-                 lnz: list[float], log_prefactor: list[float]) -> None:
-        self.gamma_width = kg = tables[0][0].shape[1]
-        self.width = kg + tables[0][1].shape[1]
-        self.rows = np.empty((len(tables), 2 + 3 * self.width))
-        self.rows[:, 0], self.rows[:, 1] = lnz, log_prefactor
-        factors = self.rows[:, 2:].reshape(-1, 3, self.width)
-        factors[:, :, :kg], factors[:, :, kg:] = zip(*tables)
+    def __init__(self, gamma: np.ndarray, logs: np.ndarray) -> None:
+        self.gamma_width = gamma.shape[1]
+        self.table = np.concatenate((gamma, logs), axis=1)
 
-    def log_chi(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Log of the gamma-ratio kernel at s, for the instances whose rows
-        ``rows`` holds, broadcast against s along all but its last axis.
-        Its imaginary part, plus t ln z, is the phase of w, continuous
-        along a vertical line in the upper half plane: the log-gammas are
-        scipy's, cut along the negative real axis only."""
-        k, kg = self.width, self.gamma_width
+    def log_chi(self, s: np.ndarray) -> np.ndarray:
+        """Log of the gamma-ratio kernel at s.  Its imaginary part, plus
+        t ln z, is the phase of w, continuous along a vertical line in the
+        upper half plane: the log-gammas are scipy's, cut along the
+        negative real axis only."""
+        kg = self.gamma_width
+        off, sign, weight = self.table
         # the arguments c + e s, overwritten in place by the terms
-        terms = rows[..., 2 + k:2 + 2 * k] * s[..., None]
-        terms += rows[..., 2:2 + k]
+        terms = sign * s[..., None]
+        terms += off
         loggamma_complex(terms[..., :kg], out=terms[..., :kg])
         np.log(terms[..., kg:], out=terms[..., kg:])
-        terms *= rows[..., 2 + 2 * k:]
+        terms *= weight
         return np.add.reduce(terms, axis=-1)
 
 
 def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
+    """Strip (lo, hi) between the pole families; ContourError if none is or w does not decay."""
+    if spec.decay_index <= 0.0:
+        raise ContourError(
+            f"decay index m+n-(p+q)/2 = {spec.decay_index:g} is not positive; "
+            "the vertical-line integral diverges for this shape")
     lo = max(spec.a_params[:spec.n]) - 1.0 if spec.n else -math.inf
     hi = min(spec.b_params[:spec.m]) if spec.m else math.inf
     if math.isinf(lo) and math.isinf(hi):
@@ -275,84 +273,83 @@ def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def _pick_lines(kernels: _Kernels, strips: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Per instance, the lattice line (``_snap``) whose cell holds the
-    saddle of the integrand on the real axis, and its distance to the
-    nearest pole.  There phi' = 0, phi(sigma) = Re log chi(sigma) + sigma
-    ln z being the log of the magnitude; phi' rises from -inf at the pole
-    at lo, or at the far end of a one-sided strip, to +inf at the other.
-    The search runs in u, sigma = lo + e^u or hi - e^-u on a one-sided
-    strip and sigma - lo = e^u / (1 + e^u / (hi - lo)) on a two-sided
-    one, where phi' is near linear even far from a pole.  A round over
-    ``_GRID`` brackets the sign change, and its secant point is the first
-    guess.  Each round then snaps the guess: a cell where phi' is <= 0 at
-    its lower bound and >= 0 at its upper one holds the saddle, whatever
-    the batch; else a bound of the wrong sign closes the bracket, and the
-    secant through the bounds, or the bracket's midpoint where that falls
-    outside it, is the next guess.
+def _pick_lines(kernel: _Kernel, strip: tuple[float, float],
+                lnz: list[float]) -> list[tuple[float, float]]:
+    """Per ln z of the kernel, the lattice line (``_snap``) whose cell
+    holds the saddle of the integrand on the real axis, and its distance
+    to the nearest pole.  There phi' = 0, phi(sigma) = Re log chi(sigma) +
+    sigma ln z being the log of the magnitude; phi' rises from -inf at the
+    pole at lo, or at the far end of a one-sided strip, to +inf at the
+    other.  The search runs in u, sigma = lo + e^u or hi - e^-u on a
+    one-sided strip and sigma - lo = e^u / (1 + e^u / (hi - lo)) on a
+    two-sided one, where phi' is near linear even far from a pole.  A
+    round over ``_GRID``, one row of digamma sums plus each ln z, brackets
+    the sign change, and its secant point is the first guess.  Each round
+    then snaps the guess: a cell where phi' is <= 0 at its lower bound and
+    >= 0 at its upper one holds the saddle, whatever the batch; else a
+    bound of the wrong sign closes the bracket, and the secant through
+    the bounds, or the bracket's midpoint where that falls outside it, is
+    the next guess.
     """
-    lo, hi = np.array(strips).T
-    k, kg, lnz = kernels.width, kernels.gamma_width, kernels.rows[:, 0]
+    lo, hi = strip
+    k, kg = kernel.table.shape[1], kernel.gamma_width
     # offsets, signs of s and weights of the factors, each log factor
     # unfolded into log-gammas, log x = logGamma(x + 1) - logGamma(x):
     # phi' is then one sum of digammas, a factor of slope e weighing e
-    table = kernels.rows[:, 2:].reshape(-1, 3, k)
-    table = np.concatenate([table, table[:, :, kg:]], axis=2)
-    table[:, 0, k:] += 1.0
-    table[:, 2, kg:k] *= -1.0
-    off, sign, weight = table.transpose(1, 0, 2)
+    table = np.concatenate([kernel.table, kernel.table[:, kg:]], axis=1)
+    table[0, k:] += 1.0
+    table[2, kg:k] *= -1.0
+    off, sign, weight = table
     slope_weight = weight * sign
     # sigma = end + side * dist, dist = gap / (1 + gap / width) and
     # gap = exp(side * u); the arguments of the gammas are base + rate * dist
-    side = np.where(np.isfinite(lo), 1.0, -1.0)
-    end = np.where(side > 0.0, lo, hi)
+    side = 1.0 if math.isfinite(lo) else -1.0
+    end = lo if side > 0.0 else hi
     inv_width = 1.0 / (hi - lo)  # 0 on a one-sided strip
-    base = off + sign * end[:, None]
-    rate = sign * side[:, None]
+    base = off + sign * end
+    rate = sign * side
 
-    # both read the arrays of the instances still searching, row by row
     def distance(u: np.ndarray) -> np.ndarray:
-        gap = np.exp(side[:, None] * u)
-        return gap / (1.0 + gap * inv_width[:, None])
+        gap = np.exp(side * u)
+        return gap / (1.0 + gap * inv_width)
 
     def slopes(dist: np.ndarray) -> np.ndarray:
-        # phi' at dist, in slabs of about _SLAB digammas
+        # the digamma sum of phi' at dist, in slabs of about _SLAB digammas
         g = np.empty(dist.shape)
-        step = max(1, _SLAB // (dist.shape[1] * base.shape[1]))
+        step = max(1, _SLAB // (dist.shape[1] * base.size))
         for i in range(0, len(g), step):
-            part = slice(i, i + step)
-            x = base[part, None, :] + rate[part, None, :] * dist[part, :, None]
-            np.add.reduce(digamma(x) * slope_weight[part, None, :], axis=2, out=g[part])
-        return g + lnz[:, None]
+            x = base + rate * dist[i:i + step, :, None]
+            np.add.reduce(digamma(x) * slope_weight, axis=2, out=g[i:i + step])
+        return g
 
     # phi' on the grid and -+_G_MAX past it; the bracket [a, b] of its sign change
-    index = np.arange(lo.size)
-    g = np.empty((lo.size, _BRACKET.size))
+    lnz = np.array(lnz)
+    index = np.arange(lnz.size)
+    g = np.empty((lnz.size, _BRACKET.size))
     g[:, 0], g[:, -1] = -_G_MAX, _G_MAX
-    g[:, 1:-1] = slopes(distance(_GRID))
+    g[:, 1:-1] = slopes(distance(_GRID)[None, :]) + lnz[:, None]
     j = np.argmax(g > 0.0, axis=1)
     a, b = _BRACKET[j - 1], _BRACKET[j]
     g_a, g_b = g[index, j - 1], g[index, j]
     u = a + (b - a) * g_a / (g_a - g_b)
     placed: dict[int, tuple[float, float]] = {}
     for _ in range(_MAX_STEPS):
-        sigma = (end + side * distance(u[:, None])[:, 0]).tolist()
-        cells = [_snap(v, *strips[i]) for i, v in zip(index.tolist(), sigma)]
+        sigma = (end + side * distance(u)).tolist()
+        cells = [_snap(v, lo, hi) for v in sigma]
         placed.update(zip(index.tolist(), [cell[:2] for cell in cells]))
         # phi' at the cell's bounds, and the bounds in u
-        dist = side[:, None] * (np.array(cells)[:, 2:] - end[:, None])
-        g = slopes(dist)
+        dist = side * (np.array(cells)[:, 2:] - end)
+        g = slopes(dist) + lnz[:, None]
         high, low = g[:, 0] > 0.0, g[:, 1] < 0.0
         if not (wrong := high | low).any():
             break
-        u_ends = side[:, None] * np.log(dist / (1.0 - dist * inv_width[:, None]))
+        u_ends = side * np.log(dist / (1.0 - dist * inv_width))
         a, b = np.where(low, u_ends[:, 1], a), np.where(high, u_ends[:, 0], b)
         (u_lo, u_hi), (g_lo, g_hi) = u_ends[wrong].T, g[wrong].T
-        index, side, end, inv_width, base, rate, slope_weight, lnz, a, b = (
-            v[wrong] for v in (index, side, end, inv_width, base, rate, slope_weight, lnz, a, b))
+        index, lnz, a, b = (v[wrong] for v in (index, lnz, a, b))
         u = u_lo - g_lo * (u_hi - u_lo) / (g_hi - g_lo)
         u = np.where((a < u) & (u < b), u, 0.5 * (a + b))
-    return [placed[i] for i in range(lo.size)]
+    return [placed[i] for i in range(len(placed))]
 
 
 def _snap(sigma: float, lo: float, hi: float) -> tuple[float, float, float, float]:
@@ -401,35 +398,32 @@ def _edge(k: int) -> int:
 
 
 class _Row:
-    """Log chi of one kernel on the nodes x + i k step of a line, k <
-    chi.size, in an array of its own; need is the end of the round's
-    asks."""
+    """Log chi on the nodes x + i k step of a line, k < chi.size, in an
+    array of its own; need is the end of the round's asks."""
 
-    __slots__ = ("kernel", "x", "step", "chi", "need")
+    __slots__ = ("x", "step", "chi", "need")
 
-    def __init__(self, kernel: int, x: float, step: float) -> None:
-        self.kernel, self.x, self.step = kernel, x, step
-        self.chi = np.empty(0, dtype=complex)
-        self.need = 0
+    def __init__(self, x: float, step: float) -> None:
+        self.x, self.step, self.chi, self.need = x, step, np.empty(0, dtype=complex), 0
 
 
 class _Table:
-    """The rows of log chi that the lines of a batch ask for.  A round
+    """The rows of log chi that the lines of one kernel ask for.  A round
     first extends each row to the end of its asks (``extend``), then
-    computes each new node once, by kernel, and appends it to its row
-    (``fill``).  A node's log chi depends on its kernel and s alone, so
-    no value depends on the batch."""
+    computes each new node once and appends it to its row (``fill``).  A
+    node's log chi depends on s alone, so no value depends on the
+    batch."""
 
-    def __init__(self, kernels: _Kernels) -> None:
-        self.kernels = kernels
-        self.index: dict[tuple[int, float, float], _Row] = {}
+    def __init__(self, kernel: _Kernel) -> None:
+        self.kernel = kernel
+        self.index: dict[tuple[float, float], _Row] = {}
         # the rows that the round extends
         self.grown: list[_Row] = []
 
-    def row(self, kernel: int, x: float, step: float) -> _Row:
-        row = self.index.get((kernel, x, step))
+    def row(self, x: float, step: float) -> _Row:
+        row = self.index.get((x, step))
         if row is None:
-            row = self.index[kernel, x, step] = _Row(kernel, x, step)
+            row = self.index[x, step] = _Row(x, step)
         return row
 
     def extend(self, row: _Row, stop: int) -> None:
@@ -442,22 +436,20 @@ class _Table:
     def fill(self) -> None:
         """Compute the nodes asked for since the last fill, in pieces of
         at most ``_PIECE``."""
-        grown, self.grown = self.grown, []
-        runs: dict[int, list[_Row]] = {}
-        for row in grown:
-            runs.setdefault(row.kernel, []).append(row)
-        for kernel, rows in runs.items():
-            first, count, x, step = np.array(
-                [(row.chi.size, row.need - row.chi.size, row.x, row.step) for row in rows]).T
-            count = count.astype(np.intp)
-            n = np.add.accumulate(count)
-            k = first.repeat(count) + np.arange(n[-1]) - (n - count).repeat(count)
-            s = np.empty(k.size, dtype=complex)
-            s.real, s.imag = x.repeat(count), k * step.repeat(count)
-            chi = np.concatenate([self.kernels.log_chi(s[j:j + _PIECE], self.kernels.rows[kernel])
-                                  for j in range(0, k.size, _PIECE)])
-            for row, new in zip(rows, np.split(chi, n[:-1])):
-                row.chi = np.concatenate((row.chi, new))
+        rows, self.grown = self.grown, []
+        if not rows:
+            return
+        first, count, x, step = np.array(
+            [(row.chi.size, row.need - row.chi.size, row.x, row.step) for row in rows]).T
+        count = count.astype(np.intp)
+        n = np.add.accumulate(count)
+        k = first.repeat(count) + np.arange(n[-1]) - (n - count).repeat(count)
+        s = np.empty(k.size, dtype=complex)
+        s.real, s.imag = x.repeat(count), k * step.repeat(count)
+        chi = np.concatenate([self.kernel.log_chi(s[j:j + _PIECE])
+                              for j in range(0, k.size, _PIECE)])
+        for row, new in zip(rows, np.split(chi, n[:-1])):
+            row.chi = np.concatenate((row.chi, new))
 
 
 class _Line:
@@ -468,21 +460,19 @@ class _Line:
     itself; the phase at its last node, its shift and whether the phase
     turned too fast."""
 
-    __slots__ = ("inst", "kernel", "x", "lnz", "log_prefactor", "h", "stop", "nxt", "edge",
-                 "rows", "consts", "lower", "upper", "amplitude", "total", "phase", "shift",
-                 "turned")
+    __slots__ = ("inst", "x", "lnz", "log_prefactor", "h", "stop", "nxt", "edge", "rows",
+                 "consts", "lower", "upper", "amplitude", "total", "phase", "shift", "turned")
 
-    def __init__(self, table: _Table, inst: int, kernel: int, x: float, lnz: float,
+    def __init__(self, table: _Table, inst: int, x: float, lnz: float,
                  log_prefactor: float, h: float, stop: int) -> None:
-        self.inst, self.kernel, self.x, self.lnz = inst, kernel, x, lnz
-        self.log_prefactor = log_prefactor
+        self.inst, self.x, self.lnz, self.log_prefactor = inst, x, lnz, log_prefactor
         self.start(table, h, stop)
 
     def start(self, table: _Table, h: float, stop: int) -> None:
         """Start a pass of step h from node 0 to node stop."""
         self.h, self.stop, self.nxt = h, stop, 0
         xs, steps = (self.x - 4.0 * h, self.x + 4.0 * h, self.x), (8.0 * h, 8.0 * h, h)
-        self.rows = [table.row(self.kernel, x, step) for x, step in zip(xs, steps)]
+        self.rows = [table.row(x, step) for x, step in zip(xs, steps)]
         self.consts = [(x * self.lnz + self.log_prefactor, step * self.lnz)
                        for x, step in zip(xs, steps)]
         self.edge = 0
@@ -490,11 +480,11 @@ class _Line:
         self.phase, self.turned = math.nan, False
 
 
-def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, float]],
-               rate: list[float]) -> list[EvalResult | MeijerGError]:
-    """The trapezoid sum of each instance i along its line (sigma, d),
-    kernel[i] naming its kernel by the first instance that has it, all in
-    rounds of array operations over one ``_Table``.
+def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[float],
+               log_prefactor: list[float], rate: float) -> list[EvalResult | MeijerGError]:
+    """The trapezoid sum of each instance i of one kernel along its line
+    (sigma, d), with its ln z and log prefactor, all in rounds of array
+    operations over one ``_Table``; rate is pi times the decay index.
 
     The nodes lie at s = sigma + i k h, k = 0, 1, ..., and the value is
     (h / pi) (sum Re w - Re w(sigma) / 2).  h starts at min(0.1, d / 6),
@@ -518,23 +508,23 @@ def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, f
     ends the line decides on floats, since it does so about twice.
     """
     results: list = [None] * len(placed)
+    span = _SPAN / rate
     # the instances yet to start their lines, last first
     waiting = []
-    for i, ((x, d), r, lnz, log_prefactor) in enumerate(zip(
-            placed, rate, kernels.rows[:, 0].tolist(), kernels.rows[:, 1].tolist())):
-        h, span = min(0.1, d / 6.0), _SPAN / r
+    for i, (x, d) in enumerate(placed):
+        h = min(0.1, d / 6.0)
         if span < h * _MAX_NODES:
-            waiting.append((i, x, lnz, log_prefactor, h, _WIDTH * math.ceil(span / (_WIDTH * h))))
+            waiting.append((i, x, h, _WIDTH * math.ceil(span / (_WIDTH * h))))
         else:
             results[i] = ContourError(f"line step {h:.3g} is too fine for a span of {span:.3g}")
     waiting.reverse()
-    table = _Table(kernels)
+    table = _Table(kernel)
     lines: list[_Line] = []
     while True:
         count = sum(min(line.stop - line.nxt, _PIECE) for line in lines)
         while waiting and count < _ROUND:
-            i, x_i, lnz, log_prefactor, h_i, stop = waiting.pop()
-            lines.append(_Line(table, i, kernel[i], x_i, lnz, log_prefactor, h_i, stop))
+            i, x_i, h_i, stop = waiting.pop()
+            lines.append(_Line(table, i, x_i, lnz[i], log_prefactor[i], h_i, stop))
             count += min(stop, _PIECE)
         if not lines:
             return results
@@ -637,7 +627,7 @@ def _trapezoid(kernels: _Kernels, kernel: list[int], placed: list[tuple[float, f
                 # of terms of size |w|.
                 big_m = 8.0 * h * max(line.lower, line.upper)
                 results[i] = _finished(value, 2.0 * big_m / math.expm1(8.0 * math.pi)
-                                       + end / rate[i] + 3e-16 * h * line.amplitude,
+                                       + end / rate + 3e-16 * h * line.amplitude,
                                        line.shift)
             else:
                 # to where |w|, falling on as over the last _WIDTH nodes,
@@ -668,42 +658,32 @@ def meijer_g_batch(specs: list[MeijerGSpec],
 
     Slot i of the result holds the EvalResult of instance i, or the
     MeijerGError it failed with; one failure leaves the other instances
-    unaffected.  Each value equals the one ``meijer_g`` returns.
-    Instances with equally many kernel factors (all the points of a sweep
-    curve) share one lockstep pass, and those of one kernel the log chi
-    of the lines they share.
+    unaffected.  Each value equals the one ``meijer_g`` returns.  The
+    instances of one kernel, (m, n, a_params, b_params), such as the
+    points of a sweep curve, which differ in ln z and the prefactor
+    alone, share one factor table, one saddle search and one trapezoid
+    pass, and so the log chi of the lines they share.
     """
     results: list = [None] * len(specs)
-    groups: dict[tuple[int, int], list[tuple]] = {}
-    # the points of a curve mostly share their parameters
-    tables: dict[tuple, tuple[np.ndarray, np.ndarray, float, float]] = {}
+    kernels: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
-        delta = spec.decay_index
+        kernels.setdefault((spec.m, spec.n, spec.a_params, spec.b_params), []).append(i)
+    for index in kernels.values():
+        spec = specs[index[0]]
         try:
-            if delta <= 0.0:
-                raise ContourError(
-                    f"decay index m+n-(p+q)/2 = {delta:g} is not positive; "
-                    "the vertical-line integral diverges for this shape")
             strip = _contour_strip(spec)
         except ContourError as exc:
-            results[i] = exc
+            for i in index:
+                results[i] = ContourError(*exc.args)
             continue
-        key = (spec.m, spec.n, spec.a_params, spec.b_params)
-        if key not in tables:
-            tables[key] = _kernel_tables(spec)
-        gamma, logs, constant, slope = tables[key]
-        group = groups.setdefault((gamma.shape[1], logs.shape[1]), [])
-        group.append((i, (gamma, logs), strip, delta * math.pi, spec.log_argument + slope,
-                      float(log_prefactors[i]) + constant, key))
-    for group in groups.values():
-        index, kernel_tables, strips, rates, lnz, log_prefactor, keys = zip(*group)
-        kernels = _Kernels(kernel_tables, lnz, log_prefactor)
-        # each instance's kernel, named by the first instance that has it
-        first: dict[tuple, int] = {}
-        kernel = [first.setdefault(key, i) for i, key in enumerate(keys)]
+        gamma, logs, constant, slope = _kernel_tables(spec)
+        kernel = _Kernel(gamma, logs)
+        lnz = [specs[i].log_argument + slope for i in index]
+        log_prefactor = [float(log_prefactors[i]) + constant for i in index]
         # a value that is not finite fails its own instance only
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            evaluated = _trapezoid(kernels, kernel, _pick_lines(kernels, strips), rates)
+            evaluated = _trapezoid(kernel, _pick_lines(kernel, strip, lnz), lnz, log_prefactor,
+                                   spec.decay_index * math.pi)
         for i, res in zip(index, evaluated):
             results[i] = res
     return results

@@ -81,6 +81,11 @@ class SnrDistribution:
     params: CascadeParams
     ris: RisElement = field(default_factory=RisElement)
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.mean_snr < math.inf:
+            raise ValueError(f"mean SNR {self.params.mean_snr!r} times mu^2 must be a positive "
+                             f"finite double, got {self.mean_snr!r} at mu={self.ris.mu!r}")
+
     @property
     def mean_snr(self) -> float:
         return self.params.mean_snr * self.ris.mu ** 2

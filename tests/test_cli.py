@@ -270,27 +270,27 @@ def test_point_failures_recorded_as_gaps(monkeypatch):
 
 def test_failure_inside_the_curve_batch_leaves_the_other_points(monkeypatch):
     # the closed-form points of a curve are evaluated together; one that
-    # fails in that pass becomes a gap and the others keep their values
-    import risfso.special.meijerg as meijerg_mod
+    # fails in that pass, here by a log prefactor whose value overflows,
+    # becomes a gap and the others keep their values
+    import risfso.sweeps as sweeps_mod
 
     spec = SweepSpec(variable="mean_snr_db", start=20.0, stop=26.0, step=2.0,
                      metrics=(MetricSpec(name="outage", gamma_th_db=6.0),),
                      scenarios=(ScenarioSpec("x", 4.2, 2.5, 2.0),))
     clean = run_sweep(spec)[0]
-    real, calls = meijerg_mod._contour_strip, []
+    real, calls = sweeps_mod.cdf_form, []
 
-    def second_fails(mspec):
-        calls.append(mspec)
-        if len(calls) == 2:
-            raise meijerg_mod.ContourError("synthetic failure")
-        return real(mspec)
+    def second_overflows(dist, ln_gamma):
+        calls.append(dist)
+        form = real(dist, ln_gamma)
+        return form._replace(log_prefactor=800.0) if len(calls) == 2 else form
 
-    monkeypatch.setattr(meijerg_mod, "_contour_strip", second_fails)
+    monkeypatch.setattr(sweeps_mod, "cdf_form", second_overflows)
     curve = run_sweep(spec)[0]
     assert len(calls) == 4
     assert math.isnan(curve.y[1])
     assert curve.y[:1] + curve.y[2:] == clean.y[:1] + clean.y[2:]
-    assert curve.meta["failures"] == "x=22: synthetic failure"
+    assert curve.meta["failures"] == "x=22: contour evaluation returned inf"
 
 
 def test_emit_surfaces_io_error_with_path(tmp_path):

@@ -146,6 +146,23 @@ def test_outage_needs_a_threshold_that_is_a_number(gamma_th):
         estimate_metric("outage", chan, McConfig(1_000, seed=1), gamma_th=gamma_th)
 
 
+@pytest.mark.parametrize(("metric", "kwargs", "name"), [
+    ("ber", {"p": math.nan, "q": 1.0}, "p"),
+    ("ber", {"p": -1.0, "q": 1.0}, "p"),
+    ("ber", {"p": 0.0, "q": 1.0}, "p"),
+    ("ber", {"p": 0.5, "q": math.inf}, "q"),
+    ("ber", {"p": 0.5, "q": -1.0}, "q"),
+    ("mgf", {"s": math.inf}, "s"),
+    ("outage", {"gamma_th": math.inf}, "gamma_th"),
+    ("outage", {"gamma_th": -1.0}, "gamma_th"),
+])
+def test_estimand_outside_the_closed_forms_domain_is_rejected(metric, kwargs, name):
+    # each gave a mean of nan, 0 or 1 where the closed form rejects it
+    chan = McChannel(zeta2=1.21, alpha=2.0, beta=2.0, a=1, mean_snr_h=1.0, mean_snr_g=1.0)
+    with pytest.raises(ValueError, match=rf"^{metric} needs {name} finite and [>]"):
+        estimate_metric(metric, chan, McConfig(1_000, seed=1), **kwargs)
+
+
 def test_capacity_estimate_matches_closed_form():
     dist = make_dist(*BLUE, 6.1, 1, 20.0)
     chan = McChannel(zeta2=6.1 ** 2, alpha=BLUE[0], beta=BLUE[1], a=1,

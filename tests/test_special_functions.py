@@ -46,7 +46,7 @@ from risfso.special import (
 from risfso.special import meijerg
 from risfso.special.meijerg import (
     _contour_strip,
-    _Kernels,
+    _Kernel,
     _kernel_tables,
     _merged_factors,
     _pick_lines,
@@ -262,21 +262,25 @@ def test_meijer_matches_frozen_reference(entry):
 
 
 def test_batched_references_match_frozen_and_one_at_a_time():
-    # one batch per (m, n, p, q): each value is right, within its own
-    # estimate, and the same as in a batch of one to the last bit, its
-    # estimate too
-    groups: dict[tuple, list] = {}
-    for entry in meijer_references():
-        spec = _reference_spec(entry)
-        groups.setdefault((spec.m, spec.n, spec.p, spec.q), []).append((entry, spec))
-    for group in groups.values():
-        prefactors = [entry.get("log_prefactor", 0.0) for entry, _ in group]
-        batch = meijer_g_batch([spec for _, spec in group], prefactors)
-        for (entry, spec), prefactor, res in zip(group, prefactors, batch):
-            assert_matches_reference(entry, res)
-            alone = meijer_g(spec, log_prefactor=prefactor)
+    # one batch per (m, n, p, q), and one of all the references in a
+    # seeded shuffled order, which interleaves their kernels: each value
+    # is right, within its own estimate, and the same as in a batch of
+    # one to the last bit, its estimate too
+    entries = meijer_references()
+    specs = [_reference_spec(entry) for entry in entries]
+    prefactors = [entry.get("log_prefactor", 0.0) for entry in entries]
+    alone = [meijer_g(spec, log_prefactor=prefactor)
+             for spec, prefactor in zip(specs, prefactors)]
+    batches: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        batches.setdefault((spec.m, spec.n, spec.p, spec.q), []).append(i)
+    shuffled = np.random.default_rng(24).permutation(len(entries)).tolist()
+    for batch in [*batches.values(), shuffled]:
+        results = meijer_g_batch([specs[i] for i in batch], [prefactors[i] for i in batch])
+        for i, res in zip(batch, results):
+            assert_matches_reference(entries[i], res)
             assert (res.value.hex(), res.abs_error_estimate.hex()) \
-                == (alone.value.hex(), alone.abs_error_estimate.hex()), entry["label"]
+                == (alone[i].value.hex(), alone[i].abs_error_estimate.hex()), entries[i]["label"]
 
 
 def test_batch_keeps_values_beside_a_failing_line_and_a_halving_one(monkeypatch):
@@ -318,9 +322,9 @@ def test_a_shared_row_grows_for_a_line_with_a_longer_pass(monkeypatch):
     # is fifteen times the first's, and its row grows past one piece
     spec = MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0))
     gamma, logs, constant, slope = _kernel_tables(spec)
-    lo, hi = _contour_strip(spec)
+    kernel = _Kernel(gamma, logs)
     lnz = [math.log(2.0) + slope, math.log(3.0) + slope]
-    (placed,) = _pick_lines(_Kernels([(gamma, logs)], lnz[:1], [constant]), [(lo, hi)])
+    (placed,) = _pick_lines(kernel, _contour_strip(spec), lnz[:1])
     longest = [0]
     fill = meijerg._Table.fill
 
@@ -329,14 +333,23 @@ def test_a_shared_row_grows_for_a_line_with_a_longer_pass(monkeypatch):
         longest[0] = max(longest[0], *(row.chi.size for row in table.index.values()))
 
     monkeypatch.setattr(meijerg._Table, "fill", recording)
+    start, started = meijerg._Line.start, set()
+
+    def first_pass(line, table, h, stop):
+        # each line's first pass spans _SPAN / rate, by the rate of its ln z
+        if line not in started:
+            started.add(line)
+            span = meijerg._SPAN / rate[lnz.index(line.lnz)]
+            stop = meijerg._WIDTH * math.ceil(span / (meijerg._WIDTH * h))
+        start(line, table, h, stop)
+
+    monkeypatch.setattr(meijerg._Line, "start", first_pass)
     for slow in (0.5 * math.pi, 0.1 * math.pi):
         rate = [1.5 * math.pi, slow]
 
         def run(which):
-            kernels = _Kernels([(gamma, logs)] * len(which), [lnz[i] for i in which],
-                               [constant] * len(which))
-            return _trapezoid(kernels, [0] * len(which), [placed] * len(which),
-                              [rate[i] for i in which])
+            return _trapezoid(kernel, [placed] * len(which), [lnz[i] for i in which],
+                              [constant] * len(which), math.pi * spec.decay_index)
 
         batch = run([0, 1])
         for i, want in enumerate((math.exp(-2.0), math.exp(-3.0))):
@@ -352,16 +365,15 @@ def test_a_row_grown_over_rounds_holds_one_call_of_log_chi():
     # not at all: the row holds log chi at each of its nodes as one kernel
     # call over all of them gives it, to the last bit
     form = cdf_form(make_dist(4.9477, 1.2310, 1.1, 2, 20.0), math.log(10.0))
-    gamma, logs, _, _ = _kernel_tables(form.spec)
-    kernels = _Kernels([(gamma, logs)], [0.0], [0.0])
-    table = _Table(kernels)
-    row = table.row(0, 0.3, 0.05)
+    kernel = _Kernel(*_kernel_tables(form.spec)[:2])
+    table = _Table(kernel)
+    row = table.row(0.3, 0.05)
     for stop in (15, 1020, 1020, 1035, 2565):
         table.extend(row, stop)
         table.fill()
     s = np.empty(2565, dtype=complex)
     s.real, s.imag = 0.3, 0.05 * np.arange(2565)
-    want = kernels.log_chi(s, kernels.rows[0])
+    want = kernel.log_chi(s)
     assert row.chi.size == 2565
     assert [v.hex() for v in row.chi.real] == [v.hex() for v in want.real]
     assert [v.hex() for v in row.chi.imag] == [v.hex() for v in want.imag]
@@ -390,17 +402,23 @@ def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
 
 
 def test_batch_failures_stay_per_instance():
-    # an empty strip fails at set-up and an overflowing prefactor inside
-    # the contour pass; the other instances keep their values
+    # an empty strip fails at set-up, for both instances of its kernel,
+    # and an overflowing prefactor inside the contour pass; the other
+    # instances keep their values
     specs = [EXP_SPEC, EXP_SPEC,
              MeijerGSpec(1, 1, (1.0,), (0.0, -3.2), log_argument=math.log(0.6)),
-             MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0))]
-    good, overflow, empty, other = meijer_g_batch(specs, [0.0, 800.0, 0.0, 0.0])
+             MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0)),
+             MeijerGSpec(1, 1, (1.0,), (0.0, -3.2), log_argument=math.log(3.0)),
+             MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(3.0))]
+    good, overflow, empty, other, empty_too, third = meijer_g_batch(
+        specs, [0.0, 800.0, 0.0, 0.0, 0.0, 0.0])
     assert good == meijer_g(EXP_SPEC)
     assert other == meijer_g(specs[3])
+    assert third == meijer_g(specs[5])
     assert isinstance(overflow, MeijerGError)
     assert "contour evaluation returned" in str(overflow)
-    assert isinstance(empty, ContourError)
+    for res in (empty, empty_too):
+        assert isinstance(res, ContourError) and "is empty" in str(res)
 
 
 def _unmerged_log_chi(spec: MeijerGSpec, s: np.ndarray) -> np.ndarray:
@@ -431,8 +449,7 @@ def _assert_kernel_matches_unmerged(spec: MeijerGSpec, tables) -> None:
     s = _line_in_strip(spec) + 1j * np.linspace(0.0, 60.0, 241)
     want = _unmerged_log_chi(spec, s)
     scale = 1e-13 * np.maximum(1.0, np.abs(want))
-    kernels = _Kernels([(gamma, logs)], [0.0], [0.0])
-    got = kernels.log_chi(s, kernels.rows[np.zeros(s.size, dtype=np.intp)]) + slope * s + constant
+    got = _Kernel(gamma, logs).log_chi(s) + slope * s + constant
     phase = np.angle(np.exp(1j * (got - want).imag))
     assert np.all(np.abs((got - want).real) <= scale), spec
     assert np.all(np.abs(phase) <= scale), spec
@@ -602,12 +619,11 @@ def _assert_line_holds_the_saddle(spec: MeijerGSpec, line: float, d: float) -> N
 
 def _lines(specs: list[MeijerGSpec]) -> list[tuple[float, float]]:
     """The line and pole distance of each spec, searched as one batch; the
-    specs share their numbers of log-gamma and log factors."""
-    tables = [_kernel_tables(spec) for spec in specs]
-    kernels = _Kernels([t[:2] for t in tables], [spec.log_argument + t[3] for spec, t in
-                                                 zip(specs, tables)], [0.0] * len(specs))
+    specs share their kernel and differ in ln z alone."""
+    gamma, logs, _, slope = _kernel_tables(specs[0])
     with np.errstate(all="ignore"):
-        return _pick_lines(kernels, [_contour_strip(spec) for spec in specs])
+        return _pick_lines(_Kernel(gamma, logs), _contour_strip(specs[0]),
+                           [spec.log_argument + slope for spec in specs])
 
 
 def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
@@ -630,7 +646,10 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
     # the IM/DD cdf pairs alpha's and beta's factors into log-gammas of
     # slope -2 and joins the HD cdf's group
     assert len(groups) == 2
-    for group in groups.values():
+    kernels: dict[tuple, list] = {}
+    for spec in specs:
+        kernels.setdefault((spec.m, spec.n, spec.a_params, spec.b_params), []).append(spec)
+    for group in kernels.values():
         for spec, (line, d) in zip(group, _lines(group)):
             _assert_line_holds_the_saddle(spec, line, d)
             ((alone, alone_d),) = _lines([spec])

@@ -31,7 +31,7 @@ from conftest import (
     reference_cases,
 )
 from risfso import metrics, statistics
-from risfso.special import MeijerGError, meijer_g, meijer_g_batch, quadrature
+from risfso.special import EvalResult, MeijerGError, meijer_g, meijer_g_batch, quadrature
 from risfso.simulator import McChannel, sample_end_to_end_snr
 from risfso.statistics import (
     RisElement,
@@ -567,6 +567,27 @@ def test_ris_element_validation():
         RisElement(mu=1.2)
 
 
+def test_a_mean_snr_past_the_doubles_names_its_inputs():
+    # a product of per-hop means, or its scaling by mu^2, that leaves the
+    # doubles fails where it is formed, naming what the caller passed,
+    # rather than inside a closed form as an unnamed domain error
+    from risfso.channel import DetectionMode, cascade_from_constants
+    from risfso.sweeps import ScenarioSpec, distribution
+
+    for per_hop in (1e-170, 1e160):
+        with pytest.raises(ValueError, match=r"^mean_snr_h \* mean_snr_g must be a positive "
+                                             r"finite double"):
+            cascade_from_constants(2.0, 1.5, 1.1, DetectionMode.HD, per_hop, per_hop)
+    params = make_dist(2.0, 1.5, 1.1, 1, 0.0).params
+    with pytest.raises(ValueError, match=r"must be a positive finite double, got 0\.0 at mu=1e-200$"):
+        SnrDistribution(params, RisElement(mu=1e-200))
+    # the mean SNR in dB of a scenario, as the CLI reads it, still gives
+    # its linear value at the ends of the doubles
+    for mean_snr_db in (-3070.0, 3080.0):
+        dist = distribution(ScenarioSpec("x", 4.2, 2.5, 2.0), mean_snr_db)
+        assert dist.mean_snr == pytest.approx(10.0 ** (mean_snr_db / 10.0), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # batched node values of the quadrature twins
 
@@ -651,3 +672,31 @@ def test_twin_short_of_its_tolerance_warns(monkeypatch):
     dist = make_dist(*RED, 6.1, 1, 20.0)
     with pytest.warns(IntegrationWarning, match="1 panels"):
         cdf_by_quadrature(dist, 0.01 * dist.mean_snr)
+
+
+def test_each_contour_batch_of_the_presets_and_twins_holds_one_kernel(monkeypatch):
+    # the contour engine shares a factor table, a saddle search and the
+    # log chi of its lines among the instances of one kernel, (m, n,
+    # a_params, b_params); a sweep curve and a quadrature round vary ln z
+    # and the prefactor alone, so each of their batches holds one kernel.
+    # A stub stands in for the engine, so nothing is evaluated.
+    from risfso import presets, sweeps
+
+    calls = []
+
+    def stub(specs, log_prefactors):
+        calls.append({(s.m, s.n, s.a_params, s.b_params) for s in specs})
+        return [EvalResult(0.25, 0.0)] * len(specs)
+
+    monkeypatch.setattr(statistics, "meijer_g_batch", stub)
+    for name in presets.PRESET_NAMES:
+        sweeps.run_sweep(presets.figure_preset(name))
+    curves = len(calls)
+    dist = make_dist(4.9477, 1.2310, 1.1, 2, 20.0)
+    cdf_by_quadrature(dist, 0.5 * dist.mean_snr)
+    pdf_by_product_integral(dist, 0.5 * dist.mean_snr)
+    metrics.ergodic_capacity_by_quadrature(dist)
+    metrics.average_ber_by_quadrature(dist, metrics.ModulationScheme.CBPSK)
+    assert curves == 58 and len(calls) > curves
+    assert all(len(kernels) == 1 for kernels in calls), \
+        [sorted(kernels) for kernels in calls if len(kernels) != 1][:1]
