@@ -47,7 +47,6 @@ __all__ = [
     "mgf_by_quadrature",
     "pdf",
     "pdf_by_product_integral",
-    "pdf_by_substituted_integral",
     "pdf_form",
     "subchannel_pdf",
     "subchannel_pdf_form",
@@ -226,19 +225,14 @@ def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
                     "subchannel_pdf", gamma_i)
 
 
-def _product_span(dist: SnrDistribution) -> float:
-    # the integrand decays at least like exp(-c|u|) with c the smallest
-    # per-hop exponent; 42/c reaches ~1e-18 relative to the peak
-    c = min(dist.params.delta2)
-    return min(30.0 * dist.params.a + 20.0, 42.0 / c + 6.0)
-
-
 def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
     """Density via the product-law integral over the two hop densities.
 
     Independent of the cascade closed form: only the per-hop density is
     evaluated inside the integrand.  The per-hop means are split evenly
-    (the result depends on their product only).
+    (the result depends on their product only), so the integrand
+    f(t* e^u) f(t* e^-u) is even in u: it is integrated over u >= 0 and
+    doubled, one hop pair per node.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"needs finite gamma > 0, got {gamma!r}")
@@ -252,46 +246,10 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
                               for v in ln_t.tolist()]))
         return f[:u.size] * f[u.size:]
 
-    span = _product_span(dist)
-    return gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
-                         points=[0.0]).value
-
-
-def pdf_by_substituted_integral(dist: SnrDistribution, gamma: float) -> float:
-    """Density via the power-substituted form of the product integral.
-
-    The second factor carries the reflected parameter lists, so this
-    path exercises the reflection identity inside an integrand.
-    """
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"needs finite gamma > 0, got {gamma!r}")
-    p = dist.params
-    a = p.a
-    ln_gamma = math.log(gamma)
-    ln_gbar_i = 0.5 * math.log(dist.mean_snr)
-    upper1 = (p.zeta2 + 1.0,)
-    lower1 = (p.zeta2, p.alpha, p.beta)
-    upper2 = (1.0 - p.zeta2, 1.0 - p.alpha, 1.0 - p.beta)
-    lower2 = (-p.zeta2,)
-    # the two arguments are c1 x and c2 x
-    ln_c1 = math.log(p.big_q) - ln_gbar_i / a
-    ln_c2 = (ln_gbar_i - ln_gamma) / a - math.log(p.big_q)
-    ln_x_star = -0.5 * (ln_c1 + ln_c2)  # equal arguments at the peak
-    lp = math.log(a) + 2.0 * p.log_m - ln_gamma
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        ln_x = (ln_x_star + u).tolist()
-        first = [ClosedForm(MeijerGSpec(3, 0, upper1, lower1, log_argument=ln_c1 + v), lp)
-                 for v in ln_x]
-        second = [ClosedForm(MeijerGSpec(0, 3, upper2, lower2, log_argument=ln_c2 + v), 0.0)
-                  for v in ln_x]
-        g = np.array(_values(first + second))
-        return g[:len(ln_x)] * g[len(ln_x):]
-
-    # x = t^(1/a) of the product integral's t: the same region
-    span = _product_span(dist) / a
-    return gauss_kronrod(integrand, -span, span, _PDF_TWIN_REL_TOL, 0.0,
-                         points=[0.0]).value
+    # the integrand decays at least like exp(-c u) with c the smallest
+    # per-hop exponent; 42/c reaches ~1e-18 relative to the peak
+    span = min(30.0 * dist.params.a + 20.0, 42.0 / min(dist.params.delta2) + 6.0)
+    return 2.0 * gauss_kronrod(integrand, 0.0, span, _PDF_TWIN_REL_TOL, 0.0).value
 
 
 def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import (TABLE2, WAVELENGTH_NM, DetectionMode, LinkScenario,
                       alpha_beta, cascade_from_constants)
@@ -108,8 +108,16 @@ class SweepSpec:
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
-        # checked here, so that an override by dataclasses.replace is
-        # checked like the config's own field
+        # checked here, so that a spec built in code or overridden by
+        # dataclasses.replace is checked like the config's own fields
+        _require(self.variable in VARIABLES, "sweep.variable",
+                 f"must be one of {VARIABLES}")
+        _require(self.step > 0, "sweep.step", "must be > 0")
+        _require(self.stop >= self.start, "sweep.stop", "must be >= start")
+        _require((self.stop - self.start) / self.step < MAX_GRID_POINTS, "sweep.step",
+                 f"gives more than {MAX_GRID_POINTS} grid points")
+        for i, metric in enumerate(self.metrics):
+            _check_metric(metric, f"sweep.metrics[{i}]", self.variable)
         _require(self.gbar_interpretation in INTERPRETATIONS,
                  "sweep.gbar_interpretation", f"must be one of {INTERPRETATIONS}")
         _field(vars(self), "seed", "sweep", _seed)
@@ -319,28 +327,35 @@ def metric_spec(obj: dict, path: str, variable: str | None) -> MetricSpec:
     allowed = {"name", "gamma_th_db", "scheme", "s", "mc", "samples"}
     _check_keys(obj, allowed, path)
     _require("name" in obj, path, "name is required")
-    name = str(obj["name"])
-    _require(name in METRICS, f"{path}.name", f"must be one of {', '.join(METRICS)}")
-    gamma_th_db = _field(obj, "gamma_th_db", path)
-    scheme = str(obj["scheme"]).upper() if "scheme" in obj else None
-    s = _field(obj, "s", path)
-    mc = obj.get("mc", False)
-    _require(isinstance(mc, bool), f"{path}.mc", "must be true or false")
-    samples = _field(obj, "samples", path, _integer, 200_000)
-    _require(samples >= 1, f"{path}.samples", "must be >= 1")
-    if name == "outage" and variable != "gamma_th_db":
-        _require(gamma_th_db is not None, path, "outage needs gamma_th_db")
-    if name == "outage" and mc and gamma_th_db is not None:
+    metric = MetricSpec(name=str(obj["name"]),
+                        gamma_th_db=_field(obj, "gamma_th_db", path),
+                        scheme=str(obj["scheme"]) if "scheme" in obj else None,
+                        s=_field(obj, "s", path), mc=obj.get("mc", False),
+                        samples=_field(obj, "samples", path, _integer, 200_000))
+    # checked with the user's spelling of the scheme, kept upper-cased
+    _check_metric(metric, path, variable)
+    return metric if metric.scheme is None else replace(metric, scheme=metric.scheme.upper())
+
+
+def _check_metric(metric: MetricSpec, path: str, variable: str | None) -> None:
+    """The rules of one metric, ``metric_spec``'s and ``SweepSpec``'s;
+    ``variable`` is the swept variable, or None for a single point."""
+    _require(metric.name in METRICS, f"{path}.name", f"must be one of {', '.join(METRICS)}")
+    _require(isinstance(metric.mc, bool), f"{path}.mc", "must be true or false")
+    given = {key: value for key, value in vars(metric).items() if value is not None}
+    for key in ("gamma_th_db", "s"):
+        _field(given, key, path)
+    _require(_field(given, "samples", path, _integer, 0) >= 1, f"{path}.samples", "must be >= 1")
+    if metric.name == "outage" and variable != "gamma_th_db":
+        _require(metric.gamma_th_db is not None, path, "outage needs gamma_th_db")
+    if metric.name == "outage" and metric.mc and metric.gamma_th_db is not None:
         # the Monte Carlo outage takes its threshold linear (mc_estimate)
-        db_to_linear(gamma_th_db, f"{path}.gamma_th_db")
-    if name == "ber":
-        _require(scheme is not None, path, "ber needs a scheme")
-        _field(obj, "scheme", path,
-               lambda v: ModulationScheme.from_name(str(v)))
-    if name == "mgf":
-        _require(s is not None and s > 0, path, "mgf needs s > 0")
-    return MetricSpec(name=name, gamma_th_db=gamma_th_db, scheme=scheme,
-                      s=s, mc=mc, samples=samples)
+        db_to_linear(metric.gamma_th_db, f"{path}.gamma_th_db")
+    if metric.name == "ber":
+        _require(metric.scheme is not None, path, "ber needs a scheme")
+        _field(given, "scheme", path, lambda v: ModulationScheme.from_name(str(v)))
+    if metric.name == "mgf":
+        _require(metric.s is not None and metric.s > 0, path, "mgf needs s > 0")
 
 
 def parse_config(path: str) -> SweepSpec:
@@ -366,15 +381,9 @@ def parse_config(path: str) -> SweepSpec:
     _check_keys(sw, {"variable", "start", "stop", "step", "metrics",
                      "gbar_interpretation", "seed", "output", "format"}, "sweep")
     variable = str(sw.get("variable", "mean_snr_db"))
-    _require(variable in VARIABLES, "sweep.variable",
-             f"must be one of {VARIABLES}")
     for key in ("start", "stop", "step"):
         _require(key in sw, f"sweep.{key}", "is required")
     start, stop, step = (_field(sw, key, "sweep") for key in ("start", "stop", "step"))
-    _require(step > 0, "sweep.step", "must be > 0")
-    _require(stop >= start, "sweep.stop", "must be >= start")
-    _require((stop - start) / step < MAX_GRID_POINTS, "sweep.step",
-             f"gives more than {MAX_GRID_POINTS} grid points")
     raw_metrics = sw.get("metrics", [])
     _require(isinstance(raw_metrics, list), "sweep.metrics", "must be a list")
     metrics = tuple(metric_spec(mt, f"sweep.metrics[{i}]", variable)
@@ -421,9 +430,7 @@ def _eval_point(metric: MetricSpec, dist: SnrDistribution,
         return capacity_form(dist)
     if metric.name == "ber":
         return ber_form(dist, ModulationScheme.from_name(metric.scheme))
-    if metric.name == "mgf":
-        return mgf_form(dist, metric.s)
-    raise ConfigError(f"metric.name: unknown metric {metric.name!r}")
+    return mgf_form(dist, metric.s)
 
 
 def _curve(spec: SweepSpec, sc: ScenarioSpec, metric: MetricSpec,
@@ -452,8 +459,6 @@ def _curve(spec: SweepSpec, sc: ScenarioSpec, metric: MetricSpec,
 def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     """Evaluate every scenario-metric pair over the grid, in order."""
     grid = spec.grid()
-    if not grid:
-        return []
     curves: list[MetricCurve] = []
     for sc in spec.scenarios:
         for metric in spec.metrics:

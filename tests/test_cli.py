@@ -1,6 +1,7 @@
 """Configuration parsing, sweeps, serialization and the CLI surface."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -8,8 +9,9 @@ import re
 import pytest
 
 from conftest import load_curves
-from risfso import cli
+from risfso import cli, statistics
 from risfso.presets import figure_preset
+from risfso.simulator import McConfig
 from risfso.special import MeijerGError
 from risfso.sweeps import (
     ConfigError,
@@ -17,7 +19,9 @@ from risfso.sweeps import (
     MetricSpec,
     ScenarioSpec,
     SweepSpec,
+    distribution,
     emit,
+    mc_estimate,
     parse_config,
     run_sweep,
 )
@@ -132,6 +136,44 @@ def test_parse_rejects_bad_metric(tmp_path):
         parse_config(write_config(tmp_path, cfg))
 
 
+SCENARIO = ScenarioSpec("x", 4.2, 2.5, 2.0, mean_snr_db=20.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"step": 0.0}, "sweep.step: must be > 0"),
+    ({"step": -1.0}, "sweep.step: must be > 0"),
+    ({"stop": 8.0}, "sweep.stop: must be >= start"),
+    # rejected before any grid is built: the grid would hold 4e12 points
+    ({"step": 1e-12}, "sweep.step: gives more than 100000 grid points"),
+    ({"variable": "snr"},
+     "sweep.variable: must be one of ('mean_snr_db', 'gamma_th_db', 'zeta')"),
+    ({"metrics": (MetricSpec(name="capacity"), MetricSpec(name="ber"))},
+     "sweep.metrics[1]: ber needs a scheme"),
+    ({"metrics": (MetricSpec(name="ber", scheme="foo"),)},
+     "sweep.metrics[0].scheme: unknown modulation scheme 'foo'; "
+     "choose from ['CBFSK', 'NBFSK', 'CBPSK', 'DBPSK']"),
+    ({"metrics": (MetricSpec(name="mgf"),)}, "sweep.metrics[0]: mgf needs s > 0"),
+    ({"metrics": (MetricSpec(name="mgf", s=math.inf),)}, "sweep.metrics[0].s: must be finite"),
+    ({"metrics": (MetricSpec(name="outage"),)}, "sweep.metrics[0]: outage needs gamma_th_db"),
+    ({"metrics": (MetricSpec(name="snr"),)},
+     "sweep.metrics[0].name: must be one of outage, capacity, ber, mgf"),
+    ({"metrics": (MetricSpec(name="capacity", mc=True, samples=0),)},
+     "sweep.metrics[0].samples: must be >= 1"),
+    ({"metrics": (MetricSpec(name="capacity", mc="false"),)},
+     "sweep.metrics[0].mc: must be true or false"),
+], ids=["step-zero", "step-negative", "stop-below-start", "step-tiny", "variable",
+        "ber-no-scheme", "ber-unknown-scheme", "mgf-no-s", "mgf-s-inf",
+        "outage-no-threshold", "metric-name", "samples", "mc-string"])
+def test_sweep_spec_built_in_code_is_checked_like_a_config(fields, message):
+    # a library caller of run_sweep meets the config's errors when it
+    # builds the spec, not a ZeroDivisionError, an empty sweep or a
+    # failure inside a curve
+    spec = {"variable": "mean_snr_db", "start": 10.0, "stop": 14.0, "step": 2.0,
+            "metrics": (MetricSpec(name="capacity"),), "scenarios": (SCENARIO,)}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SweepSpec(**{**spec, **fields})
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("format", "xml", r"^sweep\.format: must be csv or json, got 'xml'$"),
     ("output", 1, r"^sweep\.output: must be a string$"),
@@ -231,6 +273,27 @@ def test_mc_metric_embeds_seed():
     curves = run_sweep(spec)
     assert curves[0].meta["seed"] == 777
     assert curves[0].meta["samples"] == 20_000
+
+
+def test_mgf_sweep_labels_its_s_and_matches_the_closed_form(tmp_path):
+    metrics = (MetricSpec(name="mgf", s=0.5),
+               MetricSpec(name="mgf", s=0.5, mc=True, samples=20_000))
+    spec = SweepSpec(variable="mean_snr_db", start=10.0, stop=20.0, step=5.0,
+                     metrics=metrics, scenarios=(SCENARIO,), seed=11)
+    closed, sampled = run_sweep(spec)
+    assert [c.meta["curve"] for c in (closed, sampled)] == ["x|mgf-s0.5", "x|mgf-s0.5-mc"]
+    out = tmp_path / "mgf.csv"
+    emit([closed, sampled], "csv", str(out))
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 and {row["s"] for row in rows} == {"0.5"}
+    for x, y_closed, y_mc in zip(spec.grid(), closed.y, sampled.y):
+        dist = distribution(SCENARIO, x)
+        assert y_closed.hex() == statistics.mgf(dist, 0.5).hex(), x
+        # the sweep's estimate is mc_estimate's at the sweep's seed
+        est = mc_estimate(metrics[1], dist, McConfig(sample_count=20_000, seed=11), None)
+        assert y_mc == est.mean, x
+        assert abs(y_mc - y_closed) <= 5.0 * est.std_error, x
 
 
 def test_threshold_sweep_reaches_past_the_double_range():
@@ -484,6 +547,7 @@ ONE_POINT = ["--alpha", "4.2", "--beta", "2.5", "--mean-snr-db", "10"]
     (["params", "--color", "red", "--cn2", "1e-14", "--zeta", "2",
       "--detection", "foo"],
      "params.detection: unknown detection mode 'foo' (use 'hd' or 'imdd')"),
+    (["params", "--cn2", "1e-14", "--zeta", "2"], "give --wavelength-nm or --color"),
     (["ber", "--scheme", "foo", *ONE_POINT, "--zeta", "2.0"],
      "metric.scheme: unknown modulation scheme 'foo'; "
      "choose from ['CBFSK', 'NBFSK', 'CBPSK', 'DBPSK']"),

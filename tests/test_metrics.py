@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -84,12 +85,17 @@ def test_outage_rate_conventions():
     assert outage_probability(dist, rate=0.0, rate_convention="exp2r-minus-1") == 0.0
 
 
-@pytest.mark.parametrize("gamma_th", [math.nan, math.inf])
-def test_outage_rejects_a_threshold_that_is_not_finite(gamma_th):
+@pytest.mark.parametrize("kwargs, message", [
+    ({"gamma_th": math.nan}, "gamma_th must be finite, got nan"),
+    ({"gamma_th": math.inf}, "gamma_th must be finite, got inf"),
+    ({"gamma_th": -1.0}, "gamma_th must be nonnegative, got -1.0"),
+    ({"rate": 1.0, "rate_convention": "shannon"}, "unknown rate_convention 'shannon'"),
+], ids=["nan", "inf", "negative", "unknown-convention"])
+def test_outage_rejects_a_threshold_it_cannot_use(kwargs, message):
     # names the caller's argument, not the cdf's
     dist = make_dist(*RED, 6.1, 1, 26.0)
-    with pytest.raises(ValueError, match=rf"^gamma_th must be finite, got {gamma_th!r}$"):
-        outage_probability(dist, gamma_th)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        outage_probability(dist, **kwargs)
 
 
 # ---------------------------------------------------------------------------

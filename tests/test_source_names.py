@@ -1,12 +1,16 @@
 """No production code that only the tests call: every top-level
-function, class and constant of the package is either used somewhere in
-``src/`` or exported through its module's ``__all__``."""
+function, class and constant of the package is read somewhere in
+``src/``, or is exported through its module's ``__all__`` and then read
+in ``src/`` or ``bench/``, re-exported by ``risfso`` or named in the
+README."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "risfso"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "risfso"
 
 
 def _defined(tree: ast.Module) -> tuple[list[str], set[str]]:
@@ -25,22 +29,36 @@ def _defined(tree: ast.Module) -> tuple[list[str], set[str]]:
     return names, exported
 
 
-def test_every_top_level_name_is_used_or_exported():
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.rglob("*.py"))}
-    # a name read anywhere, bare or as an attribute; text in docstrings
-    # and comments is no use
+def _loaded(trees) -> set[str]:
+    """The names read anywhere in ``trees``, bare or as an attribute;
+    text in docstrings and comments is no use."""
     loaded = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 loaded.add(node.attr)
+    return loaded
+
+
+def _parsed(directory: Path) -> dict[Path, ast.Module]:
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(directory.rglob("*.py"))}
+
+
+def test_every_top_level_name_is_read_outside_the_tests():
+    trees = _parsed(PACKAGE)
+    loaded = _loaded(trees.values())
+    # an exported name is also used when the benchmark reads it, the
+    # package re-exports it or the README names it; the tests are no use
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    public = (loaded | _loaded(_parsed(ROOT / "bench").values())
+              | _defined(trees[PACKAGE / "__init__.py"])[1] | readme)
     unused = []
     for path, tree in trees.items():
         names, exported = _defined(tree)
         unused += [f"{path.relative_to(PACKAGE)}:{name}" for name in names
-                   if name not in exported and name not in loaded
+                   if name not in (public if name in exported else loaded)
                    and not (name.startswith("__") and name.endswith("__"))]
     assert not unused, unused
 
@@ -68,7 +86,7 @@ def test_every_imported_name_is_read_or_exported():
 def test_every_slot_is_read():
     # a __slots__ entry that no code reads is left over from deleted code,
     # like a top-level name; an augmented assignment reads its target
-    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.rglob("*.py"))]
+    trees = _parsed(PACKAGE).values()
     read = set()
     for tree in trees:
         for node in ast.walk(tree):

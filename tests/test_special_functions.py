@@ -230,6 +230,13 @@ def test_meijer_log_prefactor_scaling():
 
 
 def test_reflection_identity():
+    # the per-hop density's G^{3,0} shape (red strong row, zeta 6.1) at
+    # nine arguments Q / x: their mirrors are the G^{0,3} forms at x / Q,
+    # and both stay nonnegative
+    p = make_dist(10.9537, 2.9833, 6.1, 1, 20.0).params
+    hop = [MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta),
+                       log_argument=-math.log(x / p.big_q))
+           for x in np.logspace(-2, 2, 9)]
     specs = [
         EXP_SPEC,
         LOG_SPEC,
@@ -240,10 +247,12 @@ def test_reflection_identity():
         MeijerGSpec(6, 1, (1.0, 5.0, 5.0), (4.0, 4.2, 2.5) * 2 + (0.0,),
                     log_argument=math.log(0.4)),
     ]
-    for spec in specs:
+    for spec in specs + hop:
         direct = meijer_g(spec)
         mirrored = meijer_g(reflected(spec))
         assert mirrored.value == pytest.approx(direct.value, rel=1e-8)
+        if spec in hop:
+            assert direct.value >= -1e-12 and mirrored.value >= -1e-12
 
 
 # ---------------------------------------------------------------------------

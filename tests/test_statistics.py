@@ -45,7 +45,6 @@ from risfso.statistics import (
     mgf_form,
     pdf,
     pdf_by_product_integral,
-    pdf_by_substituted_integral,
     pdf_form,
     subchannel_pdf,
     subchannel_pdf_form,
@@ -147,41 +146,24 @@ def test_pdf_matches_product_integral_imdd():
 
 
 @pytest.mark.parametrize("a", [1, 2])
-def test_pdf_matches_substituted_integral(a):
+def test_pdf_matches_product_integral_in_both_modes(a):
     dist = make_dist(*RED, 6.1, a, 20.0)
     gbar = dist.mean_snr
     for ratio in (0.01, 1.0, 100.0):
         got = pdf(dist, ratio * gbar)
-        want = pdf_by_substituted_integral(dist, ratio * gbar)
+        want = pdf_by_product_integral(dist, ratio * gbar)
         assert got == pytest.approx(want, rel=1e-5), (a, ratio)
 
 
 @pytest.mark.parametrize("a", [1, 2])
-def test_substituted_twin_at_small_zeta(a):
-    # at zeta 0.2 the density decays slowly toward 0 (c = 0.04 / a); the
-    # twin's span is that of the product twin in x = t^(1/a)
+def test_product_twin_at_small_zeta(a):
+    # at zeta 0.2 the density decays slowly toward 0 (c = 0.04 / a), so
+    # the twin's span is the 30 a + 20 cap, not 42 / c
     dist = make_dist(2.0, 1.5, 0.2, a, 20.0)
     for ratio in (1e-3, 1.0, 1e3):
         gamma = ratio * dist.mean_snr
-        assert pdf_by_substituted_integral(dist, gamma) \
+        assert pdf_by_product_integral(dist, gamma) \
             == pytest.approx(pdf(dist, gamma), rel=1e-7), ratio
-
-
-def test_substituted_integrand_nonnegative():
-    # both G factors of the substituted integrand stay nonnegative
-    from risfso.special import MeijerGSpec, meijer_g
-    dist = make_dist(*RED, 6.1, 1, 20.0)
-    p = dist.params
-    gbar_i = math.sqrt(dist.mean_snr)
-    c1 = p.big_q / gbar_i
-    c2 = 1.0 / (p.big_q * math.sqrt(dist.mean_snr / dist.mean_snr))
-    for x in np.logspace(-2, 2, 9):
-        g1 = meijer_g(MeijerGSpec(3, 0, (p.zeta2 + 1.0,),
-                                  (p.zeta2, p.alpha, p.beta), log_argument=math.log(c1 * x))).value
-        g2 = meijer_g(MeijerGSpec(0, 3,
-                                  (1 - p.zeta2, 1 - p.alpha, 1 - p.beta),
-                                  (-p.zeta2,), log_argument=math.log(c2 * x))).value
-        assert g1 >= -1e-12 and g2 >= -1e-12
 
 
 def test_pdf_mc_histogram_agreement():
@@ -620,12 +602,10 @@ def test_batched_builders_match_scalar_calls_bit_for_bit():
         assert min(batched[0] + batched[1]) >= 0.0, row
 
 
-# (distribution row, call) of each of the six quadrature twins
+# (distribution row, call) of each of the five quadrature twins
 TWIN_CASES = {
     "pdf_by_product_integral": (
         (*BLUE, 6.1, 1, 20.0), lambda d: pdf_by_product_integral(d, 3.0 * d.mean_snr)),
-    "pdf_by_substituted_integral": (
-        (*RED, 6.1, 2, 20.0), lambda d: pdf_by_substituted_integral(d, d.mean_snr)),
     "cdf_by_quadrature": (
         (*RED, 6.1, 1, 20.0), lambda d: cdf_by_quadrature(d, 0.01 * d.mean_snr)),
     "mgf_by_quadrature": ((*BLUE, 6.1, 1, 20.0), lambda d: mgf_by_quadrature(d, 0.1)),
