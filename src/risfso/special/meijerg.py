@@ -18,9 +18,9 @@ integrand and keeps its own error estimate.  The instances of a kernel
 share its factor table, its saddle search, whose grid round is one row
 of digamma sums, and one ``_trapezoid`` pass in rounds: each round takes
 every line's next nodes from one table of log chi per line (``_Table``),
-so a node's log-gammas are computed once per batch, and sums the lines
-as flat arrays with np.add.reduceat.  A value depends on its instance
-and line alone, not on its batch.  ``meijer_g`` is a batch of one.
+so a node's log-gammas are computed once while a pass still reads them,
+and sums the lines as flat arrays with np.add.reduceat.  A value depends
+on its instance and line alone, not on its batch.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -399,20 +399,20 @@ def _edge(k: int) -> int:
 
 class _Row:
     """Log chi on the nodes x + i k step of a line, k < chi.size, in an
-    array of its own; need is the end of the round's asks."""
+    array of its own; need is the end of the round's asks, users its passes."""
 
-    __slots__ = ("x", "step", "chi", "need")
+    __slots__ = ("x", "step", "chi", "need", "users")
 
     def __init__(self, x: float, step: float) -> None:
-        self.x, self.step, self.chi, self.need = x, step, np.empty(0, dtype=complex), 0
+        self.x, self.step, self.chi, self.need, self.users = x, step, np.empty(0, complex), 0, 0
 
 
 class _Table:
     """The rows of log chi that the lines of one kernel ask for.  A round
     first extends each row to the end of its asks (``extend``), then
     computes each new node once and appends it to its row (``fill``).  A
-    node's log chi depends on s alone, so no value depends on the
-    batch."""
+    row leaves with the last pass that reads it (``release``).  Log chi
+    depends on s alone, so no value depends on the batch."""
 
     def __init__(self, kernel: _Kernel) -> None:
         self.kernel = kernel
@@ -424,7 +424,15 @@ class _Table:
         row = self.index.get((x, step))
         if row is None:
             row = self.index[x, step] = _Row(x, step)
+        row.users += 1
         return row
+
+    def release(self, rows: list[_Row]) -> None:
+        """Take a user from each row, and drop the rows left without."""
+        for row in rows:
+            row.users -= 1
+            if not row.users:
+                del self.index[row.x, row.step]
 
     def extend(self, row: _Row, stop: int) -> None:
         """Ask for the nodes of row below stop."""
@@ -446,8 +454,11 @@ class _Table:
         k = first.repeat(count) + np.arange(n[-1]) - (n - count).repeat(count)
         s = np.empty(k.size, dtype=complex)
         s.real, s.imag = x.repeat(count), k * step.repeat(count)
-        chi = np.concatenate([self.kernel.log_chi(s[j:j + _PIECE])
-                              for j in range(0, k.size, _PIECE)])
+        del k
+        chi = np.empty_like(s)
+        for j in range(0, s.size, _PIECE):
+            chi[j:j + _PIECE] = self.kernel.log_chi(s[j:j + _PIECE])
+        del s
         for row, new in zip(rows, np.split(chi, n[:-1])):
             row.chi = np.concatenate((row.chi, new))
 
@@ -471,10 +482,9 @@ class _Line:
     def start(self, table: _Table, h: float, stop: int) -> None:
         """Start a pass of step h from node 0 to node stop."""
         self.h, self.stop, self.nxt = h, stop, 0
-        xs, steps = (self.x - 4.0 * h, self.x + 4.0 * h, self.x), (8.0 * h, 8.0 * h, h)
-        self.rows = [table.row(x, step) for x, step in zip(xs, steps)]
-        self.consts = [(x * self.lnz + self.log_prefactor, step * self.lnz)
-                       for x, step in zip(xs, steps)]
+        self.rows = [table.row(self.x + o * h, 8.0 * h) for o in (-4, 4)] + [table.row(self.x, h)]
+        self.consts = [(row.x * self.lnz + self.log_prefactor, row.step * self.lnz)
+                       for row in self.rows]
         self.edge = 0
         self.lower = self.upper = self.amplitude = self.total = self.shift = 0.0
         self.phase, self.turned = math.nan, False
@@ -509,23 +519,23 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
     """
     results: list = [None] * len(placed)
     span = _SPAN / rate
-    # the instances yet to start their lines, last first
+    table = _Table(kernel)
+    # the lines yet to start their first pass, last first
     waiting = []
     for i, (x, d) in enumerate(placed):
         h = min(0.1, d / 6.0)
         if span < h * _MAX_NODES:
-            waiting.append((i, x, h, _WIDTH * math.ceil(span / (_WIDTH * h))))
+            waiting.append(_Line(table, i, x, lnz[i], log_prefactor[i], h,
+                                 _WIDTH * math.ceil(span / (_WIDTH * h))))
         else:
             results[i] = ContourError(f"line step {h:.3g} is too fine for a span of {span:.3g}")
     waiting.reverse()
-    table = _Table(kernel)
     lines: list[_Line] = []
     while True:
         count = sum(min(line.stop - line.nxt, _PIECE) for line in lines)
         while waiting and count < _ROUND:
-            i, x_i, h_i, stop = waiting.pop()
-            lines.append(_Line(table, i, x_i, lnz[i], log_prefactor[i], h_i, stop))
-            count += min(stop, _PIECE)
+            lines.append(waiting.pop())
+            count += min(lines[-1].stop, _PIECE)
         if not lines:
             return results
         # the end of each line's ask and of its edges'
@@ -553,19 +563,18 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
                 floats += (*c, line.phase)
                 nodes += b - a
             tail.append(nodes - 1)
-        # in place where it can: a round's arrays reach 150 kB each
+        # in place where it can, k as floats (exact): at most 300 kB at once
         ints = np.array(ints).reshape(-1, 2)
-        log_chi = np.concatenate(asks)
         size = ints[:, 1]
-        k = np.arange(nodes)
-        k += ints[:, 0].repeat(size)
         add, rot, before = np.array(floats).reshape(-1, 3).T
+        im = np.arange(nodes, dtype=float)
+        im += ints[:, 0].repeat(size)
+        im *= rot.repeat(size)
+        log_chi = np.concatenate(asks)
+        im += log_chi.imag
         re = add.repeat(size)
         re += log_chi.real
-        im = rot.repeat(size)
-        im *= k
-        im += log_chi.imag
-        del k, log_chi
+        del log_chi
         heads = [j for j, line in enumerate(lines) if not line.nxt]
         for j in heads:
             # the first node of a pass, w(sigma), sets the line's shift
@@ -592,9 +601,11 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
         cos = np.cos(im, out=im)
         cos *= mag
         real = np.add.reduceat(cos, begin)[2::3].tolist()
+        fallen = mag[tail].tolist()  # |w| at each line's last node
+        del re, mag, im, cos, diff  # before the next round's fill
         kept = []
-        for line, t, (edge, nxt), lower, upper, amplitude, total, turn, phase, drop in zip(
-                lines, tail, ends, part[::3], part[1::3], part[2::3], real, turns, last, drops):
+        for line, end, (edge, nxt), lower, upper, amplitude, total, turn, phase, drop in zip(
+                lines, fallen, ends, part[::3], part[1::3], part[2::3], real, turns, last, drops):
             # an edge that asked for no node has no sum
             if edge > line.edge:
                 line.lower += lower
@@ -610,7 +621,6 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
             # phase that turned too fast halves h, |w| at the end within
             # the bound converges, and otherwise the span grows
             value, h, stop, i = line.h * line.total, line.h, line.stop, line.inst
-            end = float(mag[t])
             if not math.isfinite(value):
                 results[i] = _finished(value, 0.0, line.shift)
             elif line.turned:
@@ -642,6 +652,8 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
             if results[i] is None and stop > _MAX_NODES:
                 results[i] = ContourError(f"line needs over {_MAX_NODES} nodes: step {h:.3g}, "
                                           f"|w| still {end:.2e} at t = {line.h * line.stop:.3g}")
+            if results[i] is not None or line.turned:
+                table.release(line.rows)
             if results[i] is None:
                 if line.turned:
                     # a halved line sums its whole span again

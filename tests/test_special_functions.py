@@ -388,6 +388,30 @@ def test_a_row_grown_over_rounds_holds_one_call_of_log_chi():
     assert [v.hex() for v in row.chi.imag] == [v.hex() for v in want.imag]
 
 
+def test_a_row_leaves_the_table_with_its_last_pass(monkeypatch):
+    # the table holds the rows of the running and waiting passes only: it
+    # holds fewer nodes at its fullest than it computes over the batch,
+    # and none once the batch is done
+    tables, held, computed = [], [0], [0]
+
+    class Recording(_Table):
+        def __init__(self, kernel):
+            super().__init__(kernel)
+            tables.append(self)
+
+        def fill(self):
+            computed[0] += sum(row.need - row.chi.size for row in self.grown)
+            super().fill()
+            held[0] = max(held[0], sum(row.chi.size for row in self.index.values()))
+
+    monkeypatch.setattr(meijerg, "_Table", Recording)
+    forms = [cdf_form(make_dist(4.9477, 1.2310, 1.1, 1, mean_db), math.log(10.0))
+             for mean_db in np.linspace(0.0, 40.0, 41)]
+    meijer_g_batch([form.spec for form in forms], [form.log_prefactor for form in forms])
+    assert len(tables) == 1 and not tables[0].index
+    assert 0 < held[0] < computed[0], (held[0], computed[0])
+
+
 def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
     # a dense mean-SNR curve of the outage: one kernel, 41 arguments, whose
     # lines mostly fall on shared lattice lines; the count goes through the
