@@ -1,45 +1,39 @@
 """Meijer-G evaluation on positive real arguments.
 
 ``meijer_g_batch`` sums the defining Mellin-Barnes integral of each
-instance with the trapezoid rule along a vertical line placed inside the
-strip separating the two pole families.  The lines lie on a lattice that
-the strip alone fixes (``_snap``).  An instance takes the one whose cell
+instance with the trapezoid rule along a vertical line inside the strip
+separating the two pole families.  The lines lie on a lattice that the
+strip alone fixes (``_snap``), and an instance takes the one whose cell
 holds the saddle point of its integrand on the real axis, where the
-integral cancels least, in the tails and for large shapes alike: the
-cell at whose bounds the derivative of the log magnitude, a digamma sum,
-changes sign (``_pick_lines``; one round past a bracketing grid for 95 %
-of instances, at most five).  The step follows from the line, so the
-points of a sweep curve, whose saddles lie close together, ask for the
-same nodes.  The integrand is analytic in the strip of half-width d
-about the line, d being the distance to the nearest pole, where the
-trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
-Review 56(3), 2014, Thm 5.1).  Each instance takes its own span from its
-integrand and keeps its own error estimate.  The instances of a kernel
-share its factor table, its saddle search, whose grid round is one row
-of digamma sums, and one ``_trapezoid`` pass in rounds: each round takes
-every line's next nodes from one table of log chi per line (``_Table``),
-so a node's log-gammas are computed once while a pass still reads them,
-and sums the lines as flat arrays with np.add.reduceat.  A value depends
-on its instance and line alone, not on its batch.  ``meijer_g`` is a batch of one.
+integral cancels least: the cell at whose bounds the derivative of the
+log magnitude, a digamma sum, changes sign (``_pick_lines``).  The
+integrand is analytic in the strip of half-width d about the line, d
+being the distance to the nearest pole, where the trapezoid rule
+converges geometrically (Trefethen and Weideman, SIAM Review 56(3),
+2014, Thm 5.1).  Before it sums, a line fixes its step, from d and the
+rate at which the phase of the integrand turns, and its span, from
+Stirling's series for the fall of its magnitude (``_plan``), so that
+almost every line ends in one pass; each keeps its own error estimate.
+The instances of a kernel share its factor table, its saddle search and
+one ``_trapezoid`` pass in rounds over one table of log chi per line
+(``_Table``), so the points of a sweep curve that share a lattice line
+share its log-gammas.  A value depends on its instance and line alone,
+not on its batch.  ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
 closed forms keep every leading upper parameter at or below 1 and every
-leading lower one above 0, so the two families never touch.  A spec
-whose families touch or interleave has no separating strip and raises
-``ContourError``.
+leading lower one above 0, so the two families never touch; a spec whose
+families touch or interleave raises ``ContourError``.
 
-All gamma factors are accumulated in log space, so instances whose
-G-value spans hundreds of orders of magnitude stay representable; the
-argument enters as ln z, and an optional ``log_prefactor`` folds an
-external scale factor into the integrand, for the same reason.  Before
-the pass the factors of each kernel are reduced (``_kernel_tables``):
-equal ones merge, a factor one above another folds onto it and a log,
-and a pair half a unit apart becomes one log-gamma of twice the slope
-by Legendre's duplication formula, its constant and term linear in s
-joining the log prefactor and ln z.  Under IM/DD that pairing undoes
-the Gauss multiplication of the closed forms and halves the log-gammas
-the cdf needs per node.
+All gamma factors are accumulated in log space, and the argument enters
+as ln z and an external scale factor as ``log_prefactor``, so values
+spanning hundreds of orders of magnitude stay representable.  The
+factors of each kernel are reduced first (``_kernel_tables``): equal ones
+merge, a factor one above another folds onto it and a log, and a pair
+half a unit apart becomes one log-gamma of twice the slope by Legendre's
+duplication formula, which under IM/DD undoes the Gauss multiplication
+of the closed forms and halves the log-gammas the cdf needs per node.
 """
 from __future__ import annotations
 
@@ -47,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 from .gammafn import loggamma_complex
 
@@ -63,8 +57,7 @@ __all__ = [
 _COLLISION_TOL = 1e-9
 _LN2 = math.log(2.0)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
-# a line asks for nodes in multiples of this, and reads the fall of |w|
-# over its last _WIDTH nodes
+# a line asks for nodes in multiples of this
 _WIDTH = 15
 # nodes per kernel call, and at most per line of an ask: pieces of 1,020
 # nodes keep the temporaries of the log-gammas near 130 kB
@@ -72,10 +65,12 @@ _PIECE = 68 * _WIDTH
 # lines join a round while it asks for fewer nodes than this, so a batch
 # of thousands of instances holds a bounded number of nodes at once
 _ROUND = 8 * _PIECE
-# a line's first span is _SPAN / (pi decay_index), where the asymptotic
-# decay of |w|, exp(-pi decay_index t), is 4e-18; most lines then grow
-# once, to where their own decay meets the tail bound
-_SPAN = 40.0
+# a line's first span ends where |w| is predicted to fall to _FALL |w(sigma)|
+# / (pi decay_index), read at these multiples of 1 / (pi decay_index)
+_FALL = 1e-16
+_SPANS = 40.0 * 2.0 ** np.arange(-2.0, 4.25, 0.5)
+# ln |w| below which exp(ln |w|) is 0: a span need not reach past it
+_UNDERFLOW = -746.0
 # a line fails rather than take more nodes than this
 _MAX_NODES = 1 << 20
 # ln |w| at a line's first node above which it scales w down (_trapezoid)
@@ -233,12 +228,18 @@ def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, float, fl
 
 class _Kernel:
     """The factors of one kernel, one column each: offsets, signs and
-    weights, the log-gamma ones first.  A kernel value depends on s
-    alone."""
+    weights, the log-gamma ones first; and the same with each log factor
+    unfolded into log-gammas, log x = logGamma(x + 1) - logGamma(x), and
+    their weights times their signs, for the digamma sums of (log w)' and
+    the Stirling sums of ln |w|.  A kernel value depends on s alone."""
 
     def __init__(self, gamma: np.ndarray, logs: np.ndarray) -> None:
         self.gamma_width = gamma.shape[1]
         self.table = np.concatenate((gamma, logs), axis=1)
+        self.unfolded = np.concatenate((self.table, logs), axis=1)
+        self.unfolded[0, self.table.shape[1]:] += 1.0
+        self.unfolded[2, self.gamma_width:self.table.shape[1]] *= -1.0
+        self.slope_weight = self.unfolded[2] * self.unfolded[1]
 
     def log_chi(self, s: np.ndarray) -> np.ndarray:
         """Log of the gamma-ratio kernel at s.  Its imaginary part, plus
@@ -292,15 +293,7 @@ def _pick_lines(kernel: _Kernel, strip: tuple[float, float],
     the next guess.
     """
     lo, hi = strip
-    k, kg = kernel.table.shape[1], kernel.gamma_width
-    # offsets, signs of s and weights of the factors, each log factor
-    # unfolded into log-gammas, log x = logGamma(x + 1) - logGamma(x):
-    # phi' is then one sum of digammas, a factor of slope e weighing e
-    table = np.concatenate([kernel.table, kernel.table[:, kg:]], axis=1)
-    table[0, k:] += 1.0
-    table[2, kg:k] *= -1.0
-    off, sign, weight = table
-    slope_weight = weight * sign
+    off, sign, _ = kernel.unfolded
     # sigma = end + side * dist, dist = gap / (1 + gap / width) and
     # gap = exp(side * u); the arguments of the gammas are base + rate * dist
     side = 1.0 if math.isfinite(lo) else -1.0
@@ -319,7 +312,7 @@ def _pick_lines(kernel: _Kernel, strip: tuple[float, float],
         step = max(1, _SLAB // (dist.shape[1] * base.size))
         for i in range(0, len(g), step):
             x = base + rate * dist[i:i + step, :, None]
-            np.add.reduce(digamma(x) * slope_weight, axis=2, out=g[i:i + step])
+            np.add.reduce(digamma(x) * kernel.slope_weight, axis=2, out=g[i:i + step])
         return g
 
     # phi' on the grid and -+_G_MAX past it; the bracket [a, b] of its sign change
@@ -391,34 +384,90 @@ def _finished(total: float, err: float, shift: float) -> EvalResult | MeijerGErr
     return EvalResult(value, float(err))
 
 
-def _edge(k: int) -> int:
-    """The nodes of an edge line that the nodes below k of its line call
-    for: one in 8, rounded up to whole multiples of _WIDTH."""
-    return (k + (8 * _WIDTH - 1)) // (8 * _WIDTH) * _WIDTH
+def _steps(kernel: _Kernel, h: list[float], sigma: list[float], ends: list[float],
+           lnz: list[float], spans: list[float]) -> list[float]:
+    """Each line's h halved until the phase of w turns by at most pi / 4 a
+    step at sigma and at sigma + i end, or until its span needs _MAX_NODES
+    nodes.  The phase turns at the rate Re (log w)'(s), ln z plus the
+    digamma sum of phi' (``_pick_lines``), real at t = 0: scipy's complex
+    digamma is 20 times slower near its pole at 0 and its root at 1.46."""
+    off, sign, _ = kernel.unfolded
+    s = np.array(sigma)[:, None]
+    turns = [np.add.reduce(digamma(sign * v + off).real * kernel.slope_weight, axis=-1).tolist()
+             for v in (s, s + 1j * np.array(ends)[:, None])]
+    for i, (a, b, z, span) in enumerate(zip(*turns, lnz, spans)):
+        rate = max(abs(a + z), abs(b + z))
+        while h[i] * rate > 0.25 * math.pi and span < h[i] * _MAX_NODES:
+            h[i] *= 0.5
+    return h
+
+
+def _plan(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[float],
+          log_prefactor: list[float], rate: float) -> list[tuple[float, float]]:
+    """The step and the first span of each line (sigma, d), from its
+    instance alone, in slabs of about _SLAB terms.
+
+    The span ends where |w| is predicted to fall to _FALL |w(sigma)| /
+    rate, or to underflow.  ln |w(sigma + i t) / w(sigma)| sums ln
+    |Gamma(x + i y)| - ln Gamma(x) over the unfolded factors, y = |e| t:
+    the second is scipy's real log-gamma, the first the leading terms of
+    Stirling's series, Re (x + i y - 1/2) Ln(x + i y) - x + ln(2 pi) / 2
+    (DLMF 5.11.1), close for the arguments of positive real part of every
+    closed form here.  It is read at the t of _SPANS, linear between them.
+    The step is min(0.1, d / 6), halved for the rate of the phase at t = 0
+    and at the middle of the pass's last step (``_steps``).
+    """
+    off, sign, weight = kernel.unfolded
+    t = _SPANS / rate
+    iy, target, ts = 1j * np.abs(sign) * t[:, None], math.log(_FALL / rate), t.tolist()
+    # sum w (ln(2 pi) / 2 - x) = base - slope sigma
+    base, slope = float(weight @ (0.5 * math.log(2.0 * math.pi) - off)), float(weight @ sign)
+    size = max(1, _SLAB // iy.size)
+    plan = []
+    for i in range(0, len(placed), size):
+        chunk, z = placed[i:i + size], lnz[i:i + size]
+        x = sign * np.array([v for v, _ in chunk])[:, None] + off
+        at0 = gammaln(x)
+        tops = np.add.reduce(at0 * weight, axis=-1).tolist()
+        x = x[:, None, :] + iy
+        fall = np.log(x)
+        fall *= x - 0.5
+        h, ends, spans = [], [], []
+        for (v, d), lz, p, top, f in zip(chunk, z, log_prefactor[i:i + size], tops,
+                                         np.add.reduce(fall.real * weight, axis=-1).tolist()):
+            # the first t where the fall from ln |w(sigma)|, as the pass
+            # scales it, reaches the goal, linear between two t
+            goal = max(target, _UNDERFLOW - min(top + v * lz + p, _CEILING)) + top - base + v * slope
+            j = 1
+            while j < len(ts) - 1 and f[j] > goal:
+                j += 1
+            part = (f[j - 1] - goal) / (f[j - 1] - f[j]) if f[j - 1] > f[j] else 1.0
+            spans.append(ts[j - 1] + (ts[j] - ts[j - 1]) * max(0.0, min(1.0, part)))
+            h.append(min(0.1, d / 6.0))
+            ends.append(h[-1] * (_WIDTH * math.ceil(spans[-1] / (_WIDTH * h[-1])) - 1.5))
+        plan += zip(_steps(kernel, h, [v for v, _ in chunk], ends, z, spans), spans)
+    return plan
 
 
 class _Row:
-    """Log chi on the nodes x + i k step of a line, k < chi.size, in an
-    array of its own; need is the end of the round's asks, users its passes."""
+    """Log chi at x + i k step, k < chi.size, and the passes that read it."""
 
-    __slots__ = ("x", "step", "chi", "need", "users")
+    __slots__ = ("x", "step", "chi", "users")
 
     def __init__(self, x: float, step: float) -> None:
-        self.x, self.step, self.chi, self.need, self.users = x, step, np.empty(0, complex), 0, 0
+        self.x, self.step, self.chi, self.users = x, step, np.empty(0, complex), 0
 
 
 class _Table:
     """The rows of log chi that the lines of one kernel ask for.  A round
-    first extends each row to the end of its asks (``extend``), then
-    computes each new node once and appends it to its row (``fill``).  A
-    row leaves with the last pass that reads it (``release``).  Log chi
+    computes each node that its asks lack once (``fill``); a row filled
+    once takes its slice of the fill, a row that grows appends to a copy.
+    A row leaves with the last pass that reads it (``release``).  Log chi
     depends on s alone, so no value depends on the batch."""
 
     def __init__(self, kernel: _Kernel) -> None:
         self.kernel = kernel
         self.index: dict[tuple[float, float], _Row] = {}
-        # the rows that the round extends
-        self.grown: list[_Row] = []
 
     def row(self, x: float, step: float) -> _Row:
         row = self.index.get((x, step))
@@ -434,60 +483,45 @@ class _Table:
             if not row.users:
                 del self.index[row.x, row.step]
 
-    def extend(self, row: _Row, stop: int) -> None:
-        """Ask for the nodes of row below stop."""
-        if stop > row.need:
-            if row.need == row.chi.size:
-                self.grown.append(row)
-            row.need = stop
-
-    def fill(self) -> None:
-        """Compute the nodes asked for since the last fill, in pieces of
-        at most ``_PIECE``."""
-        rows, self.grown = self.grown, []
-        if not rows:
+    def fill(self, asks: list[tuple[_Row, int]]) -> None:
+        """Compute the nodes below stop of each ask (row, stop) that its row
+        lacks, in pieces of at most ``_PIECE``."""
+        need: dict[_Row, int] = {}
+        for row, stop in asks:
+            if stop > need.get(row, row.chi.size):
+                need[row] = stop
+        if not need:
             return
         first, count, x, step = np.array(
-            [(row.chi.size, row.need - row.chi.size, row.x, row.step) for row in rows]).T
+            [(row.chi.size, stop - row.chi.size, row.x, row.step) for row, stop in need.items()]).T
         count = count.astype(np.intp)
         n = np.add.accumulate(count)
         k = first.repeat(count) + np.arange(n[-1]) - (n - count).repeat(count)
         s = np.empty(k.size, dtype=complex)
         s.real, s.imag = x.repeat(count), k * step.repeat(count)
         del k
-        chi = np.empty_like(s)
-        for j in range(0, s.size, _PIECE):
-            chi[j:j + _PIECE] = self.kernel.log_chi(s[j:j + _PIECE])
-        del s
-        for row, new in zip(rows, np.split(chi, n[:-1])):
-            row.chi = np.concatenate((row.chi, new))
+        for j in range(0, s.size, _PIECE):  # log chi in place of s
+            s[j:j + _PIECE] = self.kernel.log_chi(s[j:j + _PIECE])
+        for row, a, b in zip(need, [0, *n[:-1].tolist()], n.tolist()):
+            row.chi = np.concatenate((row.chi, s[a:b])) if row.chi.size else s[a:b]
 
 
 class _Line:
     """An instance's line and its pass: the step h, the next node of the
     line and of its edges, and the end; the rows of its lower edge, upper
     edge and itself, with the constants (Re, Im per node) that each adds
-    to log chi for log w; the sums of |w| along them and of Re w along
-    itself; the phase at its last node, its shift and whether the phase
-    turned too fast."""
+    to log chi for log w; the sums of |w| along them, of Re w, the shift."""
 
     __slots__ = ("inst", "x", "lnz", "log_prefactor", "h", "stop", "nxt", "edge", "rows",
-                 "consts", "lower", "upper", "amplitude", "total", "phase", "shift", "turned")
+                 "consts", "lower", "upper", "amplitude", "total", "shift")
 
     def __init__(self, table: _Table, inst: int, x: float, lnz: float,
                  log_prefactor: float, h: float, stop: int) -> None:
         self.inst, self.x, self.lnz, self.log_prefactor = inst, x, lnz, log_prefactor
-        self.start(table, h, stop)
-
-    def start(self, table: _Table, h: float, stop: int) -> None:
-        """Start a pass of step h from node 0 to node stop."""
-        self.h, self.stop, self.nxt = h, stop, 0
-        self.rows = [table.row(self.x + o * h, 8.0 * h) for o in (-4, 4)] + [table.row(self.x, h)]
-        self.consts = [(row.x * self.lnz + self.log_prefactor, row.step * self.lnz)
-                       for row in self.rows]
-        self.edge = 0
+        self.h, self.stop, self.nxt, self.edge = h, stop, 0, 0
+        self.rows = [table.row(x + o * h, 8.0 * h) for o in (-4, 4)] + [table.row(x, h)]
+        self.consts = [(row.x * lnz + log_prefactor, row.step * lnz) for row in self.rows]
         self.lower = self.upper = self.amplitude = self.total = self.shift = 0.0
-        self.phase, self.turned = math.nan, False
 
 
 def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[float],
@@ -497,33 +531,28 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
     operations over one ``_Table``; rate is pi times the decay index.
 
     The nodes lie at s = sigma + i k h, k = 0, 1, ..., and the value is
-    (h / pi) (sum Re w - Re w(sigma) / 2).  h starts at min(0.1, d / 6),
-    d being the distance from sigma to the nearest pole.  The span starts
-    at ``_SPAN`` / rate and grows, by at most 1.7 times at a time, until
-    |w| at its end is at most 1e-14 of the value; but where the phase of
-    w turns by more than pi / 4 between neighbouring nodes, h halves and
-    the line sums its whole span again.  Along the lines sigma -+ 4 h |w|
-    is summed every 8 h, for M in the error bound: the nodes below k of
-    the line call for those below ``_edge(k)`` of each.  Where |w| at the
-    first node exceeds e^``_CEILING``, every w is scaled by e^-shift to
-    bring it there and the result scaled back, so that a value up to the
-    largest double sums without overflow.
-
-    In a round every line asks for its next ``_PIECE`` nodes at most, a
-    multiple of ``_WIDTH``, with its edges' nodes, and a waiting instance
-    joins while the round asks for fewer than ``_ROUND``.  The asks are
-    slices of the table's rows, joined into one array, and one exp, and
-    np.add.reduceat sums each in order; the asks of a line follow from
-    its instance alone, so no value depends on the batch.  Where a pass
-    ends the line decides on floats, since it does so about twice.
+    (h / pi) (sum Re w - Re w(sigma) / 2).  A line fixes its step and its
+    first span before it asks for a node (``_plan``).  At the end of the
+    pass |w| must be at most 1e-14 of the value; otherwise the span grows
+    by half, and where the phase turns too fast at the new end for h
+    (``_steps``), the line sums its whole span again at a finer one.
+    Along the lines sigma -+ 4 h |w| is summed every 8 h, for M in the
+    error bound: the nodes below k of the line call for those below 15
+    ceil(k / 120) of each.  Where |w| at the first node exceeds
+    e^``_CEILING``, every w is scaled by e^-shift to bring it there and
+    the result scaled back, so that a value up to the largest double sums
+    without overflow.  In a round every line asks for its next ``_PIECE``
+    nodes at most, with its edges' nodes, and a waiting instance joins
+    while the round asks for fewer than ``_ROUND``.  The asks are slices
+    of the table's rows, joined into one array, and np.add.reduceat sums
+    each in order; the asks of a line follow from its instance alone, so
+    no value depends on the batch.
     """
     results: list = [None] * len(placed)
-    span = _SPAN / rate
     table = _Table(kernel)
-    # the lines yet to start their first pass, last first
-    waiting = []
-    for i, (x, d) in enumerate(placed):
-        h = min(0.1, d / 6.0)
+    # the lines yet to start their pass, last first
+    waiting, plan = [], _plan(kernel, placed, lnz, log_prefactor, rate)
+    for i, ((x, _), (h, span)) in enumerate(zip(placed, plan)):
         if span < h * _MAX_NODES:
             waiting.append(_Line(table, i, x, lnz[i], log_prefactor[i], h,
                                  _WIDTH * math.ceil(span / (_WIDTH * h))))
@@ -539,20 +568,13 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
         if not lines:
             return results
         # the end of each line's ask and of its edges'
-        ends = []
-        for line in lines:
-            end = min(line.nxt + _PIECE, line.stop)
-            edge = _edge(end)
-            lower, upper, row = line.rows
-            table.extend(lower, edge)
-            table.extend(upper, edge)
-            table.extend(row, end)
-            ends.append((edge, end))
-        table.fill()
+        ends = [((e + 8 * _WIDTH - 1) // (8 * _WIDTH) * _WIDTH, e)
+                for e in (min(line.nxt + _PIECE, line.stop) for line in lines)]
+        table.fill([(row, stop) for line, (edge, end) in zip(lines, ends)
+                    for row, stop in zip(line.rows, (edge, edge, end))])
         # per ask, the lower edge, upper edge and line of each line in
         # turn: its log chi, where its nodes begin among all, k less that,
-        # its size, its constants and the phase before it; and per line
-        # its last node
+        # its size and its constants; and per line its last node
         asks, begin, ints, floats, tail, nodes = [], [], [], [], [], 0
         for line, (edge, end) in zip(lines, ends):
             for row, a, b, c in zip(line.rows, (line.edge, line.edge, line.nxt),
@@ -560,21 +582,21 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
                 asks.append(row.chi[a:b])
                 begin.append(nodes)
                 ints += (a - nodes, b - a)
-                floats += (*c, line.phase)
+                floats += c
                 nodes += b - a
             tail.append(nodes - 1)
-        # in place where it can, k as floats (exact): at most 300 kB at once
+        # in place where it can, k as floats (exact), and no complex copy
+        # of the asks: at most about 300 kB at once
         ints = np.array(ints).reshape(-1, 2)
         size = ints[:, 1]
-        add, rot, before = np.array(floats).reshape(-1, 3).T
+        add, rot = np.array(floats).reshape(-1, 2).T
         im = np.arange(nodes, dtype=float)
         im += ints[:, 0].repeat(size)
         im *= rot.repeat(size)
-        log_chi = np.concatenate(asks)
-        im += log_chi.imag
-        re = add.repeat(size)
-        re += log_chi.real
-        del log_chi
+        im += np.concatenate([ask.imag for ask in asks])
+        re = np.concatenate([ask.real for ask in asks])
+        re += add.repeat(size)
+        del asks
         heads = [j for j, line in enumerate(lines) if not line.nxt]
         for j in heads:
             # the first node of a pass, w(sigma), sets the line's shift
@@ -583,48 +605,33 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
             if line.shift:
                 re[begin[3 * j]:tail[j] + 1] -= line.shift
                 line.consts = [(a - line.shift, b) for a, b in line.consts]
-        # the fall of Re log w over the last _WIDTH nodes of each line
-        drops = (re[[t - (_WIDTH - 1) for t in tail]] - re[tail]).tolist()
         mag = np.exp(re, out=re)
-        if heads:
-            # and its edges' first nodes and it weigh a half
-            mag[[begin[3 * j + o] for j in heads for o in range(3)]] *= 0.5
-        begin = np.array(begin)
+        # and its edges' first nodes and it weigh a half
+        mag[[begin[3 * j + o] for j in heads for o in range(3)]] *= 0.5
         part = np.add.reduceat(mag, begin).tolist()
-        # the largest turn of the phase between neighbouring nodes of a
-        # line, from the last node before the ask on
-        diff = np.concatenate(([0.0], im[:-1]))
-        diff[begin] = before
-        diff -= im
-        turns = np.fmax.reduceat(np.abs(diff, out=diff), begin)[2::3].tolist()
-        last = im[tail].tolist()
         cos = np.cos(im, out=im)
         cos *= mag
         real = np.add.reduceat(cos, begin)[2::3].tolist()
         fallen = mag[tail].tolist()  # |w| at each line's last node
-        del re, mag, im, cos, diff  # before the next round's fill
+        del re, mag, im, cos  # before the next round's fill
         kept = []
-        for line, end, (edge, nxt), lower, upper, amplitude, total, turn, phase, drop in zip(
-                lines, fallen, ends, part[::3], part[1::3], part[2::3], real, turns, last, drops):
+        for line, end, (edge, nxt), lower, upper, amplitude, total in zip(
+                lines, fallen, ends, part[::3], part[1::3], part[2::3], real):
             # an edge that asked for no node has no sum
             if edge > line.edge:
                 line.lower += lower
                 line.upper += upper
             line.amplitude += amplitude
             line.total += total
-            line.turned |= turn > 0.25 * math.pi
-            line.phase, line.nxt, line.edge = phase, nxt, edge
+            line.nxt, line.edge = nxt, edge
             if line.nxt < line.stop:
                 kept.append(line)
                 continue
-            # at the end of a pass a value that is not finite fails, a
-            # phase that turned too fast halves h, |w| at the end within
-            # the bound converges, and otherwise the span grows
-            value, h, stop, i = line.h * line.total, line.h, line.stop, line.inst
+            # at the end of a pass a value that is not finite fails, |w| at
+            # the end within the bound converges, and otherwise the span grows
+            value, h, i = line.h * line.total, line.h, line.inst
             if not math.isfinite(value):
                 results[i] = _finished(value, 0.0, line.shift)
-            elif line.turned:
-                h, stop = 0.5 * h, 2 * stop
             elif end <= 1e-14 * abs(value):
                 # Trefethen and Weideman, Thm 5.1: where w is analytic in
                 # the strip of half-width a about the line, and M bounds
@@ -640,27 +647,19 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
                                        + end / rate + 3e-16 * h * line.amplitude,
                                        line.shift)
             else:
-                # to where |w|, falling on as over the last _WIDTH nodes,
-                # meets the bound, with a fifth to spare; in doubles, so
-                # that a bound or a fall that underflows leaves 0.7
-                fall = drop / ((_WIDTH - 1) * h)
-                more = 0.7 * stop
-                if fall > 0.0 and value:
-                    more = min(more, 1.2 * np.log(np.float64(end) / (1e-14 * abs(value)))
-                               / (fall * h))
-                stop = _WIDTH * math.ceil((stop + more) / _WIDTH)
-            if results[i] is None and stop > _MAX_NODES:
+                stop = _WIDTH * math.ceil(1.5 * line.stop / _WIDTH)
+                (h,) = _steps(kernel, [h], [line.x], [h * (stop - 1.5)], [line.lnz], [h * stop])
+                stop *= round(line.h / h)
+                if stop <= _MAX_NODES:
+                    if h < line.h:
+                        table.release(line.rows)
+                        line = _Line(table, i, line.x, line.lnz, line.log_prefactor, h, stop)
+                    line.stop = stop
+                    kept.append(line)
+                    continue
                 results[i] = ContourError(f"line needs over {_MAX_NODES} nodes: step {h:.3g}, "
                                           f"|w| still {end:.2e} at t = {line.h * line.stop:.3g}")
-            if results[i] is not None or line.turned:
-                table.release(line.rows)
-            if results[i] is None:
-                if line.turned:
-                    # a halved line sums its whole span again
-                    line.start(table, h, stop)
-                else:
-                    line.stop = stop
-                kept.append(line)
+            table.release(line.rows)
         lines = kept
 
 

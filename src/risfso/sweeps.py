@@ -341,6 +341,12 @@ def _check_metric(metric: MetricSpec, path: str, variable: str | None) -> None:
     """The rules of one metric, ``metric_spec``'s and ``SweepSpec``'s;
     ``variable`` is the swept variable, or None for a single point."""
     _require(metric.name in METRICS, f"{path}.name", f"must be one of {', '.join(METRICS)}")
+    # a field that the metric does not read would only rename its curve
+    for key, reader in (("scheme", "ber"), ("s", "mgf"), ("gamma_th_db", "outage")):
+        _require(getattr(metric, key) is None or metric.name == reader, f"{path}.{key}",
+                 f"{metric.name} takes no {key}")
+    _require(metric.gamma_th_db is None or variable != "gamma_th_db", f"{path}.gamma_th_db",
+             "the gamma_th_db sweep sets the threshold")
     _require(isinstance(metric.mc, bool), f"{path}.mc", "must be true or false")
     given = {key: value for key, value in vars(metric).items() if value is not None}
     for key in ("gamma_th_db", "s"):

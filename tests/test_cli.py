@@ -161,9 +161,20 @@ SCENARIO = ScenarioSpec("x", 4.2, 2.5, 2.0, mean_snr_db=20.0)
      "sweep.metrics[0].samples: must be >= 1"),
     ({"metrics": (MetricSpec(name="capacity", mc="false"),)},
      "sweep.metrics[0].mc: must be true or false"),
+    # a field that its metric does not read, named by its path
+    ({"metrics": (MetricSpec(name="capacity", scheme="foo", s=3.0, gamma_th_db=5.0),)},
+     "sweep.metrics[0].scheme: capacity takes no scheme"),
+    ({"metrics": (MetricSpec(name="ber", scheme="DBPSK", s=1.0),)},
+     "sweep.metrics[0].s: ber takes no s"),
+    ({"metrics": (MetricSpec(name="mgf", s=1.0, gamma_th_db=5.0),)},
+     "sweep.metrics[0].gamma_th_db: mgf takes no gamma_th_db"),
+    ({"variable": "gamma_th_db", "metrics": (MetricSpec(name="outage", gamma_th_db=5.0),)},
+     "sweep.metrics[0].gamma_th_db: the gamma_th_db sweep sets the threshold"),
 ], ids=["step-zero", "step-negative", "stop-below-start", "step-tiny", "variable",
         "ber-no-scheme", "ber-unknown-scheme", "mgf-no-s", "mgf-s-inf",
-        "outage-no-threshold", "metric-name", "samples", "mc-string"])
+        "outage-no-threshold", "metric-name", "samples", "mc-string",
+        "capacity-unused-fields", "ber-unused-s", "mgf-unused-threshold",
+        "outage-threshold-in-threshold-sweep"])
 def test_sweep_spec_built_in_code_is_checked_like_a_config(fields, message):
     # a library caller of run_sweep meets the config's errors when it
     # builds the spec, not a ZeroDivisionError, an empty sweep or a
@@ -648,6 +659,21 @@ def test_config_mean_snr_past_the_double_range_names_the_field(
     assert cli.main(["sweep", "--config", path, *flags,
                      "--out", str(tmp_path / "out.csv")]) == 1
     assert re.match(f"error: {message}", capsys.readouterr().err)
+
+
+def test_config_metric_field_that_its_metric_does_not_read_names_the_field(tmp_path, capsys):
+    # the field went into the curve name and the CSV columns, and an
+    # unknown scheme on a capacity metric was not even checked
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["sweep"]["metrics"] = [{"name": "capacity", "scheme": "foo", "s": 3.0,
+                                "gamma_th_db": 5.0}]
+    path = write_config(tmp_path, cfg)
+    message = "sweep.metrics[0].scheme: capacity takes no scheme"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 MC_OUTAGE = {"name": "outage", "mc": True, "samples": 1000}

@@ -32,7 +32,14 @@ from conftest import (
     meijer_references,
     reflected,
 )
-from risfso.metrics import ModulationScheme, ber_form, capacity_form
+from risfso import presets
+from risfso.metrics import (
+    ModulationScheme,
+    average_ber_by_quadrature,
+    ber_form,
+    capacity_form,
+    ergodic_capacity_by_quadrature,
+)
 from risfso.special import (
     ContourError,
     EvalResult,
@@ -55,7 +62,14 @@ from risfso.special.meijerg import (
     _table,
     _trapezoid,
 )
-from risfso.statistics import cdf_form, mgf_form, pdf_form
+from risfso.statistics import (
+    cdf_by_quadrature,
+    cdf_form,
+    mgf_form,
+    pdf_by_product_integral,
+    pdf_form,
+)
+from risfso.sweeps import run_sweep
 
 # ---------------------------------------------------------------------------
 # gamma family
@@ -292,43 +306,85 @@ def test_batched_references_match_frozen_and_one_at_a_time():
                 == (alone[i].value.hex(), alone[i].abs_error_estimate.hex()), entries[i]["label"]
 
 
-def test_batch_keeps_values_beside_a_failing_line_and_a_halving_one(monkeypatch):
+def _recorded_passes(monkeypatch) -> list:
+    """Every pass that ``_trapezoid`` starts, as (table, line), recorded
+    through ``_Line``; the last one of an instance in its table is the
+    pass that finishes."""
+    passes = []
+    init = meijerg._Line.__init__
+
+    def recording(line, table, *args):
+        init(line, table, *args)
+        passes.append((table, line))
+
+    monkeypatch.setattr(meijerg._Line, "__init__", recording)
+    return passes
+
+
+def _finished_passes(passes: list) -> list:
+    return list({(id(table), line.inst): (table, line) for table, line in passes}.values())
+
+
+def test_batch_keeps_values_beside_a_failing_line_and_one_whose_rate_halves_its_step(
+        monkeypatch):
     # one batch: a line whose step is too fine for its span fails before
     # it asks for a node, while e^-2 beside it and a line whose phase
-    # turns too fast for its first step, which halves it, keep the values
-    # of a batch of one
+    # turns too fast for the step that its pole distance gives, which it
+    # halves before it asks for a node, keep the values of a batch of one
     specs = [MeijerGSpec(1, 0, (), (0.0,), log_argument=-2e4),
              MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0)),
              MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, log_argument=math.log(0.8))]
     alone = [meijer_g_batch([spec], [0.0])[0] for spec in specs]
-    steps = []
-    start = meijerg._Line.start
-
-    def recording(line, table, h, stop):
-        steps.append(h)
-        start(line, table, h, stop)
-
-    monkeypatch.setattr(meijerg._Line, "start", recording)
+    passes = _recorded_passes(monkeypatch)
     fails, exp2, halves = meijer_g_batch(specs, [0.0, 0.0, 0.0])
     assert isinstance(fails, ContourError) and "too fine" in str(fails)
     assert isinstance(alone[0], ContourError) and str(alone[0]) == str(fails)
     assert exp2.value == pytest.approx(math.exp(-2.0), rel=1e-14)
     assert halves.value == pytest.approx(0.0529417155971279576, rel=1e-10)
-    # e^-2 and the third line start at their steps, then the third again
-    # at half its own
-    assert len(steps) == 3 and steps[2] == 0.5 * steps[1]
+    # e^-2 and the third line make one pass each, the third at half the
+    # step that its pole distance gives
+    gamma, logs, _, slope = _kernel_tables(specs[2])
+    ((_, d),) = _pick_lines(_Kernel(gamma, logs), _contour_strip(specs[2]),
+                            [specs[2].log_argument + slope])
+    assert [line.h for _, line in passes] == [passes[0][1].h, 0.5 * min(0.1, d / 6.0)]
     for one, res in zip(alone[1:], (exp2, halves)):
         assert (res.value.hex(), res.abs_error_estimate.hex()) \
             == (one.value.hex(), one.abs_error_estimate.hex())
 
 
+def test_a_line_that_grows_into_a_faster_phase_sums_its_span_again(monkeypatch):
+    # each line made to start at the step that its pole distance gives,
+    # unhalved, over a quarter of its span: it grows, and where the phase
+    # turns too fast at its new end for that step, it sums its whole span
+    # again at a finer one; in a batch and alone alike, and close to the
+    # value of the line's own plan
+    specs = [MeijerGSpec(6, 0, (5.0, 5.0), (4.0, 4.2, 2.5) * 2, log_argument=math.log(z))
+             for z in (0.8, 0.5, 2.0)]
+    want = meijer_g_batch(specs, [0.0] * len(specs))
+    plan = meijerg._plan
+
+    def short(kernel, placed, *args):
+        return [(min(0.1, d / 6.0), 0.25 * span)
+                for (_, d), (_, span) in zip(placed, plan(kernel, placed, *args))]
+
+    monkeypatch.setattr(meijerg, "_plan", short)
+    alone = [meijer_g_batch([spec], [0.0])[0] for spec in specs]
+    passes = _recorded_passes(monkeypatch)
+    batch = meijer_g_batch(specs, [0.0] * len(specs))
+    finished = [line for _, line in _finished_passes(passes)]
+    assert len(passes) > len(finished) == len(specs)
+    assert min(line.h for line in finished) < max(line.h for _, line in passes)
+    for one, res, good in zip(alone, batch, want):
+        assert res.value == pytest.approx(good.value, rel=1e-10)
+        assert (res.value.hex(), res.abs_error_estimate.hex()) \
+            == (one.value.hex(), one.abs_error_estimate.hex())
+
+
 def test_a_shared_row_grows_for_a_line_with_a_longer_pass(monkeypatch):
-    # two lines of one kernel on one line, the first made to start with a
-    # third of the second's pass: the rows that the first line makes must
-    # grow for the second, as a row made by a line halving at its first
-    # pass must for a line halving after two growths, and each value
-    # stays that of a batch of one; so too where the second line's pass
-    # is fifteen times the first's, and its row grows past one piece
+    # two lines of one kernel on one line, the second made to span three
+    # times the first, then fifteen times, so that its row grows past one
+    # piece: the rows that the first line makes must grow for the second,
+    # and each value stays that of a batch of one
     spec = MeijerGSpec(1, 0, (), (0.0,), log_argument=math.log(2.0))
     gamma, logs, constant, slope = _kernel_tables(spec)
     kernel = _Kernel(gamma, logs)
@@ -337,24 +393,20 @@ def test_a_shared_row_grows_for_a_line_with_a_longer_pass(monkeypatch):
     longest = [0]
     fill = meijerg._Table.fill
 
-    def recording(table):
-        fill(table)
+    def recording(table, asks):
+        fill(table, asks)
         longest[0] = max(longest[0], *(row.chi.size for row in table.index.values()))
 
     monkeypatch.setattr(meijerg._Table, "fill", recording)
-    start, started = meijerg._Line.start, set()
+    plan = meijerg._plan
 
-    def first_pass(line, table, h, stop):
-        # each line's first pass spans _SPAN / rate, by the rate of its ln z
-        if line not in started:
-            started.add(line)
-            span = meijerg._SPAN / rate[lnz.index(line.lnz)]
-            stop = meijerg._WIDTH * math.ceil(span / (meijerg._WIDTH * h))
-        start(line, table, h, stop)
+    def stretched(kernel, placed, lnz_of, *args):
+        # each line's first span times its factor, by its ln z
+        return [(h, span * stretch[lnz.index(z)])
+                for (h, span), z in zip(plan(kernel, placed, lnz_of, *args), lnz_of)]
 
-    monkeypatch.setattr(meijerg._Line, "start", first_pass)
-    for slow in (0.5 * math.pi, 0.1 * math.pi):
-        rate = [1.5 * math.pi, slow]
+    monkeypatch.setattr(meijerg, "_plan", stretched)
+    for stretch in ([1.0, 3.0], [1.0, 15.0]):
 
         def run(which):
             return _trapezoid(kernel, [placed] * len(which), [lnz[i] for i in which],
@@ -378,8 +430,7 @@ def test_a_row_grown_over_rounds_holds_one_call_of_log_chi():
     table = _Table(kernel)
     row = table.row(0.3, 0.05)
     for stop in (15, 1020, 1020, 1035, 2565):
-        table.extend(row, stop)
-        table.fill()
+        table.fill([(row, stop), (row, stop - 15)])
     s = np.empty(2565, dtype=complex)
     s.real, s.imag = 0.3, 0.05 * np.arange(2565)
     want = kernel.log_chi(s)
@@ -399,17 +450,86 @@ def test_a_row_leaves_the_table_with_its_last_pass(monkeypatch):
             super().__init__(kernel)
             tables.append(self)
 
-        def fill(self):
-            computed[0] += sum(row.need - row.chi.size for row in self.grown)
-            super().fill()
-            held[0] = max(held[0], sum(row.chi.size for row in self.index.values()))
+        def fill(self, asks):
+            before = sum(row.chi.size for row in self.index.values())
+            super().fill(asks)
+            after = sum(row.chi.size for row in self.index.values())
+            computed[0] += after - before
+            held[0] = max(held[0], after)
 
     monkeypatch.setattr(meijerg, "_Table", Recording)
+    # enough points that their lines join over several rounds
     forms = [cdf_form(make_dist(4.9477, 1.2310, 1.1, 1, mean_db), math.log(10.0))
-             for mean_db in np.linspace(0.0, 40.0, 41)]
+             for mean_db in np.linspace(0.0, 40.0, 401)]
     meijer_g_batch([form.spec for form in forms], [form.log_prefactor for form in forms])
     assert len(tables) == 1 and not tables[0].index
     assert 0 < held[0] < computed[0], (held[0], computed[0])
+
+
+def test_no_summed_node_turns_the_phase_by_more_than_a_quarter_pi(monkeypatch):
+    # a line takes its step from the rate of the phase at its pass's ends
+    # before it sums, not from the turns of a pass already summed:
+    # recomputed between neighbouring nodes of every finished pass of the
+    # nine presets and of one call of each oracle twin, the phase of w
+    # turns by at most pi / 4
+    passes = _recorded_passes(monkeypatch)
+    for name in presets.PRESET_NAMES:
+        run_sweep(presets.figure_preset(name))
+    dist = make_dist(4.9477, 1.2310, 1.1, 2, 20.0)
+    cdf_by_quadrature(dist, 0.5 * dist.mean_snr)
+    pdf_by_product_integral(dist, 0.5 * dist.mean_snr)
+    ergodic_capacity_by_quadrature(dist)
+    average_ber_by_quadrature(dist, ModulationScheme.CBPSK)
+    finished = _finished_passes(passes)
+    assert len(finished) > 3338
+    for table, line in finished:
+        k = np.arange(line.stop)
+        phase = table.kernel.log_chi(line.x + 1j * line.h * k).imag + line.h * k * line.lnz
+        assert np.abs(np.diff(phase)).max() <= 0.25 * math.pi, (line.x, line.h, line.stop)
+
+
+def test_every_node_the_table_computes_is_read_by_a_pass_that_finishes(monkeypatch):
+    # no pass is thrown away on the nine presets or on 80 batch-of-one cdf
+    # and pdf forms (one Table 2 row, both detection modes, 0 to 60 dB),
+    # counted through _Kernel.log_chi; and those batches of one take at
+    # most 1.2 rounds each on average
+    computed, rounds = [0], [0]
+    log_chi, fill = _Kernel.log_chi, _Table.fill
+
+    def counting(kernel, s):
+        computed[0] += s.size
+        return log_chi(kernel, s)
+
+    def counting_rounds(table, asks):
+        rounds[0] += 1
+        fill(table, asks)
+
+    monkeypatch.setattr(_Kernel, "log_chi", counting)
+    monkeypatch.setattr(_Table, "fill", counting_rounds)
+    passes = _recorded_passes(monkeypatch)
+
+    def read() -> int:
+        # per row, the most nodes that a finished pass reads of it: its
+        # line's nodes, and of each edge one in 8, in whole pieces of 15
+        ends: dict[int, int] = {}
+        for _, line in _finished_passes(passes):
+            edge = -(-line.stop // 120) * 15
+            for row, end in zip(line.rows, (edge, edge, line.stop)):
+                ends[id(row)] = max(ends.get(id(row), 0), end)
+        return sum(ends.values())
+
+    for name in presets.PRESET_NAMES:
+        run_sweep(presets.figure_preset(name))
+    assert read() == computed[0] > 0
+    passes.clear()
+    computed[0] = rounds[0] = 0
+    forms = [build(make_dist(4.9477, 1.2310, 1.1, a, mean_db), math.log(10.0))
+             for build in (cdf_form, pdf_form) for a in (1, 2)
+             for mean_db in np.linspace(0.0, 60.0, 20)]
+    for form in forms:
+        meijer_g_batch([form.spec], [form.log_prefactor])
+    assert read() == computed[0] > 0
+    assert rounds[0] <= 1.2 * len(forms) == 96.0, rounds[0]
 
 
 def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
