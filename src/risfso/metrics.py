@@ -16,9 +16,9 @@ import numpy as np
 from scipy.special import gammaln, gammasgn, polygamma, zeta
 
 from .channel import DetectionMode
-from .special import MeijerGSpec, gauss_kronrod
+from .special import MeijerGKernel, gauss_kronrod
 from .statistics import (
-    ClosedForm,
+    FormFamily,
     SnrDistribution,
     _values,
     _x_pdf_form,
@@ -105,19 +105,20 @@ def outage_probability(dist: SnrDistribution, gamma_th: float | None = None, *,
     return cdf(dist, gamma_th)
 
 
-def capacity_form(dist: SnrDistribution) -> ClosedForm:
-    """Closed form of the ergodic capacity."""
+def capacity_form(dist: SnrDistribution, mean_snr: list[float] | None = None) -> FormFamily:
+    """Closed form of the ergodic capacity at each mean SNR times mu^2 of
+    ``mean_snr`` (positive finite doubles), or at the distribution's own
+    where it is None."""
     p = dist.params
-    upper = (0.0, 1.0) + p.delta1
-    lower = p.delta2 + (0.0, 0.0)
-    lnz = math.log(p.q0) - math.log(DetectionMode(p.a).chi) - math.log(dist.mean_snr)
-    spec = MeijerGSpec(6 * p.a + 2, 1, upper, lower, log_argument=lnz)
-    return ClosedForm(spec, p.log_m0 - math.log(math.log(2.0)))
+    lnq = math.log(p.q0) - math.log(DetectionMode(p.a).chi)
+    kernel = MeijerGKernel(6 * p.a + 2, 1, (0.0, 1.0) + p.delta1, p.delta2 + (0.0, 0.0))
+    lnz = [lnq - math.log(v) for v in mean_snr or [dist.mean_snr]]
+    return FormFamily(kernel, lnz, [p.log_m0 - math.log(math.log(2.0))] * len(lnz))
 
 
 def ergodic_capacity(dist: SnrDistribution) -> float:
     """Mean achievable rate E[log2(1 + chi * SNR)] in bits/s/Hz."""
-    return _values([capacity_form(dist)])[0]
+    return _values(capacity_form(dist))[0]
 
 
 def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
@@ -130,7 +131,7 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
 
     def integrand(u: np.ndarray) -> np.ndarray:
         # g f(g) at g = gbar e^u as one closed form
-        gf = np.array(_values([_x_pdf_form(dist, v) for v in (ln_gbar + u).tolist()]))
+        gf = np.array(_values(_x_pdf_form(dist, (ln_gbar + u).tolist())))
         return np.log1p(chi * gbar * np.exp(u)) * gf
 
     # toward the origin the integrand falls like exp((1 + c) u), so the cut
@@ -140,20 +141,22 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
     return val / math.log(2.0)
 
 
-def ber_form(dist: SnrDistribution, scheme: ModulationScheme) -> ClosedForm:
-    """Closed form of the average BER of the given binary scheme."""
+def ber_form(dist: SnrDistribution, scheme: ModulationScheme,
+             mean_snr: list[float] | None = None) -> FormFamily:
+    """Closed form of the average BER of the given binary scheme at each
+    mean SNR times mu^2 of ``mean_snr`` (positive finite doubles), or at
+    the distribution's own where it is None."""
     p = dist.params
     sp, sq = scheme.p, scheme.q
-    upper = (1.0 - sp, 1.0) + p.delta1
-    lower = p.delta2 + (0.0,)
-    lnz = math.log(p.q0) - math.log(sq) - math.log(dist.mean_snr)
-    spec = MeijerGSpec(6 * p.a, 2, upper, lower, log_argument=lnz)
-    return ClosedForm(spec, p.log_m0 - math.log(2.0) - math.lgamma(sp))
+    lnq = math.log(p.q0) - math.log(sq)
+    kernel = MeijerGKernel(6 * p.a, 2, (1.0 - sp, 1.0) + p.delta1, p.delta2 + (0.0,))
+    lnz = [lnq - math.log(v) for v in mean_snr or [dist.mean_snr]]
+    return FormFamily(kernel, lnz, [p.log_m0 - math.log(2.0) - math.lgamma(sp)] * len(lnz))
 
 
 def average_ber(dist: SnrDistribution, scheme: ModulationScheme) -> float:
     """Average bit error probability of the given binary scheme."""
-    return _values([ber_form(dist, scheme)])[0]
+    return _values(ber_form(dist, scheme))[0]
 
 
 def average_ber_by_quadrature(dist: SnrDistribution,
@@ -168,7 +171,7 @@ def average_ber_by_quadrature(dist: SnrDistribution,
     def integrand(v: np.ndarray) -> np.ndarray:
         # the cdf at g = v^(1/p)
         return np.exp(-sq * v ** (1.0 / sp)) * np.array(
-            _values([cdf_form(dist, x) for x in (np.log(v) / sp).tolist()]))
+            _values(cdf_form(dist, (np.log(v) / sp).tolist())))
 
     v_hi = (45.0 / sq) ** sp
     val = gauss_kronrod(integrand, 0.0, v_hi, _TWIN_REL_TOL, 1e-290,

@@ -4,9 +4,11 @@ from .meijerg import (
     ContourError,
     EvalResult,
     MeijerGError,
+    MeijerGKernel,
     MeijerGSpec,
     meijer_g,
     meijer_g_batch,
+    meijer_g_family,
 )
 from .quadrature import QuadratureResult, gauss_kronrod
 
@@ -14,10 +16,12 @@ __all__ = [
     "ContourError",
     "EvalResult",
     "MeijerGError",
+    "MeijerGKernel",
     "MeijerGSpec",
     "QuadratureResult",
     "gauss_kronrod",
     "loggamma_complex",
     "meijer_g",
     "meijer_g_batch",
+    "meijer_g_family",
 ]

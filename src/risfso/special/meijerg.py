@@ -1,9 +1,9 @@
 """Meijer-G evaluation on positive real arguments.
 
-``meijer_g_batch`` sums the defining Mellin-Barnes integral of each
-instance with the trapezoid rule along a vertical line inside the strip
+``meijer_g_family`` sums the defining Mellin-Barnes integral at each ln z
+of one kernel with the trapezoid rule along a vertical line inside the strip
 separating the two pole families.  The lines lie on a lattice that the
-strip alone fixes (``_snap``), and an instance takes the one whose cell
+strip alone fixes (``_snap``), and a point takes the one whose cell
 holds the saddle point of its integrand on the real axis, where the
 integral cancels least: the cell at whose bounds the derivative of the
 log magnitude, a digamma sum, changes sign (``_pick_lines``).  The
@@ -14,11 +14,12 @@ converges geometrically (Trefethen and Weideman, SIAM Review 56(3),
 rate at which the phase of the integrand turns, and its span, from
 Stirling's series for the fall of its magnitude (``_plan``), so that
 almost every line ends in one pass; each keeps its own error estimate.
-The instances of a kernel share its factor table, its saddle search and
+The points of a family share its factor table, its saddle search and
 one ``_trapezoid`` pass in rounds over one table of log chi per line
 (``_Table``), so the points of a sweep curve that share a lattice line
-share its log-gammas.  A value depends on its instance and line alone,
-not on its batch.  ``meijer_g`` is a batch of one.
+share its log-gammas.  A value depends on its point and line alone, not
+on its family.  ``meijer_g_batch`` evaluates the instances of each
+kernel as one family, and ``meijer_g`` is a batch of one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -49,9 +50,11 @@ __all__ = [
     "ContourError",
     "EvalResult",
     "MeijerGError",
+    "MeijerGKernel",
     "MeijerGSpec",
     "meijer_g",
     "meijer_g_batch",
+    "meijer_g_family",
 ]
 
 _COLLISION_TOL = 1e-9
@@ -98,21 +101,18 @@ class ContourError(MeijerGError):
 
 
 @dataclass(frozen=True)
-class MeijerGSpec:
-    """Orders, parameter lists and log argument of one G-function instance.
+class MeijerGKernel:
+    """Orders and parameter lists of a G-function, all but its argument.
 
     ``m`` leading lower parameters and ``n`` leading upper parameters
     feed numerator gammas of the Mellin-Barnes integrand; the remaining
-    ones feed the denominator.  The argument z > 0 enters only as
-    ``log_argument``, ln z, which any finite double may be: z itself
-    need not be a double.
+    ones feed the denominator.
     """
 
     m: int
     n: int
     a_params: tuple[float, ...]
     b_params: tuple[float, ...]
-    log_argument: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_params", tuple(float(v) for v in self.a_params))
@@ -121,8 +121,6 @@ class MeijerGSpec:
             raise ValueError(f"need 0 <= n <= p, got n={self.n}, p={self.p}")
         if not (0 <= self.m <= self.q):
             raise ValueError(f"need 0 <= m <= q, got m={self.m}, q={self.q}")
-        if not math.isfinite(self.log_argument):
-            raise ValueError(f"log_argument must be finite, got {self.log_argument!r}")
 
     @property
     def p(self) -> int:
@@ -136,6 +134,20 @@ class MeijerGSpec:
     def decay_index(self) -> float:
         """m + n - (p + q)/2; the contour decays like exp(-pi*this*|t|)."""
         return self.m + self.n - 0.5 * (self.p + self.q)
+
+
+@dataclass(frozen=True)
+class MeijerGSpec(MeijerGKernel):
+    """One G-function instance: a kernel and its argument z > 0, which
+    enters only as ``log_argument``, ln z, any finite double: z itself
+    need not be a double."""
+
+    log_argument: float = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not math.isfinite(self.log_argument):
+            raise ValueError(f"log_argument must be finite, got {self.log_argument!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +169,7 @@ def _table(factors: dict[tuple[float, float], float]) -> np.ndarray:
     return np.array(kept, dtype=np.float64).reshape(-1, 3).T
 
 
-def _merged_factors(spec: MeijerGSpec) -> dict[tuple[float, float], float]:
+def _merged_factors(spec: MeijerGKernel) -> dict[tuple[float, float], float]:
     """The weight of each (offset, sign of s) among the gamma factors of
     the kernel: log chi(s) = sum_k w_k logGamma(c_k + e_k s).
 
@@ -178,7 +190,7 @@ def _merged_factors(spec: MeijerGSpec) -> dict[tuple[float, float], float]:
     return merged
 
 
-def _kernel_tables(spec: MeijerGSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _kernel_tables(spec: MeijerGKernel) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The factors of ``_merged_factors`` with nonzero weight, unit shifts
     folded out and half shifts paired, as (log-gamma rows, log rows, a
     constant, a slope): log chi(s) = sum_k w_k logGamma(c_k + e_k s) +
@@ -257,7 +269,7 @@ class _Kernel:
         return np.add.reduce(terms, axis=-1)
 
 
-def _contour_strip(spec: MeijerGSpec) -> tuple[float, float]:
+def _contour_strip(spec: MeijerGKernel) -> tuple[float, float]:
     """Strip (lo, hi) between the pole families; ContourError if none is or w does not decay."""
     if spec.decay_index <= 0.0:
         raise ContourError(
@@ -663,38 +675,39 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
         lines = kept
 
 
+def meijer_g_family(kernel: MeijerGKernel, log_arguments: list[float],
+                    log_prefactors: list[float]) -> list[EvalResult | MeijerGError]:
+    """Evaluate exp(log_prefactors[i]) * G(kernel) at ln z = log_arguments[i]
+    for every point i, such as the points of a sweep curve, in one pass.
+    Slot i holds the EvalResult of point i, or the MeijerGError it failed
+    with; one failure leaves the other points unaffected."""
+    if not all(map(math.isfinite, log_arguments)):
+        raise ValueError("every log_argument must be finite")
+    try:
+        strip = _contour_strip(kernel)
+    except ContourError as exc:
+        return [ContourError(*exc.args) for _ in log_arguments]
+    gamma, logs, constant, slope = _kernel_tables(kernel)
+    factors = _Kernel(gamma, logs)
+    lnz = [v + slope for v in log_arguments]
+    log_prefactor = [float(v) + constant for v in log_prefactors]
+    # a value that is not finite fails its own point only
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _trapezoid(factors, _pick_lines(factors, strip, lnz), lnz, log_prefactor,
+                          kernel.decay_index * math.pi)
+
+
 def meijer_g_batch(specs: list[MeijerGSpec],
                    log_prefactors: list[float]) -> list[EvalResult | MeijerGError]:
-    """Evaluate exp(log_prefactors[i]) * G(specs[i]) for every i together.
-
-    Slot i of the result holds the EvalResult of instance i, or the
-    MeijerGError it failed with; one failure leaves the other instances
-    unaffected.  Each value equals the one ``meijer_g`` returns.  The
-    instances of one kernel, (m, n, a_params, b_params), such as the
-    points of a sweep curve, which differ in ln z and the prefactor
-    alone, share one factor table, one saddle search and one trapezoid
-    pass, and so the log chi of the lines they share.
-    """
+    """Evaluate exp(log_prefactors[i]) * G(specs[i]) for every i, the
+    instances of each kernel, (m, n, a_params, b_params), as one family."""
     results: list = [None] * len(specs)
     kernels: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         kernels.setdefault((spec.m, spec.n, spec.a_params, spec.b_params), []).append(i)
     for index in kernels.values():
-        spec = specs[index[0]]
-        try:
-            strip = _contour_strip(spec)
-        except ContourError as exc:
-            for i in index:
-                results[i] = ContourError(*exc.args)
-            continue
-        gamma, logs, constant, slope = _kernel_tables(spec)
-        kernel = _Kernel(gamma, logs)
-        lnz = [specs[i].log_argument + slope for i in index]
-        log_prefactor = [float(log_prefactors[i]) + constant for i in index]
-        # a value that is not finite fails its own instance only
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            evaluated = _trapezoid(kernel, _pick_lines(kernel, strip, lnz), lnz, log_prefactor,
-                                   spec.decay_index * math.pi)
+        evaluated = meijer_g_family(specs[index[0]], [specs[i].log_argument for i in index],
+                                    [log_prefactors[i] for i in index])
         for i, res in zip(index, evaluated):
             results[i] = res
     return results

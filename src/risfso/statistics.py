@@ -8,34 +8,31 @@ each one is paired with a direct-quadrature implementation of the
 integral it solves, used as an independent validation path.
 
 Each statistic has one builder (``pdf_form``, ``cdf_form``, ...) that
-returns its ``ClosedForm``, the evaluation before it is made, or the
-value where it is known exactly.  The density and cdf builders take
-ln gamma, and every builder forms ln z from logs, so that neither gamma
-nor z need be a double.  ``evaluate_batch`` is the one evaluator: it
-makes many forms in one batched contour pass, and a public scalar call
-is a batch of one.  The quadrature twins integrate with
+takes a distribution and a sequence of per-point inputs (ln gamma, s or
+the mean SNR) and returns one ``FormFamily``: one kernel, checked once,
+with a list of ln z and a list of log prefactors.  Every builder forms
+each ln z from logs, with the arithmetic of a single point, so that
+neither gamma nor z need be a double and a point's value does not depend
+on its family.  ``evaluate_batch`` is the one evaluator: it gives a
+family to ``meijer_g_family``, one batched contour pass.  A sweep curve
+over the mean SNR or the threshold is one family, a public scalar call
+is a family of one, and the quadrature twins integrate with
 ``gauss_kronrod``, whose integrand takes all the nodes of a refinement
-round at once, so each round is one batch.
+round at once, so each round is one family.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import CascadeParams
-from .special import (
-    EvalResult,
-    MeijerGError,
-    MeijerGSpec,
-    gauss_kronrod,
-    meijer_g_batch,
-)
+from .special import MeijerGError, MeijerGKernel, gauss_kronrod, meijer_g_family
 
 __all__ = [
-    "ClosedForm",
+    "FormFamily",
     "RisElement",
     "SnrDistribution",
     "cdf",
@@ -90,103 +87,108 @@ class SnrDistribution:
         return self.params.mean_snr * self.ris.mu ** 2
 
 
-class ClosedForm(NamedTuple):
-    """exp(log_prefactor) * G(spec), clamped to [0, 1] if a probability."""
+class FormFamily(NamedTuple):
+    """exp(log_prefactors[i]) * G(kernel; ln z = log_arguments[i]) at each
+    point i, clamped to [0, 1] if a probability."""
 
-    spec: MeijerGSpec
-    log_prefactor: float
+    kernel: MeijerGKernel
+    log_arguments: list[float]
+    log_prefactors: list[float]
     probability: bool = False
 
-    def finish(self, res: EvalResult | MeijerGError) -> float | MeijerGError:
-        """The statistic from its contour result, or the error the contour
-        failed with.  Near saturation the contour value of a probability
-        carries rounding of order 1e-13 and can land just above one."""
-        if isinstance(res, MeijerGError):
-            return res
-        return min(max(res.value, 0.0), 1.0) if self.probability else res.value
+
+def evaluate_batch(family: FormFamily) -> list[float | MeijerGError]:
+    """Value at every point of a family, in one batched contour pass; a
+    point whose evaluation fails holds its MeijerGError instead.  Near
+    saturation the contour value of a probability carries rounding of
+    order 1e-13 and can land just above one."""
+    results = meijer_g_family(family.kernel, family.log_arguments, family.log_prefactors)
+    return [res if isinstance(res, MeijerGError)
+            else min(max(res.value, 0.0), 1.0) if family.probability else res.value
+            for res in results]
 
 
-def evaluate_batch(forms: Sequence[ClosedForm | float | MeijerGError]
-                   ) -> list[float | MeijerGError]:
-    """Value of every form, the closed forms in one batched contour pass.
-
-    A float is a value known exactly and passes straight through, as
-    does a MeijerGError met before evaluation; a closed form whose
-    evaluation fails holds its MeijerGError instead.
-    """
-    closed = [f for f in forms if isinstance(f, ClosedForm)]
-    results = iter(meijer_g_batch([f.spec for f in closed],
-                                  [f.log_prefactor for f in closed]))
-    return [f.finish(next(results)) if isinstance(f, ClosedForm) else f
-            for f in forms]
-
-
-def _values(forms: Sequence[ClosedForm | float]) -> list[float]:
-    """``evaluate_batch`` of forms; a form that fails raises its
-    MeijerGError."""
-    values = evaluate_batch(forms)
+def _values(family: FormFamily, where: str = "") -> list[float]:
+    """``evaluate_batch`` of a family; a point that fails, such as a
+    density past the double range, raises its MeijerGError, its message
+    led by ``where``."""
+    values = evaluate_batch(family)
     for value in values:
         if isinstance(value, MeijerGError):
-            raise value
+            raise type(value)(f"{where}{value}")
     return values
 
 
-def _density(form: ClosedForm, name: str, gamma: float) -> float:
-    """The value of a density's closed form; a MeijerGError, such as a
-    value past the double range, names gamma."""
-    value = evaluate_batch([form])[0]
-    if isinstance(value, MeijerGError):
-        raise type(value)(f"{name} at gamma {gamma!r}: {value}")
-    return value
+def pdf_form(dist: SnrDistribution, ln_gamma: list[float]) -> FormFamily:
+    """Closed form of the density at each gamma, given ln gamma.
 
-
-def pdf_form(dist: SnrDistribution, ln_gamma: float) -> ClosedForm:
-    """Closed form of the density at gamma, given ln gamma."""
+    Any finite ln gamma is accepted, so gamma need not be a double; a
+    point whose density lies past the double range fails in its slot.
+    """
     p = dist.params
-    lnz = 2.0 * math.log(p.big_q) + (ln_gamma - math.log(dist.mean_snr)) / p.a
-    spec = MeijerGSpec(6, 0, (p.zeta2 + 1.0,) * 2, (p.zeta2, p.alpha, p.beta) * 2,
-                       log_argument=lnz)
-    return ClosedForm(spec, math.log(p.a) + 2.0 * p.log_m - ln_gamma)
+    lnq, ln_gbar = 2.0 * math.log(p.big_q), math.log(dist.mean_snr)
+    kernel = MeijerGKernel(6, 0, (p.zeta2 + 1.0,) * 2, (p.zeta2, p.alpha, p.beta) * 2)
+    log_c = math.log(p.a) + 2.0 * p.log_m
+    return FormFamily(kernel, [lnq + (v - ln_gbar) / p.a for v in ln_gamma],
+                      [log_c - v for v in ln_gamma])
 
 
-def _x_pdf_form(dist: SnrDistribution, ln_x: float) -> ClosedForm:
-    """Closed form of x times the density at x, given ln x."""
-    form = pdf_form(dist, ln_x)
-    return form._replace(log_prefactor=form.log_prefactor + ln_x)
+def _x_pdf_form(dist: SnrDistribution, ln_x: list[float]) -> FormFamily:
+    """Closed form of x times the density at each x, given ln x."""
+    family = pdf_form(dist, ln_x)
+    return family._replace(log_prefactors=[c + v for c, v in zip(family.log_prefactors, ln_x)])
 
 
-def subchannel_pdf_form(dist: SnrDistribution, ln_gamma_i: float,
-                        mean_snr_i: float) -> ClosedForm:
-    """Closed form of a single hop's density at gamma_i, given ln gamma_i,
-    with per-hop mean ``mean_snr_i``."""
+def subchannel_pdf_form(dist: SnrDistribution, ln_gamma_i: list[float],
+                        mean_snr_i: float) -> FormFamily:
+    """Closed form of a single hop's density at each gamma_i, given ln
+    gamma_i, with per-hop mean ``mean_snr_i``, a finite double > 0.
+
+    Any finite ln gamma_i is accepted; a point whose density lies past
+    the double range fails in its slot.
+    """
     p = dist.params
-    lnz = math.log(p.big_q) + (ln_gamma_i - math.log(mean_snr_i)) / p.a
-    spec = MeijerGSpec(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta),
-                       log_argument=lnz)
-    return ClosedForm(spec, p.log_m - ln_gamma_i)
+    lnq, ln_gbar = math.log(p.big_q), math.log(mean_snr_i)
+    kernel = MeijerGKernel(3, 0, (p.zeta2 + 1.0,), (p.zeta2, p.alpha, p.beta))
+    return FormFamily(kernel, [lnq + (v - ln_gbar) / p.a for v in ln_gamma_i],
+                      [p.log_m - v for v in ln_gamma_i])
 
 
-def cdf_form(dist: SnrDistribution, ln_gamma: float) -> ClosedForm | float:
-    """Closed form of P(SNR <= gamma), given ln gamma, or its exact value
-    0 at ln gamma = -inf."""
-    if ln_gamma == -math.inf:
-        return 0.0
+def cdf_form(dist: SnrDistribution, ln_gamma: list[float],
+             mean_snr: list[float] | None = None) -> FormFamily:
+    """Closed form of P(SNR <= gamma) at each point, given ln gamma and
+    the point's mean SNR times mu^2, or the distribution's own where
+    ``mean_snr`` is None.
+
+    Any finite ln gamma and any finite mean SNR > 0 are accepted.  The
+    reach of a threshold sweep is the contour's: at a mean SNR of 20 dB
+    (strong row, zeta 6.1, HD), points past about 5e4 dB above the mean,
+    where the cdf reads 1, or 9e5 dB below it, where it reads 0, fail in
+    their slots with a ContourError.
+    """
     p = dist.params
-    lnz = math.log(p.q0) + ln_gamma - math.log(dist.mean_snr)
-    spec = MeijerGSpec(6 * p.a, 1, (1.0,) + p.delta1, p.delta2 + (0.0,),
-                       log_argument=lnz)
-    return ClosedForm(spec, p.log_m0, probability=True)
+    lnq = math.log(p.q0)
+    kernel = MeijerGKernel(6 * p.a, 1, (1.0,) + p.delta1, p.delta2 + (0.0,))
+    ln_gbar = [math.log(v) for v in mean_snr or [dist.mean_snr] * len(ln_gamma)]
+    return FormFamily(kernel, [lnq + v - m for v, m in zip(ln_gamma, ln_gbar, strict=True)],
+                      [p.log_m0] * len(ln_gbar), probability=True)
 
 
-def mgf_form(dist: SnrDistribution, s: float) -> ClosedForm:
-    """Closed form of E[exp(-s SNR)]."""
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"mgf needs finite s > 0, got {s!r}")
+def mgf_form(dist: SnrDistribution, s: list[float],
+             mean_snr: list[float] | None = None) -> FormFamily:
+    """Closed form of E[exp(-s SNR)] at each point, given s and the
+    point's mean SNR times mu^2, or the distribution's own where
+    ``mean_snr`` is None.  Each s must be a finite double > 0 and each
+    mean SNR a finite double > 0."""
+    for v in s:
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"mgf needs finite s > 0, got {v!r}")
     p = dist.params
-    lnz = math.log(p.q0) - math.log(dist.mean_snr) - math.log(s)
-    spec = MeijerGSpec(6 * p.a, 2, (0.0, 1.0) + p.delta1, p.delta2 + (0.0,),
-                       log_argument=lnz)
-    return ClosedForm(spec, p.log_m0, probability=True)
+    lnq = math.log(p.q0)
+    kernel = MeijerGKernel(6 * p.a, 2, (0.0, 1.0) + p.delta1, p.delta2 + (0.0,))
+    ln_gbar = [math.log(v) for v in mean_snr or [dist.mean_snr] * len(s)]
+    return FormFamily(kernel, [lnq - m - math.log(v) for v, m in zip(s, ln_gbar, strict=True)],
+                      [p.log_m0] * len(ln_gbar), probability=True)
 
 
 def pdf(dist: SnrDistribution, gamma: float) -> float:
@@ -194,14 +196,15 @@ def pdf(dist: SnrDistribution, gamma: float) -> float:
     naming gamma where the density is past the double range."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"pdf needs finite gamma > 0, got {gamma!r}")
-    return _density(pdf_form(dist, math.log(gamma)), "pdf", gamma)
+    return _values(pdf_form(dist, [math.log(gamma)]), f"pdf at gamma {gamma!r}: ")[0]
 
 
 def cdf(dist: SnrDistribution, gamma: float) -> float:
-    """P(SNR <= gamma) for a finite gamma >= 0, clamped to [0, 1]."""
+    """P(SNR <= gamma) for a finite gamma >= 0, clamped to [0, 1]; 0 at
+    gamma = 0."""
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"cdf needs finite gamma >= 0, got {gamma!r}")
-    return _values([cdf_form(dist, math.log(gamma) if gamma else -math.inf)])[0]
+    return _values(cdf_form(dist, [math.log(gamma)]))[0] if gamma else 0.0
 
 
 def mgf(dist: SnrDistribution, s: float) -> float:
@@ -210,7 +213,7 @@ def mgf(dist: SnrDistribution, s: float) -> float:
     As s goes to zero the contour value carries rounding of order 1e-12
     and can land just above one.
     """
-    return _values([mgf_form(dist, s)])[0]
+    return _values(mgf_form(dist, [s]))[0]
 
 
 def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
@@ -221,8 +224,8 @@ def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
     for name, value in (("gamma_i", gamma_i), ("mean_snr_i", mean_snr_i)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"subchannel_pdf needs finite {name} > 0, got {value!r}")
-    return _density(subchannel_pdf_form(dist, math.log(gamma_i), mean_snr_i),
-                    "subchannel_pdf", gamma_i)
+    return _values(subchannel_pdf_form(dist, [math.log(gamma_i)], mean_snr_i),
+                   f"subchannel_pdf at gamma {gamma_i!r}: ")[0]
 
 
 def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
@@ -242,8 +245,7 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
     def integrand(u: np.ndarray) -> np.ndarray:
         # both hop densities of every node in one batch, at t and gamma / t
         ln_t = np.concatenate([ln_t_star + u, ln_t_star - u])
-        f = np.array(_values([subchannel_pdf_form(dist, v, gbar_i)
-                              for v in ln_t.tolist()]))
+        f = np.array(_values(subchannel_pdf_form(dist, ln_t.tolist(), gbar_i)))
         return f[:u.size] * f[u.size:]
 
     # the integrand decays at least like exp(-c u) with c the smallest
@@ -270,7 +272,7 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
     c = min(dist.params.delta2)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return np.array(_values([_x_pdf_form(dist, v) for v in (ln_gamma + u).tolist()]))
+        return np.array(_values(_x_pdf_form(dist, (ln_gamma + u).tolist())))
 
     return gauss_kronrod(integrand, -(48.0 / c + 5.0), 0.0, _TWIN_REL_TOL, 0.0).value
 
@@ -283,8 +285,7 @@ def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
 
     def integrand(v: np.ndarray) -> np.ndarray:
         # the cdf at v / s
-        return np.exp(-v) * np.array(_values([cdf_form(dist, g)
-                                              for g in (np.log(v) - ln_s).tolist()]))
+        return np.exp(-v) * np.array(_values(cdf_form(dist, (np.log(v) - ln_s).tolist())))
 
     return gauss_kronrod(integrand, 0.0, 50.0, _TWIN_REL_TOL, 0.0,
                          points=[0.1, 1.0, 5.0, 20.0]).value

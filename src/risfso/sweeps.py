@@ -22,7 +22,7 @@ from .metrics import ModulationScheme, ber_form, capacity_form
 from .simulator import McChannel, McConfig, McEstimate, estimate_metric
 from .special import MeijerGError
 from .statistics import (
-    ClosedForm,
+    FormFamily,
     RisElement,
     SnrDistribution,
     cdf_form,
@@ -130,7 +130,11 @@ class SweepSpec:
                          for i, sc in enumerate(self.scenarios)]
         for x_db, path in mean_snrs:
             _require(x_db is not None, path, f"required when sweeping {self.variable}")
-            _mean_snr_linear(x_db, self.gbar_interpretation, path)
+            _hop_mean_snr(x_db, self.gbar_interpretation, 1.0, path)
+        # mu^2 can take the mean SNR out of the doubles at the grid's low end
+        for i, sc in enumerate(self.scenarios):
+            low = self.start if self.variable == "mean_snr_db" else sc.mean_snr_db
+            _hop_mean_snr(low, self.gbar_interpretation, sc.mu, f"scenarios[{i}].mu")
         # the Monte Carlo outage takes its threshold linear (mc_estimate)
         if self.variable == "gamma_th_db" and any(
                 m.mc and m.name == "outage" for m in self.metrics):
@@ -204,9 +208,15 @@ def db_to_linear(x_db: float, path: str, factor: float = 1.0) -> float:
     return value
 
 
-def _mean_snr_linear(x_db: float, interpretation: str, path: str) -> float:
-    # per-hop: the value is one hop's mean SNR, both hops equal
-    return db_to_linear(x_db, path, 2.0 if interpretation == "per-hop" else 1.0)
+def _hop_mean_snr(x_db: float, interpretation: str, mu: float, path: str) -> float:
+    """The mean SNR of each hop, both equal, at ``x_db``: the product mean
+    SNR, or under ``per-hop`` one hop's.  One whose product times mu^2 is
+    not a positive finite double raises ConfigError naming ``path``."""
+    hop = math.sqrt(db_to_linear(x_db, path, 2.0 if interpretation == "per-hop" else 1.0))
+    if not 0.0 < hop * hop * mu ** 2 < math.inf:  # formats its message only on failure
+        raise ConfigError(f"{path}: {x_db:g} dB times mu^2 at mu={mu!r} "
+                          "is not a positive finite double")
+    return hop
 
 
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -413,52 +423,67 @@ def distribution(sc: ScenarioSpec, mean_snr_db: float,
                  path: str = "mean_snr_db") -> SnrDistribution:
     """Distribution of ``sc`` at ``mean_snr_db``: the product mean SNR, or
     under ``per-hop`` the mean SNR of each hop.  ``zeta`` replaces the
-    scenario's own when given; a mean SNR out of range raises ConfigError
-    naming ``path``."""
-    mean_snr = _mean_snr_linear(mean_snr_db, interpretation, path)
+    scenario's own when given; a mean SNR that is out of range, alone or
+    times mu^2, raises ConfigError naming ``path``."""
+    hop = _hop_mean_snr(mean_snr_db, interpretation, sc.mu, path)
     params = cascade_from_constants(sc.alpha, sc.beta,
                                     zeta if zeta is not None else sc.zeta,
-                                    sc.detection, math.sqrt(mean_snr),
-                                    math.sqrt(mean_snr))
+                                    sc.detection, hop, hop)
     return SnrDistribution(params, RisElement(mu=sc.mu))
 
 
-def _eval_point(metric: MetricSpec, dist: SnrDistribution,
-                gamma_th_db: float | None, seed: int) -> ClosedForm | float:
-    """One grid point: its Monte Carlo estimate, or the closed form that
-    ``run_sweep`` evaluates together with the rest of the curve."""
+def _eval_point(metric: MetricSpec, dist: SnrDistribution, gamma_th_db: float | None,
+                mean_snr: float, seed: int) -> float | tuple[float | None, float]:
+    """One grid point, at threshold ``gamma_th_db`` and product mean SNR
+    times mu^2 ``mean_snr``: with ``metric.mc`` its Monte Carlo estimate
+    on ``dist``, the point's own distribution; else its ln gamma_th (None
+    without a threshold) and its mean SNR, which ``_family`` takes."""
     if metric.mc:
         cfg = McConfig(sample_count=metric.samples, seed=seed)
         return mc_estimate(metric, dist, cfg, gamma_th_db).mean
+    # ln gamma_th, so that gamma_th need not be a double
+    return None if gamma_th_db is None else gamma_th_db / 10.0 * math.log(10.0), mean_snr
+
+
+def _family(metric: MetricSpec, dist: SnrDistribution, ln_gamma: list[float | None],
+            mean_snr: list[float]) -> FormFamily:
+    """The closed form of a curve's points on the shape of ``dist``."""
     if metric.name == "outage":
-        return cdf_form(dist, gamma_th_db / 10.0 * math.log(10.0))
+        return cdf_form(dist, ln_gamma, mean_snr)
     if metric.name == "capacity":
-        return capacity_form(dist)
+        return capacity_form(dist, mean_snr)
     if metric.name == "ber":
-        return ber_form(dist, ModulationScheme.from_name(metric.scheme))
-    return mgf_form(dist, metric.s)
+        return ber_form(dist, ModulationScheme.from_name(metric.scheme), mean_snr)
+    return mgf_form(dist, [metric.s] * len(mean_snr), mean_snr)
 
 
 def _curve(spec: SweepSpec, sc: ScenarioSpec, metric: MetricSpec,
            grid: list[float]) -> tuple[list[float], list[str]]:
     """Values of one curve over the grid, and its failures as
-    ``x=<x>: <message>``; a point that failed is NaN."""
-    points: list[ClosedForm | float | MeijerGError] = []
+    ``x=<x>: <message>``; a point that failed is NaN.  A curve has one
+    distribution, and its closed-form points are one family, but where
+    zeta varies or the Monte Carlo samples each point has its own."""
     fixed = {"mean_snr_db": sc.mean_snr_db, "gamma_th_db": metric.gamma_th_db,
              "zeta": sc.zeta}
+    dist, values, families = None, [], {}
     for x in grid:
         point = {**fixed, spec.variable: x}
-        dist = distribution(sc, point["mean_snr_db"], spec.gbar_interpretation,
-                            point["zeta"])
+        if dist is None or metric.mc or spec.variable == "zeta":
+            dist = distribution(sc, point["mean_snr_db"], spec.gbar_interpretation, point["zeta"])
+        hop = _hop_mean_snr(point["mean_snr_db"], spec.gbar_interpretation, sc.mu, "mean_snr_db")
         try:
-            points.append(_eval_point(metric, dist, point["gamma_th_db"],
-                                      spec.seed))
-        except MeijerGError as exc:  # no builder raises it; the benchmark's self-test does
-            points.append(exc)
-    points = evaluate_batch(points)
-    ys = [math.nan if isinstance(p, MeijerGError) else float(p) for p in points]
-    failures = [f"x={x:g}: {p}" for x, p in zip(grid, points)
-                if isinstance(p, MeijerGError)]
+            values.append(_eval_point(metric, dist, point["gamma_th_db"],
+                                      hop * hop * sc.mu ** 2, spec.seed))
+        except MeijerGError as exc:  # no step raises it; the benchmark's self-test does
+            values.append(exc)
+        else:
+            families.setdefault(dist, []).append(len(values) - 1)
+    for dist, index in families.items() if not metric.mc else ():
+        ln_gamma, mean_snr = (list(v) for v in zip(*(values[i] for i in index)))
+        for i, value in zip(index, evaluate_batch(_family(metric, dist, ln_gamma, mean_snr))):
+            values[i] = value
+    ys = [math.nan if isinstance(v, MeijerGError) else float(v) for v in values]
+    failures = [f"x={x:g}: {v}" for x, v in zip(grid, values) if isinstance(v, MeijerGError)]
     return ys, failures
 
 

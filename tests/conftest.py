@@ -14,7 +14,7 @@ from risfso.channel import DetectionMode, cascade_from_constants
 from risfso.metrics import ModulationScheme, ber_form, capacity_form
 from risfso.special import EvalResult, MeijerGSpec
 from risfso.statistics import (
-    ClosedForm,
+    FormFamily,
     RisElement,
     SnrDistribution,
     cdf_form,
@@ -131,29 +131,36 @@ def tail_cases() -> Iterator[dict]:
             yield dict(case, statistic="subchannel_pdf")
 
 
-def closed_form(case: dict) -> ClosedForm | float:
-    """What the builder of ``case["statistic"]`` makes of one reference
-    case, whose ratio is gamma / mean SNR for a density or the cdf, mean
-    SNR * s for the mgf, and gamma_i / mean_snr_i at a per-hop mean of
-    sqrt(mean SNR); the density and cdf builders take ln gamma."""
+def closed_form(case: dict) -> FormFamily:
+    """The family of one that the builder of ``case["statistic"]`` makes
+    of one reference case, whose ratio is gamma / mean SNR for a density
+    or the cdf, mean SNR * s for the mgf, and gamma_i / mean_snr_i at a
+    per-hop mean of sqrt(mean SNR); the density and cdf builders take
+    ln gamma."""
     dist = make_dist(case["alpha"], case["beta"], case["zeta"], case["a"],
                      case["mean_snr_db"])
     gbar = dist.mean_snr
     statistic = case["statistic"]
     if statistic == "pdf":
-        return pdf_form(dist, math.log(case["ratio"] * gbar))
+        return pdf_form(dist, [math.log(case["ratio"] * gbar)])
     if statistic == "cdf":
-        return cdf_form(dist, math.log(case["ratio"] * gbar))
+        return cdf_form(dist, [math.log(case["ratio"] * gbar)])
     if statistic == "mgf":
-        return mgf_form(dist, case["ratio"] / gbar)
+        return mgf_form(dist, [case["ratio"] / gbar])
     if statistic == "capacity":
         return capacity_form(dist)
     if statistic == "ber":
         return ber_form(dist, ModulationScheme[case["scheme"]])
     if statistic == "subchannel_pdf":
         gbar_i = math.sqrt(gbar)
-        return subchannel_pdf_form(dist, math.log(case["ratio"] * gbar_i), gbar_i)
+        return subchannel_pdf_form(dist, [math.log(case["ratio"] * gbar_i)], gbar_i)
     raise ValueError(f"no builder for statistic {statistic!r}")
+
+
+def point_spec(family: FormFamily, i: int = 0) -> MeijerGSpec:
+    """The MeijerGSpec of point ``i`` of a family."""
+    k = family.kernel
+    return MeijerGSpec(k.m, k.n, k.a_params, k.b_params, log_argument=family.log_arguments[i])
 
 
 def make_dist(alpha: float, beta: float, zeta: float, a: int,

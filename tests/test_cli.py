@@ -9,7 +9,7 @@ import re
 import pytest
 
 from conftest import load_curves
-from risfso import cli, statistics
+from risfso import cli, metrics, statistics
 from risfso.presets import figure_preset
 from risfso.simulator import McConfig
 from risfso.special import MeijerGError
@@ -319,20 +319,52 @@ def test_threshold_sweep_reaches_past_the_double_range():
     assert 0.0 < curve.y[2] < 1.0
 
 
+@pytest.mark.parametrize("interpretation", ["product", "per-hop"])
+def test_a_sweep_gives_the_doubles_of_the_scalar_calls(interpretation):
+    # a curve is one family on one distribution, but each ln z is formed
+    # as a scalar call forms it, so every value is the scalar call's to
+    # the last bit
+    sc = ScenarioSpec("x", 4.2, 2.5, 2.0, mean_snr_db=20.0, mu=0.8)
+
+    def outage(dist, gamma_th_db):
+        # the sweep hands the cdf ln gamma_th, as this family of one does
+        ln_gamma = gamma_th_db / 10.0 * math.log(10.0)
+        return statistics.evaluate_batch(statistics.cdf_form(dist, [ln_gamma]))[0]
+
+    calls = [(MetricSpec(name="outage", gamma_th_db=9.0), lambda d: outage(d, 9.0)),
+             (MetricSpec(name="capacity"), metrics.ergodic_capacity),
+             (MetricSpec(name="mgf", s=0.5), lambda d: statistics.mgf(d, 0.5))]
+    calls += [(MetricSpec(name="ber", scheme=scheme.name),
+               lambda d, scheme=scheme: metrics.average_ber(d, scheme))
+              for scheme in metrics.ModulationScheme]
+    spec = SweepSpec(variable="mean_snr_db", start=-5.0, stop=60.0, step=2.5,
+                     metrics=tuple(metric for metric, _ in calls), scenarios=(sc,),
+                     gbar_interpretation=interpretation)
+    for curve, (_, call) in zip(run_sweep(spec), calls, strict=True):
+        want = [call(distribution(sc, x, interpretation)) for x in curve.x]
+        assert [y.hex() for y in curve.y] == [v.hex() for v in want], curve.meta["curve"]
+    spec = SweepSpec(variable="gamma_th_db", start=-10.0, stop=40.0, step=2.5,
+                     metrics=(MetricSpec(name="outage"),), scenarios=(sc,),
+                     gbar_interpretation=interpretation)
+    (curve,) = run_sweep(spec)
+    dist = distribution(sc, 20.0, interpretation)
+    assert [y.hex() for y in curve.y] == [outage(dist, x).hex() for x in curve.x]
+
+
 def test_point_failures_recorded_as_gaps(monkeypatch):
     # one bad grid point yields NaN plus a diagnostic, not an abort; no
-    # builder raises MeijerGError, but bench/selftest.py injects one
-    # before the curve's batch, as this test does
+    # step of a point raises MeijerGError, but bench/selftest.py injects
+    # one before the curve's family, as this test does
     import risfso.sweeps as sweeps_mod
 
-    real = sweeps_mod.cdf_form
+    real = sweeps_mod._eval_point
 
-    def flaky(dist, gamma):
-        if abs(dist.mean_snr - 10.0 ** 2.2) < 1e-6:
+    def flaky(metric, dist, gamma_th_db, mean_snr, seed):
+        if abs(mean_snr - 10.0 ** 2.2) < 1e-6:
             raise MeijerGError("synthetic failure at 22 dB")
-        return real(dist, gamma)
+        return real(metric, dist, gamma_th_db, mean_snr, seed)
 
-    monkeypatch.setattr(sweeps_mod, "cdf_form", flaky)
+    monkeypatch.setattr(sweeps_mod, "_eval_point", flaky)
     spec = SweepSpec(variable="mean_snr_db", start=20.0, stop=24.0, step=2.0,
                      metrics=(MetricSpec(name="outage", gamma_th_db=6.0),),
                      scenarios=(ScenarioSpec("x", 4.2, 2.5, 2.0),))
@@ -343,9 +375,9 @@ def test_point_failures_recorded_as_gaps(monkeypatch):
 
 
 def test_failure_inside_the_curve_batch_leaves_the_other_points(monkeypatch):
-    # the closed-form points of a curve are evaluated together; one that
-    # fails in that pass, here by a log prefactor whose value overflows,
-    # becomes a gap and the others keep their values
+    # the closed-form points of a curve are one family; one that fails in
+    # its pass, here by a log prefactor whose value overflows, becomes a
+    # gap and the others keep their values
     import risfso.sweeps as sweeps_mod
 
     spec = SweepSpec(variable="mean_snr_db", start=20.0, stop=26.0, step=2.0,
@@ -354,14 +386,15 @@ def test_failure_inside_the_curve_batch_leaves_the_other_points(monkeypatch):
     clean = run_sweep(spec)[0]
     real, calls = sweeps_mod.cdf_form, []
 
-    def second_overflows(dist, ln_gamma):
+    def second_overflows(dist, ln_gamma, mean_snr):
         calls.append(dist)
-        form = real(dist, ln_gamma)
-        return form._replace(log_prefactor=800.0) if len(calls) == 2 else form
+        family = real(dist, ln_gamma, mean_snr)
+        family.log_prefactors[1] = 800.0
+        return family
 
     monkeypatch.setattr(sweeps_mod, "cdf_form", second_overflows)
     curve = run_sweep(spec)[0]
-    assert len(calls) == 4
+    assert len(calls) == 1
     assert math.isnan(curve.y[1])
     assert curve.y[:1] + curve.y[2:] == clean.y[:1] + clean.y[2:]
     assert curve.meta["failures"] == "x=22: contour evaluation returned inf"
@@ -624,6 +657,9 @@ def test_cli_field_errors_name_the_field(capsys, argv, message):
     (["mc", "--metric", "outage", "--gamma-th-db", "4000", *ONE_POINT,
       "--zeta", "2", "--samples", "1000"],
      "metric.gamma_th_db: 4000 dB is not a finite positive double once linear"),
+    # a mean SNR that is a double, but not once times mu^2
+    (["capacity", *ONE_POINT[:4], "--zeta", "2", "--mean-snr-db", "-3000", "--mu", "1e-160"],
+     "channel.mean_snr_db: -3000 dB times mu^2 at mu=1e-160 is not a positive finite double"),
     (["outage", *ONE_POINT, "--zeta", "2", "--rate", "nan"],
      "rate must be finite, got nan"),
     (["outage", *ONE_POINT, "--zeta", "2", "--rate", "inf"],
@@ -646,7 +682,13 @@ def test_cli_non_finite_inputs_exit_one_naming_the_field(capsys, argv, message):
     ({"variable": "zeta", "start": 1.0, "stop": 2.0, "step": 1.0},
      {"mean_snr_db": 1600.0}, ["--gbar-interpretation", "per-hop"],
      r"scenarios\[0\]\.mean_snr_db: 1600 dB is not"),
-], ids=["stop", "start", "stop-per-hop", "scenario", "scenario-per-hop"])
+    # mu^2 takes the mean SNR at the grid's low end out of the doubles
+    ({"start": -3000.0, "stop": -2990.0, "step": 5.0}, {"mu": 1e-160}, [],
+     r"scenarios\[0\]\.mu: -3000 dB times mu\^2 at mu=1e-160 is not a positive finite double$"),
+    ({"variable": "zeta", "start": 1.0, "stop": 2.0, "step": 1.0},
+     {"mean_snr_db": -1500.0, "mu": 1e-160}, ["--gbar-interpretation", "per-hop"],
+     r"scenarios\[0\]\.mu: -1500 dB times mu\^2 at mu=1e-160 is not"),
+], ids=["stop", "start", "stop-per-hop", "scenario", "scenario-per-hop", "mu", "mu-per-hop"])
 def test_config_mean_snr_past_the_double_range_names_the_field(
         tmp_path, capsys, sweep, scenario, flags, message):
     cfg = json.loads(json.dumps(MINIMAL))

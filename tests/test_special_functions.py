@@ -30,6 +30,7 @@ from conftest import (
     closed_form,
     make_dist,
     meijer_references,
+    point_spec,
     reflected,
 )
 from risfso import presets
@@ -44,11 +45,13 @@ from risfso.special import (
     ContourError,
     EvalResult,
     MeijerGError,
+    MeijerGKernel,
     MeijerGSpec,
     gauss_kronrod,
     loggamma_complex,
     meijer_g,
     meijer_g_batch,
+    meijer_g_family,
 )
 from risfso.special import meijerg
 from risfso.special.meijerg import (
@@ -425,8 +428,8 @@ def test_a_row_grown_over_rounds_holds_one_call_of_log_chi():
     # asks that end inside a piece of _PIECE nodes, on it, past it and
     # not at all: the row holds log chi at each of its nodes as one kernel
     # call over all of them gives it, to the last bit
-    form = cdf_form(make_dist(4.9477, 1.2310, 1.1, 2, 20.0), math.log(10.0))
-    kernel = _Kernel(*_kernel_tables(form.spec)[:2])
+    form = cdf_form(make_dist(4.9477, 1.2310, 1.1, 2, 20.0), [math.log(10.0)])
+    kernel = _Kernel(*_kernel_tables(form.kernel)[:2])
     table = _Table(kernel)
     row = table.row(0.3, 0.05)
     for stop in (15, 1020, 1020, 1035, 2565):
@@ -459,9 +462,9 @@ def test_a_row_leaves_the_table_with_its_last_pass(monkeypatch):
 
     monkeypatch.setattr(meijerg, "_Table", Recording)
     # enough points that their lines join over several rounds
-    forms = [cdf_form(make_dist(4.9477, 1.2310, 1.1, 1, mean_db), math.log(10.0))
+    forms = [cdf_form(make_dist(4.9477, 1.2310, 1.1, 1, mean_db), [math.log(10.0)])
              for mean_db in np.linspace(0.0, 40.0, 401)]
-    meijer_g_batch([form.spec for form in forms], [form.log_prefactor for form in forms])
+    meijer_g_batch([point_spec(form) for form in forms], [form.log_prefactors[0] for form in forms])
     assert len(tables) == 1 and not tables[0].index
     assert 0 < held[0] < computed[0], (held[0], computed[0])
 
@@ -523,11 +526,11 @@ def test_every_node_the_table_computes_is_read_by_a_pass_that_finishes(monkeypat
     assert read() == computed[0] > 0
     passes.clear()
     computed[0] = rounds[0] = 0
-    forms = [build(make_dist(4.9477, 1.2310, 1.1, a, mean_db), math.log(10.0))
+    forms = [build(make_dist(4.9477, 1.2310, 1.1, a, mean_db), [math.log(10.0)])
              for build in (cdf_form, pdf_form) for a in (1, 2)
              for mean_db in np.linspace(0.0, 60.0, 20)]
     for form in forms:
-        meijer_g_batch([form.spec], [form.log_prefactor])
+        meijer_g_batch([point_spec(form)], form.log_prefactors)
     assert read() == computed[0] > 0
     assert rounds[0] <= 1.2 * len(forms) == 96.0, rounds[0]
 
@@ -543,11 +546,12 @@ def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
         return loggamma_complex(x, out=out)
 
     monkeypatch.setattr(meijerg, "loggamma_complex", counting)
-    forms = [cdf_form(make_dist(4.9477, 1.2310, 1.1, 1, mean_db), math.log(10.0))
+    forms = [cdf_form(make_dist(4.9477, 1.2310, 1.1, 1, mean_db), [math.log(10.0)])
              for mean_db in np.linspace(0.0, 40.0, 41)]
-    alone = [meijer_g(form.spec, log_prefactor=form.log_prefactor) for form in forms]
+    alone = [meijer_g(point_spec(form), log_prefactor=form.log_prefactors[0]) for form in forms]
     one_at_a_time, points[0] = points[0], 0
-    batch = meijer_g_batch([form.spec for form in forms], [form.log_prefactor for form in forms])
+    batch = meijer_g_batch([point_spec(form) for form in forms],
+                           [form.log_prefactors[0] for form in forms])
     assert 0 < points[0] <= one_at_a_time / 4, (points[0], one_at_a_time)
     for one, res in zip(alone, batch):
         assert (res.value.hex(), res.abs_error_estimate.hex()) \
@@ -629,9 +633,10 @@ def test_kernel_tables_merge_equal_and_fold_shifted_factors(a):
     # log-gamma of slope -2
     dist = make_dist(4.9477, 1.2310, 1.1, a, 20.0)
     ln_gamma = math.log(30.0)
-    specs = {"pdf": pdf_form(dist, ln_gamma).spec, "cdf": cdf_form(dist, ln_gamma).spec,
-             "mgf": mgf_form(dist, 0.3).spec, "capacity": capacity_form(dist).spec}
-    specs.update((scheme.name, ber_form(dist, scheme).spec) for scheme in ModulationScheme)
+    specs = {"pdf": pdf_form(dist, [ln_gamma]), "cdf": cdf_form(dist, [ln_gamma]),
+             "mgf": mgf_form(dist, [0.3]), "capacity": capacity_form(dist)}
+    specs.update((scheme.name, ber_form(dist, scheme)) for scheme in ModulationScheme)
+    specs = {name: point_spec(form) for name, form in specs.items()}
     assert specs.keys() == KERNEL_COUNTS[a].keys()
     for name, spec in specs.items():
         offs, slope, weight = _table(_merged_factors(spec))
@@ -690,14 +695,15 @@ def _coincident_forms(draw):
 @example(form=closed_form({"alpha": 3.25, "beta": 3.25, "zeta": 1.5, "a": 2,
                            "mean_snr_db": 20.0, "ratio": 1.0, "statistic": "cdf"}))
 def test_fold_of_coincident_parameters(form):
-    spec = form.spec
+    spec = point_spec(form)
     _assert_kernel_matches_unmerged(spec, _kernel_tables(spec))
     # one instance alone and in a batch with other shapes and arguments
     others = [MeijerGSpec(spec.m, spec.n, spec.a_params, spec.b_params,
                           log_argument=spec.log_argument + math.log(7.0)),
               EXP_SPEC, BESSEL_SPEC]
-    alone = meijer_g_batch([spec], [form.log_prefactor])[0]
-    batched = meijer_g_batch([others[0], spec] + others[1:], [0.0, form.log_prefactor, 0.0, 0.0])[1]
+    alone = meijer_g_batch([spec], form.log_prefactors)[0]
+    batched = meijer_g_batch([others[0], spec] + others[1:],
+                             [0.0, form.log_prefactors[0], 0.0, 0.0])[1]
     assert isinstance(alone, EvalResult), alone
     assert (alone.value.hex(), alone.abs_error_estimate.hex()) \
         == (batched.value.hex(), batched.abs_error_estimate.hex())
@@ -707,7 +713,7 @@ def test_fold_merges_unequal_weights_partly():
     # IM/DD capacity at alpha = 1: (alpha + 1)/2 = 1 folds onto Gamma(-s),
     # whose weight 3 then shares 2 with Gamma(1/2 - s), alpha/2
     dist = make_dist(1.0, 1.5, 1.1, 2, 20.0)
-    gamma, _, _, _ = _kernel_tables(capacity_form(dist).spec)
+    gamma, _, _, _ = _kernel_tables(capacity_form(dist).kernel)
     factors = {(c, e): w for c, e, w in gamma.T}
     assert factors == {(0.0, -1.0): 1.0, (0.0, -2.0): 2.0, (1.5, -2.0): 2.0,
                        (1.0, 1.0): 1.0}
@@ -790,8 +796,8 @@ def test_saddle_search_finds_the_saddle_the_same_in_any_batch():
         dist = make_dist(alpha, beta, zeta, a, 30.0)
         for ratio in (1e-30, 1e-12, 1e-3, 1.0, 1e3, 1e12, 1e20):
             ln_gamma = math.log(ratio * dist.mean_snr)
-            pdf_spec = pdf_form(dist, ln_gamma).spec
-            specs += [pdf_spec, reflected(pdf_spec), cdf_form(dist, ln_gamma).spec]
+            pdf_spec = point_spec(pdf_form(dist, [ln_gamma]))
+            specs += [pdf_spec, reflected(pdf_spec), point_spec(cdf_form(dist, [ln_gamma]))]
     groups: dict[tuple, list] = {}
     for spec in specs:
         tables = _kernel_tables(spec)
@@ -822,14 +828,14 @@ def _saddle_forms(draw):
     if kind in ("capacity", "ber"):
         dist = make_dist(alpha, beta, zeta, a, 30.0 + 10.0 * x / math.log(10.0))
         scheme = draw(st.sampled_from(list(ModulationScheme)))
-        return (capacity_form(dist) if kind == "capacity" else ber_form(dist, scheme)).spec
+        return point_spec(capacity_form(dist) if kind == "capacity" else ber_form(dist, scheme))
     dist = make_dist(alpha, beta, zeta, a, 30.0)
     ln_gamma = x + math.log(dist.mean_snr)
     if kind == "mgf":
-        return mgf_form(dist, math.exp(-ln_gamma)).spec
+        return point_spec(mgf_form(dist, [math.exp(-ln_gamma)]))
     if kind == "cdf":
-        return cdf_form(dist, ln_gamma).spec
-    spec = pdf_form(dist, ln_gamma).spec
+        return point_spec(cdf_form(dist, [ln_gamma]))
+    spec = point_spec(pdf_form(dist, [ln_gamma]))
     return reflected(spec) if kind == "reflected pdf" else spec
 
 
@@ -906,6 +912,9 @@ def test_spec_validation():
     for log_argument in (-math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="log_argument must be finite"):
             MeijerGSpec(1, 0, (), (0.0,), log_argument=log_argument)
+        # and each point of a family
+        with pytest.raises(ValueError, match="every log_argument must be finite"):
+            meijer_g_family(MeijerGKernel(1, 0, (), (0.0,)), [0.0, log_argument], [0.0, 0.0])
     # ln z is keyword-only, so a fifth positional argument, such as z, raises
     with pytest.raises(TypeError):
         MeijerGSpec(1, 0, (), (0.0,), 1.0)

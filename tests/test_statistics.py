@@ -28,6 +28,7 @@ from conftest import (
     closed_form,
     make_dist,
     meijer_references,
+    point_spec,
     reference_cases,
 )
 from risfso import metrics, statistics
@@ -492,22 +493,22 @@ def test_mgf_domain():
 def test_spec_shapes_match_contract():
     dist = make_dist(*BLUE, 6.1, 1, 20.0)
     z2 = 6.1 ** 2
-    spec = pdf_form(dist, math.log(50.0)).spec
+    spec = point_spec(pdf_form(dist, [math.log(50.0)]))
     assert (spec.m, spec.n, spec.p, spec.q) == (6, 0, 2, 6)
     assert spec.a_params == (z2 + 1.0, z2 + 1.0)
     assert spec.b_params == (z2, BLUE[0], BLUE[1]) * 2
     assert spec.log_argument == pytest.approx(
         math.log(dist.params.big_q ** 2 * 50.0 / dist.mean_snr), abs=1e-14)
 
-    spec = cdf_form(dist, math.log(50.0)).spec
+    spec = point_spec(cdf_form(dist, [math.log(50.0)]))
     assert (spec.m, spec.n, spec.p, spec.q) == (6, 1, 3, 7)
     assert spec.a_params == (1.0,) + dist.params.delta1
     assert spec.b_params == dist.params.delta2 + (0.0,)
 
     dist2 = make_dist(*BLUE, 6.1, 2, 20.0)
-    spec = cdf_form(dist2, math.log(50.0)).spec
+    spec = point_spec(cdf_form(dist2, [math.log(50.0)]))
     assert (spec.m, spec.n, spec.p, spec.q) == (12, 1, 5, 13)
-    spec = mgf_form(dist2, 0.3).spec
+    spec = point_spec(mgf_form(dist2, [0.3]))
     assert (spec.m, spec.n, spec.p, spec.q) == (12, 2, 6, 13)
     assert spec.a_params[:2] == (0.0, 1.0)
 
@@ -521,13 +522,13 @@ def test_builders_rebuild_every_frozen_spec():
     assert [entry["case"] for entry in entries] == list(reference_cases())
     forms = [closed_form(entry["case"]) for entry in entries]
     for entry, form in zip(entries, forms):
-        spec = form.spec
+        spec = point_spec(form)
         assert (spec.m, spec.n, list(spec.a_params), list(spec.b_params),
-                form.log_prefactor) \
+                form.log_prefactors) \
             == (entry["m"], entry["n"], entry["a_params"], entry["b_params"],
-                entry["log_prefactor"]), entry["label"]
+                [entry["log_prefactor"]]), entry["label"]
         assert abs(spec.log_argument - math.log(entry["argument"])) <= 1e-13, entry["label"]
-    results = meijer_g_batch([f.spec for f in forms], [f.log_prefactor for f in forms])
+    results = meijer_g_batch([point_spec(f) for f in forms], [f.log_prefactors[0] for f in forms])
     for entry, res in zip(entries, results):
         assert_matches_reference(entry, res)
 
@@ -576,9 +577,8 @@ def test_a_mean_snr_past_the_doubles_names_its_inputs():
 
 def test_batched_builders_match_scalar_calls_bit_for_bit():
     # one decade apart from ratio 1e-20 to 1e20, on the 12 family rows,
-    # all in one evaluate_batch call
+    # each statistic of a row one family
     ratios = 10.0 ** np.arange(-20.0, 21.0)
-    rows, forms = [], []
     for _, alpha, beta in TABLE2_LEVELS:
         for zeta in (1.1, 6.1):
             for a in (1, 2):
@@ -586,20 +586,17 @@ def test_batched_builders_match_scalar_calls_bit_for_bit():
                 gammas = (ratios * dist.mean_snr).tolist()
                 gbar_i = math.sqrt(dist.mean_snr)
                 hops = (ratios * gbar_i).tolist()
-                rows.append(((alpha, zeta, a), dist, gammas, gbar_i, hops))
-                forms += [pdf_form(dist, math.log(g)) for g in gammas]
-                forms += [subchannel_pdf_form(dist, math.log(g), gbar_i) for g in hops]
-                forms += [cdf_form(dist, math.log(g)) for g in gammas]
-    values = iter(evaluate_batch(forms))
-    for row, dist, gammas, gbar_i, hops in rows:
-        batched = [[next(values) for _ in ratios] for _ in range(3)]
-        for got, scalar in zip(batched, (
-                [pdf(dist, g) for g in gammas],
-                [subchannel_pdf(dist, g, gbar_i) for g in hops],
-                [cdf(dist, g) for g in gammas])):
-            assert [v.hex() for v in got] == [v.hex() for v in scalar], row
-        # the densities are densities in both tails too
-        assert min(batched[0] + batched[1]) >= 0.0, row
+                ln_gammas, ln_hops = ([math.log(v) for v in vs] for vs in (gammas, hops))
+                batched = [evaluate_batch(pdf_form(dist, ln_gammas)),
+                           evaluate_batch(subchannel_pdf_form(dist, ln_hops, gbar_i)),
+                           evaluate_batch(cdf_form(dist, ln_gammas))]
+                for got, scalar in zip(batched, (
+                        [pdf(dist, g) for g in gammas],
+                        [subchannel_pdf(dist, g, gbar_i) for g in hops],
+                        [cdf(dist, g) for g in gammas])):
+                    assert [v.hex() for v in got] == [v.hex() for v in scalar], (alpha, zeta, a)
+                # the densities are densities in both tails too
+                assert min(batched[0] + batched[1]) >= 0.0, (alpha, zeta, a)
 
 
 # (distribution row, call) of each of the five quadrature twins
@@ -637,14 +634,15 @@ def test_twins_make_one_batched_pass_per_round(monkeypatch, twin):
         for name, value in list(vars(module).items()):
             if value is meijer_g:
                 monkeypatch.setattr(module, name, counting("meijer_g", meijer_g))
-    monkeypatch.setattr(statistics, "meijer_g_batch",
-                        counting("meijer_g_batch", statistics.meijer_g_batch))
+    monkeypatch.setattr(statistics, "meijer_g_family",
+                        counting("meijer_g_family", statistics.meijer_g_family))
     monkeypatch.setattr(statistics, "gauss_kronrod", gauss_kronrod)
     monkeypatch.setattr(metrics, "gauss_kronrod", gauss_kronrod)
     call(make_dist(*row))
     assert counts["rounds"] > 0
     assert counts["meijer_g"] == 0
-    assert 0 < counts["meijer_g_batch"] <= counts["rounds"]
+    # one family per Gauss-Kronrod round
+    assert counts["meijer_g_family"] == counts["rounds"]
 
 
 def test_twin_short_of_its_tolerance_warns(monkeypatch):
@@ -656,27 +654,37 @@ def test_twin_short_of_its_tolerance_warns(monkeypatch):
 
 def test_each_contour_batch_of_the_presets_and_twins_holds_one_kernel(monkeypatch):
     # the contour engine shares a factor table, a saddle search and the
-    # log chi of its lines among the instances of one kernel, (m, n,
-    # a_params, b_params); a sweep curve and a quadrature round vary ln z
-    # and the prefactor alone, so each of their batches holds one kernel.
-    # A stub stands in for the engine, so nothing is evaluated.
+    # log chi of its lines among the points of one kernel; a sweep curve
+    # and a quadrature round vary ln z and the prefactor alone, so each is
+    # one family, and a mean-SNR or threshold curve builds its constants
+    # once.  A stub stands in for the engine, so nothing is evaluated.
     from risfso import presets, sweeps
 
-    calls = []
+    calls, builds = [], [0]
+    build = sweeps.cascade_from_constants
 
-    def stub(specs, log_prefactors):
-        calls.append({(s.m, s.n, s.a_params, s.b_params) for s in specs})
-        return [EvalResult(0.25, 0.0)] * len(specs)
+    def stub(kernel, log_arguments, log_prefactors):
+        assert len(log_arguments) == len(log_prefactors)
+        calls.append(len(log_arguments))
+        return [EvalResult(0.25, 0.0)] * len(log_arguments)
 
-    monkeypatch.setattr(statistics, "meijer_g_batch", stub)
+    def counted(*args):
+        builds[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(statistics, "meijer_g_family", stub)
+    monkeypatch.setattr(sweeps, "cascade_from_constants", counted)
+    grids = []
     for name in presets.PRESET_NAMES:
-        sweeps.run_sweep(presets.figure_preset(name))
-    curves = len(calls)
+        spec = presets.figure_preset(name)
+        sweeps.run_sweep(spec)
+        grids += [len(spec.grid())] * len(spec.scenarios) * len(spec.metrics)
+    assert len(grids) == builds[0] == 58
+    # one kernel pass per curve, holding all its points
+    assert calls == grids
     dist = make_dist(4.9477, 1.2310, 1.1, 2, 20.0)
     cdf_by_quadrature(dist, 0.5 * dist.mean_snr)
     pdf_by_product_integral(dist, 0.5 * dist.mean_snr)
     metrics.ergodic_capacity_by_quadrature(dist)
     metrics.average_ber_by_quadrature(dist, metrics.ModulationScheme.CBPSK)
-    assert curves == 58 and len(calls) > curves
-    assert all(len(kernels) == 1 for kernels in calls), \
-        [sorted(kernels) for kernels in calls if len(kernels) != 1][:1]
+    assert len(calls) > len(grids)
