@@ -152,9 +152,9 @@ class MeijerGSpec(MeijerGKernel):
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A G-value and a bound on its absolute error: the trapezoid rule's
-    bound (Trefethen and Weideman, Thm 5.1) plus the tail past the span
-    and a rounding floor (``_trapezoid``)."""
+    """A G-value and an estimate, not a bound, of its absolute error: the
+    trapezoid sum's own at steps h, 2h and 4h (Bailey, Jeyabalan and Li,
+    2005) plus the tail past the span and a rounding floor (``_trapezoid``)."""
 
     value: float
     abs_error_estimate: float
@@ -253,11 +253,11 @@ class _Kernel:
         self.unfolded[2, self.gamma_width:self.table.shape[1]] *= -1.0
         self.slope_weight = self.unfolded[2] * self.unfolded[1]
 
-    def log_chi(self, s: np.ndarray) -> np.ndarray:
-        """Log of the gamma-ratio kernel at s.  Its imaginary part, plus
-        t ln z, is the phase of w, continuous along a vertical line in the
-        upper half plane: the log-gammas are scipy's, cut along the
-        negative real axis only."""
+    def log_chi(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log chi at s, and the sum of the moduli of its terms, on which its
+        rounding scales.  Its imaginary part plus t ln z is the phase of w,
+        continuous along a vertical line in the upper half plane: scipy's
+        log-gammas are cut along the negative real axis only."""
         kg = self.gamma_width
         off, sign, weight = self.table
         # the arguments c + e s, overwritten in place by the terms
@@ -266,7 +266,7 @@ class _Kernel:
         loggamma_complex(terms[..., :kg], out=terms[..., :kg])
         np.log(terms[..., kg:], out=terms[..., kg:])
         terms *= weight
-        return np.add.reduce(terms, axis=-1)
+        return np.add.reduce(terms, axis=-1), np.add.reduce(np.abs(terms), axis=-1)
 
 
 def _contour_strip(spec: MeijerGKernel) -> tuple[float, float]:
@@ -401,14 +401,17 @@ def _steps(kernel: _Kernel, h: list[float], sigma: list[float], ends: list[float
     """Each line's h halved until the phase of w turns by at most pi / 4 a
     step at sigma and at sigma + i end, or until its span needs _MAX_NODES
     nodes.  The phase turns at the rate Re (log w)'(s), ln z plus the
-    digamma sum of phi' (``_pick_lines``), real at t = 0: scipy's complex
-    digamma is 20 times slower near its pole at 0 and its root at 1.46."""
+    digamma sum of phi' (``_pick_lines``), taken once per distinct (sigma,
+    end), real at t = 0: scipy's complex digamma is 20 times slower near
+    its pole at 0 and its root at 1.46."""
     off, sign, _ = kernel.unfolded
-    s = np.array(sigma)[:, None]
+    pairs: dict[tuple[float, float], int] = {}
+    at = [pairs.setdefault(pair, len(pairs)) for pair in zip(sigma, ends)]
+    s = np.array(list(pairs))
     turns = [np.add.reduce(digamma(sign * v + off).real * kernel.slope_weight, axis=-1).tolist()
-             for v in (s, s + 1j * np.array(ends)[:, None])]
-    for i, (a, b, z, span) in enumerate(zip(*turns, lnz, spans)):
-        rate = max(abs(a + z), abs(b + z))
+             for v in (s[:, :1], s[:, :1] + 1j * s[:, 1:])]
+    for i, (j, z, span) in enumerate(zip(at, lnz, spans)):
+        rate = max(abs(turns[0][j] + z), abs(turns[1][j] + z))
         while h[i] * rate > 0.25 * math.pi and span < h[i] * _MAX_NODES:
             h[i] *= 0.5
     return h
@@ -417,7 +420,7 @@ def _steps(kernel: _Kernel, h: list[float], sigma: list[float], ends: list[float
 def _plan(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[float],
           log_prefactor: list[float], rate: float) -> list[tuple[float, float]]:
     """The step and the first span of each line (sigma, d), from its
-    instance alone, in slabs of about _SLAB terms.
+    instance alone.
 
     The span ends where |w| is predicted to fall to _FALL |w(sigma)| /
     rate, or to underflow.  ln |w(sigma + i t) / w(sigma)| sums ln
@@ -426,56 +429,61 @@ def _plan(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[float],
     Stirling's series, Re (x + i y - 1/2) Ln(x + i y) - x + ln(2 pi) / 2
     (DLMF 5.11.1), close for the arguments of positive real part of every
     closed form here.  It is read at the t of _SPANS, linear between them.
-    The step is min(0.1, d / 6), halved for the rate of the phase at t = 0
-    and at the middle of the pass's last step (``_steps``).
+    Both depend on sigma alone and are computed once per lattice line, in
+    slabs of about _SLAB terms.  The step is min(0.1, d / 6), halved for
+    the rate of the phase at t = 0 and at the middle of the pass's last
+    step (``_steps``).
     """
     off, sign, weight = kernel.unfolded
     t = _SPANS / rate
     iy, target, ts = 1j * np.abs(sign) * t[:, None], math.log(_FALL / rate), t.tolist()
     # sum w (ln(2 pi) / 2 - x) = base - slope sigma
     base, slope = float(weight @ (0.5 * math.log(2.0 * math.pi) - off)), float(weight @ sign)
-    size = max(1, _SLAB // iy.size)
-    plan = []
-    for i in range(0, len(placed), size):
-        chunk, z = placed[i:i + size], lnz[i:i + size]
-        x = sign * np.array([v for v, _ in chunk])[:, None] + off
-        at0 = gammaln(x)
-        tops = np.add.reduce(at0 * weight, axis=-1).tolist()
+    index: dict[float, int] = {}
+    which = [index.setdefault(v, len(index)) for v, _ in placed]
+    lines = np.array(list(index))[:, None]
+    tops, falls, size = [], [], max(1, _SLAB // iy.size)
+    for i in range(0, lines.size, size):
+        x = sign * lines[i:i + size] + off
+        tops += np.add.reduce(gammaln(x) * weight, axis=-1).tolist()
         x = x[:, None, :] + iy
         fall = np.log(x)
         fall *= x - 0.5
-        h, ends, spans = [], [], []
-        for (v, d), lz, p, top, f in zip(chunk, z, log_prefactor[i:i + size], tops,
-                                         np.add.reduce(fall.real * weight, axis=-1).tolist()):
-            # the first t where the fall from ln |w(sigma)|, as the pass
-            # scales it, reaches the goal, linear between two t
-            goal = max(target, _UNDERFLOW - min(top + v * lz + p, _CEILING)) + top - base + v * slope
-            j = 1
-            while j < len(ts) - 1 and f[j] > goal:
-                j += 1
-            part = (f[j - 1] - goal) / (f[j - 1] - f[j]) if f[j - 1] > f[j] else 1.0
-            spans.append(ts[j - 1] + (ts[j] - ts[j - 1]) * max(0.0, min(1.0, part)))
-            h.append(min(0.1, d / 6.0))
-            ends.append(h[-1] * (_WIDTH * math.ceil(spans[-1] / (_WIDTH * h[-1])) - 1.5))
-        plan += zip(_steps(kernel, h, [v for v, _ in chunk], ends, z, spans), spans)
-    return plan
+        falls += np.add.reduce(fall.real * weight, axis=-1).tolist()
+    h, ends, spans = [], [], []
+    for (v, d), lz, p, i in zip(placed, lnz, log_prefactor, which):
+        # the first t where the fall from ln |w(sigma)|, as the pass
+        # scales it, reaches the goal, linear between two t
+        top, f = tops[i], falls[i]
+        goal = max(target, _UNDERFLOW - min(top + v * lz + p, _CEILING)) + top - base + v * slope
+        j = 1
+        while j < len(ts) - 1 and f[j] > goal:
+            j += 1
+        part = (f[j - 1] - goal) / (f[j - 1] - f[j]) if f[j - 1] > f[j] else 1.0
+        spans.append(ts[j - 1] + (ts[j] - ts[j - 1]) * max(0.0, min(1.0, part)))
+        h.append(min(0.1, d / 6.0))
+        ends.append(h[-1] * (_WIDTH * math.ceil(spans[-1] / (_WIDTH * h[-1])) - 1.5))
+    return list(zip(_steps(kernel, h, [v for v, _ in placed], ends, lnz, spans), spans))
 
 
 class _Row:
-    """Log chi at x + i k step, k < chi.size, and the passes that read it."""
+    """Log chi at x + i k step, k < chi.size, the sums of the moduli of its
+    terms, and the passes that read it."""
 
-    __slots__ = ("x", "step", "chi", "users")
+    __slots__ = ("x", "step", "chi", "bulk", "users")
 
     def __init__(self, x: float, step: float) -> None:
-        self.x, self.step, self.chi, self.users = x, step, np.empty(0, complex), 0
+        self.x, self.step, self.users = x, step, 0
+        self.chi, self.bulk = np.empty(0, complex), np.empty(0)
 
 
 class _Table:
-    """The rows of log chi that the lines of one kernel ask for.  A round
-    computes each node that its asks lack once (``fill``); a row filled
-    once takes its slice of the fill, a row that grows appends to a copy.
-    A row leaves with the last pass that reads it (``release``).  Log chi
-    depends on s alone, so no value depends on the batch."""
+    """The rows of log chi that the lines of one kernel ask for, one per
+    line (abscissa and step).  A round computes each node that its asks
+    lack once (``fill``); a row filled once takes its slice of the fill, a
+    row that grows appends to a copy.  A row leaves with the last pass
+    that reads it (``release``).  Log chi depends on s alone, so no value
+    depends on the batch."""
 
     def __init__(self, kernel: _Kernel) -> None:
         self.kernel = kernel
@@ -488,12 +496,11 @@ class _Table:
         row.users += 1
         return row
 
-    def release(self, rows: list[_Row]) -> None:
-        """Take a user from each row, and drop the rows left without."""
-        for row in rows:
-            row.users -= 1
-            if not row.users:
-                del self.index[row.x, row.step]
+    def release(self, row: _Row) -> None:
+        """Take a user from the row, and drop it when it has none left."""
+        row.users -= 1
+        if not row.users:
+            del self.index[row.x, row.step]
 
     def fill(self, asks: list[tuple[_Row, int]]) -> None:
         """Compute the nodes below stop of each ask (row, stop) that its row
@@ -512,53 +519,55 @@ class _Table:
         s = np.empty(k.size, dtype=complex)
         s.real, s.imag = x.repeat(count), k * step.repeat(count)
         del k
+        bulk = np.empty(s.size)
         for j in range(0, s.size, _PIECE):  # log chi in place of s
-            s[j:j + _PIECE] = self.kernel.log_chi(s[j:j + _PIECE])
+            s[j:j + _PIECE], bulk[j:j + _PIECE] = self.kernel.log_chi(s[j:j + _PIECE])
         for row, a, b in zip(need, [0, *n[:-1].tolist()], n.tolist()):
-            row.chi = np.concatenate((row.chi, s[a:b])) if row.chi.size else s[a:b]
+            grown = row.chi.size > 0
+            row.chi = np.concatenate((row.chi, s[a:b])) if grown else s[a:b]
+            row.bulk = np.concatenate((row.bulk, bulk[a:b])) if grown else bulk[a:b]
 
 
 class _Line:
-    """An instance's line and its pass: the step h, the next node of the
-    line and of its edges, and the end; the rows of its lower edge, upper
-    edge and itself, with the constants (Re, Im per node) that each adds
-    to log chi for log w; the sums of |w| along them, of Re w, the shift."""
+    """An instance's line and its pass: the step h, the next node and the
+    end; its row, with the constants (Re, Im per node) that it adds to log
+    chi for log w; the sums along it of Re w over every node, the even ones
+    and every fourth one, of |w| weighted for rounding, and the shift."""
 
-    __slots__ = ("inst", "x", "lnz", "log_prefactor", "h", "stop", "nxt", "edge", "rows",
-                 "consts", "lower", "upper", "amplitude", "total", "shift")
+    __slots__ = ("inst", "x", "lnz", "log_prefactor", "h", "stop", "nxt", "row", "const",
+                 "total", "even", "fourth", "rounding", "shift")
 
     def __init__(self, table: _Table, inst: int, x: float, lnz: float,
                  log_prefactor: float, h: float, stop: int) -> None:
         self.inst, self.x, self.lnz, self.log_prefactor = inst, x, lnz, log_prefactor
-        self.h, self.stop, self.nxt, self.edge = h, stop, 0, 0
-        self.rows = [table.row(x + o * h, 8.0 * h) for o in (-4, 4)] + [table.row(x, h)]
-        self.consts = [(row.x * lnz + log_prefactor, row.step * lnz) for row in self.rows]
-        self.lower = self.upper = self.amplitude = self.total = self.shift = 0.0
+        self.h, self.stop, self.nxt, self.row = h, stop, 0, table.row(x, h)
+        self.const = (x * lnz + log_prefactor, h * lnz)
+        self.total = self.even = self.fourth = self.rounding = self.shift = 0.0
 
 
 def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[float],
                log_prefactor: list[float], rate: float) -> list[EvalResult | MeijerGError]:
     """The trapezoid sum of each instance i of one kernel along its line
     (sigma, d), with its ln z and log prefactor, all in rounds of array
-    operations over one ``_Table``; rate is pi times the decay index.
+    operations over one ``_Table`` of one row per line; rate is pi times
+    the decay index.
 
     The nodes lie at s = sigma + i k h, k = 0, 1, ..., and the value is
     (h / pi) (sum Re w - Re w(sigma) / 2).  A line fixes its step and its
     first span before it asks for a node (``_plan``).  At the end of the
     pass |w| must be at most 1e-14 of the value; otherwise the span grows
     by half, and where the phase turns too fast at the new end for h
-    (``_steps``), the line sums its whole span again at a finer one.
-    Along the lines sigma -+ 4 h |w| is summed every 8 h, for M in the
-    error bound: the nodes below k of the line call for those below 15
-    ceil(k / 120) of each.  Where |w| at the first node exceeds
-    e^``_CEILING``, every w is scaled by e^-shift to bring it there and
-    the result scaled back, so that a value up to the largest double sums
-    without overflow.  In a round every line asks for its next ``_PIECE``
-    nodes at most, with its edges' nodes, and a waiting instance joins
-    while the round asks for fewer than ``_ROUND``.  The asks are slices
-    of the table's rows, joined into one array, and np.add.reduceat sums
-    each in order; the asks of a line follow from its instance alone, so
-    no value depends on the batch.
+    (``_steps``), the line sums its whole span again at a finer one.  The
+    same pass sums Re w over the even and every fourth node, and |w|
+    weighted for rounding, for the error estimate.  Where |w| at the first
+    node exceeds e^``_CEILING``, every w is scaled by e^-shift to bring it
+    there and the result scaled back, so that a value up to the largest
+    double sums without overflow.  In a round every line asks for its
+    next ``_PIECE`` nodes at most, and a waiting instance joins while the
+    round asks for fewer than ``_ROUND``.  The asks are slices of the
+    table's rows, joined into one array, and np.add.reduceat sums each in
+    order; the asks of a line follow from its instance alone, so no value
+    depends on the batch.
     """
     results: list = [None] * len(placed)
     table = _Table(kernel)
@@ -579,63 +588,58 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
             count += min(lines[-1].stop, _PIECE)
         if not lines:
             return results
-        # the end of each line's ask and of its edges'
-        ends = [((e + 8 * _WIDTH - 1) // (8 * _WIDTH) * _WIDTH, e)
-                for e in (min(line.nxt + _PIECE, line.stop) for line in lines)]
-        table.fill([(row, stop) for line, (edge, end) in zip(lines, ends)
-                    for row, stop in zip(line.rows, (edge, edge, end))])
-        # per ask, the lower edge, upper edge and line of each line in
-        # turn: its log chi, where its nodes begin among all, k less that,
-        # its size and its constants; and per line its last node
-        asks, begin, ints, floats, tail, nodes = [], [], [], [], [], 0
-        for line, (edge, end) in zip(lines, ends):
-            for row, a, b, c in zip(line.rows, (line.edge, line.edge, line.nxt),
-                                    (edge, edge, end), line.consts):
-                asks.append(row.chi[a:b])
-                begin.append(nodes)
-                ints += (a - nodes, b - a)
-                floats += c
-                nodes += b - a
-            tail.append(nodes - 1)
+        ends = [min(line.nxt + _PIECE, line.stop) for line in lines]
+        table.fill([(line.row, end) for line, end in zip(lines, ends)])
+        # per line: its first k and its size, where its nodes begin among
+        # all and its last node, its constants and its ask of log chi
+        nxt = np.array([line.nxt for line in lines])
+        size = ends - nxt
+        tail = np.add.accumulate(size) - 1
+        begin, nodes = tail + 1 - size, int(tail[-1]) + 1
+        add, rot = np.array([line.const for line in lines]).T
+        asks = [line.row.chi[line.nxt:end] for line, end in zip(lines, ends)]
         # in place where it can, k as floats (exact), and no complex copy
         # of the asks: at most about 300 kB at once
-        ints = np.array(ints).reshape(-1, 2)
-        size = ints[:, 1]
-        add, rot = np.array(floats).reshape(-1, 2).T
         im = np.arange(nodes, dtype=float)
-        im += ints[:, 0].repeat(size)
+        im += (nxt - begin).repeat(size)
+        k4 = (im % 4.0).astype(np.int8)  # k mod 4
         im *= rot.repeat(size)
         im += np.concatenate([ask.imag for ask in asks])
         re = np.concatenate([ask.real for ask in asks])
         re += add.repeat(size)
-        del asks
         heads = [j for j, line in enumerate(lines) if not line.nxt]
         for j in heads:
             # the first node of a pass, w(sigma), sets the line's shift
             line = lines[j]
-            line.shift = max(0.0, float(re[begin[3 * j + 2]]) - _CEILING)
+            line.shift = max(0.0, float(re[begin[j]]) - _CEILING)
             if line.shift:
-                re[begin[3 * j]:tail[j] + 1] -= line.shift
-                line.consts = [(a - line.shift, b) for a, b in line.consts]
+                re[begin[j]:tail[j] + 1] -= line.shift
+                line.const = (line.const[0] - line.shift, line.const[1])
         mag = np.exp(re, out=re)
-        # and its edges' first nodes and it weigh a half
-        mag[[begin[3 * j + o] for j in heads for o in range(3)]] *= 0.5
-        part = np.add.reduceat(mag, begin).tolist()
+        mag[begin[heads]] *= 0.5  # the first node weighs a half
+        # |w| (1 + sum |terms of log chi|), for the rounding
+        bulk = np.concatenate([line.row.bulk[line.nxt:end] for line, end in zip(lines, ends)])
+        bulk += 1.0
+        bulk *= mag
+        rounding = np.add.reduceat(bulk, begin).tolist()
         cos = np.cos(im, out=im)
         cos *= mag
-        real = np.add.reduceat(cos, begin)[2::3].tolist()
+        real = np.add.reduceat(cos, begin).tolist()
+        # and over the even nodes and every fourth, the others zeroed
+        cos[k4 % 2 > 0] = 0.0
+        even = np.add.reduceat(cos, begin).tolist()
+        cos[k4 > 0] = 0.0
+        fourth = np.add.reduceat(cos, begin).tolist()
         fallen = mag[tail].tolist()  # |w| at each line's last node
-        del re, mag, im, cos  # before the next round's fill
+        del re, mag, im, cos, bulk, k4  # before the next round's fill
         kept = []
-        for line, end, (edge, nxt), lower, upper, amplitude, total in zip(
-                lines, fallen, ends, part[::3], part[1::3], part[2::3], real):
-            # an edge that asked for no node has no sum
-            if edge > line.edge:
-                line.lower += lower
-                line.upper += upper
-            line.amplitude += amplitude
+        for line, end, nxt, total, by2, by4, weighed in zip(
+                lines, fallen, ends, real, even, fourth, rounding):
             line.total += total
-            line.nxt, line.edge = nxt, edge
+            line.even += by2
+            line.fourth += by4
+            line.rounding += weighed
+            line.nxt = nxt
             if line.nxt < line.stop:
                 kept.append(line)
                 continue
@@ -645,33 +649,29 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
             if not math.isfinite(value):
                 results[i] = _finished(value, 0.0, line.shift)
             elif end <= 1e-14 * abs(value):
-                # Trefethen and Weideman, Thm 5.1: where w is analytic in
-                # the strip of half-width a about the line, and M bounds
-                # its integral of |w| on every parallel line there, the
-                # trapezoid sum is off by at most 2 M / (exp(2 pi a / h) -
-                # 1).  Here a = 4 h <= 2 d / 3.  The log of the integral
-                # of |w| along a line is convex across the strip, so the
-                # larger of its two edges, each summed with step 8 h, is
-                # M.  Then the tail past the span, and rounding in a sum
-                # of terms of size |w|.
-                big_m = 8.0 * h * max(line.lower, line.upper)
-                results[i] = _finished(value, 2.0 * big_m / math.expm1(8.0 * math.pi)
-                                       + end / rate + 3e-16 * h * line.amplitude,
-                                       line.shift)
+                # T(h) is off by about |T(h) - T(2 h)|^2 / |T(h) - T(4 h)|,
+                # the sums over its even and every fourth node (Bailey,
+                # Jeyabalan and Li, Experimental Math. 14(3), 2005), formed
+                # without squaring a sum of the double range; then the tail
+                # past the span, and rounding: exp turns that of log w, up
+                # to 1 + sum |terms of log chi| ulps, into that of w
+                d2, d4 = abs(value - 2.0 * h * line.even), abs(value - 4.0 * h * line.fourth)
+                err = (d2 * (d2 / d4) if d4 else d2) + end / rate + 1.2e-15 * h * line.rounding
+                results[i] = _finished(value, err, line.shift)
             else:
                 stop = _WIDTH * math.ceil(1.5 * line.stop / _WIDTH)
                 (h,) = _steps(kernel, [h], [line.x], [h * (stop - 1.5)], [line.lnz], [h * stop])
                 stop *= round(line.h / h)
                 if stop <= _MAX_NODES:
                     if h < line.h:
-                        table.release(line.rows)
+                        table.release(line.row)
                         line = _Line(table, i, line.x, line.lnz, line.log_prefactor, h, stop)
                     line.stop = stop
                     kept.append(line)
                     continue
                 results[i] = ContourError(f"line needs over {_MAX_NODES} nodes: step {h:.3g}, "
                                           f"|w| still {end:.2e} at t = {line.h * line.stop:.3g}")
-            table.release(line.rows)
+            table.release(line.row)
         lines = kept
 
 

@@ -197,14 +197,14 @@ def _seed(value) -> int:
 
 def db_to_linear(x_db: float, path: str, factor: float = 1.0) -> float:
     """10^(factor x_db / 10); a value that is not a finite positive double
-    raises ConfigError naming ``path``."""
+    raises ConfigError naming ``path``, its message formatted only then."""
     _require(math.isfinite(x_db), path, "must be finite")
     try:
         value = 10.0 ** (factor * x_db / 10.0)
     except OverflowError:
         value = math.inf
-    _require(0.0 < value < math.inf, path,
-             f"{x_db:g} dB is not a finite positive double once linear")
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{path}: {x_db:g} dB is not a finite positive double once linear")
     return value
 
 

@@ -19,6 +19,7 @@ from risfso.sweeps import (
     MetricSpec,
     ScenarioSpec,
     SweepSpec,
+    db_to_linear,
     distribution,
     emit,
     mc_estimate,
@@ -668,6 +669,25 @@ def test_cli_field_errors_name_the_field(capsys, argv, message):
 def test_cli_non_finite_inputs_exit_one_naming_the_field(capsys, argv, message):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("x_db, factor, message", [
+    (math.nan, 1.0, "must be finite"),
+    (-math.inf, 2.0, "must be finite"),
+    (3100.0, 1.0, "3100 dB is not a finite positive double once linear"),
+    (1600.0, 2.0, "1600 dB is not a finite positive double once linear"),
+    (-4000.0, 1.0, "-4000 dB is not a finite positive double once linear"),
+])
+def test_db_to_linear_names_its_path(x_db, factor, message):
+    with pytest.raises(ConfigError) as info:
+        db_to_linear(x_db, "sweep.start", factor)
+    assert str(info.value) == f"sweep.start: {message}"
+
+
+@pytest.mark.parametrize("x_db", [-1500.0, -12.5, 0.0, 33.3, 1500.0])
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+def test_db_to_linear_is_the_power_of_ten(x_db, factor):
+    assert db_to_linear(x_db, "sweep.start", factor) == 10.0 ** (factor * x_db / 10.0)
 
 
 @pytest.mark.parametrize("sweep, scenario, flags, message", [

@@ -11,6 +11,7 @@ reference.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 import signal
 
@@ -309,6 +310,44 @@ def test_batched_references_match_frozen_and_one_at_a_time():
                 == (alone[i].value.hex(), alone[i].abs_error_estimate.hex()), entries[i]["label"]
 
 
+def test_error_estimate_is_honest_and_tight():
+    # each G-value of a frozen reference that is a nonzero double, at log
+    # prefactor 0, lies within its estimate, and the estimate is a median
+    # of under 10^3.5 times its true error, an exact value counting as off
+    # by 1e-20 of it (the bound from edge lines that this estimate
+    # replaced ran a median 10^4.5 above it)
+    entries = meijer_references()
+    results = meijer_g_batch([_reference_spec(entry) for entry in entries], [0.0] * len(entries))
+    ratios = []
+    for entry, res in zip(entries, results):
+        want = float(decimal.Decimal(entry["value"]))
+        if want == 0.0 or not math.isfinite(want):
+            continue
+        err = abs(res.value - want)
+        assert err <= res.abs_error_estimate, (entry["label"], err, res.abs_error_estimate)
+        ratios.append(res.abs_error_estimate / (err or 1e-20 * abs(want)))
+    assert len(ratios) >= 300
+    assert np.median(ratios) < 10.0 ** 3.5, np.log10(np.median(ratios))
+
+
+@pytest.mark.parametrize("spec, log_prefactor, want", [
+    # G = e^-1 at z = 1, times e^(that prefactor) exactly
+    (EXP_SPEC, 1.0 + math.log(1e307), math.exp(math.log(1e307))),
+    (EXP_SPEC, 1.0 + math.log(1.7e308), math.exp(math.log(1.7e308))),
+    # the pdf at gamma = 1e-320, strong row, zeta 0.2, HD, 30 dB (mpmath)
+    (point_spec(pdf_form(make_dist(10.9537, 2.9833, 0.2, 1, 30.0), [math.log(1e-320)])),
+     pdf_form(make_dist(10.9537, 2.9833, 0.2, 1, 30.0), [math.log(1e-320)]).log_prefactors[0],
+     1.132272679900766473770531666572281943572e+307),
+], ids=["exp-1e307", "exp-1.7e308", "pdf-1e307"])
+def test_a_value_near_the_largest_double_has_a_finite_estimate(spec, log_prefactor, want):
+    # the sums of such a line are scaled down, and the estimate is formed
+    # from them without squaring one
+    res = meijer_g(spec, log_prefactor=log_prefactor)
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert math.isfinite(res.abs_error_estimate)
+    assert abs(res.value - want) <= res.abs_error_estimate <= 1e-10 * want
+
+
 def _recorded_passes(monkeypatch) -> list:
     """Every pass that ``_trapezoid`` starts, as (table, line), recorded
     through ``_Line``; the last one of an instance in its table is the
@@ -426,8 +465,9 @@ def test_a_shared_row_grows_for_a_line_with_a_longer_pass(monkeypatch):
 
 def test_a_row_grown_over_rounds_holds_one_call_of_log_chi():
     # asks that end inside a piece of _PIECE nodes, on it, past it and
-    # not at all: the row holds log chi at each of its nodes as one kernel
-    # call over all of them gives it, to the last bit
+    # not at all: the row holds log chi and the sums of the moduli of its
+    # terms at each of its nodes as one kernel call over all of them gives
+    # them, to the last bit
     form = cdf_form(make_dist(4.9477, 1.2310, 1.1, 2, 20.0), [math.log(10.0)])
     kernel = _Kernel(*_kernel_tables(form.kernel)[:2])
     table = _Table(kernel)
@@ -436,10 +476,12 @@ def test_a_row_grown_over_rounds_holds_one_call_of_log_chi():
         table.fill([(row, stop), (row, stop - 15)])
     s = np.empty(2565, dtype=complex)
     s.real, s.imag = 0.3, 0.05 * np.arange(2565)
-    want = kernel.log_chi(s)
-    assert row.chi.size == 2565
+    want, bulk = kernel.log_chi(s)
+    assert row.chi.size == row.bulk.size == 2565
     assert [v.hex() for v in row.chi.real] == [v.hex() for v in want.real]
     assert [v.hex() for v in row.chi.imag] == [v.hex() for v in want.imag]
+    assert [v.hex() for v in row.bulk] == [v.hex() for v in bulk]
+    assert np.all(bulk >= np.abs(want))
 
 
 def test_a_row_leaves_the_table_with_its_last_pass(monkeypatch):
@@ -487,7 +529,7 @@ def test_no_summed_node_turns_the_phase_by_more_than_a_quarter_pi(monkeypatch):
     assert len(finished) > 3338
     for table, line in finished:
         k = np.arange(line.stop)
-        phase = table.kernel.log_chi(line.x + 1j * line.h * k).imag + line.h * k * line.lnz
+        phase = table.kernel.log_chi(line.x + 1j * line.h * k)[0].imag + line.h * k * line.lnz
         assert np.abs(np.diff(phase)).max() <= 0.25 * math.pi, (line.x, line.h, line.stop)
 
 
@@ -512,13 +554,10 @@ def test_every_node_the_table_computes_is_read_by_a_pass_that_finishes(monkeypat
     passes = _recorded_passes(monkeypatch)
 
     def read() -> int:
-        # per row, the most nodes that a finished pass reads of it: its
-        # line's nodes, and of each edge one in 8, in whole pieces of 15
+        # per row, the most nodes that a finished pass of its line reads
         ends: dict[int, int] = {}
         for _, line in _finished_passes(passes):
-            edge = -(-line.stop // 120) * 15
-            for row, end in zip(line.rows, (edge, edge, line.stop)):
-                ends[id(row)] = max(ends.get(id(row), 0), end)
+            ends[id(line.row)] = max(ends.get(id(line.row), 0), line.stop)
         return sum(ends.values())
 
     for name in presets.PRESET_NAMES:
@@ -533,6 +572,54 @@ def test_every_node_the_table_computes_is_read_by_a_pass_that_finishes(monkeypat
         meijer_g_batch([point_spec(form)], form.log_prefactors)
     assert read() == computed[0] > 0
     assert rounds[0] <= 1.2 * len(forms) == 96.0, rounds[0]
+
+
+def test_each_lattice_line_is_planned_once_per_family(monkeypatch):
+    # over the nine presets _plan takes scipy's real log-gamma, the top of
+    # the Stirling fall, on one row per distinct abscissa of each family,
+    # and the presets' points share far fewer lines than they are
+    rows, lines, points = [0], [0], [0]
+    gammaln, plan = meijerg.gammaln, meijerg._plan
+
+    def counting(x):
+        rows[0] += x.shape[0]
+        return gammaln(x)
+
+    def recording(kernel, placed, *args):
+        lines[0] += len({sigma for sigma, _ in placed})
+        points[0] += len(placed)
+        return plan(kernel, placed, *args)
+
+    monkeypatch.setattr(meijerg, "gammaln", counting)
+    monkeypatch.setattr(meijerg, "_plan", recording)
+    for name in presets.PRESET_NAMES:
+        run_sweep(presets.figure_preset(name))
+    assert points[0] == 3338
+    assert 0 < rows[0] == lines[0] < points[0] / 4, (rows[0], lines[0])
+
+
+def test_every_row_the_table_fills_is_a_lines_own(monkeypatch):
+    # one row per line: each row that a round fills has the abscissa and
+    # step of some pass's line, and each pass's line has its row, over the
+    # nine presets and one call of each oracle twin
+    filled = set()
+    fill = _Table.fill
+
+    def recording(table, asks):
+        filled.update((id(table), row.x, row.step) for row, _ in asks)
+        fill(table, asks)
+
+    monkeypatch.setattr(_Table, "fill", recording)
+    passes = _recorded_passes(monkeypatch)
+    for name in presets.PRESET_NAMES:
+        run_sweep(presets.figure_preset(name))
+    dist = make_dist(4.9477, 1.2310, 1.1, 2, 20.0)
+    cdf_by_quadrature(dist, 0.5 * dist.mean_snr)
+    pdf_by_product_integral(dist, 0.5 * dist.mean_snr)
+    ergodic_capacity_by_quadrature(dist)
+    average_ber_by_quadrature(dist, ModulationScheme.CBPSK)
+    assert filled == {(id(table), line.x, line.h) for table, line in passes}
+    assert all(line.row.step == line.h for _, line in passes)
 
 
 def test_points_of_a_curve_share_their_log_gammas(monkeypatch):
@@ -606,7 +693,7 @@ def _assert_kernel_matches_unmerged(spec: MeijerGSpec, tables) -> None:
     s = _line_in_strip(spec) + 1j * np.linspace(0.0, 60.0, 241)
     want = _unmerged_log_chi(spec, s)
     scale = 1e-13 * np.maximum(1.0, np.abs(want))
-    got = _Kernel(gamma, logs).log_chi(s) + slope * s + constant
+    got = _Kernel(gamma, logs).log_chi(s)[0] + slope * s + constant
     phase = np.angle(np.exp(1j * (got - want).imag))
     assert np.all(np.abs((got - want).real) <= scale), spec
     assert np.all(np.abs(phase) <= scale), spec
