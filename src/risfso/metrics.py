@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln, gammasgn, polygamma, zeta
 
 from .channel import DetectionMode
-from .special import MeijerGKernel, gauss_kronrod
+from .special import MeijerGFamily, MeijerGKernel, gauss_kronrod
 from .statistics import (
     FormFamily,
     SnrDistribution,
@@ -118,7 +118,7 @@ def capacity_form(dist: SnrDistribution, mean_snr: list[float] | None = None) ->
 
 def ergodic_capacity(dist: SnrDistribution) -> float:
     """Mean achievable rate E[log2(1 + chi * SNR)] in bits/s/Hz."""
-    return _values(capacity_form(dist))[0]
+    return _values(capacity_form(dist), f"ergodic_capacity at mean SNR {dist.mean_snr!r}: ")[0]
 
 
 def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
@@ -131,13 +131,14 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
 
     def integrand(u: np.ndarray) -> np.ndarray:
         # g f(g) at g = gbar e^u as one closed form
-        gf = np.array(_values(_x_pdf_form(dist, (ln_gbar + u).tolist())))
+        gf = np.array(_values(_x_pdf_form(dist, (ln_gbar + u).tolist()), held=held))
         return np.log1p(chi * gbar * np.exp(u)) * gf
 
     # toward the origin the integrand falls like exp((1 + c) u), so the cut
     # at -(80/c + 20) leaves out about exp(-80/c - 100) of its size at u = 0
-    val = gauss_kronrod(integrand, -(80.0 / c + 20.0), 20.0 * p.a, _TWIN_REL_TOL,
-                        1e-290, points=[0.0]).value
+    with MeijerGFamily(_x_pdf_form(dist, []).kernel) as held:
+        val = gauss_kronrod(integrand, -(80.0 / c + 20.0), 20.0 * p.a, _TWIN_REL_TOL,
+                            1e-290, points=[0.0]).value
     return val / math.log(2.0)
 
 
@@ -156,7 +157,8 @@ def ber_form(dist: SnrDistribution, scheme: ModulationScheme,
 
 def average_ber(dist: SnrDistribution, scheme: ModulationScheme) -> float:
     """Average bit error probability of the given binary scheme."""
-    return _values(ber_form(dist, scheme))[0]
+    return _values(ber_form(dist, scheme),
+                   f"average_ber of {scheme.name} at mean SNR {dist.mean_snr!r}: ")[0]
 
 
 def average_ber_by_quadrature(dist: SnrDistribution,
@@ -171,11 +173,12 @@ def average_ber_by_quadrature(dist: SnrDistribution,
     def integrand(v: np.ndarray) -> np.ndarray:
         # the cdf at g = v^(1/p)
         return np.exp(-sq * v ** (1.0 / sp)) * np.array(
-            _values(cdf_form(dist, (np.log(v) / sp).tolist())))
+            _values(cdf_form(dist, (np.log(v) / sp).tolist()), held=held))
 
     v_hi = (45.0 / sq) ** sp
-    val = gauss_kronrod(integrand, 0.0, v_hi, _TWIN_REL_TOL, 1e-290,
-                        points=[(1.0 / sq) ** sp]).value
+    with MeijerGFamily(cdf_form(dist, []).kernel) as held:
+        val = gauss_kronrod(integrand, 0.0, v_hi, _TWIN_REL_TOL, 1e-290,
+                            points=[(1.0 / sq) ** sp]).value
     return sq ** sp / (2.0 * math.gamma(sp) * sp) * val
 
 

@@ -4,6 +4,7 @@ from .meijerg import (
     ContourError,
     EvalResult,
     MeijerGError,
+    MeijerGFamily,
     MeijerGKernel,
     MeijerGSpec,
     meijer_g,
@@ -16,6 +17,7 @@ __all__ = [
     "ContourError",
     "EvalResult",
     "MeijerGError",
+    "MeijerGFamily",
     "MeijerGKernel",
     "MeijerGSpec",
     "QuadratureResult",

@@ -18,8 +18,15 @@ The points of a family share its factor table, its saddle search and
 one ``_trapezoid`` pass in rounds over one table of log chi per line
 (``_Table``), so the points of a sweep curve that share a lattice line
 share its log-gammas.  A value depends on its point and line alone, not
-on its family.  ``meijer_g_batch`` evaluates the instances of each
-kernel as one family, and ``meijer_g`` is a batch of one.
+on its family.  A ``MeijerGFamily`` holds this state of one kernel, and
+``meijer_g_family`` uses one once.  The rounds of a quadrature twin hold
+one in a ``with`` block: its table then keeps the rows of finished
+passes, so that a later round reads the rows of the lines it shares with
+earlier ones instead of computing them again, up to ``_KEPT`` nodes
+(about 390 kB) with the least recently used leaving first, and drops
+them all when the block ends.  ``meijer_g_batch`` evaluates the
+instances of each kernel as one family, and ``meijer_g`` is a batch of
+one.
 
 Coincident lower parameters, which the closed forms of this package
 produce routinely, need no treatment: the line never meets a pole.  The
@@ -50,6 +57,7 @@ __all__ = [
     "ContourError",
     "EvalResult",
     "MeijerGError",
+    "MeijerGFamily",
     "MeijerGKernel",
     "MeijerGSpec",
     "meijer_g",
@@ -68,6 +76,9 @@ _PIECE = 68 * _WIDTH
 # lines join a round while it asks for fewer nodes than this, so a batch
 # of thousands of instances holds a bounded number of nodes at once
 _ROUND = 8 * _PIECE
+# a held MeijerGFamily keeps the rows of finished passes while they hold at
+# most this many nodes, about 390 kB
+_KEPT = 2 * _ROUND
 # a line's first span ends where |w| is predicted to fall to _FALL |w(sigma)|
 # / (pi decay_index), read at these multiples of 1 / (pi decay_index)
 _FALL = 1e-16
@@ -482,25 +493,51 @@ class _Table:
     line (abscissa and step).  A round computes each node that its asks
     lack once (``fill``); a row filled once takes its slice of the fill, a
     row that grows appends to a copy.  A row leaves with the last pass
-    that reads it (``release``).  Log chi depends on s alone, so no value
-    depends on the batch."""
+    that reads it (``release``), unless the table keeps idle rows, as a
+    ``MeijerGFamily`` does while it is held: then the rows that no pass
+    reads stay, each on arrays of its own, for the passes of later calls
+    on the same lines, and leave least recently used first once they hold
+    more than ``keep`` nodes.  Log chi depends on s alone, so no value
+    depends on the batch or on what the table kept."""
 
     def __init__(self, kernel: _Kernel) -> None:
         self.kernel = kernel
         self.index: dict[tuple[float, float], _Row] = {}
+        # the rows that no pass reads, least recently released first
+        self.idle: dict[tuple[float, float], _Row] = {}
+        self.idle_nodes = self.keep = 0
 
     def row(self, x: float, step: float) -> _Row:
         row = self.index.get((x, step))
         if row is None:
             row = self.index[x, step] = _Row(x, step)
+        elif not row.users:
+            del self.idle[x, step]
+            self.idle_nodes -= row.chi.size
         row.users += 1
         return row
 
     def release(self, row: _Row) -> None:
-        """Take a user from the row, and drop it when it has none left."""
+        """Take a user from the row; one that has none left is dropped, or
+        kept idle while the table keeps rows."""
         row.users -= 1
-        if not row.users:
+        if row.users:
+            return
+        if not self.keep:
             del self.index[row.x, row.step]
+            return
+        if row.chi.base is not None:  # a slice of a fill, which it must not keep alive
+            row.chi, row.bulk = row.chi.copy(), row.bulk.copy()
+        self.idle[row.x, row.step] = row
+        self.idle_nodes += row.chi.size
+        while self.idle_nodes > self.keep:
+            self.forget(next(iter(self.idle)))
+
+    def forget(self, key: tuple[float, float]) -> None:
+        """Drop the idle row of ``key``."""
+        row = self.idle.pop(key)
+        del self.index[key]
+        self.idle_nodes -= row.chi.size
 
     def fill(self, asks: list[tuple[_Row, int]]) -> None:
         """Compute the nodes below stop of each ask (row, stop) that its row
@@ -545,12 +582,12 @@ class _Line:
         self.total = self.even = self.fourth = self.rounding = self.shift = 0.0
 
 
-def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[float],
+def _trapezoid(table: _Table, placed: list[tuple[float, float]], lnz: list[float],
                log_prefactor: list[float], rate: float) -> list[EvalResult | MeijerGError]:
     """The trapezoid sum of each instance i of one kernel along its line
     (sigma, d), with its ln z and log prefactor, all in rounds of array
-    operations over one ``_Table`` of one row per line; rate is pi times
-    the decay index.
+    operations over the kernel's ``_Table`` of one row per line; rate is
+    pi times the decay index.
 
     The nodes lie at s = sigma + i k h, k = 0, 1, ..., and the value is
     (h / pi) (sum Re w - Re w(sigma) / 2).  A line fixes its step and its
@@ -570,7 +607,7 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
     depends on the batch.
     """
     results: list = [None] * len(placed)
-    table = _Table(kernel)
+    kernel = table.kernel
     # the lines yet to start their pass, last first
     waiting, plan = [], _plan(kernel, placed, lnz, log_prefactor, rate)
     for i, ((x, _), (h, span)) in enumerate(zip(placed, plan)):
@@ -675,26 +712,60 @@ def _trapezoid(kernel: _Kernel, placed: list[tuple[float, float]], lnz: list[flo
         lines = kept
 
 
+class MeijerGFamily:
+    """The state of one kernel's evaluation that its points do not change:
+    the strip, the reduced factor tables and the ``_Table`` of log chi
+    rows.  A call evaluates exp(log_prefactors[i]) * G(kernel) at ln z =
+    log_arguments[i] for every point i in one pass; slot i holds the
+    EvalResult of point i, or the MeijerGError it failed with, and one
+    failure leaves the other points unaffected.
+
+    ``meijer_g_family`` uses one once.  Held in a ``with`` block, as the
+    rounds of a quadrature twin hold one, it keeps the rows of finished
+    passes for later calls, which read a row of the same lattice line and
+    step instead of computing it again: at most ``_KEPT`` nodes of them,
+    the least recently used leaving first, and none after the block.  A
+    value is the same whether or not its rows were kept.
+    """
+
+    def __init__(self, kernel: MeijerGKernel) -> None:
+        try:
+            self.strip: tuple[float, float] | ContourError = _contour_strip(kernel)
+        except ContourError as exc:
+            self.strip = exc
+        gamma, logs, self.constant, self.slope = _kernel_tables(kernel)
+        self.table = _Table(_Kernel(gamma, logs))
+        self.rate = kernel.decay_index * math.pi
+
+    def __call__(self, log_arguments: list[float],
+                 log_prefactors: list[float]) -> list[EvalResult | MeijerGError]:
+        if not all(map(math.isfinite, log_arguments)):
+            raise ValueError("every log_argument must be finite")
+        if isinstance(self.strip, ContourError):
+            return [ContourError(*self.strip.args) for _ in log_arguments]
+        lnz = [v + self.slope for v in log_arguments]
+        log_prefactor = [float(v) + self.constant for v in log_prefactors]
+        # a value that is not finite fails its own point only
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _trapezoid(self.table, _pick_lines(self.table.kernel, self.strip, lnz),
+                              lnz, log_prefactor, self.rate)
+
+    def __enter__(self) -> MeijerGFamily:
+        self.table.keep = _KEPT
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.table.keep = 0
+        for key in list(self.table.idle):
+            self.table.forget(key)
+
+
 def meijer_g_family(kernel: MeijerGKernel, log_arguments: list[float],
                     log_prefactors: list[float]) -> list[EvalResult | MeijerGError]:
     """Evaluate exp(log_prefactors[i]) * G(kernel) at ln z = log_arguments[i]
-    for every point i, such as the points of a sweep curve, in one pass.
-    Slot i holds the EvalResult of point i, or the MeijerGError it failed
-    with; one failure leaves the other points unaffected."""
-    if not all(map(math.isfinite, log_arguments)):
-        raise ValueError("every log_argument must be finite")
-    try:
-        strip = _contour_strip(kernel)
-    except ContourError as exc:
-        return [ContourError(*exc.args) for _ in log_arguments]
-    gamma, logs, constant, slope = _kernel_tables(kernel)
-    factors = _Kernel(gamma, logs)
-    lnz = [v + slope for v in log_arguments]
-    log_prefactor = [float(v) + constant for v in log_prefactors]
-    # a value that is not finite fails its own point only
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _trapezoid(factors, _pick_lines(factors, strip, lnz), lnz, log_prefactor,
-                          kernel.decay_index * math.pi)
+    for every point i, such as the points of a sweep curve, in one pass of
+    a ``MeijerGFamily`` used once."""
+    return MeijerGFamily(kernel)(log_arguments, log_prefactors)
 
 
 def meijer_g_batch(specs: list[MeijerGSpec],

@@ -18,7 +18,13 @@ family to ``meijer_g_family``, one batched contour pass.  A sweep curve
 over the mean SNR or the threshold is one family, a public scalar call
 is a family of one, and the quadrature twins integrate with
 ``gauss_kronrod``, whose integrand takes all the nodes of a refinement
-round at once, so each round is one family.
+round at once, so each round is one family.  A twin holds one
+``MeijerGFamily`` of its kernel for the length of its call, and each
+round is one call of it, so the rounds share one table of log chi: a
+round reads the rows that earlier rounds filled on the same lattice
+lines.  The table keeps the rows of finished passes up to 16,320 nodes,
+the least recently used leaving first, and drops them all when the twin
+returns; log chi depends on s alone, so every value keeps its bits.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import CascadeParams
-from .special import MeijerGError, MeijerGKernel, gauss_kronrod, meijer_g_family
+from .special import MeijerGError, MeijerGFamily, MeijerGKernel, gauss_kronrod, meijer_g_family
 
 __all__ = [
     "FormFamily",
@@ -102,17 +108,25 @@ def evaluate_batch(family: FormFamily) -> list[float | MeijerGError]:
     point whose evaluation fails holds its MeijerGError instead.  Near
     saturation the contour value of a probability carries rounding of
     order 1e-13 and can land just above one."""
-    results = meijer_g_family(family.kernel, family.log_arguments, family.log_prefactors)
+    return _read(family, meijer_g_family(family.kernel, family.log_arguments,
+                                         family.log_prefactors))
+
+
+def _read(family: FormFamily, results: list) -> list[float | MeijerGError]:
+    """The value of each contour result of a family, or its MeijerGError."""
     return [res if isinstance(res, MeijerGError)
             else min(max(res.value, 0.0), 1.0) if family.probability else res.value
             for res in results]
 
 
-def _values(family: FormFamily, where: str = "") -> list[float]:
-    """``evaluate_batch`` of a family; a point that fails, such as a
-    density past the double range, raises its MeijerGError, its message
-    led by ``where``."""
-    values = evaluate_batch(family)
+def _values(family: FormFamily, where: str = "",
+            held: MeijerGFamily | None = None) -> list[float]:
+    """``evaluate_batch`` of a family, or the same pass of ``held``, a
+    MeijerGFamily of its kernel that a quadrature twin holds over its
+    rounds; a point that fails, such as a density past the double range,
+    raises its MeijerGError, its message led by ``where``."""
+    values = (evaluate_batch(family) if held is None
+              else _read(family, held(family.log_arguments, family.log_prefactors)))
     for value in values:
         if isinstance(value, MeijerGError):
             raise type(value)(f"{where}{value}")
@@ -204,7 +218,9 @@ def cdf(dist: SnrDistribution, gamma: float) -> float:
     gamma = 0."""
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"cdf needs finite gamma >= 0, got {gamma!r}")
-    return _values(cdf_form(dist, [math.log(gamma)]))[0] if gamma else 0.0
+    if not gamma:
+        return 0.0
+    return _values(cdf_form(dist, [math.log(gamma)]), f"cdf at gamma {gamma!r}: ")[0]
 
 
 def mgf(dist: SnrDistribution, s: float) -> float:
@@ -213,7 +229,7 @@ def mgf(dist: SnrDistribution, s: float) -> float:
     As s goes to zero the contour value carries rounding of order 1e-12
     and can land just above one.
     """
-    return _values(mgf_form(dist, [s]))[0]
+    return _values(mgf_form(dist, [s]), f"mgf at s {s!r}: ")[0]
 
 
 def subchannel_pdf(dist: SnrDistribution, gamma_i: float,
@@ -245,13 +261,14 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
     def integrand(u: np.ndarray) -> np.ndarray:
         # both hop densities of every node in one batch, at t and gamma / t
         ln_t = np.concatenate([ln_t_star + u, ln_t_star - u])
-        f = np.array(_values(subchannel_pdf_form(dist, ln_t.tolist(), gbar_i)))
+        f = np.array(_values(subchannel_pdf_form(dist, ln_t.tolist(), gbar_i), held=held))
         return f[:u.size] * f[u.size:]
 
     # the integrand decays at least like exp(-c u) with c the smallest
     # per-hop exponent; 42/c reaches ~1e-18 relative to the peak
     span = min(30.0 * dist.params.a + 20.0, 42.0 / min(dist.params.delta2) + 6.0)
-    return 2.0 * gauss_kronrod(integrand, 0.0, span, _PDF_TWIN_REL_TOL, 0.0).value
+    with MeijerGFamily(subchannel_pdf_form(dist, [], gbar_i).kernel) as held:
+        return 2.0 * gauss_kronrod(integrand, 0.0, span, _PDF_TWIN_REL_TOL, 0.0).value
 
 
 def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
@@ -272,9 +289,10 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
     c = min(dist.params.delta2)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return np.array(_values(_x_pdf_form(dist, (ln_gamma + u).tolist())))
+        return np.array(_values(_x_pdf_form(dist, (ln_gamma + u).tolist()), held=held))
 
-    return gauss_kronrod(integrand, -(48.0 / c + 5.0), 0.0, _TWIN_REL_TOL, 0.0).value
+    with MeijerGFamily(_x_pdf_form(dist, []).kernel) as held:
+        return gauss_kronrod(integrand, -(48.0 / c + 5.0), 0.0, _TWIN_REL_TOL, 0.0).value
 
 
 def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
@@ -285,7 +303,9 @@ def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
 
     def integrand(v: np.ndarray) -> np.ndarray:
         # the cdf at v / s
-        return np.exp(-v) * np.array(_values(cdf_form(dist, (np.log(v) - ln_s).tolist())))
+        return np.exp(-v) * np.array(
+            _values(cdf_form(dist, (np.log(v) - ln_s).tolist()), held=held))
 
-    return gauss_kronrod(integrand, 0.0, 50.0, _TWIN_REL_TOL, 0.0,
-                         points=[0.1, 1.0, 5.0, 20.0]).value
+    with MeijerGFamily(cdf_form(dist, []).kernel) as held:
+        return gauss_kronrod(integrand, 0.0, 50.0, _TWIN_REL_TOL, 0.0,
+                             points=[0.1, 1.0, 5.0, 20.0]).value

@@ -349,22 +349,29 @@ def test_a_value_near_the_largest_double_has_a_finite_estimate(spec, log_prefact
 
 
 def _recorded_passes(monkeypatch) -> list:
-    """Every pass that ``_trapezoid`` starts, as (table, line), recorded
-    through ``_Line``; the last one of an instance in its table is the
-    pass that finishes."""
-    passes = []
-    init = meijerg._Line.__init__
+    """Every pass that ``_trapezoid`` starts, as (call, table, line),
+    recorded through ``_Line``, call numbering the calls of
+    ``_trapezoid``: a held family's calls share one table.  The last pass
+    of an instance in its call is the one that finishes."""
+    passes, calls = [], [0]
+    init, trapezoid = meijerg._Line.__init__, meijerg._trapezoid
 
     def recording(line, table, *args):
         init(line, table, *args)
-        passes.append((table, line))
+        passes.append((calls[0], table, line))
+
+    def counting(*args):
+        calls[0] += 1
+        return trapezoid(*args)
 
     monkeypatch.setattr(meijerg._Line, "__init__", recording)
+    monkeypatch.setattr(meijerg, "_trapezoid", counting)
     return passes
 
 
 def _finished_passes(passes: list) -> list:
-    return list({(id(table), line.inst): (table, line) for table, line in passes}.values())
+    """The (table, line) of each pass that finishes."""
+    return list({(call, line.inst): (table, line) for call, table, line in passes}.values())
 
 
 def test_batch_keeps_values_beside_a_failing_line_and_one_whose_rate_halves_its_step(
@@ -388,7 +395,7 @@ def test_batch_keeps_values_beside_a_failing_line_and_one_whose_rate_halves_its_
     gamma, logs, _, slope = _kernel_tables(specs[2])
     ((_, d),) = _pick_lines(_Kernel(gamma, logs), _contour_strip(specs[2]),
                             [specs[2].log_argument + slope])
-    assert [line.h for _, line in passes] == [passes[0][1].h, 0.5 * min(0.1, d / 6.0)]
+    assert [line.h for *_, line in passes] == [passes[0][-1].h, 0.5 * min(0.1, d / 6.0)]
     for one, res in zip(alone[1:], (exp2, halves)):
         assert (res.value.hex(), res.abs_error_estimate.hex()) \
             == (one.value.hex(), one.abs_error_estimate.hex())
@@ -415,7 +422,7 @@ def test_a_line_that_grows_into_a_faster_phase_sums_its_span_again(monkeypatch):
     batch = meijer_g_batch(specs, [0.0] * len(specs))
     finished = [line for _, line in _finished_passes(passes)]
     assert len(passes) > len(finished) == len(specs)
-    assert min(line.h for line in finished) < max(line.h for _, line in passes)
+    assert min(line.h for line in finished) < max(line.h for *_, line in passes)
     for one, res, good in zip(alone, batch, want):
         assert res.value == pytest.approx(good.value, rel=1e-10)
         assert (res.value.hex(), res.abs_error_estimate.hex()) \
@@ -451,7 +458,7 @@ def test_a_shared_row_grows_for_a_line_with_a_longer_pass(monkeypatch):
     for stretch in ([1.0, 3.0], [1.0, 15.0]):
 
         def run(which):
-            return _trapezoid(kernel, [placed] * len(which), [lnz[i] for i in which],
+            return _trapezoid(_Table(kernel), [placed] * len(which), [lnz[i] for i in which],
                               [constant] * len(which), math.pi * spec.decay_index)
 
         batch = run([0, 1])
@@ -618,8 +625,8 @@ def test_every_row_the_table_fills_is_a_lines_own(monkeypatch):
     pdf_by_product_integral(dist, 0.5 * dist.mean_snr)
     ergodic_capacity_by_quadrature(dist)
     average_ber_by_quadrature(dist, ModulationScheme.CBPSK)
-    assert filled == {(id(table), line.x, line.h) for table, line in passes}
-    assert all(line.row.step == line.h for _, line in passes)
+    assert filled == {(id(table), line.x, line.h) for _, table, line in passes}
+    assert all(line.row.step == line.h for *_, line in passes)
 
 
 def test_points_of_a_curve_share_their_log_gammas(monkeypatch):

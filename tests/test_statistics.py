@@ -9,6 +9,7 @@ the intensity-to-SNR mapping gamma = gbar (I/E[I])^a.
 from __future__ import annotations
 
 import math
+import re
 import sys
 import warnings
 from collections import Counter
@@ -32,7 +33,17 @@ from conftest import (
     reference_cases,
 )
 from risfso import metrics, statistics
-from risfso.special import EvalResult, MeijerGError, meijer_g, meijer_g_batch, quadrature
+from risfso.special import (
+    ContourError,
+    EvalResult,
+    MeijerGError,
+    MeijerGFamily,
+    meijer_g,
+    meijer_g_batch,
+    meijerg,
+    quadrature,
+)
+from risfso.special.meijerg import _Kernel, _Table
 from risfso.simulator import McChannel, sample_end_to_end_snr
 from risfso.statistics import (
     RisElement,
@@ -628,21 +639,130 @@ def test_twins_make_one_batched_pass_per_round(monkeypatch, twin):
     def gauss_kronrod(f, *args, **kwargs):
         return quadrature.gauss_kronrod(counting("rounds", f), *args, **kwargs)
 
-    # the scalar evaluator, wherever a risfso module binds it
+    class Held(MeijerGFamily):
+        def __init__(self, kernel):
+            counts["held"] += 1
+            super().__init__(kernel)
+
+        def __call__(self, *args):
+            counts["held calls"] += 1
+            return super().__call__(*args)
+
+    # the scalar evaluator and the held family, wherever a risfso module
+    # binds them
     for module in [m for k, m in sys.modules.items()
                    if k.partition(".")[0] == "risfso"]:
         for name, value in list(vars(module).items()):
             if value is meijer_g:
                 monkeypatch.setattr(module, name, counting("meijer_g", meijer_g))
+            elif value is MeijerGFamily:
+                monkeypatch.setattr(module, name, Held)
     monkeypatch.setattr(statistics, "meijer_g_family",
                         counting("meijer_g_family", statistics.meijer_g_family))
     monkeypatch.setattr(statistics, "gauss_kronrod", gauss_kronrod)
     monkeypatch.setattr(metrics, "gauss_kronrod", gauss_kronrod)
     call(make_dist(*row))
     assert counts["rounds"] > 0
-    assert counts["meijer_g"] == 0
-    # one family per Gauss-Kronrod round
-    assert counts["meijer_g_family"] == counts["rounds"]
+    assert counts["meijer_g"] == counts["meijer_g_family"] == 0
+    # one family held over the twin, and one pass of it per Gauss-Kronrod
+    # round
+    assert counts["held"] == 1
+    assert counts["held calls"] == counts["rounds"]
+
+
+@pytest.mark.parametrize("twin", list(TWIN_CASES))
+def test_the_rounds_of_a_twin_compute_each_node_of_a_kept_row_once(monkeypatch, twin):
+    # counted through _Kernel.log_chi: every node that the twin's table
+    # computes is one of the nodes that a fill lacked, and none of them,
+    # (x, step, k), was computed before while its row stayed in the table;
+    # the idle rows never hold more than the bound, and the table holds
+    # nothing once the twin returns
+    row, call = TWIN_CASES[twin]
+    tables, computed, lacked, kept = [], [0], [0], {}
+    init, log_chi, fill = _Table.__init__, _Kernel.log_chi, _Table.fill
+    release, forget = _Table.release, _Table.forget
+
+    def recording(table, kernel):
+        init(table, kernel)
+        tables.append(table)
+
+    def counting(kernel, s):
+        computed[0] += s.size
+        return log_chi(kernel, s)
+
+    def filling(table, asks):
+        need: dict = {}
+        for r, stop in asks:
+            need[r] = max(need.get(r, r.chi.size), stop)
+        for r, stop in need.items():
+            nodes = kept.setdefault((r.x, r.step), set())
+            new = set(range(r.chi.size, stop))
+            assert not nodes & new, (r.x, r.step, sorted(nodes & new)[:3])
+            nodes |= new
+            lacked[0] += len(new)
+        fill(table, asks)
+
+    def releasing(table, r):
+        release(table, r)
+        idle = [v for v in table.index.values() if not v.users]
+        assert sum(v.chi.size for v in idle) == table.idle_nodes <= meijerg._KEPT
+        # a kept row holds arrays of its own, not a view of a fill
+        assert all(v.chi.base is None and v.bulk.base is None for v in idle)
+
+    def forgetting(table, key):
+        forget(table, key)
+        del kept[key]
+
+    monkeypatch.setattr(_Table, "__init__", recording)
+    monkeypatch.setattr(_Kernel, "log_chi", counting)
+    monkeypatch.setattr(_Table, "fill", filling)
+    monkeypatch.setattr(_Table, "release", releasing)
+    monkeypatch.setattr(_Table, "forget", forgetting)
+    call(make_dist(*row))
+    assert len(tables) == 1
+    assert computed[0] == lacked[0] > 0
+    assert not tables[0].index and not tables[0].idle
+
+
+@pytest.mark.parametrize("twin", list(TWIN_CASES))
+def test_a_twin_keeps_its_bits_with_a_fresh_table_per_round(monkeypatch, twin):
+    # log chi depends on s alone, so no value depends on what the table
+    # kept from earlier rounds
+    row, call = TWIN_CASES[twin]
+    dist = make_dist(*row)
+    shared = call(dist)
+    evaluate = MeijerGFamily.__call__
+
+    def fresh(held, *args):
+        held.table = _Table(held.table.kernel)
+        return evaluate(held, *args)
+
+    monkeypatch.setattr(MeijerGFamily, "__call__", fresh)
+    assert call(dist).hex() == shared.hex()
+
+
+def test_a_failing_closed_form_names_its_call():
+    # at zeta 0.003 the saddle of the cdf, mgf and BER lines lies so
+    # near a pole that the step is too fine for the span; the message
+    # leads with the call and its input, as pdf's does
+    dist = make_dist(4.2, 2.5, 0.003, 1, 20.0)
+    for run, lead in ((lambda: cdf(dist, 100.0), "cdf at gamma 100.0: "),
+                      (lambda: mgf(dist, 0.01), "mgf at s 0.01: "),
+                      (lambda: metrics.average_ber(dist, metrics.ModulationScheme.CBPSK),
+                       "average_ber of CBPSK at mean SNR 100.0: ")):
+        with pytest.raises(ContourError, match=f"^{re.escape(lead)}line step .* too fine"):
+            run()
+
+
+def test_a_failing_capacity_names_its_call(monkeypatch):
+    # the capacity line stays clear of the pole down to zeta 1e-5, so
+    # the engine is made to fail
+    def failing(kernel, log_arguments, log_prefactors):
+        return [ContourError("no line")] * len(log_arguments)
+
+    monkeypatch.setattr(statistics, "meijer_g_family", failing)
+    with pytest.raises(ContourError, match=r"^ergodic_capacity at mean SNR 100\.0: no line$"):
+        metrics.ergodic_capacity(make_dist(4.2, 2.5, 0.003, 1, 20.0))
 
 
 def test_twin_short_of_its_tolerance_warns(monkeypatch):
@@ -672,7 +792,23 @@ def test_each_contour_batch_of_the_presets_and_twins_holds_one_kernel(monkeypatc
         builds[0] += 1
         return build(*args)
 
+    class Held:
+        # the family a quadrature twin holds over its rounds
+        def __init__(self, kernel):
+            self.kernel = kernel
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            pass
+
+        def __call__(self, log_arguments, log_prefactors):
+            return stub(self.kernel, log_arguments, log_prefactors)
+
     monkeypatch.setattr(statistics, "meijer_g_family", stub)
+    monkeypatch.setattr(statistics, "MeijerGFamily", Held)
+    monkeypatch.setattr(metrics, "MeijerGFamily", Held)
     monkeypatch.setattr(sweeps, "cascade_from_constants", counted)
     grids = []
     for name in presets.PRESET_NAMES:
