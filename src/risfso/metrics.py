@@ -128,10 +128,11 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
     gbar = dist.mean_snr
     ln_gbar = math.log(gbar)
     c = min(p.delta2)
+    where = f"ergodic_capacity_by_quadrature at mean SNR {gbar!r}: "
 
     def integrand(u: np.ndarray) -> np.ndarray:
         # g f(g) at g = gbar e^u as one closed form
-        gf = np.array(_values(_x_pdf_form(dist, (ln_gbar + u).tolist()), held=held))
+        gf = np.array(_values(_x_pdf_form(dist, (ln_gbar + u).tolist()), where, held))
         return np.log1p(chi * gbar * np.exp(u)) * gf
 
     # toward the origin the integrand falls like exp((1 + c) u), so the cut
@@ -169,11 +170,12 @@ def average_ber_by_quadrature(dist: SnrDistribution,
     (q^p / (2 Gamma(p) p)) * int_0^inf exp(-q v^(1/p)) F(v^(1/p)) dv.
     """
     sp, sq = scheme.p, scheme.q
+    where = f"average_ber_by_quadrature of {scheme.name} at mean SNR {dist.mean_snr!r}: "
 
     def integrand(v: np.ndarray) -> np.ndarray:
         # the cdf at g = v^(1/p)
         return np.exp(-sq * v ** (1.0 / sp)) * np.array(
-            _values(cdf_form(dist, (np.log(v) / sp).tolist()), held=held))
+            _values(cdf_form(dist, (np.log(v) / sp).tolist()), where, held))
 
     v_hi = (45.0 / sq) ** sp
     with MeijerGFamily(cdf_form(dist, []).kernel) as held:

@@ -9,8 +9,10 @@ amplitude squared.
 This module deliberately shares no code with the closed-form machinery
 (no imports from the special-function or statistics modules); gamma
 variates come from numpy's squeeze-accept sampler (with the power boost
-for shapes below one) and the conditional-BER kernel uses scipy's
-regularized incomplete gamma.
+for shapes below one).  The conditional BER Gamma(p, q g)/(2 Gamma(p))
+is 0.5 erfc(sqrt(q g)) for p = 1/2 (CBFSK, CBPSK), 0.5 exp(-q g) for
+p = 1 (NBFSK, DBPSK), and scipy's regularized incomplete gamma for any
+other p.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import erfc, gammaincc
 
 __all__ = [
     "McChannel",
@@ -128,7 +130,13 @@ def _kernel(metric: str, snr: np.ndarray, chan: McChannel,
     if metric == "capacity":
         return np.log2(1.0 + chan.chi * snr)
     if metric == "ber":
-        return 0.5 * gammaincc(p, q * snr)
+        # Gamma(1/2, x)/Gamma(1/2) = erfc(sqrt x) and Gamma(1, x) = e^-x (DLMF 8.4)
+        x = q * snr
+        if p == 0.5:
+            return 0.5 * erfc(np.sqrt(x))
+        if p == 1.0:
+            return 0.5 * np.exp(-x)
+        return 0.5 * gammaincc(p, x)
     if metric == "mgf":
         return np.exp(-s * snr)
     raise ValueError(f"unknown metric {metric!r}; choose from {_METRICS}")
@@ -143,6 +151,11 @@ def estimate_metric(metric: str, chan: McChannel, config: McConfig, *,
     Batches of ``_BATCH`` samples draw from independent generators keyed
     by (seed, batch index) and merge in batch order, so the seed and the
     sample count fix the result to the last bit.
+
+    Each metric reads its own estimand and ignores the others:
+    ``outage`` the threshold ``gamma_th``, finite and >= 0; ``ber`` the
+    kernel exponents ``p`` and ``q``, and ``mgf`` the argument ``s``,
+    each finite and > 0; ``capacity`` none.
     """
     # a threshold of 0 is valid: no sample is then an outage
     if metric == "outage" and not (gamma_th is not None and 0.0 <= gamma_th < math.inf):

@@ -257,11 +257,12 @@ def pdf_by_product_integral(dist: SnrDistribution, gamma: float) -> float:
         raise ValueError(f"needs finite gamma > 0, got {gamma!r}")
     gbar_i = math.sqrt(dist.mean_snr)
     ln_t_star = 0.5 * math.log(gamma)  # equal sub-channel arguments here
+    where = f"pdf_by_product_integral at gamma {gamma!r}: "
 
     def integrand(u: np.ndarray) -> np.ndarray:
         # both hop densities of every node in one batch, at t and gamma / t
         ln_t = np.concatenate([ln_t_star + u, ln_t_star - u])
-        f = np.array(_values(subchannel_pdf_form(dist, ln_t.tolist(), gbar_i), held=held))
+        f = np.array(_values(subchannel_pdf_form(dist, ln_t.tolist(), gbar_i), where, held))
         return f[:u.size] * f[u.size:]
 
     # the integrand decays at least like exp(-c u) with c the smallest
@@ -287,9 +288,10 @@ def cdf_by_quadrature(dist: SnrDistribution, gamma: float) -> float:
         return 0.0
     ln_gamma = math.log(gamma)
     c = min(dist.params.delta2)
+    where = f"cdf_by_quadrature at gamma {gamma!r}: "
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return np.array(_values(_x_pdf_form(dist, (ln_gamma + u).tolist()), held=held))
+        return np.array(_values(_x_pdf_form(dist, (ln_gamma + u).tolist()), where, held))
 
     with MeijerGFamily(_x_pdf_form(dist, []).kernel) as held:
         return gauss_kronrod(integrand, -(48.0 / c + 5.0), 0.0, _TWIN_REL_TOL, 0.0).value
@@ -300,11 +302,12 @@ def mgf_by_quadrature(dist: SnrDistribution, s: float) -> float:
     if not 0.0 < s < math.inf:
         raise ValueError(f"needs finite s > 0, got {s!r}")
     ln_s = math.log(s)
+    where = f"mgf_by_quadrature at s {s!r}: "
 
     def integrand(v: np.ndarray) -> np.ndarray:
         # the cdf at v / s
         return np.exp(-v) * np.array(
-            _values(cdf_form(dist, (np.log(v) - ln_s).tolist()), held=held))
+            _values(cdf_form(dist, (np.log(v) - ln_s).tolist()), where, held))
 
     with MeijerGFamily(cdf_form(dist, []).kernel) as held:
         return gauss_kronrod(integrand, 0.0, 50.0, _TWIN_REL_TOL, 0.0,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 from scipy.special import kv as scipy_kv
 
 from conftest import make_dist
@@ -14,6 +15,7 @@ from risfso.simulator import (
     McChannel,
     McConfig,
     McEstimate,
+    _kernel,
     estimate_metric,
     sample_end_to_end_snr,
     sample_gg,
@@ -171,15 +173,36 @@ def test_capacity_estimate_matches_closed_form():
     assert abs(est.mean - ergodic_capacity(dist)) <= 3.0 * est.std_error
 
 
-def test_ber_estimate_matches_closed_form():
+@pytest.mark.parametrize("scheme", list(ModulationScheme))
+def test_ber_estimate_matches_closed_form(scheme):
     dist = make_dist(*BLUE, 6.1, 1, 25.0)
     g = math.sqrt(10.0 ** 2.5)
     chan = McChannel(zeta2=6.1 ** 2, alpha=BLUE[0], beta=BLUE[1], a=1,
                      mean_snr_h=g, mean_snr_g=g)
     est = estimate_metric("ber", chan, McConfig(1_000_000, seed=22),
-                          p=1.0, q=1.0)
-    want = average_ber(dist, ModulationScheme.DBPSK)
+                          p=scheme.p, q=scheme.q)
+    want = average_ber(dist, scheme)
     assert abs(est.mean - want) <= 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("scheme", list(ModulationScheme))
+def test_ber_kernel_of_each_scheme_matches_the_incomplete_gamma(scheme):
+    # erfc(sqrt x) for p = 1/2 and exp(-x) for p = 1 against gammaincc,
+    # for x = q snr from 1e-8 to 700
+    chan = McChannel(zeta2=1.21, alpha=2.0, beta=2.0, a=1, mean_snr_h=1.0, mean_snr_g=1.0)
+    snr = np.geomspace(1e-8, 700.0, 20_001) / scheme.q
+    got = _kernel("ber", snr, chan, None, scheme.p, scheme.q, None)
+    want = 0.5 * gammaincc(scheme.p, scheme.q * snr)
+    kept = want > 1e-300
+    assert kept.sum() > 19_000
+    assert np.max(np.abs(got[kept] - want[kept]) / want[kept]) <= 1e-12
+
+
+def test_ber_kernel_of_any_other_p_is_the_incomplete_gamma():
+    chan = McChannel(zeta2=1.21, alpha=2.0, beta=2.0, a=1, mean_snr_h=1.0, mean_snr_g=1.0)
+    snr = np.geomspace(1e-8, 700.0, 2_001)
+    got = _kernel("ber", snr, chan, None, 2.5, 0.7, None)
+    assert np.array_equal(got, 0.5 * gammaincc(2.5, 0.7 * snr))
 
 
 def test_mgf_estimate():
