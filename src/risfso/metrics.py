@@ -136,10 +136,13 @@ def ergodic_capacity_by_quadrature(dist: SnrDistribution) -> float:
         return np.log1p(chi * gbar * np.exp(u)) * gf
 
     # toward the origin the integrand falls like exp((1 + c) u), so the cut
-    # at -(80/c + 20) leaves out about exp(-80/c - 100) of its size at u = 0
+    # at -(80/(1 + c) + 20) leaves out about exp(-100 - 20 c) of its size
+    # at u = 0; upward, each hop's pointing factor I/E[I] reaches
+    # 1 + 1/zeta^2, which moves the density's tail out by a ln(1 + 1/zeta^2)
+    lo = -(80.0 / (1.0 + c) + 20.0)
+    hi = p.a * (20.0 + 2.0 * math.log(1.0 + 1.0 / p.zeta2))
     with MeijerGFamily(_x_pdf_form(dist, []).kernel) as held:
-        val = gauss_kronrod(integrand, -(80.0 / c + 20.0), 20.0 * p.a, _TWIN_REL_TOL,
-                            1e-290, points=[0.0]).value
+        val = gauss_kronrod(integrand, lo, hi, _TWIN_REL_TOL, 1e-290, points=[0.0]).value
     return val / math.log(2.0)
 
 

@@ -10,7 +10,6 @@ import warnings
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 __all__ = ["QuadratureResult", "gauss_kronrod"]
 
@@ -111,6 +110,8 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray],
         panels = panels[:, ~split]
     lo, _, val, err, absv = panels
     if not err.sum() <= max(abs_tol, rel_tol * abs(val.sum())):
+        # imported here: scipy.integrate costs about 0.1 s to import
+        from scipy.integrate import IntegrationWarning
         warnings.warn(f"gauss_kronrod stopped at {n} panels with error "
                       f"estimate {err.sum():.3g} above its tolerance",
                       IntegrationWarning, stacklevel=2)

@@ -118,11 +118,23 @@ def test_capacity_matches_quadrature(a):
 
 @pytest.mark.parametrize("zeta, a", [(0.3, 1), (0.45, 2)])
 def test_capacity_twin_at_small_zeta(zeta, a):
-    # the twin's -(80/c + 20) cut lies where neither gamma nor the
-    # density's Meijer-G argument is a double; the builder takes their
-    # logs, and the integrand there, of order gamma^(1 + c), is far below
-    # the twin's tolerance, so it does not warn
+    # the twin's lower cut, -(80/(1 + c) + 20) in ln(gamma/mean SNR), lies
+    # at most 100 below the mean, where the integrand, of order
+    # gamma^(1 + c), is far below the twin's tolerance, so it does not warn
     dist = make_dist(2.0, 1.5, zeta, a, 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        twin = ergodic_capacity_by_quadrature(dist)
+    assert twin == pytest.approx(ergodic_capacity(dist), rel=1e-7)
+
+
+@pytest.mark.parametrize("zeta", [0.1, 0.003])
+@pytest.mark.parametrize("a, db", [(1, 20.0), (2, 35.0)])
+def test_capacity_twin_reaches_the_pointing_tail(zeta, a, db):
+    # each hop's pointing factor I/E[I] reaches 1 + 1/zeta^2, so the upper
+    # cut must grow with it, and c = zeta^2/a must not push the lower cut
+    # out of the doubles as it vanishes
+    dist = make_dist(4.2, 2.5, zeta, a, db)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         twin = ergodic_capacity_by_quadrature(dist)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import gammaincc
 from scipy.special import kv as scipy_kv
 
 from conftest import make_dist
+from risfso import simulator
 from risfso.metrics import ModulationScheme, average_ber, ergodic_capacity
 from risfso.simulator import (
     McChannel,
@@ -226,6 +228,80 @@ def test_estimates_are_bit_reproducible():
     a = estimate_metric("outage", chan, cfg, gamma_th=8.0)
     b = estimate_metric("outage", chan, cfg, gamma_th=8.0)
     assert a == b  # bit-identical, including the partial final batch
+
+
+# float.hex of (mean, std_error) at seed 2031, frozen from the estimator
+# that ran its batches one after another in one thread
+FROZEN_CHANNELS = {
+    1: McChannel(zeta2=6.1 ** 2, alpha=BLUE[0], beta=BLUE[1], a=1,
+                 mean_snr_h=10.0, mean_snr_g=10.0),
+    2: McChannel(zeta2=1.21, alpha=4.9477, beta=1.2310, a=2,
+                 mean_snr_h=31.0, mean_snr_g=31.0),
+}
+FROZEN = [
+    ('outage', {'gamma_th': 40.0}, 1, 1000000, '0x1.b952d234eb9a1p-3', '0x1.af2278ba88292p-12'),
+    ('capacity', {}, 1, 1000000, '0x1.8efc47f62d0c9p+2', '0x1.28dadb9be89bcp-10'),
+    ('ber', {'p': 0.5, 'q': 1.0}, 1, 1000000, '0x1.0531cac9d3eb8p-17', '0x1.945c5f90ab612p-22'),
+    ('ber', {'p': 1.0, 'q': 0.5}, 1, 1000000, '0x1.f4056764882a5p-13', '0x1.e98cd5a689b31p-19'),
+    ('mgf', {'s': 0.05}, 1, 1000000, '0x1.5ebd386597c06p-4', '0x1.1b9434e726c57p-13'),
+    ('outage', {'gamma_th': 40.0}, 1, 450001, '0x1.b8ba86e13d5b8p-3', '0x1.4131012dfed8bp-11'),
+    ('capacity', {}, 1, 450001, '0x1.8f00dcfb86f0ap+2', '0x1.bac8eed36d745p-10'),
+    ('ber', {'p': 0.5, 'q': 1.0}, 1, 450001, '0x1.13bf596301894p-17', '0x1.42854367c50a0p-21'),
+    ('ber', {'p': 1.0, 'q': 0.5}, 1, 450001, '0x1.ff3f0d25feb8cp-13', '0x1.75508f3f34b54p-18'),
+    ('mgf', {'s': 0.05}, 1, 450001, '0x1.5eb86afb809f4p-4', '0x1.a6eaaf1c11b0fp-13'),
+    ('outage', {'gamma_th': 40.0}, 2, 1000000, '0x1.d5ad106ee30cbp-2', '0x1.053f373533bb2p-11'),
+    ('capacity', {}, 2, 1000000, '0x1.51056f5074643p+2', '0x1.16864b4103244p-8'),
+    ('ber', {'p': 0.5, 'q': 1.0}, 2, 1000000, '0x1.c5736a625025ep-5', '0x1.0a3952617af85p-13'),
+    ('ber', {'p': 1.0, 'q': 0.5}, 2, 1000000, '0x1.868bf35a00e8cp-4', '0x1.68bb21fc86726p-13'),
+    ('mgf', {'s': 0.05}, 2, 1000000, '0x1.688a93fc653edp-2', '0x1.b401f2f47cba2p-12'),
+    ('outage', {'gamma_th': 40.0}, 2, 450001, '0x1.d533dc8b6e07cp-2', '0x1.8569e1c9207cep-11'),
+    ('capacity', {}, 2, 450001, '0x1.51266307af892p+2', '0x1.9f853f3df829cp-8'),
+    ('ber', {'p': 0.5, 'q': 1.0}, 2, 450001, '0x1.c7980cb65418dp-5', '0x1.8dfe7e10d4f27p-13'),
+    ('ber', {'p': 1.0, 'q': 0.5}, 2, 450001, '0x1.87948c0e70ee9p-4', '0x1.0d47a2ef7d454p-12'),
+    ('mgf', {'s': 0.05}, 2, 450001, '0x1.68b57871ac3a3p-2', '0x1.4533fb0854af8p-11'),
+]
+
+
+@pytest.mark.parametrize(("metric", "kwargs", "a", "n", "mean", "std_error"), FROZEN)
+def test_estimates_match_frozen_bits(metric, kwargs, a, n, mean, std_error):
+    # 450,001 samples end on a short batch of 50,001
+    est = estimate_metric(metric, FROZEN_CHANNELS[a], McConfig(n, seed=2031), **kwargs)
+    assert (est.mean.hex(), est.std_error.hex(), est.sample_count) == (mean, std_error, n)
+
+
+def test_thread_count_does_not_change_the_bits(monkeypatch):
+    chan = FROZEN_CHANNELS[2]
+    got = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_cpu_count", lambda: cpus)
+        threads = threading.active_count()
+        got[cpus] = [estimate_metric(metric, chan, McConfig(650_000, seed=7), **kwargs)
+                     for metric, kwargs in (("capacity", {}), ("ber", {"p": 0.5, "q": 1.0}))]
+        assert threading.active_count() == threads  # no thread outlives a call
+    assert got[1] == got[2] == got[3]
+
+
+@pytest.mark.parametrize(("metric", "kwargs"), [
+    ("outage", {"gamma_th": 2.0}), ("capacity", {}), ("ber", {"p": 0.5, "q": 1.0}),
+    ("ber", {"p": 1.0, "q": 0.5}), ("ber", {"p": 2.5, "q": 0.7}), ("mgf", {"s": 0.3}),
+])
+def test_kernel_without_out_leaves_its_input_alone(metric, kwargs):
+    chan = FROZEN_CHANNELS[1]
+    snr = np.geomspace(1e-3, 1e3, 1_001)
+    kept = snr.copy()
+    args = [kwargs.get(k) for k in ("gamma_th", "p", "q", "s")]
+    got = _kernel(metric, snr, chan, *args)
+    assert np.array_equal(snr, kept)
+    x = kept.copy()  # in place, as the estimator runs it
+    assert np.array_equal(_kernel(metric, x, chan, *args, out=x), got)
+
+
+def test_samplers_write_into_the_buffers_they_are_given():
+    chan = FROZEN_CHANNELS[2]
+    buffers = [np.empty(5_000) for _ in range(4)]
+    got = sample_end_to_end_snr(chan, rng_for(18), 5_000, buffers)
+    assert got is buffers[0]
+    assert np.array_equal(got, sample_end_to_end_snr(chan, rng_for(18), 5_000))
 
 
 def test_std_error_scales_with_sample_count():

@@ -755,17 +755,15 @@ def test_a_failing_closed_form_names_its_call():
 
 
 def test_a_failing_twin_names_its_call():
-    # the twins' nodes meet the same pole at zeta 0.003; each message
-    # leads with the twin's own name and input
+    # the cdf-based twins' nodes meet the same pole at zeta 0.003; each
+    # message leads with the twin's own name and input
     dist = make_dist(4.2, 2.5, 0.003, 1, 20.0)
     cbpsk = metrics.ModulationScheme.CBPSK
     for run, lead in ((lambda: cdf_by_quadrature(dist, 100.0),
                        "cdf_by_quadrature at gamma 100.0: "),
                       (lambda: mgf_by_quadrature(dist, 0.01), "mgf_by_quadrature at s 0.01: "),
                       (lambda: metrics.average_ber_by_quadrature(dist, cbpsk),
-                       "average_ber_by_quadrature of CBPSK at mean SNR 100.0: "),
-                      (lambda: metrics.ergodic_capacity_by_quadrature(dist),
-                       "ergodic_capacity_by_quadrature at mean SNR 100.0: ")):
+                       "average_ber_by_quadrature of CBPSK at mean SNR 100.0: ")):
         with pytest.raises(ContourError, match=f"^{re.escape(lead)}line step .* too fine"):
             run()
 
@@ -780,6 +778,18 @@ def test_a_failing_product_integral_names_its_call(monkeypatch):
     with pytest.raises(ContourError,
                        match=r"^pdf_by_product_integral at gamma 100\.0: no line$"):
         pdf_by_product_integral(make_dist(4.2, 2.5, 0.003, 1, 20.0), 100.0)
+
+
+def test_a_failing_capacity_twin_names_its_call(monkeypatch):
+    # the capacity twin's x pdf nodes stay clear of the pole at zeta
+    # 0.003, so the held family is made to fail
+    def failing(held, log_arguments, log_prefactors):
+        return [ContourError("no line")] * len(log_arguments)
+
+    monkeypatch.setattr(MeijerGFamily, "__call__", failing)
+    with pytest.raises(ContourError, match=r"^ergodic_capacity_by_quadrature at mean SNR "
+                                           r"100\.0: no line$"):
+        metrics.ergodic_capacity_by_quadrature(make_dist(4.2, 2.5, 0.003, 1, 20.0))
 
 
 def test_a_failing_capacity_names_its_call(monkeypatch):
